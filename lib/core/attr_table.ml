@@ -32,16 +32,7 @@ module Key = struct
   type t = Ia.t
 
   let equal = Ia.same_attrs
-
-  (* Prefix excluded — the bucketing relation is attrs-only.
-     [Hashtbl.hash]'s bounded traversal keeps this O(1) on hostile
-     input; structurally equal fields always hash equal. *)
-  let hash (ia : Ia.t) =
-    let h1 = Hashtbl.hash ia.Ia.path_vector
-    and h2 = Hashtbl.hash ia.Ia.membership
-    and h3 = Hashtbl.hash ia.Ia.path_descriptors
-    and h4 = Hashtbl.hash ia.Ia.island_descriptors in
-    (((((h1 * 31) + h2) * 31) + h3) * 31) + h4
+  let hash = Ia.attrs_hash
 end
 
 module Tbl = Hashtbl.Make (Key)

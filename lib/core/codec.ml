@@ -2,6 +2,20 @@ open Dbgp_types
 module W = Dbgp_wire.Writer
 module R = Dbgp_wire.Reader
 
+(* Encoding is size-then-write: every encoder below has a size function
+   that computes, from lengths alone, exactly how many bytes it appends.
+   A frame writes its body's size and then the body itself, straight
+   into the parent buffer, and a whole advertisement is written into a
+   buffer allocated at its exact size — so a descriptor payload is copied
+   once on its way to the wire, however deeply it is framed. *)
+
+let asn_size = 4
+
+let island_size = function
+  | Island_id.Singleton _ -> 1 + asn_size
+  | Island_id.Named s -> 1 + W.delimited_size s
+  | Island_id.Hashed h -> 1 + W.varint_size (h land max_int)
+
 let encode_island w = function
   | Island_id.Singleton a ->
     W.u8 w 0;
@@ -19,6 +33,13 @@ let decode_island r =
   | 1 -> Island_id.Named (R.delimited r)
   | 2 -> Island_id.Hashed (R.varint r)
   | n -> raise (R.Error (Printf.sprintf "bad island-id tag %d" n))
+
+let asn_list_size s = W.list_size (fun _ -> asn_size) s
+
+let elem_size = function
+  | Path_elem.As _ -> 1 + asn_size
+  | Path_elem.Island i -> 1 + island_size i
+  | Path_elem.As_set s -> 1 + asn_list_size s
 
 let encode_elem w = function
   | Path_elem.As a ->
@@ -38,6 +59,7 @@ let decode_elem r =
   | 2 -> Path_elem.As_set (R.list ~min_width:4 r R.asn)
   | n -> raise (R.Error (Printf.sprintf "bad path-elem tag %d" n))
 
+let proto_size p = W.delimited_size (Protocol_id.name p)
 let encode_proto w p = W.delimited w (Protocol_id.name p)
 
 let decode_proto r =
@@ -54,14 +76,23 @@ let decode_proto r =
    the advertisement, which is what makes the Discard_attribute error
    class expressible at all.  [framed]/[unframed] add and strip that
    frame; a frame whose body does not consume it exactly is itself
-   malformed. *)
-let framed enc w x =
-  let inner = W.create ~capacity:64 () in
-  enc inner x;
-  W.delimited w (W.contents inner)
+   malformed.  [unframed] reads the body through a bounded sub-reader
+   over the frame, without copying it. *)
+let framed_size body_size x =
+  let n = body_size x in
+  W.varint_size n + n
+
+let framed body_size enc w x =
+  let n = body_size x in
+  W.varint w n;
+  let start = W.length w in
+  enc w x;
+  (* A size function that disagrees with its encoder would corrupt the
+     frame silently; fail loudly instead. *)
+  assert (W.length w - start = n)
 
 let unframed name dec r =
-  let sub = R.of_string (R.delimited r) in
+  let sub = R.frame r in
   let v = dec sub in
   if not (R.at_end sub) then
     raise
@@ -69,6 +100,11 @@ let unframed name dec r =
          (Printf.sprintf "%s: %d stray bytes inside frame" name
             (R.remaining sub)));
   v
+
+let pd_body_size (d : Ia.path_descriptor) =
+  W.list_size proto_size d.owners
+  + W.delimited_size d.field
+  + Value.wire_size d.value
 
 let encode_pd_body w (d : Ia.path_descriptor) =
   W.list w encode_proto d.owners;
@@ -82,7 +118,7 @@ module Value_tbl = Intern.Make (struct
   type t = Value.t
 
   let equal a b = a == b || Value.equal a b
-  let hash = Hashtbl.hash
+  let hash = Value.hash
 end)
 
 (* Domain-local: interning is a cache, not a source of truth — two
@@ -100,8 +136,14 @@ let decode_pd_body r : Ia.path_descriptor =
   let value = intern_value (Value.decode r) in
   { owners; field; value }
 
-let encode_pd w d = framed encode_pd_body w d
+let pd_size d = framed_size pd_body_size d
+let encode_pd w d = framed pd_body_size encode_pd_body w d
 let decode_pd r = unframed "path descriptor" decode_pd_body r
+
+let id_body_size (d : Ia.island_descriptor) =
+  island_size d.island + proto_size d.proto
+  + W.delimited_size d.ifield
+  + Value.wire_size d.ivalue
 
 let encode_id_body w (d : Ia.island_descriptor) =
   encode_island w d.island;
@@ -116,8 +158,11 @@ let decode_id_body r : Ia.island_descriptor =
   let ivalue = intern_value (Value.decode r) in
   { island; proto; ifield; ivalue }
 
-let encode_id w d = framed encode_id_body w d
+let id_size d = framed_size id_body_size d
+let encode_id w d = framed id_body_size encode_id_body w d
 let decode_id r = unframed "island descriptor" decode_id_body r
+
+let membership_size (i, members) = island_size i + asn_list_size members
 
 let encode_membership w (i, members) =
   encode_island w i;
@@ -128,19 +173,32 @@ let decode_membership r =
   let members = R.list ~min_width:4 r R.asn in
   (i, members)
 
-let encode (ia : Ia.t) =
-  let w = W.create ~capacity:512 () in
-  W.prefix w ia.prefix;
+(* The attribute block: everything after the prefix, shared by the
+   single-prefix frame and the batch frame. *)
+let attrs_size (ia : Ia.t) =
+  W.list_size elem_size ia.path_vector
+  + W.list_size membership_size ia.membership
+  + W.list_size pd_size ia.path_descriptors
+  + W.list_size id_size ia.island_descriptors
+
+let encode_attrs w (ia : Ia.t) =
   W.list w encode_elem ia.path_vector;
   W.list w encode_membership ia.membership;
   W.list w encode_pd ia.path_descriptors;
-  W.list w encode_id ia.island_descriptors;
+  W.list w encode_id ia.island_descriptors
+
+let size (ia : Ia.t) = W.prefix_size ia.prefix + attrs_size ia
+
+let encode (ia : Ia.t) =
+  let w = W.create ~capacity:(size ia) () in
+  W.prefix w ia.prefix;
+  encode_attrs w ia;
   W.contents w
 
 (* Withdraw wire format: just the withdrawn prefix — a withdraw carries
    no attributes. *)
 let encode_withdraw prefix =
-  let w = W.create ~capacity:8 () in
+  let w = W.create ~capacity:(W.prefix_size prefix) () in
   W.prefix w prefix;
   W.contents w
 
@@ -223,7 +281,10 @@ let wire_metrics_reset () =
 
 let encode_cached ia =
   let ws = wire_state () in
-  let slot = Hashtbl.hash_param 32 128 ia land (enc_slots - 1) in
+  (* [Ia.hash] never reads descriptor payloads: a generic hash of the IA
+     would read every byte of a 32 KB descriptor on every lookup, hits
+     included. *)
+  let slot = Ia.hash ia land (enc_slots - 1) in
   match Array.unsafe_get ws.enc_cache slot with
   | Some (ia', wire) when ia' == ia ->
     Dbgp_obs.Metrics.incr ws.c_enc_hits;
@@ -266,9 +327,8 @@ let decode_attrs_salvage r discards =
                   (R.remaining r)));
         List.filter_map Fun.id
           (List.init n (fun _ ->
-               let blob = R.delimited r in
+               let sub = R.frame r in
                match
-                 let sub = R.of_string blob in
                  let v = body sub in
                  if R.at_end sub then v
                  else raise (R.Error "stray bytes inside frame")
@@ -372,7 +432,6 @@ let decode s : Ia.t =
             (R.remaining r)));
   { prefix; path_vector; membership; path_descriptors; island_descriptors }
 
-let size ia = String.length (encode_cached ia)
 let encode_compressed ia = Dbgp_wire.Compress.compress (encode ia)
 let decode_compressed s = decode (Dbgp_wire.Compress.decompress s)
 let compressed_size ia = String.length (encode_compressed ia)
@@ -402,22 +461,18 @@ let compressed_size ia = String.length (encode_compressed ia)
    length byte: the smallest well-formed NLRI entry is 2 bytes. *)
 let nlri_min_width = 2
 
+let prefix_entries_size prefixes =
+  W.list_size (framed_size W.prefix_size) prefixes
+
 let encode_prefix_entries w prefixes =
-  let scratch = W.create ~capacity:8 () in
-  List.iter
-    (fun p ->
-      W.reset scratch;
-      W.prefix scratch p;
-      W.delimited w (W.contents scratch))
-    prefixes
+  W.list w (framed W.prefix_size W.prefix) prefixes
 
 (* Per-entry salvage: outer frames already read, so a bad prefix body
    inside one costs that entry alone. *)
-let salvage_prefix_entries blobs discards =
+let salvage_prefix_entries frames discards =
   List.filter_map
-    (fun blob ->
+    (fun sub ->
       match
-        let sub = R.of_string blob in
         let p = R.prefix sub in
         if R.at_end sub then Intern.prefix p
         else raise (R.Error "stray bytes inside NLRI entry")
@@ -429,7 +484,7 @@ let salvage_prefix_entries blobs discards =
             ("NLRI entry: " ^ m)
           :: !discards;
         None)
-    blobs
+    frames
 
 let read_entry_frames what r =
   let n = R.varint r in
@@ -439,21 +494,20 @@ let read_entry_frames what r =
       (R.Error
          (Printf.sprintf "%s: count %d exceeds buffer (%d bytes)" what n
             (R.remaining r)));
-  List.init n (fun _ -> R.delimited r)
+  List.init n (fun _ -> R.frame r)
 
 let encode_batch ias =
   match ias with
   | [] -> invalid_arg "Codec.encode_batch: empty batch"
   | (head : Ia.t) :: _ ->
-    let w = W.create ~capacity:(512 + (8 * List.length ias)) () in
-    W.varint w (List.length ias);
-    encode_prefix_entries w (List.map (fun (ia : Ia.t) -> ia.Ia.prefix) ias);
-    let attrs = W.create ~capacity:512 () in
-    W.list attrs encode_elem head.path_vector;
-    W.list attrs encode_membership head.membership;
-    W.list attrs encode_pd head.path_descriptors;
-    W.list attrs encode_id head.island_descriptors;
-    W.delimited w (W.contents attrs);
+    let prefixes = List.map (fun (ia : Ia.t) -> ia.Ia.prefix) ias in
+    let w =
+      W.create
+        ~capacity:(prefix_entries_size prefixes + framed_size attrs_size head)
+        ()
+    in
+    encode_prefix_entries w prefixes;
+    framed attrs_size encode_attrs w head;
     W.contents w
 
 type batch =
@@ -465,23 +519,22 @@ let decode_batch_robust s : (batch, Errors.t) result =
   match read_entry_frames "batch NLRI" r with
   | exception R.Error m ->
     Error (Errors.make Errors.Session_reset Errors.Framing m)
-  | blobs -> (
+  | frames -> (
     let discards = ref [] in
-    let prefixes = salvage_prefix_entries blobs discards in
+    let prefixes = salvage_prefix_entries frames discards in
     let withdraw_all e = Ok (Batch_withdraw (prefixes, e)) in
-    match R.delimited r with
+    match R.frame r with
     | exception R.Error m ->
       withdraw_all
         (Errors.make Errors.Treat_as_withdraw Errors.Framing
            ("batch attribute block: " ^ m))
-    | attr_blob ->
+    | sub ->
       if not (R.at_end r) then
         withdraw_all
           (Errors.make Errors.Treat_as_withdraw Errors.Framing
              (Printf.sprintf "%d trailing bytes after batch attribute block"
                 (R.remaining r)))
       else begin
-        let sub = R.of_string attr_blob in
         match decode_attrs_salvage sub discards with
         | exception Fatal e -> withdraw_all e
         | path_vector, membership, path_descriptors, island_descriptors ->
@@ -506,8 +559,7 @@ let decode_batch_robust s : (batch, Errors.t) result =
 
 let encode_withdraw_batch prefixes =
   if prefixes = [] then invalid_arg "Codec.encode_withdraw_batch: empty batch";
-  let w = W.create ~capacity:(8 + (8 * List.length prefixes)) () in
-  W.varint w (List.length prefixes);
+  let w = W.create ~capacity:(prefix_entries_size prefixes) () in
   encode_prefix_entries w prefixes;
   W.contents w
 
@@ -517,9 +569,9 @@ let decode_withdraw_batch_robust s :
   match read_entry_frames "withdraw batch" r with
   | exception R.Error m ->
     Error (Errors.make Errors.Session_reset Errors.Framing m)
-  | blobs ->
+  | frames ->
     let discards = ref [] in
-    let prefixes = salvage_prefix_entries blobs discards in
+    let prefixes = salvage_prefix_entries frames discards in
     (* Like the single-prefix withdraw: trailing garbage after an
        otherwise-usable message is noted and dropped, not fatal. *)
     if not (R.at_end r) then
@@ -537,11 +589,6 @@ type breakdown = {
   shared_savings : int;
 }
 
-let sized f x =
-  let w = W.create () in
-  f w x;
-  W.length w
-
 let breakdown (ia : Ia.t) =
   let base =
     size { ia with path_descriptors = []; island_descriptors = [] }
@@ -554,20 +601,20 @@ let breakdown (ia : Ia.t) =
   let critical_fix, custom_pd =
     List.fold_left
       (fun (cf, cr) (d : Ia.path_descriptor) ->
-        let sz = sized encode_pd d in
+        let sz = pd_size d in
         if List.exists is_fix d.owners then (cf + sz, cr) else (cf, cr + sz))
       (0, 0) ia.path_descriptors
   in
   let custom_replacement =
     List.fold_left
-      (fun acc d -> acc + sized encode_id d)
+      (fun acc d -> acc + id_size d)
       custom_pd ia.island_descriptors
   in
   let shared_savings =
     List.fold_left
       (fun acc (d : Ia.path_descriptor) ->
         let n = List.length d.owners in
-        if n > 1 then acc + ((n - 1) * sized encode_pd { d with owners = [ List.hd d.owners ] })
+        if n > 1 then acc + ((n - 1) * pd_size { d with owners = [ List.hd d.owners ] })
         else acc)
       0 ia.path_descriptors
   in

@@ -31,7 +31,9 @@ val decode_robust : string -> (Ia.t * Errors.t list, Errors.t) result
     error accounting replays on every delivery. *)
 
 val size : Ia.t -> int
-(** Exact encoded size in bytes (served from the encode cache). *)
+(** Exact encoded size in bytes, [String.length (encode ia)], computed
+    from lengths without encoding: it reads no descriptor payload and
+    allocates nothing.  {!encode} allocates its output at this size. *)
 
 val encode_withdraw : Dbgp_types.Prefix.t -> string
 (** Wire format of a Withdraw message: just the withdrawn prefix. *)

@@ -34,7 +34,7 @@ let origin_slots = 512
 let origin_memo : (Ia.t * int) option array = Array.make origin_slots None
 
 let origin_of_ia ia =
-  let slot = Hashtbl.hash ia land (origin_slots - 1) in
+  let slot = Ia.hash ia land (origin_slots - 1) in
   match Array.unsafe_get origin_memo slot with
   | Some (ia', o) when ia' == ia -> o
   | _ ->

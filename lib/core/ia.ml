@@ -212,6 +212,48 @@ let same_attrs a b =
      && (a.island_descriptors == b.island_descriptors
         || a.island_descriptors = b.island_descriptors))
 
+(* The hash for [same_attrs]: every table keyed by an attribute set
+   (attribute table, batching buckets, encode and origin memos) uses it.
+   Built on [Value.hash_fold], so it never reads a descriptor payload,
+   and bounded to the first [attr_breadth] entries of each list.  Owners
+   and field names are left out: they rarely tell attribute sets apart,
+   and hashing them per descriptor costs more than the compares they
+   would save. *)
+let attr_breadth = 8
+
+let rec fold_upto f h k = function
+  | [] -> h
+  | x :: rest -> if k = 0 then h else fold_upto f (f h x) (k - 1) rest
+
+let island_fold h = function
+  | Island_id.Singleton a -> Value.mix (Value.mix h 0) (Asn.to_int a)
+  | Island_id.Named s -> Value.mix (Value.mix h 1) (Value.string_hash s)
+  | Island_id.Hashed x -> Value.mix (Value.mix h 2) x
+
+let asn_fold h a = Value.mix h (Asn.to_int a)
+
+let elem_fold h = function
+  | Path_elem.As a -> asn_fold h a
+  | Path_elem.Island i -> island_fold (Value.mix h (-1)) i
+  | Path_elem.As_set s -> fold_upto asn_fold (Value.mix h (-2)) attr_breadth s
+
+let attrs_fold t =
+  let h = fold_upto elem_fold 0 attr_breadth t.path_vector in
+  let h =
+    fold_upto (fun h (i, _) -> island_fold h i) (Value.mix h (-3)) attr_breadth
+      t.membership
+  in
+  let h =
+    fold_upto (fun h d -> Value.hash_fold h d.value) (Value.mix h (-4))
+      attr_breadth t.path_descriptors
+  in
+  fold_upto
+    (fun h d -> Value.hash_fold (island_fold h d.island) d.ivalue)
+    (Value.mix h (-5)) attr_breadth t.island_descriptors
+
+let attrs_hash t = Value.finish (attrs_fold t)
+let hash t = Value.finish (Value.mix (attrs_fold t) (Intern.prefix_pack t.prefix))
+
 let with_prefix prefix t =
   if Prefix.equal prefix t.prefix then t else { t with prefix }
 

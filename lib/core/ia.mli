@@ -140,6 +140,18 @@ val same_attrs : t -> t -> bool
     multi-prefix batched updates: routes with [same_attrs] can share one
     wire attribute block. *)
 
+val attrs_hash : t -> int
+(** Hash of the attribute set, consistent with {!same_attrs}: the key
+    of every table that buckets or shares attribute sets.  It never
+    reads descriptor payload bytes (see {!Value.hash}) and looks at a
+    bounded prefix of each list, so it is O(1) on any IA; attribute sets
+    it cannot tell apart cost their table a structural compare. *)
+
+val hash : t -> int
+(** {!attrs_hash} mixed with the prefix: the slot key of the identity
+    memos over whole IAs (the codec's encode cache, the decision
+    module's origin memo). *)
+
 val with_prefix : Dbgp_types.Prefix.t -> t -> t
 (** [t] re-pointed at [prefix]; the attribute fields are physically
     shared with [t] (and [t] itself is returned when the prefix already

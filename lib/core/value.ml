@@ -102,7 +102,68 @@ let rec decode r =
     Pair (a, b)
   | n -> raise (R.Error (Printf.sprintf "Value.decode: bad tag %d" n))
 
-let wire_size v =
-  let w = W.create () in
-  encode w v;
-  W.length w
+let rec wire_size = function
+  | Int n -> 1 + W.varint_size n
+  | Str s | Bytes s -> 1 + W.delimited_size s
+  | Addr _ | Asn _ -> 5
+  | Pfx p -> 1 + W.prefix_size p
+  | List l -> 1 + W.list_size wire_size l
+  | Pair (a, b) -> 1 + wire_size a + wire_size b
+
+(* ------------------------------------------------------------------ *)
+(* Payload-blind hashing.
+
+   Descriptor values can be tens of kilobytes ([Bytes] payloads), and a
+   generic [Hashtbl.hash] reads every byte of a string it reaches.  Every
+   table keyed by an attribute set hashes through here instead, so a
+   hash costs O(1) whatever the payload: immediates mix arithmetically,
+   a string longer than [short_string] contributes its length and
+   [string_samples] bytes at a fixed stride, and lists and pairs are
+   walked to a bounded depth and breadth.  Structurally equal values
+   hash equal; values differing only in unsampled bytes collide, which
+   costs the table one structural compare, never a wrong answer. *)
+
+let short_string = 32
+let string_samples = 16
+let max_depth = 3
+let max_breadth = 8
+
+(* FNV-1a over whole ints: cheap, allocation-free, order-sensitive.
+   Multiplication only moves entropy upwards, so a finished hash is
+   passed through [Hashtbl.hash] (one int: no traversal) to spread it
+   back into the low bits that bucket and slot indices use. *)
+let[@inline] mix h x = (h lxor x) * 0x100000001b3
+let hash_seed = 0x2bf29ce484222325
+let finish h = Hashtbl.hash h
+
+let string_hash s =
+  let n = String.length s in
+  if n <= short_string then Hashtbl.hash s
+  else begin
+    let step = n / string_samples in
+    let h = ref (mix hash_seed n) in
+    for i = 0 to string_samples - 1 do
+      h := mix !h (Char.code (String.unsafe_get s (i * step)))
+    done;
+    mix !h (Char.code (String.unsafe_get s (n - 1)))
+  end
+
+let rec fold h depth = function
+  | Int n -> mix (mix h 0) n
+  | Str s -> mix (mix h 1) (string_hash s)
+  | Bytes s -> mix (mix h 2) (string_hash s)
+  | Addr a -> mix (mix h 3) (Ipv4.to_int a)
+  | Pfx p -> mix (mix h 4) (Intern.prefix_pack p)
+  | Asn a -> mix (mix h 5) (Asn.to_int a)
+  | List l -> if depth = 0 then mix h 6 else fold_list (mix h 6) (depth - 1) max_breadth l
+  | Pair (a, b) ->
+    if depth = 0 then mix h 7
+    else fold (fold (mix h 7) (depth - 1) a) (depth - 1) b
+
+and fold_list h depth budget = function
+  | [] -> h
+  | x :: rest ->
+    if budget = 0 then h else fold_list (fold h depth x) depth (budget - 1) rest
+
+let hash_fold h v = fold h max_depth v
+let hash v = finish (hash_fold hash_seed v)

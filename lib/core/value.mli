@@ -39,4 +39,29 @@ val decode : Dbgp_wire.Reader.t -> t
 (** @raise Dbgp_wire.Reader.Error on malformed input. *)
 
 val wire_size : t -> int
-(** Exact encoded size in bytes, used by the overhead accounting. *)
+(** Exact encoded size in bytes: what {!encode} writes.  Reads string
+    lengths, never their bytes, and allocates nothing — the codec sizes
+    every frame with it before writing. *)
+
+(** {1 Payload-blind hashing}
+
+    Consistent with {!equal}, and O(1) in the size of the value: a long
+    string contributes its length and a bounded sample of its bytes, and
+    nesting is walked to a bounded depth and breadth.  Values that
+    differ only where the hash does not look collide; tables keyed by
+    this hash resolve that with a structural compare. *)
+
+val hash : t -> int
+
+val hash_fold : int -> t -> int
+(** Mixes a value into an unfinished accumulator, so composite keys
+    (attribute sets) can fold many values and {!finish} once. *)
+
+val mix : int -> int -> int
+(** Mixes an immediate into an unfinished accumulator. *)
+
+val finish : int -> int
+(** Spreads an accumulator into a hash for bucket and slot indices. *)
+
+val string_hash : string -> int
+(** The bounded string hash {!hash} uses for [Str] and [Bytes]. *)

@@ -258,14 +258,7 @@ module Attr_buckets = Hashtbl.Make (struct
   type t = Dbgp_core.Ia.t
 
   let equal = Dbgp_core.Ia.same_attrs
-
-  (* Prefix excluded: the bucket relation is attrs-only. *)
-  let hash (ia : Dbgp_core.Ia.t) =
-    let h1 = Hashtbl.hash ia.Dbgp_core.Ia.path_vector
-    and h2 = Hashtbl.hash ia.Dbgp_core.Ia.membership
-    and h3 = Hashtbl.hash ia.Dbgp_core.Ia.path_descriptors
-    and h4 = Hashtbl.hash ia.Dbgp_core.Ia.island_descriptors in
-    (((((h1 * 31) + h2) * 31) + h3) * 31) + h4
+  let hash = Dbgp_core.Ia.attrs_hash
 end)
 
 let frame_prefixes = function

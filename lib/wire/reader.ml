@@ -1,17 +1,22 @@
 exception Error of string
 
-type t = { src : string; mutable pos : int }
+(* A reader is a window [base, stop) over [src]; [pos] is absolute.  A
+   frame's sub-reader shares [src] with its parent, so framed input is
+   never copied: only the leaf strings ([bytes], [delimited]) are.
+   Positions reported to callers and in errors are relative to [base],
+   exactly as if the frame had been copied out into its own string. *)
+type t = { src : string; base : int; mutable pos : int; stop : int }
 
-let of_string s = { src = s; pos = 0 }
-let pos t = t.pos
-let remaining t = String.length t.src - t.pos
+let of_string s = { src = s; base = 0; pos = 0; stop = String.length s }
+let pos t = t.pos - t.base
+let remaining t = t.stop - t.pos
 let at_end t = remaining t = 0
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 let u8 t =
-  if remaining t < 1 then fail "u8: truncated at %d" t.pos
+  if remaining t < 1 then fail "u8: truncated at %d" (pos t)
   else begin
-    let c = Char.code t.src.[t.pos] in
+    let c = Char.code (String.unsafe_get t.src t.pos) in
     t.pos <- t.pos + 1;
     c
   end
@@ -40,10 +45,10 @@ let varint t =
   let rec go shift acc =
     let b = u8 t in
     if b = 0 && shift > 0 then
-      fail "varint: non-canonical trailing zero at %d" (t.pos - 1)
+      fail "varint: non-canonical trailing zero at %d" (pos t - 1)
     else if shift = 56 then
-      if b land 0x80 <> 0 then fail "varint: too long at %d" (t.pos - 1)
-      else if b > 0x3F then fail "varint: overflow at %d" (t.pos - 1)
+      if b land 0x80 <> 0 then fail "varint: too long at %d" (pos t - 1)
+      else if b > 0x3F then fail "varint: overflow at %d" (pos t - 1)
       else acc lor (b lsl 56)
     else
       let acc = acc lor ((b land 0x7F) lsl shift) in
@@ -51,17 +56,27 @@ let varint t =
   in
   go 0 0
 
-let bytes t n =
+(* Advance past [n] bytes, returning where they start. *)
+let skip t n =
   if n < 0 || remaining t < n then fail "bytes: need %d, have %d" n (remaining t)
   else begin
-    let s = String.sub t.src t.pos n in
+    let start = t.pos in
     t.pos <- t.pos + n;
-    s
+    start
   end
+
+let bytes t n =
+  let start = skip t n in
+  String.sub t.src start n
 
 let delimited t =
   let n = varint t in
   bytes t n
+
+let frame t =
+  let n = varint t in
+  let start = skip t n in
+  { src = t.src; base = start; pos = start; stop = start + n }
 
 let ipv4 t = Dbgp_types.Ipv4.of_int (u32 t)
 

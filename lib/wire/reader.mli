@@ -24,6 +24,15 @@ val varint : t -> int
 
 val bytes : t -> int -> string
 val delimited : t -> string
+
+val frame : t -> t
+(** Reads a varint length [n] and returns a reader over the next [n]
+    bytes, advancing past them; nothing is copied.  The sub-reader is
+    bounded by the frame: {!remaining} and {!at_end} count to its end,
+    and a read past it raises {!Error} instead of reaching the bytes
+    that follow.  {!pos} counts from the frame's start.
+    @raise Error if the frame is longer than what remains. *)
+
 val ipv4 : t -> Dbgp_types.Ipv4.t
 val prefix : t -> Dbgp_types.Prefix.t
 (** Rejects non-canonical encodings with stray host bits inside the last

@@ -39,4 +39,21 @@ val asn : t -> Dbgp_types.Asn.t -> unit
 (** Always 4 octets (RFC 6793 style). *)
 
 val list : t -> (t -> 'a -> unit) -> 'a list -> unit
-(** Varint count followed by each element. *)
+(** Varint count followed by each element, written in place. *)
+
+(** {1 Sizes}
+
+    The exact number of bytes the writer of the same name appends.  They
+    read string lengths, never string contents, and allocate nothing, so
+    a caller can size a frame before writing it (size-then-write) and
+    allocate its output once. *)
+
+val varint_size : int -> int
+(** @raise Invalid_argument if negative, like {!varint}. *)
+
+val delimited_size : string -> int
+val prefix_size : Dbgp_types.Prefix.t -> int
+
+val list_size : ('a -> int) -> 'a list -> int
+(** [list_size size xs]: the varint count plus [size x] for each
+    element. *)

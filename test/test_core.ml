@@ -188,10 +188,87 @@ let test_codec_unknown_protocol_passes () =
        (fun p -> Protocol_id.name p = "exotic-proto-xyz")
        (Ia.protocols ia'))
 
-(* ------------------- Codec: batched frames ------------------- *)
-
 module Errors = Dbgp_core.Errors
 module W = Dbgp_wire.Writer
+
+(* The framing bytes are part of the wire contract: these digests were
+   taken from the nested-buffer encoder that preceded size-then-write
+   framing, and any encoder must reproduce them exactly. *)
+let payload_32k = String.init (32 * 1024) (fun i -> Char.chr ((i * 131) lxor (i lsr 7) land 0xFF))
+
+let pinned_ia () =
+  base_ia ()
+  |> Ia.prepend_as (asn 2)
+  |> Ia.prepend_island (Island_id.named "A")
+  |> Ia.prepend_island (Island_id.of_border_asns [ asn 7; asn 9 ])
+  |> (fun ia ->
+       { ia with Ia.path_vector = Path_elem.as_set [ asn 40; asn 30 ] :: ia.Ia.path_vector })
+  |> Ia.declare_membership ~island:(Island_id.named "B") ~members:[ asn 2; asn 3 ]
+  |> Ia.set_path_descriptor ~owners:[ proto_a; proto_b; Protocol_id.bgp ] ~field:"payload"
+       (Value.Bytes payload_32k)
+  |> Ia.add_island_descriptor ~island:(Island_id.named "A") ~proto:Protocol_id.scion
+       ~field:"paths"
+       (Value.List
+          [ Value.Str "r1"; Value.Pair (Value.Int 300, Value.Asn (asn 65000));
+            Value.Pfx (pfx "10.1.0.0/16") ])
+
+let test_codec_pinned_bytes () =
+  let digest s = Digest.to_hex (Digest.string s) in
+  let ia = pinned_ia () in
+  Alcotest.(check string) "32 KB IA" "0bb36ce9dc68222b7d1d1c073fb6ed5d" (digest (Codec.encode ia));
+  Alcotest.(check string) "batch frame" "c723ed67e326891d5412d6838e76d6cd"
+    (digest
+       (Codec.encode_batch
+          (ia :: List.map (fun s -> Ia.with_prefix (pfx s) ia) [ "99.1.0.0/24"; "10.0.0.0/8" ])))
+
+(* Descriptor bodies are read through bounded sub-readers over their
+   frames.  A body whose inner length claims more than its frame holds
+   must fail alone — with the neighbour's bytes right behind it in the
+   same string, an unbounded reader would happily consume them. *)
+let test_codec_frame_overrun () =
+  let pd_body w ~field write_value =
+    W.list w (fun w p -> W.delimited w (Protocol_id.name p)) [ Protocol_id.bgp ];
+    W.delimited w field;
+    write_value w
+  in
+  let bytes_of write =
+    let b = W.create () in
+    write b;
+    W.contents b
+  in
+  let bad =
+    bytes_of (fun w ->
+        pd_body w ~field:"first" (fun w ->
+            W.u8 w 1;
+            (* Str claiming 12 bytes; the frame holds 2. *)
+            W.varint w 12;
+            W.bytes w "hi"))
+  in
+  let good =
+    bytes_of (fun w -> pd_body w ~field:"second" (fun w -> Value.encode w (Value.Int 7)))
+  in
+  let w = W.create () in
+  W.prefix w (pfx "99.0.0.0/24");
+  W.list w (fun w a -> W.u8 w 0; W.asn w a) [ asn 1 ];
+  W.varint w 0;
+  W.varint w 2;
+  W.delimited w bad;
+  W.delimited w good;
+  W.varint w 0;
+  let wire = W.contents w in
+  check "the claim fits in the whole message" true
+    (String.length wire - String.length good > 12 - 2);
+  match Codec.decode_robust wire with
+  | Ok (ia, [ d ]) ->
+    check "discard-attribute" true (d.Errors.cls = Errors.Discard_attribute);
+    check "path-descriptor stage" true (d.Errors.stage = Errors.Path_descriptor);
+    check_int "one descriptor survives" 1 (List.length ia.Ia.path_descriptors);
+    check "the next descriptor decodes" true
+      (Ia.find_path_descriptor ~proto:Protocol_id.bgp ~field:"second" ia = Some (Value.Int 7))
+  | Ok (_, ds) -> Alcotest.failf "expected one discard, got %d" (List.length ds)
+  | Error e -> Alcotest.fail ("route lost: " ^ e.Errors.reason)
+
+(* ------------------- Codec: batched frames ------------------- *)
 
 let batch_ias () =
   let head = rich_ia () in
@@ -736,6 +813,74 @@ let test_aggregation_custom_rule () =
   check "default deny" true
     (Agg.rule_for ~proto ~field:"other" = Agg.Cannot_aggregate)
 
+(* Random IAs covering every encoder branch: nested values, every island
+   form, AS_SETs, membership, and multi-kilobyte opaque payloads. *)
+let gen_ia =
+  let open QCheck.Gen in
+  let gen_asn = map (fun n -> asn (n + 1)) (int_bound 4_000_000) in
+  let gen_asns = list_size (int_range 1 5) gen_asn in
+  let gen_name = string_size ~gen:printable (int_range 1 12) in
+  let gen_island =
+    oneof
+      [ map Island_id.singleton gen_asn;
+        map Island_id.named gen_name;
+        map Island_id.of_border_asns gen_asns ]
+  in
+  let gen_elem =
+    frequency
+      [ (4, map Path_elem.as_ gen_asn);
+        (1, map Path_elem.island gen_island);
+        (1, map Path_elem.as_set gen_asns) ]
+  in
+  let gen_leaf =
+    oneof
+      [ map (fun n -> Value.Int n) (int_bound max_int);
+        map (fun s -> Value.Str s) string_printable;
+        map (fun s -> Value.Bytes s) (string_size (int_range 0 16));
+        map (fun s -> Value.Bytes s) (string_size (int_range 1024 8192));
+        map (fun n -> Value.Addr (Ipv4.of_int n)) (int_bound 0xFFFF_FFFF);
+        map2 (fun n l -> Value.Pfx (Prefix.make (Ipv4.of_int n) l)) (int_bound 0xFFFF_FFFF)
+          (int_bound 32);
+        map (fun a -> Value.Asn a) gen_asn ]
+  in
+  let gen_value =
+    sized_size (int_range 0 3)
+    @@ fix (fun self n ->
+           if n = 0 then gen_leaf
+           else
+             oneof
+               [ gen_leaf;
+                 map (fun l -> Value.List l) (list_size (int_range 0 4) (self (n - 1)));
+                 map2 (fun a b -> Value.Pair (a, b)) (self (n - 1)) (self (n - 1)) ])
+  in
+  let protos = [| Protocol_id.bgp; proto_a; proto_b; Protocol_id.wiser |] in
+  let gen_owners =
+    map
+      (fun l -> List.sort_uniq Protocol_id.compare (List.map (Array.get protos) l))
+      (list_size (int_range 1 3) (int_bound 3))
+  in
+  let gen_pd =
+    map3 (fun owners field value -> { Ia.owners; field; value }) gen_owners gen_name gen_value
+  in
+  let gen_id =
+    map3
+      (fun (island, proto) ifield ivalue -> { Ia.island; proto = protos.(proto); ifield; ivalue })
+      (pair gen_island (int_bound 3))
+      gen_name gen_value
+  in
+  map3
+    (fun (addr, len) (path_vector, membership) (path_descriptors, island_descriptors) ->
+      { Ia.prefix = Prefix.make (Ipv4.of_int addr) len;
+        path_vector;
+        membership;
+        path_descriptors;
+        island_descriptors })
+    (pair (int_bound 0xFFFF_FFFF) (int_bound 32))
+    (pair
+       (list_size (int_range 0 6) gen_elem)
+       (list_size (int_range 0 2) (pair gen_island gen_asns)))
+    (pair (list_size (int_range 0 3) gen_pd) (list_size (int_range 0 2) gen_id))
+
 let qcheck =
   let open QCheck in
   let gen_value =
@@ -762,6 +907,34 @@ let qcheck =
           List.fold_left (fun ia n -> Ia.prepend_as (asn (n + 1)) ia) (base_ia ()) path
         in
         Ia.equal ia (Codec.decode (Codec.encode ia)));
+    Test.make ~name:"value wire_size is the encoded length" ~count:300 (make gen_value)
+      (fun v ->
+        let w = Dbgp_wire.Writer.create () in
+        Value.encode w v;
+        Value.wire_size v = Dbgp_wire.Writer.length w);
+    Test.make ~name:"ia size pass is the encoded length, and round-trips" ~count:200
+      (make ~print:(Format.asprintf "%a" Ia.pp) gen_ia)
+      (fun ia ->
+        let wire = Codec.encode ia in
+        Codec.size ia = String.length wire
+        && Ia.equal ia (Codec.decode wire)
+        && Codec.decode_robust wire = Ok (ia, [])
+        &&
+        match
+          Codec.decode_batch_robust
+            (Codec.encode_batch [ ia; Ia.with_prefix (pfx "99.9.0.0/24") ia ])
+        with
+        | Ok (Codec.Batch_routes ([ a; b ], [])) ->
+          Ia.equal a ia && Ia.same_attrs b ia
+        | _ -> false);
+    Test.make ~name:"attrs_hash agrees with same_attrs" ~count:200
+      (make (Gen.pair gen_ia (Gen.int_bound 0xFFFF)))
+      (fun (ia, n) ->
+        let moved = Ia.with_prefix (Prefix.make (Ipv4.of_int (n lsl 8)) 24) ia in
+        let copy = Codec.decode (Codec.encode ia) in
+        Ia.attrs_hash moved = Ia.attrs_hash ia
+        && Ia.attrs_hash copy = Ia.attrs_hash ia
+        && Ia.hash copy = Ia.hash ia);
     Test.make ~name:"aggregates are loop-free covering advertisements" ~count:100
       (pair (int_bound 0xFFFF) (int_bound 0xFFFF))
       (fun (n1, n2) ->
@@ -836,6 +1009,8 @@ let () =
          Alcotest.test_case "size/breakdown" `Quick test_codec_size_breakdown;
          Alcotest.test_case "sharing smaller" `Quick test_codec_sharing_smaller;
          Alcotest.test_case "unknown protocols" `Quick test_codec_unknown_protocol_passes;
+         Alcotest.test_case "pinned bytes" `Quick test_codec_pinned_bytes;
+         Alcotest.test_case "frame overrun" `Quick test_codec_frame_overrun;
          Alcotest.test_case "batch roundtrip" `Quick test_codec_batch_roundtrip;
          Alcotest.test_case "batch salvage" `Quick test_codec_batch_salvage;
          Alcotest.test_case "withdraw batch" `Quick test_codec_withdraw_batch ]);

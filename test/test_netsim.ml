@@ -289,6 +289,64 @@ let test_network_batched_delivery () =
   check_int "batching off leaves counters silent" 0
     (net_counter net_p "net.batch.frames")
 
+(* The attribute-set hash samples long payloads, so two 32 KB payloads
+   differing in one unsampled byte collide.  Every table keyed by that
+   hash must still tell them apart: distinct attribute-table ids, never
+   one batched frame, and each IA's own bytes from the encode cache. *)
+let test_sampled_hash_collisions () =
+  let module Codec = Dbgp_core.Codec in
+  let module Attr_table = Dbgp_core.Attr_table in
+  let proto = Protocol_id.register ~kind:Protocol_id.Critical_fix "test-collide" in
+  let payload_a = String.make (32 * 1024) 'x' in
+  let payload_b = String.mapi (fun i c -> if i = 1 then 'y' else c) payload_a in
+  let with_payload payload prefix =
+    Ia.set_path_descriptor ~owners:[ proto ] ~field:"payload" (Value.Bytes payload)
+      (origin_ia 1 prefix)
+  in
+  let a = with_payload payload_a "99.0.0.0/24" and b = with_payload payload_b "99.0.0.0/24" in
+  check "the sampled hashes collide" true (Ia.attrs_hash a = Ia.attrs_hash b && Ia.hash a = Ia.hash b);
+  check "the attribute sets differ" false (Ia.same_attrs a b);
+  (* Attribute table: two entries, two ids. *)
+  Attr_table.reset ();
+  let a' = Attr_table.share a and b' = Attr_table.share b in
+  check "shared a keeps its payload" true (Ia.equal a' a);
+  check "shared b keeps its payload" true (Ia.equal b' b);
+  ( match (Attr_table.id_of a, Attr_table.id_of b) with
+    | Some ia, Some ib -> check "distinct ids" true (ia <> ib)
+    | _ -> Alcotest.fail "attribute sets not resident" );
+  Attr_table.release a';
+  Attr_table.release b';
+  (* Encode cache: same prefix, so the same slot; each lookup must still
+     answer with its own IA's bytes. *)
+  List.iter
+    (fun ia -> check "own bytes" true (Codec.encode_cached ia = Codec.encode ia))
+    [ a; b; a; b ];
+  (* Batching: p0 and p2 share a's attribute set, p1 carries b's.  One
+     flush from AS 1 holds all three; only p0 and p2 may share a frame. *)
+  let net = mk_net [ 1; 2 ] in
+  Network.set_mrai net 5.;
+  Network.set_batching net true;
+  Network.set_wire_delivery net true;
+  let prefixes = [ "99.0.0.0/24"; "99.1.0.0/24"; "99.2.0.0/24" ] in
+  List.iteri
+    (fun i p ->
+      Network.originate net (asn 1) (with_payload (if i = 1 then payload_b else payload_a) p))
+    prefixes;
+  ignore (Network.run net);
+  List.iteri
+    (fun i p ->
+      match Speaker.best (Network.speaker net (asn 2)) (pfx p) with
+      | Some c ->
+        check (p ^ " carries its own payload") true
+          (Ia.find_path_descriptor ~proto ~field:"payload"
+             c.Speaker.candidate.Dbgp_core.Decision_module.ia
+          = Some (Value.Bytes (if i = 1 then payload_b else payload_a)))
+      | None -> Alcotest.fail (p ^ " did not arrive"))
+    prefixes;
+  let frames = net_counter net "net.batch.frames" in
+  check "a's two prefixes were batched" true (frames >= 1);
+  check_int "no frame took b's prefix along" frames (net_counter net "net.batch.saved")
+
 let test_network_sync_withdraw_sweep () =
   (* Routes withdrawn while a session is down leave tombstones; the
      incremental sync after a graceful re-establish sweeps them out as
@@ -441,6 +499,7 @@ let () =
          Alcotest.test_case "mrai batches" `Quick test_network_mrai_batches;
          Alcotest.test_case "mrai same routes" `Quick test_network_mrai_converges_same_routes;
          Alcotest.test_case "batched delivery" `Quick test_network_batched_delivery;
+         Alcotest.test_case "sampled-hash collisions" `Quick test_sampled_hash_collisions;
          Alcotest.test_case "sync withdraw sweep" `Quick test_network_sync_withdraw_sweep;
          Alcotest.test_case "duplicate delivery absorbed" `Quick
            test_network_duplicate_delivery ]);

@@ -166,6 +166,78 @@ let test_writer_reset () =
   W.reset w;
   check_int "len after" 0 (W.length w)
 
+(* Zero-copy frames: a sub-reader shares its parent's string, so the
+   bound is all that keeps a body from reading into its neighbour. *)
+let test_frame_bounds () =
+  let w = W.create () in
+  W.delimited w "\x01\x02\x03";
+  W.u8 w 0xAA;
+  let r = R.of_string (W.contents w) in
+  let sub = R.frame r in
+  check_int "sub remaining is the frame" 3 (R.remaining sub);
+  check "sub not at end" false (R.at_end sub);
+  check_int "parent advanced past the frame" 1 (R.remaining r);
+  check_int "sub pos counts from the frame" 0 (R.pos sub);
+  check_int "first byte" 1 (R.u8 sub);
+  check_int "sub pos 1" 1 (R.pos sub);
+  check_int "u16 inside" 0x0203 (R.u16 sub);
+  check "sub at end at the bound" true (R.at_end sub);
+  check "reading past the bound raises" true
+    (try ignore (R.u8 sub); false with R.Error _ -> true);
+  check_int "neighbour untouched" 0xAA (R.u8 r);
+  check "parent at end" true (R.at_end r);
+  (* A nested length that overruns the frame is caught by the frame's
+     bound even though the parent string has bytes to spare. *)
+  let sub = R.frame (R.of_string "\x02\x05abcdefgh") in
+  check "inner delimited overruns frame" true
+    (try ignore (R.delimited sub); false with R.Error _ -> true);
+  check "bounded list count" true
+    (try ignore (R.list (R.frame (R.of_string "\x02\x05a")) R.u8); false
+     with R.Error _ -> true);
+  (* A frame longer than the buffer is a framing error. *)
+  check "frame past the buffer" true
+    (try ignore (R.frame (R.of_string "\x05abc")); false with R.Error _ -> true);
+  check "empty frame" true (R.at_end (R.frame (R.of_string "\x00")))
+
+(* Size functions agree with the writers they size. *)
+let test_sizes () =
+  let written f =
+    let w = W.create ~capacity:0 () in
+    f w;
+    W.length w
+  in
+  List.iter
+    (fun n -> check_int (string_of_int n) (written (fun w -> W.varint w n)) (W.varint_size n))
+    [ 0; 1; 127; 128; 16383; 16384; 1 lsl 40; max_int ];
+  List.iter
+    (fun s -> check_int "delimited" (written (fun w -> W.delimited w s)) (W.delimited_size s))
+    [ ""; "a"; String.make 200 'x'; String.make 20000 'y' ];
+  List.iter
+    (fun s ->
+      let p = Prefix.of_string s in
+      check_int s (written (fun w -> W.prefix w p)) (W.prefix_size p))
+    [ "0.0.0.0/0"; "10.0.0.0/8"; "10.1.0.0/16"; "192.168.4.0/22"; "1.2.3.4/32" ];
+  let xs = List.init 300 Fun.id in
+  check_int "list" (written (fun w -> W.list w W.varint xs)) (W.list_size W.varint_size xs);
+  check_int "empty list" 1 (W.list_size W.varint_size []);
+  Alcotest.check_raises "negative size" (Invalid_argument "Writer.varint: negative")
+    (fun () -> ignore (W.varint_size (-1)))
+
+(* [contents] of an exactly full writer hands its bytes over without a
+   copy; the writer must still behave like a buffer afterwards. *)
+let test_writer_handover () =
+  let w = W.create ~capacity:3 () in
+  W.bytes w "abc";
+  let s = W.contents w in
+  Alcotest.(check string) "full contents" "abc" s;
+  W.bytes w "de";
+  Alcotest.(check string) "earlier string unchanged" "abc" s;
+  Alcotest.(check string) "appends after handover" "abcde" (W.contents w);
+  W.reset w;
+  W.u8 w (Char.code 'z');
+  Alcotest.(check string) "earlier string survives reset" "abc" s;
+  Alcotest.(check string) "reset" "z" (W.contents w)
+
 (* ------------------------- compression ------------------------- *)
 
 module C = Dbgp_wire.Compress
@@ -248,6 +320,10 @@ let () =
        [ Alcotest.test_case "ipv4/asn/prefix" `Quick test_network_types;
          Alcotest.test_case "prefix compactness" `Quick test_prefix_compactness ]);
       ("lists", [ Alcotest.test_case "roundtrip" `Quick test_lists ]);
+      ("frames",
+       [ Alcotest.test_case "sub-reader bounds" `Quick test_frame_bounds;
+         Alcotest.test_case "sizes match writers" `Quick test_sizes;
+         Alcotest.test_case "contents handover" `Quick test_writer_handover ]);
       ("compress",
        [ Alcotest.test_case "roundtrip basics" `Quick test_compress_roundtrip_basics;
          Alcotest.test_case "shrinks repetitive" `Quick test_compress_shrinks_repetitive;
