@@ -287,14 +287,14 @@ let fuzz_bench () =
   Format.fprintf out "wrote BENCH_fuzz.json@."
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline scenario: decision-run coalescing and export-cache hit      *)
-(* rates under MRAI batching, at three BRITE sizes, persisted as        *)
+(* Pipeline scenario: decision-run coalescing and group-major export   *)
+(* fan-out under MRAI batching, at three BRITE sizes, persisted as      *)
 (* BENCH_pipeline.json.  Deterministic except for the wall-clock        *)
 (* fields.                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let pipeline_bench () =
-  rule "Pipeline: dirty-prefix coalescing and export caching";
+  rule "Pipeline: dirty-prefix coalescing and group-major export";
   let rows = E.Pipeline_bench.suite () in
   List.iter (fun r -> Format.fprintf out "%a@." E.Pipeline_bench.pp r) rows;
   let doc =

@@ -7,212 +7,173 @@ type group_key = {
   export : Filters.t;
 }
 
-type group = { id : int; key : group_key; mutable members : int }
-
-type cache_entry = { src : Ia.t; out : Ia.t option }
+(* [round]/[egress] are the group's evaluation slot: [egress] is the
+   result of round [round] and means nothing in any other round, so no
+   result is ever served across fan-outs. *)
+type group = {
+  id : int;
+  key : group_key;
+  mutable members : int;
+  mutable round : int;
+  mutable egress : Ia.t option;
+}
 
 type record_entry = { mutable out : Ia.t option; mutable confirmed : bool }
 
-(* Advertised state is a hashtable of hashtables so that the very hot
-   {!record} path mutates buckets in place instead of rebuilding nested
-   functional maps on every announcement; the read accessors that need
-   determinism ({!bindings}, {!peers}) sort on the way out.
-
-   Each entry carries a confirmed bit: {!record} is optimistic (sent ⇒
+(* Each entry carries a confirmed bit: {!record} is optimistic (sent ⇒
    delivered) and the network layer calls {!note_failed} for every
    message it actually drops, so after a session loss the record set
    describes exactly what the peer may still hold.  [out = None]
    entries are withdraw tombstones — a withdraw was sent but may not
    have arrived, so the peer possibly retains a route we no longer
-   advertise. *)
+   advertise.  The table is mutated in place on the very hot {!record}
+   path; the read accessors that need determinism sort on the way
+   out. *)
+type table = (Prefix.t, record_entry) Hashtbl.t
+
+(* [table] is created by the first write: a neighbor that is never sent
+   anything — every neighbor of a speaker that exports nothing — costs
+   no table. *)
+type handle = { mutable group : group; mutable table : table option }
+
 type t = {
-  advertised : (Peer.t, (Prefix.t, record_entry) Hashtbl.t) Hashtbl.t;
   mutable groups : group list; (* newest first; ids never reused *)
-  mutable by_peer : int Peer.Map.t;
+  mutable handles : handle Peer.Map.t;
   mutable next_id : int;
-  (* Key: group id and prefix packed into one int (gid lsl 38 | net
-     lsl 6 | len) — an int-keyed table avoids allocating a tuple key
-     and generic-hashing it on every egress probe. *)
-  cache : (int, cache_entry) Hashtbl.t;
+  mutable round : int;
 }
 
-let cache_key gid prefix =
-  (gid lsl 38)
-  lor (Ipv4.to_int (Prefix.network prefix) lsl 6)
-  lor Prefix.length prefix
-
 let create () =
-  { advertised = Hashtbl.create 16;
-    groups = [];
-    by_peer = Peer.Map.empty;
+  { groups = [];
+    handles = Peer.Map.empty;
     next_id = 0;
-    cache = Hashtbl.create 64 }
+    round = 0 }
 
 (* ------------------------- peer groups ------------------------- *)
 
 (* Export filters are closures, so group identity compares them
    physically: two neighbors share a group only when they share the
-   *same* filter value.  (Filters must be pure for caching to be sound;
-   every filter in {!Filters} is.) *)
+   *same* filter value. *)
 let same_key a b =
   a.relationship = b.relationship
   && a.dbgp_capable = b.dbgp_capable
   && a.same_island = b.same_island
   && a.export == b.export
 
-let evict_group t id =
-  let doomed =
-    Hashtbl.fold
-      (fun k _ acc -> if k lsr 38 = id then k :: acc else acc)
-      t.cache []
-  in
-  List.iter (Hashtbl.remove t.cache) doomed
-
-let group_of t ~peer = Peer.Map.find_opt peer t.by_peer
-
-let leave t ~peer =
-  match group_of t ~peer with
-  | None -> ()
-  | Some id ->
-    t.by_peer <- Peer.Map.remove peer t.by_peer;
-    List.iter
-      (fun g ->
-        if g.id = id then begin
-          g.members <- g.members - 1;
-          if g.members <= 0 then begin
-            evict_group t id;
-            t.groups <- List.filter (fun g' -> g'.id <> id) t.groups
-          end
-        end)
-      t.groups
+let depart t g =
+  g.members <- g.members - 1;
+  if g.members <= 0 then t.groups <- List.filter (fun g' -> g' != g) t.groups
 
 let join t ~peer key =
   let target =
     match List.find_opt (fun g -> same_key g.key key) t.groups with
     | Some g -> g
     | None ->
-      let g = { id = t.next_id; key; members = 0 } in
+      let g = { id = t.next_id; key; members = 0; round = -1; egress = None } in
       t.next_id <- t.next_id + 1;
       t.groups <- g :: t.groups;
       g
   in
-  ( match group_of t ~peer with
-    | Some old when old = target.id -> ()
-    | old ->
+  match Peer.Map.find_opt peer t.handles with
+  | Some h ->
+    if h.group != target then begin
       (* A changed egress identity (new filter, relationship or
-         capability) leaves the old group; {!leave} evicts that group's
-         cached exports only if the departure empties it — remaining
-         members still share the key, so their entries stay valid (a
-         cached result depends on the group key and source IA alone,
-         never on membership). *)
-      ( match old with
-        | Some _ -> leave t ~peer
-        | None -> () );
+         capability) moves the handle; what was advertised stays. *)
+      depart t h.group;
       target.members <- target.members + 1;
-      t.by_peer <- Peer.Map.add peer target.id t.by_peer );
-  target.id
+      h.group <- target
+    end;
+    h
+  | None ->
+    let h = { group = target; table = None } in
+    target.members <- target.members + 1;
+    t.handles <- Peer.Map.add peer h t.handles;
+    h
 
+let leave t ~peer =
+  match Peer.Map.find_opt peer t.handles with
+  | None -> ()
+  | Some h ->
+    t.handles <- Peer.Map.remove peer t.handles;
+    depart t h.group
+
+let group_id h = h.group.id
+let group_of t ~peer = Option.map group_id (Peer.Map.find_opt peer t.handles)
 let group_count t = List.length t.groups
 
 let group_members t id =
   Peer.Map.fold
-    (fun peer gid acc -> if gid = id then peer :: acc else acc)
-    t.by_peer []
+    (fun peer h acc -> if h.group.id = id then peer :: acc else acc)
+    t.handles []
   |> List.rev
 
-(* ------------------------- export cache ------------------------- *)
+(* --------------------- group-major evaluation --------------------- *)
 
-(* A cached egress result is valid while the source IA is unchanged:
-   physical equality is the fast path (the common case — the chosen
-   outgoing IA is the same value across a drain), [Ia.equal] the slow
-   one.
+let next_round t = t.round <- t.round + 1
+let evaluated t h = h.group.round = t.round
+let result h = h.group.egress
 
-   Only positive results earn a slot.  A rejected export ([None]) is
-   cheap to recompute per drain, but a cached rejection is resident for
-   the lifetime of the route — a route collector that rejects a
-   million-prefix table toward every peer group would pin an entry per
-   (group, prefix) of pure dead weight.  The table is also capped:
-   beyond [cache_max] entries it resets wholesale, which (as with the
-   intern tables) costs only future sharing, never correctness. *)
-let cache_max = 262_144
-
-let egress t ~group ~prefix ~src ~compute =
-  match group with
-  | None -> (compute (), false)
-  | Some gid -> (
-    let key = cache_key gid prefix in
-    match Hashtbl.find_opt t.cache key with
-    | Some e when e.src == src || Ia.equal e.src src -> (e.out, true)
-    | stale ->
-      let out = compute () in
-      ( match out with
-        | Some _ ->
-          if Hashtbl.length t.cache >= cache_max then Hashtbl.reset t.cache;
-          Hashtbl.replace t.cache key { src; out }
-        | None -> if Option.is_some stale then Hashtbl.remove t.cache key );
-      (out, false) )
-
-let cache_size t = Hashtbl.length t.cache
+let set_result t h out =
+  h.group.round <- t.round;
+  h.group.egress <- out
 
 (* ------------------------- advertised state ------------------------- *)
 
-let table t ~peer =
-  match Hashtbl.find_opt t.advertised peer with
+let writable h =
+  match h.table with
   | Some m -> m
   | None ->
     let m = Hashtbl.create 16 in
-    Hashtbl.replace t.advertised peer m;
+    h.table <- Some m;
     m
 
-let record t ~peer prefix out =
+let record h prefix out =
   match out with
-  | None -> (
-    match Hashtbl.find_opt t.advertised peer with
-    | None -> ()
-    | Some m ->
-      Hashtbl.remove m prefix;
-      if Hashtbl.length m = 0 then Hashtbl.remove t.advertised peer )
+  | None -> Option.iter (fun m -> Hashtbl.remove m prefix) h.table
   | Some _ -> (
     (* Store the caller's option value as-is: it is the same box the
-       egress cache holds, so a recorded advertisement costs no
+       group's evaluation produced, so a recorded advertisement costs no
        per-route [Some] of its own. *)
-    match Hashtbl.find_opt (table t ~peer) prefix with
+    let m = writable h in
+    match Hashtbl.find_opt m prefix with
     | Some e ->
       e.out <- out;
       e.confirmed <- true
-    | None -> Hashtbl.replace (table t ~peer) prefix { out; confirmed = true } )
+    | None -> Hashtbl.replace m prefix { out; confirmed = true } )
 
-let note_failed t ~peer prefix =
-  match Hashtbl.find_opt (table t ~peer) prefix with
-  | Some e -> e.confirmed <- false
-  | None ->
-    (* A dropped withdraw: the entry was optimistically removed by
-       {!record}, but the peer may still hold the route.  Leave a
-       tombstone so the next sync re-sends the withdraw. *)
-    Hashtbl.replace (table t ~peer) prefix { out = None; confirmed = false }
-
-let find t ~peer prefix =
-  match Hashtbl.find_opt t.advertised peer with
+let find h prefix =
+  match h.table with
   | None -> None
   | Some m -> (
     match Hashtbl.find_opt m prefix with
     | None -> None
     | Some e -> Some (e.out, e.confirmed) )
 
-let advertised t ~peer prefix =
-  match Hashtbl.find_opt t.advertised peer with
-  | None -> false
-  | Some m -> Hashtbl.mem m prefix
+let advertised h prefix =
+  match h.table with Some m -> Hashtbl.mem m prefix | None -> false
 
-let entries t ~peer =
-  match Hashtbl.find_opt t.advertised peer with
+let entries h =
+  match h.table with
   | None -> []
   | Some m ->
     Hashtbl.fold (fun p e acc -> (p, e.out, e.confirmed) :: acc) m []
     |> List.sort (fun (a, _, _) (b, _, _) -> Prefix.compare a b)
 
+let note_failed t ~peer prefix =
+  match Peer.Map.find_opt peer t.handles with
+  | None -> ()
+  | Some h -> (
+    let m = writable h in
+    match Hashtbl.find_opt m prefix with
+    | Some e -> e.confirmed <- false
+    | None ->
+      (* A dropped withdraw: the entry was optimistically removed by
+         {!record}, but the peer may still hold the route.  Leave a
+         tombstone so the next sync re-sends the withdraw. *)
+      Hashtbl.replace m prefix { out = None; confirmed = false } )
+
 let bindings t ~peer =
-  match Hashtbl.find_opt t.advertised peer with
+  match Option.bind (Peer.Map.find_opt peer t.handles) (fun h -> h.table) with
   | None -> []
   | Some m ->
     Hashtbl.fold
@@ -222,7 +183,10 @@ let bindings t ~peer =
     |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
 
 let peers t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) t.advertised []
-  |> List.sort Peer.compare
-
-let drop_peer t ~peer = Hashtbl.remove t.advertised peer
+  Peer.Map.fold
+    (fun p h acc ->
+      match h.table with
+      | Some m when Hashtbl.length m > 0 -> p :: acc
+      | _ -> acc)
+    t.handles []
+  |> List.rev

@@ -1,22 +1,23 @@
 (** Adj-RIB-Out: stage 3 of the RIB pipeline.
 
-    Three concerns of the egress edge:
+    Two concerns of the egress edge:
 
-    - the per-peer advertised state — what was last announced to each
-      neighbor, so withdrawals are sent only for routes actually
-      advertised;
     - {e peer groups}: neighbors with identical egress identity
       (relationship, capability, island class and — physically — the
-      same export filter) share a group id;
-    - the {e export cache}: the egress computation (island processing,
-      global + per-neighbor export filters, legacy downgrade) depends
-      only on the group key and the source IA, so its result is computed
-      once per (group, prefix) and fanned out to every member.
+      same export filter) share a group, so the egress computation
+      (export rule, island processing, global + per-neighbor export
+      filters, legacy downgrade) runs once per group per route change
+      and is fanned out to every member;
+    - the per-peer advertised state — what was last announced to each
+      neighbor, so withdrawals are sent only for routes actually
+      advertised.
 
-    A cached entry is valid while the source IA is unchanged (physical
-    equality, then [Ia.equal]); a departed group's entries are evicted
-    when its last member leaves.  Caching is sound only for pure
-    export filters — every filter in {!Filters} is. *)
+    A neighbor's egress state is one {!handle}, created when it joins:
+    its group and its advertised-route table.  The fan-out loop works on
+    handles directly, so serving a member costs no lookup keyed by the
+    peer.  No egress result outlives the fan-out that computed it.
+    Sharing one evaluation across a group is sound only for pure export
+    filters — every filter in {!Filters} is. *)
 
 type group_key = {
   relationship : Dbgp_bgp.Policy.relationship;
@@ -26,74 +27,74 @@ type group_key = {
 }
 
 type t
+type handle
 
 val create : unit -> t
 
 (** {1 Peer groups} *)
 
-val join : t -> peer:Peer.t -> group_key -> int
+val join : t -> peer:Peer.t -> group_key -> handle
 (** Put the peer in the group matching [key] (creating it if needed) and
-    return the group id.  Re-joining with an unchanged key is a no-op;
-    a changed key leaves the old group, whose cached exports are
-    evicted only if the departure empties it — they remain valid for
-    any members still sharing the key. *)
+    return its handle.  Re-joining keeps the handle and its advertised
+    state; a changed key moves it to the matching group, dropping the
+    old group if the departure empties it. *)
 
 val leave : t -> peer:Peer.t -> unit
-(** Remove the peer from its group; a group left empty is dropped along
-    with its cache entries. *)
+(** Session teardown: remove the peer from its group (a group left empty
+    is dropped) and forget everything advertised to it.  The handle is
+    dead afterwards; a later {!join} starts from an empty table. *)
 
+val group_id : handle -> int
 val group_of : t -> peer:Peer.t -> int option
 val group_count : t -> int
 val group_members : t -> int -> Peer.t list
 
-(** {1 Export cache} *)
+(** {1 Group-major evaluation}
 
-val egress :
-  t ->
-  group:int option ->
-  prefix:Dbgp_types.Prefix.t ->
-  src:Ia.t ->
-  compute:(unit -> Ia.t option) ->
-  Ia.t option * bool
-(** [egress t ~group ~prefix ~src ~compute] returns the egress result
-    for [src] toward the group, and whether it was served from cache.
-    On a miss, [compute] runs and its result is stored.  [group = None]
-    (an unknown peer) bypasses the cache. *)
+    One fan-out is a {e round}.  The first member of a group served in a
+    round computes the group's egress result with {!set_result}; every
+    later member of the same group reads it back with {!result}. *)
 
-val evict_group : t -> int -> unit
-val cache_size : t -> int
+val next_round : t -> unit
+(** Start a round: every group's result becomes unevaluated. *)
+
+val evaluated : t -> handle -> bool
+(** Whether the handle's group has a result in the current round. *)
+
+val result : handle -> Ia.t option
+(** The group's result for the current round; meaningful only when
+    {!evaluated} holds. *)
+
+val set_result : t -> handle -> Ia.t option -> unit
 
 (** {1 Advertised state} *)
 
-val record : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> Ia.t option -> unit
+val record : handle -> Dbgp_types.Prefix.t -> Ia.t option -> unit
 (** [Some ia]: we announced [ia]; [None]: we withdrew (or never had
     anything advertised — the entry is removed).  Recording is
     optimistic: the entry is marked confirmed (sent ⇒ delivered) until
     the transport reports otherwise via {!note_failed}. *)
+
+val find : handle -> Dbgp_types.Prefix.t -> (Ia.t option * bool) option
+(** The recorded [(out, confirmed)] state for [prefix], if any.
+    [out = None] is a withdraw tombstone. *)
+
+val advertised : handle -> Dbgp_types.Prefix.t -> bool
+(** Whether any entry (tombstones included) is recorded for [prefix]. *)
+
+val entries : handle -> (Dbgp_types.Prefix.t * Ia.t option * bool) list
+(** All recorded [(prefix, out, confirmed)] entries — tombstones
+    included — in ascending prefix order. *)
 
 val note_failed : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
 (** The transport dropped the last message for [prefix] toward [peer]:
     clear the entry's confirmed bit, or — for a dropped withdraw whose
     entry {!record} already removed — leave an unconfirmed
     [out = None] tombstone, so a later incremental sync knows the peer
-    may still hold a route we no longer advertise. *)
-
-val find :
-  t -> peer:Peer.t -> Dbgp_types.Prefix.t -> (Ia.t option * bool) option
-(** The recorded [(out, confirmed)] state for [prefix], if any.
-    [out = None] is a withdraw tombstone. *)
-
-val advertised : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> bool
-
-val entries :
-  t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t option * bool) list
-(** All recorded [(prefix, out, confirmed)] entries toward the peer —
-    tombstones included — in ascending prefix order. *)
+    may still hold a route we no longer advertise.  A drop reported
+    after the peer {!leave}s is ignored: a torn-down session leaves the
+    peer holding nothing from us. *)
 
 val bindings : t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t) list
 val peers : t -> Peer.t list
-(** Peers with at least one advertised route, ascending. *)
-
-val drop_peer : t -> peer:Peer.t -> unit
-(** Forget everything advertised to the peer (session teardown); group
-    membership is handled separately by {!leave}. *)
+(** Peers with at least one recorded entry, ascending. *)

@@ -135,7 +135,7 @@ val equal : t -> t -> bool
 val same_attrs : t -> t -> bool
 (** Equality of everything {e except} the prefix — path vector,
     membership, descriptors.  Physical per-field fast paths first (the
-    export cache and attribute table make sharing the common case),
+    group-major egress and attribute table make sharing the common case),
     structural fallback second.  This is the bucketing relation for
     multi-prefix batched updates: routes with [same_attrs] can share one
     wire attribute block. *)

@@ -52,19 +52,25 @@ type chosen = {
          is untouched. *)
 }
 
+(* A neighbor as the egress edge sees it: its Adj-RIB-Out handle (peer
+   group + advertised table) and its stage-7 filter chain, both fixed
+   when the neighbor is added — the config is immutable, so the chain
+   never needs rebuilding. *)
+type egress = { nbr : neighbor; out : Adj_rib_out.handle; chain : Filters.t }
+
 module Damping = Dbgp_bgp.Flap_damping
 
 type t = {
   cfg : config;
   modules : (int, Decision_module.t) Hashtbl.t; (* by Protocol_id.to_int *)
   mutable active : Protocol_id.t Trie.t;
-  mutable nbrs : neighbor Peer.Map.t;
+  mutable nbrs : egress Peer.Map.t;
   (* The three-stage RIB pipeline of Figure 5.  [rib_in]: per-(prefix,
      peer) post-global-import IAs plus graceful-restart stale marks.
      [loc]: selected best routes with an incrementally maintained FIB.
-     [rib_out]: per-peer advertised state, peer groups and the export
-     cache.  [sched]: the dirty-prefix work queue between stages —
-     ingest marks, {!flush} drains. *)
+     [rib_out]: peer groups and per-peer advertised state.  [sched]: the
+     dirty-prefix work queue between stages — ingest marks, {!flush}
+     drains. *)
   rib_in : Ia.t Adj_rib_in.t;
   loc : chosen Loc_rib.t;
   rib_out : Adj_rib_out.t;
@@ -197,11 +203,42 @@ let group_key_of (n : neighbor) =
     same_island = n.same_island;
     export = n.export }
 
-let add_neighbor t n =
-  t.nbrs <- Peer.Map.add n.peer n t.nbrs;
-  ignore (Adj_rib_out.join t.rib_out ~peer:n.peer (group_key_of n))
+(* The stage-7 egress chain toward [n]: island processing, global then
+   per-neighbor export filter, legacy downgrade.  Depends only on the
+   neighbor's group key and the immutable config, so every member of a
+   group computes the same result.  Accepting stages are left out. *)
+let egress_chain cfg (n : neighbor) : Filters.t =
+  let island_egress =
+    match cfg.island with
+    | Some island when not n.same_island ->
+      let members =
+        if cfg.island_members = [] then [ cfg.asn ] else cfg.island_members
+      in
+      if cfg.hide_island_interior then Filters.abstract_island ~island ~members
+      else Filters.declare_membership ~island ~members
+    | _ -> Filters.accept
+  in
+  let downgrade =
+    if n.dbgp_capable then Filters.accept
+    else
+      Filters.compose
+        (Filters.keep_only (Protocol_id.Set.singleton Protocol_id.bgp))
+        (fun ia -> Some { ia with Ia.membership = [] })
+  in
+  match
+    List.filter
+      (fun f -> f != Filters.accept)
+      [ island_egress; cfg.global_export; n.export; downgrade ]
+  with
+  | [] -> Filters.accept
+  | f :: rest -> List.fold_left Filters.compose f rest
 
-let neighbors t = List.map snd (Peer.Map.bindings t.nbrs)
+let add_neighbor t n =
+  let out = Adj_rib_out.join t.rib_out ~peer:n.peer (group_key_of n) in
+  t.nbrs <-
+    Peer.Map.add n.peer { nbr = n; out; chain = egress_chain t.cfg n } t.nbrs
+
+let neighbors t = List.map (fun (_, e) -> e.nbr) (Peer.Map.bindings t.nbrs)
 let has_neighbor t peer = Peer.Map.mem peer t.nbrs
 let export_group_of t peer = Adj_rib_out.group_of t.rib_out ~peer
 let export_group_count t = Adj_rib_out.group_count t.rib_out
@@ -220,48 +257,7 @@ let learned_relationship t (c : Decision_module.candidate) =
   match c.from_peer with
   | None -> None
   | Some p ->
-    Option.map (fun n -> n.relationship) (Peer.Map.find_opt p t.nbrs)
-
-(* Build the per-neighbor outgoing message for an already-factory-built
-   IA.  Depends only on the neighbor's group key (same_island, export,
-   dbgp_capable) and per-speaker constants — which is exactly what makes
-   the per-group export cache sound. *)
-let egress_for_neighbor t (n : neighbor) (ia : Ia.t) =
-  let island_egress : Filters.t =
-    match t.cfg.island with
-    | Some island when not n.same_island ->
-      let members =
-        if t.cfg.island_members = [] then [ t.cfg.asn ] else t.cfg.island_members
-      in
-      if t.cfg.hide_island_interior then Filters.abstract_island ~island ~members
-      else Filters.declare_membership ~island ~members
-    | _ -> Filters.accept
-  in
-  let downgrade : Filters.t =
-    if n.dbgp_capable then Filters.accept
-    else
-      Filters.compose
-        (Filters.keep_only (Protocol_id.Set.singleton Protocol_id.bgp))
-        (fun ia -> Some { ia with Ia.membership = [] })
-  in
-  Filters.chain [ island_egress; t.cfg.global_export; n.export; downgrade ] ia
-
-(* Stage-3 egress through the per-group export cache: computed once per
-   (group, source IA, prefix), fanned out to every group member. *)
-let cached_egress t (n : neighbor) (ia : Ia.t) =
-  let out, hit =
-    Adj_rib_out.egress t.rib_out
-      ~group:(Adj_rib_out.group_of t.rib_out ~peer:n.peer)
-      ~prefix:ia.Ia.prefix ~src:ia
-      ~compute:(fun () -> egress_for_neighbor t n ia)
-  in
-  if hit then Metrics.incr t.c_export_hits else Metrics.incr t.c_export_misses;
-  out
-
-let previously_announced t peer prefix =
-  Adj_rib_out.advertised t.rib_out ~peer prefix
-
-let record_adj_out t peer prefix out = Adj_rib_out.record t.rib_out ~peer prefix out
+    Option.map (fun e -> e.nbr.relationship) (Peer.Map.find_opt p t.nbrs)
 
 (* ------------------------- flap damping ------------------------- *)
 
@@ -353,63 +349,80 @@ let peer_down_graceful ?(now = 0.) t peer =
            routes })
   end
 
-(* The outgoing IA (if any) for [chosen] toward one neighbor:
-   split-horizon, loop avoidance and valley-free export are evaluated
-   per neighbor; the egress filter chain itself comes from the per-group
-   cache. *)
-let emission_with t ~learned (chosen : chosen) (n : neighbor) =
-  let is_sender =
-    match chosen.candidate.Decision_module.from_peer with
-    | Some p -> Peer.equal p n.peer
-    | None -> false
+(* The outgoing IA (if any) for [chosen] toward one neighbor, in the
+   current Adj-RIB-Out round.  The relationship export rule and the
+   egress chain are group-wide, so they run for the first member of each
+   group served in the round (a miss) and every later member reuses the
+   result (a hit).  Split-horizon and the on-path check are per neighbor
+   and run only when the group exports something. *)
+let emission t ~learned (chosen : chosen) e =
+  let out =
+    if Adj_rib_out.evaluated t.rib_out e.out then begin
+      Metrics.incr t.c_export_hits;
+      Adj_rib_out.result e.out
+    end
+    else begin
+      Metrics.incr t.c_export_misses;
+      let out =
+        if t.export_rule ~learned ~to_:e.nbr.relationship then
+          e.chain chosen.outgoing
+        else None
+      in
+      Adj_rib_out.set_result t.rib_out e.out out;
+      out
+    end
   in
-  let on_path =
-    List.exists
-      (Path_elem.mentions_asn n.peer.Peer.asn)
-      chosen.outgoing.Ia.path_vector
-    && not (Asn.equal n.peer.Peer.asn t.cfg.asn)
-  in
-  let eligible =
-    (not is_sender) && (not on_path)
-    && t.export_rule ~learned ~to_:n.relationship
-  in
-  if eligible then cached_egress t n chosen.outgoing else None
+  match out with
+  | None -> None
+  | Some _ ->
+    let peer = e.nbr.peer in
+    let is_sender =
+      match chosen.candidate.Decision_module.from_peer with
+      | Some p -> Peer.equal p peer
+      | None -> false
+    in
+    let on_path =
+      List.exists
+        (Path_elem.mentions_asn peer.Peer.asn)
+        chosen.outgoing.Ia.path_vector
+      && not (Asn.equal peer.Peer.asn t.cfg.asn)
+    in
+    if is_sender || on_path then None else out
 
-(* The learned relationship depends only on the chosen route, so
-   callers fanning one route out to many neighbors resolve it once. *)
-let emission_for t (chosen : chosen) (n : neighbor) =
-  emission_with t ~learned:(learned_relationship t chosen.candidate) chosen n
+(* A fan-out toward a single neighbor (refresh, sync) is a round of its
+   own. *)
+let emission_alone t chosen e =
+  Adj_rib_out.next_round t.rib_out;
+  emission t ~learned:(learned_relationship t chosen.candidate) chosen e
 
-(* Announce / withdraw the current best for [prefix] to all neighbors. *)
+(* Send [o] to the neighbor, or withdraw what it was previously sent
+   when it gets nothing; the message is consed onto [acc]. *)
+let send e prefix o acc =
+  match o with
+  | Some ia ->
+    (* Record the group evaluation's own option box — no per-route
+       [Some] of the Adj-RIB-Out's own. *)
+    Adj_rib_out.record e.out prefix o;
+    (e.nbr.peer, Announce ia) :: acc
+  | None ->
+    if Adj_rib_out.advertised e.out prefix then begin
+      Adj_rib_out.record e.out prefix None;
+      (e.nbr.peer, Withdraw prefix) :: acc
+    end
+    else acc
+
+(* Announce / withdraw the current best for [prefix] to all neighbors,
+   in ascending peer order: one round, so one evaluation per group. *)
 let distribute t prefix =
-  let out = ref [] in
-  let emit peer m = out := (peer, m) :: !out in
   ( match Loc_rib.find t.loc prefix with
-    | None ->
-      Peer.Map.iter
-        (fun peer _ ->
-          if previously_announced t peer prefix then begin
-            record_adj_out t peer prefix None;
-            emit peer (Withdraw prefix)
-          end)
-        t.nbrs
+    | None -> Peer.Map.fold (fun _ e acc -> send e prefix None acc) t.nbrs []
     | Some chosen ->
+      Adj_rib_out.next_round t.rib_out;
       let learned = learned_relationship t chosen.candidate in
-      Peer.Map.iter
-        (fun peer n ->
-          match emission_with t ~learned chosen n with
-          | Some ia as o ->
-            (* Record the egress cache's own option box — no per-route
-               [Some] of the Adj-RIB-Out's own. *)
-            record_adj_out t peer prefix o;
-            emit peer (Announce ia)
-          | None ->
-            if previously_announced t peer prefix then begin
-              record_adj_out t peer prefix None;
-              emit peer (Withdraw prefix)
-            end)
-        t.nbrs );
-  List.rev !out
+      Peer.Map.fold
+        (fun _ e acc -> send e prefix (emission t ~learned chosen e) acc)
+        t.nbrs [] )
+  |> List.rev
 
 (* Re-advertise the full current state to one neighbor (route refresh):
    used when a failed link recovers, so the returning peer resynchronizes
@@ -417,19 +430,9 @@ let distribute t prefix =
 let refresh_peer t peer =
   match Peer.Map.find_opt peer t.nbrs with
   | None -> []
-  | Some n ->
+  | Some e ->
     Loc_rib.fold
-      (fun prefix chosen acc ->
-        match emission_for t chosen n with
-        | Some ia as o ->
-          record_adj_out t peer prefix o;
-          (peer, Announce ia) :: acc
-        | None ->
-          if previously_announced t peer prefix then begin
-            record_adj_out t peer prefix None;
-            (peer, Withdraw prefix) :: acc
-          end
-          else acc)
+      (fun prefix chosen acc -> send e prefix (emission_alone t chosen e) acc)
       t.loc []
     |> List.rev
 
@@ -455,24 +458,22 @@ let note_undelivered t peer prefix =
 let sync_peer ?(limit = max_int) ?cursor t peer =
   match Peer.Map.find_opt peer t.nbrs with
   | None -> ([], None)
-  | Some n ->
+  | Some e ->
     let out = ref [] in
     let sent = ref 0 and skipped = ref 0 and withdrawn = ref 0 in
     let (), next =
       Loc_rib.fold_range t.loc ~above:cursor ~limit
         ~f:(fun prefix chosen () ->
-          match emission_for t chosen n with
+          match emission_alone t chosen e with
           | Some ia as o -> (
-            match Adj_rib_out.find t.rib_out ~peer prefix with
+            match Adj_rib_out.find e.out prefix with
             | Some (Some prev, true) when Ia.equal prev ia -> incr skipped
             | _ ->
-              record_adj_out t peer prefix o;
-              out := (peer, Announce ia) :: !out;
+              out := send e prefix o !out;
               incr sent )
           | None ->
-            if Option.is_some (Adj_rib_out.find t.rib_out ~peer prefix)
-            then begin
-              record_adj_out t peer prefix None;
+            if Adj_rib_out.advertised e.out prefix then begin
+              Adj_rib_out.record e.out prefix None;
               out := (peer, Withdraw prefix) :: !out;
               incr withdrawn
             end)
@@ -482,11 +483,11 @@ let sync_peer ?(limit = max_int) ?cursor t peer =
       List.iter
         (fun (prefix, _, _) ->
           if not (Loc_rib.mem t.loc prefix) then begin
-            record_adj_out t peer prefix None;
+            Adj_rib_out.record e.out prefix None;
             out := (peer, Withdraw prefix) :: !out;
             incr withdrawn
           end)
-        (Adj_rib_out.entries t.rib_out ~peer);
+        (Adj_rib_out.entries e.out);
     if !sent > 0 then
       Metrics.incr ~by:!sent (Metrics.counter t.obs "sync.sent");
     if !skipped > 0 then
@@ -538,7 +539,7 @@ let process t ~now prefix =
                closure per candidate per run. *)
             let nbr_import =
               match Peer.Map.find_opt peer t.nbrs with
-              | Some n -> n.import
+              | Some e -> e.nbr.import
               | None -> Filters.accept
             in
             match nbr_import ia with
@@ -986,7 +987,6 @@ let teardown ~forget_flaps ~now t peer =
       Option.iter Attr_table.release (Adj_rib_in.find t.rib_in ~peer p))
     (Adj_rib_in.prefixes_of t.rib_in ~peer);
   let affected = Adj_rib_in.drop_peer t.rib_in ~peer in
-  Adj_rib_out.drop_peer t.rib_out ~peer;
   Adj_rib_out.leave t.rib_out ~peer;
   t.nbrs <- Peer.Map.remove peer t.nbrs;
   if forget_flaps then t.flap_state <- Peer.Map.remove peer t.flap_state;

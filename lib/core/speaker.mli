@@ -15,8 +15,9 @@
 
     Internally the speaker is an explicit three-stage RIB pipeline —
     {!Adj_rib_in} (per-peer post-import routes + stale marks), {!Loc_rib}
-    (selected best + FIB), {!Adj_rib_out} (advertised state, peer groups,
-    export cache) — connected by a dirty-prefix scheduler ({!Pipeline}).
+    (selected best + FIB), {!Adj_rib_out} (peer groups and per-neighbor
+    advertised state) — connected by a dirty-prefix scheduler
+    ({!Pipeline}).
     {!receive} ingests and drains immediately (eager, the historical
     behaviour); {!ingest} + {!flush} split the two so the session layer
     can batch many updates into one decision run per prefix.
@@ -92,7 +93,10 @@ val set_active : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t -> unit
 val active_for : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t
 val add_neighbor : t -> neighbor -> unit
 (** Also places the neighbor in the peer group matching its egress
-    identity (relationship, capability, island class, export filter). *)
+    identity (relationship, capability, island class, export filter) and
+    builds its stage-7 filter chain.  Re-adding a neighbor rebinds it:
+    it moves group if its egress identity changed and keeps what was
+    advertised to it. *)
 
 val neighbors : t -> neighbor list
 val has_neighbor : t -> Peer.t -> bool
@@ -315,13 +319,15 @@ val suppressed : t -> now:float -> Peer.t -> Dbgp_types.Prefix.t -> bool
 val flap_penalty : t -> now:float -> Peer.t -> Dbgp_types.Prefix.t -> float
 val has_flap_state : t -> Peer.t -> bool
 
-(** {1 Peer groups and the export cache}
+(** {1 Peer groups}
 
     Neighbors with identical egress identity — relationship, capability,
     island class and (physically) the same export filter — share a peer
-    group; the egress filter chain for a given source IA is computed once
-    per group and fanned out ([pipeline.export_cache.hits] /
-    [.misses]). *)
+    group.  Each fan-out evaluates the export rule and egress filter
+    chain once per group and serves the result to every member:
+    [pipeline.export_cache.misses] counts group evaluations,
+    [pipeline.export_cache.hits] members served by their group's
+    evaluation.  No result is kept across fan-outs. *)
 
 val export_group_of : t -> Peer.t -> int option
 val export_group_count : t -> int

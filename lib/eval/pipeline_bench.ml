@@ -3,8 +3,8 @@
    Converges a BRITE topology under a positive MRAI (so the receive side
    batches into the dirty-prefix scheduler) and reports, from the
    speakers' own pipeline counters, how many decision runs the
-   coalescing avoided and how often the per-group export cache served an
-   egress computation. *)
+   coalescing avoided and how many neighbors were served by their peer
+   group's single egress evaluation. *)
 
 open Dbgp_types
 module Network = Dbgp_netsim.Network
@@ -113,7 +113,7 @@ let to_snapshot r =
 let pp ppf r =
   Format.fprintf ppf
     "%4d ASes  %6d msgs  %6d updates  %6d runs (%.3f/update, %d saved)  \
-     cache %d/%d (%.0f%%)  %.2fs"
+     group-served %d/%d (%.0f%%)  %.2fs"
     r.ases r.messages r.updates r.decision_runs r.runs_per_update r.runs_saved
     r.export_hits
     (r.export_hits + r.export_misses)

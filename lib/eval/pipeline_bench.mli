@@ -7,9 +7,10 @@
 
     - {e decision runs per delivered update}: below 1.0 whenever
       coalescing beats the eager run-per-message speaker;
-    - the {e export-cache hit rate}: how often a per-neighbor egress
-      computation was served from the per-group cache instead of being
-      recomputed.
+    - the {e export hit rate}: the share of neighbors served by their
+      peer group's egress evaluation rather than evaluating it — each
+      route change evaluates egress once per group ([export_misses]) and
+      fans it out to the other members ([export_hits]).
 
     Deterministic for a given seed except for the wall-clock fields. *)
 

@@ -2,7 +2,7 @@
 
    The update hot path compares path vectors and path elements
    constantly (duplicate-announce detection, decision change checks,
-   export-cache lookups).  Interning maps structurally equal values to
+   egress fan-out).  Interning maps structurally equal values to
    one physical representative so those comparisons can short-circuit
    on pointer equality, and so fanned-out announces share one copy of
    each vector instead of N.

@@ -37,12 +37,15 @@ let of_string s =
 
 (* Rendered on every trace emit (twice per delivered update), so the
    Printf cost is memoized behind a small direct-mapped cache; -1 is
-   not a valid pack, so it marks an empty slot. *)
-let ts_slots = 512
-let ts_memo : (t * string) array = Array.make ts_slots (-1, "")
+   not a valid pack, so it marks an empty slot.  The slot is the top
+   [ts_bits] bits of a multiplicative (Fibonacci) hash of the whole
+   pack: low-bit slicing would send every /24 — whose low eight network
+   bits are zero — to the same couple of slots. *)
+let ts_bits = 9
+let ts_memo : (t * string) array = Array.make (1 lsl ts_bits) (-1, "")
 
 let to_string p =
-  let slot = ((p lsr 6) lxor ((p land 0x3F) * 0x9E37_79B1)) land (ts_slots - 1) in
+  let slot = (p * 0x1E37_79B9_7F4A_7C15) lsr (Sys.int_size - ts_bits) in
   let (p', s) = Array.unsafe_get ts_memo slot in
   if p' = p then s
   else begin

@@ -1,6 +1,7 @@
 (* The staged RIB pipeline: stage-module unit tests (Adj-RIB-In,
-   Loc-RIB, Adj-RIB-Out peer groups + export cache, the dirty-prefix
-   scheduler), speaker-level batched ingestion, and teardown
+   Loc-RIB, Adj-RIB-Out peer groups + handles, the dirty-prefix
+   scheduler), a group-major fan-out property against a per-neighbor
+   reference, speaker-level batched ingestion, and teardown
    cleanliness ([remove_neighbor] / [Network.unlink] leaving no state
    behind, asserted through [Invariants.peer_clean]). *)
 
@@ -136,7 +137,7 @@ let test_pipeline_remark_during_drain () =
   check "only first prefix this drain" true (out = [ "1.0.0.0/8" ]);
   check_int "re-mark pending" 1 (Pipeline.pending sched)
 
-(* ------------- peer groups + export cache ------------- *)
+(* ------------------------- peer groups ------------------------- *)
 
 let key rel =
   { Adj_rib_out.relationship = rel;
@@ -146,93 +147,47 @@ let key rel =
 
 let test_groups_membership () =
   let out = Adj_rib_out.create () in
-  let g1 = Adj_rib_out.join out ~peer:(peer 1) (key Policy.To_customer) in
-  let g2 = Adj_rib_out.join out ~peer:(peer 2) (key Policy.To_customer) in
-  let g3 = Adj_rib_out.join out ~peer:(peer 3) (key Policy.To_peer) in
+  let join p k = Adj_rib_out.group_id (Adj_rib_out.join out ~peer:(peer p) k) in
+  let g1 = join 1 (key Policy.To_customer) in
+  let g2 = join 2 (key Policy.To_customer) in
+  let g3 = join 3 (key Policy.To_peer) in
   check_int "same egress identity shares a group" g1 g2;
   check "different relationship splits" true (g3 <> g1);
   check_int "two groups" 2 (Adj_rib_out.group_count out);
   (* Export filters compare physically: an identical-behaviour closure is
      still a different group. *)
   let f : Filters.t = fun ia -> Some ia in
-  let g4 =
-    Adj_rib_out.join out ~peer:(peer 4)
-      { (key Policy.To_customer) with Adj_rib_out.export = f }
-  in
+  let g4 = join 4 { (key Policy.To_customer) with Adj_rib_out.export = f } in
   check "fresh closure, fresh group" true (g4 <> g1);
   check_int "members" 2 (List.length (Adj_rib_out.group_members out g1));
   Adj_rib_out.leave out ~peer:(peer 4);
   check_int "empty group dropped" 2 (Adj_rib_out.group_count out);
   check "membership gone" true (Adj_rib_out.group_of out ~peer:(peer 4) = None)
 
-let test_export_cache_scoped_eviction () =
+(* A peer re-joining with a changed key moves its handle to the new
+   group, keeping what was advertised to it; the group it left survives
+   while other members still use it. *)
+let test_join_move_keeps_survivors_group () =
   let out = Adj_rib_out.create () in
-  let g1 = Adj_rib_out.join out ~peer:(peer 1) (key Policy.To_customer) in
-  let g2 = Adj_rib_out.join out ~peer:(peer 2) (key Policy.To_peer) in
-  let src = base_ia () in
-  let computes = ref 0 in
-  let compute () =
-    incr computes;
-    Some src
-  in
-  let run g =
-    Adj_rib_out.egress out ~group:(Some g) ~prefix:src.Ia.prefix ~src ~compute
-  in
-  check "first call misses" true (snd (run g1) = false);
-  check "second call hits" true (snd (run g1) = true);
-  check "other group misses independently" true (snd (run g2) = false);
-  check_int "computed once per group" 2 !computes;
-  (* Peer 1 changes its export filter: it moves group, and only its
-     DEPARTED group's cache entries are evicted. *)
+  let h1 = Adj_rib_out.join out ~peer:(peer 1) (key Policy.To_customer) in
+  let h2 = Adj_rib_out.join out ~peer:(peer 2) (key Policy.To_customer) in
+  let g1 = Adj_rib_out.group_id h1 in
+  check_int "peers 1 and 2 share a group" g1 (Adj_rib_out.group_id h2);
+  let ia = base_ia () in
+  Adj_rib_out.record h1 ia.Ia.prefix (Some ia);
   let f : Filters.t = fun ia -> Some ia in
-  let g1' =
+  let h1' =
     Adj_rib_out.join out ~peer:(peer 1)
       { (key Policy.To_customer) with Adj_rib_out.export = f }
   in
-  check "moved group" true (g1' <> g1);
-  check "departed group's entry evicted" true (snd (run g1) = false);
-  check "unrelated group's entry survives" true (snd (run g2) = true);
-  (* A changed source IA invalidates the entry (no stale fanout). *)
-  let src2 = Ia.prepend_as (asn 7) src in
-  check "new src misses" true
-    (snd
-       (Adj_rib_out.egress out ~group:(Some g2) ~prefix:src2.Ia.prefix
-          ~src:src2 ~compute)
-     = false);
-  (* No group (unknown peer) bypasses the cache entirely. *)
-  let before = !computes in
-  ignore
-    (Adj_rib_out.egress out ~group:None ~prefix:src.Ia.prefix ~src ~compute);
-  check_int "groupless always computes" (before + 1) !computes
-
-(* Regression: a peer re-joining with a changed key must not evict the
-   departed group's cache while that group still has members — only the
-   departure that empties the group evicts. *)
-let test_join_move_preserves_shared_cache () =
-  let out = Adj_rib_out.create () in
-  let g1 = Adj_rib_out.join out ~peer:(peer 1) (key Policy.To_customer) in
-  let g1b = Adj_rib_out.join out ~peer:(peer 2) (key Policy.To_customer) in
-  check_int "peers 1 and 2 share a group" g1 g1b;
-  let src = base_ia () in
-  let run g =
-    Adj_rib_out.egress out ~group:(Some g) ~prefix:src.Ia.prefix ~src
-      ~compute:(fun () -> Some src)
-  in
-  check "warmed" true (snd (run g1) = false && snd (run g1) = true);
-  (* Peer 1 re-adds with a private export filter: it moves to a fresh
-     group, but peer 2 is still using the old one. *)
-  let f : Filters.t = fun ia -> Some ia in
-  let g1' =
-    Adj_rib_out.join out ~peer:(peer 1)
-      { (key Policy.To_customer) with Adj_rib_out.export = f }
-  in
-  check "moved to a fresh group" true (g1' <> g1);
+  check "same handle" true (h1 == h1');
+  check "moved to a fresh group" true (Adj_rib_out.group_id h1' <> g1);
+  check "advertised state kept" true (Adj_rib_out.advertised h1' ia.Ia.prefix);
   check "peer 2 still in the old group" true
     (Adj_rib_out.group_of out ~peer:(peer 2) = Some g1);
-  check "survivor's cached egress intact" true (snd (run g1) = true);
-  (* Once peer 2 leaves too, the now-empty group's entries do go. *)
+  check_int "both groups live" 2 (Adj_rib_out.group_count out);
   Adj_rib_out.leave out ~peer:(peer 2);
-  check "emptied group evicted" true (snd (run g1) = false)
+  check_int "emptied group dropped" 1 (Adj_rib_out.group_count out)
 
 (* Speaker-level: same-group neighbors receive structurally identical
    IAs, computed once and fanned out. *)
@@ -264,9 +219,12 @@ let test_speaker_export_fanout () =
   in
   check "same-group IAs structurally identical" true
     (Ia.equal (ia_for 1) (ia_for 2) && Ia.equal (ia_for 2) (ia_for 3));
-  (* One egress computation per group, fanned out to the members. *)
-  check_int "two cache hits" 2 (counter_of s "pipeline.export_cache.hits");
-  check_int "one miss per group" 2 (counter_of s "pipeline.export_cache.misses");
+  (* One egress evaluation per group (a miss), served to the group's
+     other members (a hit each). *)
+  check_int "two members served by their group" 2
+    (counter_of s "pipeline.export_cache.hits");
+  check_int "one evaluation per group" 2
+    (counter_of s "pipeline.export_cache.misses");
   (* Re-binding one customer with a private export filter moves it out of
      the group without disturbing the others' membership. *)
   let f : Filters.t = fun ia -> Some ia in
@@ -291,6 +249,294 @@ let customers_speaker () =
         (Speaker.neighbor ~relationship:Policy.To_customer (peer n)))
     [ 1; 2; 3 ];
   s
+
+(* ------------- group-major fan-out vs a reference ------------- *)
+
+(* The export filters neighbors draw from.  Drawing the same index twice
+   shares the physical value, so two neighbors can share a group. *)
+let strip_scion = Filters.drop_protocol Protocol_id.scion
+let short_paths : Filters.t = fun ia -> if Ia.path_length ia > 3 then None else Some ia
+let export_pool = [| Filters.accept; Filters.reject; strip_scion; short_paths |]
+let relationships = [| Policy.To_customer; Policy.To_peer; Policy.To_provider |]
+let me = 100
+let island = Island_id.named "I"
+let island_members = [ asn me; asn 101 ]
+
+type nbr_spec = { rel : int; capable : bool; same : bool; exp : int }
+
+(* [island_mode]: 0 none, 1 declare membership, 2 hide the interior.
+   [global]: the global export filter, 0 accept, 1 strip SCION.
+   [events]: (withdraw?, sender index, on-path index — out of range for
+   "nobody"). *)
+type scenario = {
+  island_mode : int;
+  global : int;
+  nbrs : nbr_spec list;
+  events : (bool * int * int) list;
+}
+
+let print_scenario sc =
+  Printf.sprintf "island=%d global=%d nbrs=[%s] events=[%s]" sc.island_mode
+    sc.global
+    (String.concat "; "
+       (List.map
+          (fun n ->
+            Printf.sprintf "rel%d cap=%b same=%b exp%d" n.rel n.capable n.same
+              n.exp)
+          sc.nbrs))
+    (String.concat "; "
+       (List.map
+          (fun (w, s, o) -> Printf.sprintf "%s%d/%d" (if w then "w" else "a") s o)
+          sc.events))
+
+let gen_scenario =
+  let open QCheck.Gen in
+  let nbr =
+    map4
+      (fun rel capable same exp -> { rel; capable; same; exp })
+      (int_bound 2) bool bool (int_bound 3)
+  in
+  int_range 2 7 >>= fun k ->
+  map4
+    (fun island_mode global nbrs events -> { island_mode; global; nbrs; events })
+    (int_bound 2) (int_bound 1) (list_repeat k nbr)
+    (list_size (int_range 1 5)
+       (triple (map (fun n -> n = 0) (int_bound 3)) (int_bound (k - 1))
+          (int_bound k)))
+
+let scenario_speaker sc =
+  let cfg =
+    match sc.island_mode with
+    | 0 ->
+      Speaker.config ~global_export:export_pool.(sc.global * 2) ~asn:(asn me)
+        ~addr:(Ipv4.of_octets 10 0 0 me) ()
+    | mode ->
+      Speaker.config ~island ~island_members ~hide_island_interior:(mode = 2)
+        ~global_export:export_pool.(sc.global * 2) ~asn:(asn me)
+        ~addr:(Ipv4.of_octets 10 0 0 me) ()
+  in
+  let s = Speaker.create cfg in
+  let nbrs =
+    List.mapi
+      (fun i n ->
+        Speaker.neighbor ~export:export_pool.(n.exp) ~dbgp_capable:n.capable
+          ~same_island:n.same ~relationship:relationships.(n.rel) (peer (i + 1)))
+      sc.nbrs
+  in
+  List.iter (Speaker.add_neighbor s) nbrs;
+  (s, cfg, nbrs)
+
+(* The per-neighbor export decision, evaluated directly: split-horizon,
+   on-path, valley-free, then the full stage-7 chain built afresh. *)
+let reference_emission (cfg : Speaker.config) (chosen : Speaker.chosen) ~learned
+    (n : Speaker.neighbor) =
+  let is_sender =
+    match chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer with
+    | Some p -> Peer.equal p n.peer
+    | None -> false
+  in
+  let on_path =
+    List.exists
+      (Path_elem.mentions_asn n.peer.Peer.asn)
+      chosen.Speaker.outgoing.Ia.path_vector
+    && not (Asn.equal n.peer.Peer.asn cfg.Speaker.asn)
+  in
+  if is_sender || on_path || not (Policy.valley_free ~learned ~to_:n.relationship)
+  then None
+  else
+    let island_egress =
+      match cfg.Speaker.island with
+      | Some island when not n.same_island ->
+        if cfg.Speaker.hide_island_interior then
+          Filters.abstract_island ~island ~members:cfg.Speaker.island_members
+        else Filters.declare_membership ~island ~members:cfg.Speaker.island_members
+      | _ -> Filters.accept
+    in
+    let downgrade =
+      if n.dbgp_capable then Filters.accept
+      else
+        Filters.compose
+          (Filters.keep_only (Protocol_id.Set.singleton Protocol_id.bgp))
+          (fun ia -> Some { ia with Ia.membership = [] })
+    in
+    Filters.chain
+      [ island_egress; cfg.Speaker.global_export; n.export; downgrade ]
+      chosen.Speaker.outgoing
+
+let same_msg (p, m) (p', m') =
+  Peer.equal p p'
+  &&
+  match (m, m') with
+  | Speaker.Announce a, Speaker.Announce b -> Ia.equal a b
+  | Speaker.Withdraw a, Speaker.Withdraw b -> Prefix.equal a b
+  | _ -> false
+
+let prop_group_major sc =
+  let s, cfg, nbrs = scenario_speaker sc in
+  let k = List.length nbrs in
+  let prefix = pfx "99.0.0.0/24" in
+  let announced = Hashtbl.create 8 in
+  let groups =
+    List.sort_uniq compare
+      (List.map (fun (n : Speaker.neighbor) -> Speaker.export_group_of s n.peer) nbrs)
+  in
+  List.for_all
+    (fun (withdraw, sender, onpath) ->
+      let from = peer (sender + 1) in
+      let msg =
+        if withdraw then Speaker.Withdraw prefix
+        else
+          let origin = if onpath <> sender && onpath < k then onpath + 1 else 500 in
+          Ia.originate ~prefix ~origin_asn:(asn origin)
+            ~next_hop:(Ipv4.of_octets 10 0 0 (sender + 1)) ()
+          |> Ia.set_path_descriptor ~owners:[ Protocol_id.scion ] ~field:"hint"
+               (Dbgp_core.Value.Int origin)
+          |> Ia.prepend_as (asn (sender + 1))
+          |> fun ia -> Speaker.Announce ia
+      in
+      let changes = counter_of s "decision.changes" in
+      let hits = counter_of s "pipeline.export_cache.hits" in
+      let misses = counter_of s "pipeline.export_cache.misses" in
+      let out = Speaker.receive s ~from msg in
+      let dhits = counter_of s "pipeline.export_cache.hits" - hits in
+      let dmisses = counter_of s "pipeline.export_cache.misses" - misses in
+      if counter_of s "decision.changes" = changes then out = [] && dmisses = 0
+      else
+        let best = Speaker.best s prefix in
+        let expected =
+          List.filter_map
+            (fun (n : Speaker.neighbor) ->
+              let o =
+                match best with
+                | None -> None
+                | Some chosen ->
+                  let learned =
+                    Option.map
+                      (fun p ->
+                        (List.find (fun (m : Speaker.neighbor) -> Peer.equal m.peer p) nbrs)
+                          .relationship)
+                      chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer
+                  in
+                  reference_emission cfg chosen ~learned n
+              in
+              match o with
+              | Some ia ->
+                Hashtbl.replace announced n.peer ();
+                Some (n.peer, Speaker.Announce ia)
+              | None ->
+                if Hashtbl.mem announced n.peer then begin
+                  Hashtbl.remove announced n.peer;
+                  Some (n.peer, Speaker.Withdraw prefix)
+                end
+                else None)
+            nbrs
+        in
+        let evaluations = if best = None then 0 else List.length groups in
+        List.compare_lengths out expected = 0
+        && List.for_all2 same_msg out expected
+        && dmisses = evaluations
+        && dhits = (if best = None then 0 else k - evaluations))
+    sc.events
+
+let qcheck_group_major =
+  QCheck.Test.make ~count:300 ~name:"group-major fan-out matches reference"
+    (QCheck.make ~print:print_scenario gen_scenario)
+    prop_group_major
+
+(* ------------------- Adj-RIB-Out handle lifetime ------------------- *)
+
+let msgs_to p out = List.filter_map (fun (q, m) -> if Peer.equal p q then Some m else None) out
+
+let test_readd_follows_new_filter () =
+  let s = customers_speaker () in
+  let a = base_ia ~origin:me ~prefix:"20.0.0.0/24" () in
+  ignore (Speaker.originate s a);
+  let old_group = Speaker.export_group_of s (peer 2) in
+  Speaker.add_neighbor s
+    (Speaker.neighbor ~export:(Filters.prepend_as (asn 77))
+       ~relationship:Policy.To_customer (peer 2));
+  check "moved to a new group" true
+    (Speaker.export_group_of s (peer 2) <> old_group
+    && Speaker.export_group_of s (peer 1) = old_group);
+  check "advertised state survives the move" true
+    (List.length (Speaker.adj_out s (peer 2)) = 1);
+  let out = Speaker.originate s (base_ia ~origin:me ~prefix:"21.0.0.0/24" ()) in
+  let path_of p =
+    match msgs_to (peer p) out with
+    | [ Speaker.Announce ia ] -> Ia.asns_on_path ia
+    | _ -> Alcotest.fail "expected one announcement"
+  in
+  check "new filter applied" true (List.mem (asn 77) (path_of 2));
+  check "old group unaffected" false (List.mem (asn 77) (path_of 1))
+
+let test_peer_down_readd_empty () =
+  let s = customers_speaker () in
+  ignore (Speaker.originate s (base_ia ~origin:me ~prefix:"20.0.0.0/24" ()));
+  check "announced" true (Speaker.adj_out s (peer 2) <> []);
+  ignore (Speaker.peer_down s (peer 2));
+  check "nothing left after peer_down" true
+    (Speaker.adj_out s (peer 2) = []
+    && not (List.exists (Peer.equal (peer 2)) (Speaker.adj_out_peers s)));
+  (* A message that was in flight when the session died is reported
+     lost afterwards: the peer holds nothing from us, so it leaves no
+     trace. *)
+  Speaker.note_undelivered s (peer 2) (pfx "20.0.0.0/24");
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer (peer 2));
+  check "re-added neighbor starts empty" true (Speaker.adj_out s (peer 2) = []);
+  let out, next = Speaker.sync_peer s (peer 2) in
+  check "sync is a full send" true
+    (next = None
+    && counter_of s "sync.skipped" = 0
+    && match out with [ (p, Speaker.Announce _) ] -> Peer.equal p (peer 2) | _ -> false)
+
+let test_group_flip_withdraws_once () =
+  let s =
+    Speaker.create (Speaker.config ~asn:(asn me) ~addr:(Ipv4.of_octets 10 0 0 me) ())
+  in
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer (peer 1));
+  List.iter
+    (fun n -> Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_peer (peer n)))
+    [ 2; 3; 4 ];
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_provider (peer 5));
+  let prefix = "30.0.0.0/24" in
+  let via_provider =
+    base_ia ~prefix ~origin:50 ()
+    |> Ia.prepend_as (asn 9) |> Ia.prepend_as (asn 8) |> Ia.prepend_as (asn 5)
+  in
+  let out = Speaker.receive s ~from:(peer 5) (Speaker.Announce via_provider) in
+  check "provider route not exported to peers" true
+    (List.for_all (fun n -> msgs_to (peer n) out = []) [ 2; 3; 4 ]);
+  (* The customer route crosses peer 4, so peer 4 is never sent it. *)
+  let via_customer = base_ia ~prefix ~origin:4 () |> Ia.prepend_as (asn 1) in
+  let out = Speaker.receive s ~from:(peer 1) (Speaker.Announce via_customer) in
+  check "customer route selected" true
+    (match Speaker.best s (pfx prefix) with
+     | Some c -> c.Speaker.candidate.Dbgp_core.Decision_module.from_peer = Some (peer 1)
+     | None -> false);
+  check "peers 2 and 3 announced, on-path peer 4 not" true
+    (List.length (msgs_to (peer 2) out) = 1
+    && List.length (msgs_to (peer 3) out) = 1
+    && msgs_to (peer 4) out = []);
+  (* The customer withdraws: the provider route wins again and the peer
+     group's evaluation flips from accept to reject. *)
+  let out = Speaker.receive s ~from:(peer 1) (Speaker.Withdraw (pfx prefix)) in
+  check "one withdraw per announced member" true
+    (msgs_to (peer 2) out = [ Speaker.Withdraw (pfx prefix) ]
+    && msgs_to (peer 3) out = [ Speaker.Withdraw (pfx prefix) ]);
+  check "never-announced member gets nothing" true (msgs_to (peer 4) out = [])
+
+let test_orphan_adj_out_check () =
+  let s = customers_speaker () in
+  ignore (Speaker.originate s (base_ia ~origin:me ~prefix:"20.0.0.0/24" ()));
+  (* The teardown check sees both halves of a live neighbor's handle:
+     its advertised table and its group membership. *)
+  check "live handle flagged twice" true
+    (Invariants.peer_clean s (peer 2)
+    = [ Invariants.Orphan_adj_out (me, 2); Invariants.Orphan_adj_out (me, 2) ]);
+  ignore (Speaker.remove_neighbor s (peer 2));
+  Speaker.note_undelivered s (peer 2) (pfx "20.0.0.0/24");
+  check "clean after removal and a late drop" true
+    (Invariants.peer_clean s (peer 2) = [])
 
 let test_ingest_flush_coalesces () =
   let s = customers_speaker () in
@@ -488,9 +734,7 @@ let test_batched_network_equivalence () =
   check "batched saved runs" true (total batched "pipeline.runs_saved" > 0);
   check_int "eager saved none" 0 (total eager "pipeline.runs_saved");
   check "batched coalesced below run-per-update" true
-    (total batched "decision.runs" < updates batched);
-  check "batched cache hit" true
-    (total batched "pipeline.export_cache.hits" > 0)
+    (total batched "decision.runs" < updates batched)
 
 (* ---------------- session re-establishment ---------------- *)
 
@@ -602,12 +846,20 @@ let () =
             test_pipeline_remark_during_drain ] );
       ( "peer-groups",
         [ Alcotest.test_case "membership" `Quick test_groups_membership;
-          Alcotest.test_case "scoped eviction" `Quick
-            test_export_cache_scoped_eviction;
-          Alcotest.test_case "move keeps survivors' cache" `Quick
-            test_join_move_preserves_shared_cache;
+          Alcotest.test_case "move keeps survivors' group" `Quick
+            test_join_move_keeps_survivors_group;
           Alcotest.test_case "speaker fanout" `Quick
-            test_speaker_export_fanout ] );
+            test_speaker_export_fanout;
+          QCheck_alcotest.to_alcotest qcheck_group_major ] );
+      ( "adj-rib-out-handles",
+        [ Alcotest.test_case "re-add follows the new filter" `Quick
+            test_readd_follows_new_filter;
+          Alcotest.test_case "peer_down + re-add starts empty" `Quick
+            test_peer_down_readd_empty;
+          Alcotest.test_case "group flip withdraws once" `Quick
+            test_group_flip_withdraws_once;
+          Alcotest.test_case "orphan Adj-RIB-Out check" `Quick
+            test_orphan_adj_out_check ] );
       ( "reestablish",
         [ Alcotest.test_case "incremental sync, not a storm" `Quick
             test_reestablish_incremental;

@@ -103,6 +103,18 @@ let test_prefix_split () =
     check_str "hi" "10.128.0.0/9" (Prefix.to_string hi);
     check "host unsplittable" true (Prefix.split (Prefix.of_string "1.2.3.4/32") = None)
 
+(* The render memo must keep a run of /24s resident: the second pass
+   over 64 consecutive /24s returns the very strings the first
+   produced. *)
+let test_prefix_to_string_memo () =
+  let ps = List.init 64 (fun i -> Prefix.make (Ipv4.of_octets 99 0 i 0) 24) in
+  let first = List.map Prefix.to_string ps in
+  let second = List.map Prefix.to_string ps in
+  List.iter2
+    (fun p s -> check_str "renders" (Prefix.to_string p) s)
+    ps first;
+  check "second pass served from the memo" true (List.for_all2 ( == ) first second)
+
 let test_prefix_bit () =
   let p = Prefix.of_string "128.0.0.0/2" in
   check "bit 0" true (Prefix.bit p 0);
@@ -312,7 +324,8 @@ let () =
          Alcotest.test_case "mem" `Quick test_prefix_mem;
          Alcotest.test_case "subsumes" `Quick test_prefix_subsumes;
          Alcotest.test_case "split" `Quick test_prefix_split;
-         Alcotest.test_case "bit" `Quick test_prefix_bit ]);
+         Alcotest.test_case "bit" `Quick test_prefix_bit;
+         Alcotest.test_case "to_string memo" `Quick test_prefix_to_string_memo ]);
       ("island-id", [ Alcotest.test_case "identity" `Quick test_island_ids ]);
       ("protocol-id",
        [ Alcotest.test_case "registry" `Quick test_protocol_registry;
