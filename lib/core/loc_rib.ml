@@ -1,46 +1,34 @@
 open Dbgp_types
-module Trie = Dbgp_trie.Prefix_trie
+module Fib = Dbgp_trie.Fib_index
 
-(* One map, one trie, and nothing per route but the chosen value
-   itself.  The forwarding next hop is not stored — it is a projection
-   of the chosen route (the address of the peer it was learned from),
-   supplied once at {!create} and applied at query time.  The earlier
-   layout spent a second AVL node, a second trie and a next-hop cell
-   per route to answer {!next_hop}; at Internet table sizes that
-   dominated the route store's footprint.
+(* One map and nothing per route but the chosen value itself.  The
+   forwarding next hop is not stored — it is a projection of the chosen
+   route (the address of the peer it was learned from), supplied once
+   at {!create}.
 
-   The trie exists only for data-plane queries ({!lookup}, {!next_hop}),
-   which run after convergence, not inside the update hot path.
-   Rebuilding a /24 path in a functional trie touches ~24 nodes, so
-   doing it per decision change dominated allocation — instead the trie
-   is marked stale on every write and rebuilt from the map on the next
-   query. *)
+   The FIB is a flat hash index over the hop-bearing routes, used only
+   by data-plane queries ({!next_hop}), which run after convergence,
+   not inside the update hot path.  Every write drops it; the next
+   query rebuilds it from the map in one pass.  Keeping it current per
+   decision change would put its maintenance on the hot path, and a
+   lookup through a pointer-linked trie costs a dependent load per
+   level, where the index answers a /24 table in one probe. *)
 type 'c t = {
   nh_of : 'c -> Ipv4.t option;
   mutable best : 'c Prefix.Map.t;
-  mutable by_addr : 'c Trie.t; (* LPM; lazy *)
-  mutable trie_stale : bool;
+  mutable fib : Fib.t option; (* [None] after a write *)
 }
 
 let create ?(next_hop = fun _ -> None) () =
-  { nh_of = next_hop;
-    best = Prefix.Map.empty;
-    by_addr = Trie.empty;
-    trie_stale = false }
+  { nh_of = next_hop; best = Prefix.Map.empty; fib = None }
 
 let set t prefix c =
   t.best <- Prefix.Map.add prefix c t.best;
-  t.trie_stale <- true
+  t.fib <- None
 
 let remove t prefix =
   t.best <- Prefix.Map.remove prefix t.best;
-  t.trie_stale <- true
-
-let refresh t =
-  if t.trie_stale then begin
-    t.by_addr <- Prefix.Map.fold Trie.add t.best Trie.empty;
-    t.trie_stale <- false
-  end
+  t.fib <- None
 
 let find t prefix = Prefix.Map.find_opt prefix t.best
 let mem t prefix = Prefix.Map.mem prefix t.best
@@ -67,19 +55,29 @@ let fold_range t ~above ~limit ~f ~init =
   in
   go seq limit init None
 
-(* The longest match *among next-hop-bearing routes*: a locally
-   originated more-specific (no next hop) must not shadow a learned,
-   forwardable covering route, so walk the deepest-first match list
-   past hop-less entries. *)
-let next_hop t dest =
-  refresh t;
-  let rec first = function
-    | [] -> None
-    | (_, c) :: rest -> (
-      match t.nh_of c with Some _ as nh -> nh | None -> first rest )
-  in
-  first (Trie.matches dest t.by_addr)
+(* Only hop-bearing routes enter the index, so a locally originated
+   more-specific (no next hop) never shadows a learned, forwardable
+   covering route. *)
+let fib t =
+  match t.fib with
+  | Some ix -> ix
+  | None ->
+    let ix = Fib.create (Prefix.Map.cardinal t.best) in
+    Prefix.Map.iter
+      (fun p c -> match t.nh_of c with Some nh -> Fib.add ix p nh | None -> ())
+      t.best;
+    t.fib <- Some ix;
+    ix
+
+let next_hop t dest = Fib.find (fib t) dest
 
 let lookup t dest =
-  refresh t;
-  Trie.longest_match dest t.by_addr
+  let rec go len =
+    if len < 0 then None
+    else
+      let p = Prefix.make dest len in
+      match Prefix.Map.find_opt p t.best with
+      | Some c -> Some (p, c)
+      | None -> go (len - 1)
+  in
+  go 32

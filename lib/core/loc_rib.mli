@@ -1,19 +1,19 @@
 (** Loc-RIB: stage 2 of the RIB pipeline.
 
-    The per-prefix selected best routes plus a forwarding view: one
-    LPM trie over the chosen routes answers both {!lookup} and
-    {!next_hop}.  The next hop is not stored per route — it is a
-    projection of the chosen value (supplied at {!create}), so a RIB
-    entry's resident cost is exactly one map node plus one trie node.
-    The trie is rebuilt lazily — {!set}/{!remove} only touch the route
-    map and mark it stale; the first {!next_hop}/{!lookup} after a
-    write rebuilds it.  This keeps trie maintenance out of the
-    decision hot path while individual lookups stay O(prefix length)
-    once refreshed.
+    The per-prefix selected best routes plus a forwarding view.  The
+    routes live in one map; the next hop is not stored per route — it
+    is a projection of the chosen value (supplied at {!create}), so a
+    RIB entry's resident cost is exactly one map node.  {!next_hop}
+    answers from a flat {!Dbgp_trie.Fib_index} over the routes whose
+    projection yields a next hop.  The index is built lazily:
+    {!set}/{!remove} only touch the route map and drop the index, and
+    the first {!next_hop} after a write rebuilds it in one pass over
+    the map.  This keeps FIB maintenance out of the decision hot path
+    while each lookup costs one hash probe per prefix length present.
 
     Polymorphic in the chosen-route type; a route whose projection
-    yields no next hop (locally originated) is selectable but skipped
-    by the FIB walk. *)
+    yields no next hop (locally originated) is selectable but never
+    forwarded to, and never shadows a forwardable covering route. *)
 
 type 'c t
 
@@ -21,8 +21,8 @@ val create : ?next_hop:('c -> Dbgp_types.Ipv4.t option) -> unit -> 'c t
 (** [next_hop] projects a chosen route to the neighbor address the FIB
     should forward to — [None] (the default for every route when
     omitted) marks it locally originated / not forwardable.  The
-    projection must be pure: it is applied at query time, not at
-    {!set} time. *)
+    projection must be pure: it is applied when the index is rebuilt,
+    not at {!set} time. *)
 
 val set : 'c t -> Dbgp_types.Prefix.t -> 'c -> unit
 (** Install (or replace) the chosen route for a prefix. *)
@@ -51,7 +51,10 @@ val fold_range :
     transfer.  @raise Invalid_argument when [limit <= 0]. *)
 
 val next_hop : 'c t -> Dbgp_types.Ipv4.t -> Dbgp_types.Ipv4.t option
-(** Longest-prefix-match FIB lookup. *)
+(** Longest-prefix-match FIB lookup: the next hop of the most-specific
+    hop-bearing route containing the address. *)
 
 val lookup : 'c t -> Dbgp_types.Ipv4.t -> (Dbgp_types.Prefix.t * 'c) option
-(** Longest-prefix match over the chosen routes. *)
+(** Longest-prefix match over all chosen routes, hop-less ones
+    included: one exact probe of the route map per length, deepest
+    first.  Not a forwarding path — {!next_hop} is. *)

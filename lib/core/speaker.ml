@@ -67,7 +67,7 @@ type t = {
   mutable nbrs : egress Peer.Map.t;
   (* The three-stage RIB pipeline of Figure 5.  [rib_in]: per-(prefix,
      peer) post-global-import IAs plus graceful-restart stale marks.
-     [loc]: selected best routes with an incrementally maintained FIB.
+     [loc]: selected best routes with a lazily rebuilt FIB index.
      [rib_out]: peer groups and per-peer advertised state.  [sched]: the
      dirty-prefix work queue between stages — ingest marks, {!flush}
      drains. *)
@@ -193,9 +193,9 @@ let set_active t prefix proto =
   end
 
 let active_for t prefix =
-  match Trie.longest_match (Prefix.network prefix) t.active with
-  | Some (p, proto) when Prefix.subsumes p prefix -> proto
-  | _ -> Protocol_id.bgp
+  match Trie.longest_covering prefix t.active with
+  | Some (_, proto) -> proto
+  | None -> Protocol_id.bgp
 
 let group_key_of (n : neighbor) =
   { Adj_rib_out.relationship = n.relationship;

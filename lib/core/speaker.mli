@@ -91,6 +91,9 @@ val set_active : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t -> unit
     @raise Invalid_argument if no module for the protocol is registered. *)
 
 val active_for : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t
+(** The protocol of the most-specific active range that covers the
+    whole prefix; a narrower range inside the prefix does not count. *)
+
 val add_neighbor : t -> neighbor -> unit
 (** Also places the neighbor in the peer group matching its egress
     identity (relationship, capability, island class, export filter) and

@@ -11,7 +11,7 @@
 
    - sustained updates/s (wall and CPU) for the table load;
    - resident words/route from the network's [Obj.reachable_words]
-     delta around the load (FIB tries forced), i.e. the combined
+     delta around the load (FIB index built), i.e. the combined
      sender + receiver footprint of one route crossing the pipeline;
    - table-transfer message counts for a session bounce on the feed
      link, three ways: [full] (no graceful restart — the legacy
@@ -161,8 +161,8 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
     +. (tm1.Unix.tms_stime -. tm0.Unix.tms_stime)
   in
   let load_updates = updates () - u0 in
-  (* Force the collector's FIB trie so the words/route figure includes
-     the compressed data-plane structures, not just the hash RIBs. *)
+  (* Build the collector's FIB index so the words/route figure includes
+     the data-plane structure, not just the RIBs. *)
   ignore (Speaker.next_hop_of (Network.speaker net prov_asn) (feed_addr 0));
   let w1 = net_words net in
   let words_per_route =

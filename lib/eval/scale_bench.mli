@@ -1,5 +1,5 @@
 (** Internet-scale RIB benchmark: streaming table transfer and
-    compressed-trie footprint on CAIDA-style power-law topologies.
+    per-route footprint on CAIDA-style power-law topologies.
 
     Each {!row} converges a background prefix set across the whole
     topology, then loads a full-size table at a single-homed stub feed
@@ -20,7 +20,7 @@
       session was down — the sync should re-send just those.
 
     [words_per_route] is the network's [Obj.reachable_words] delta
-    across the table load (FIB tries forced, shared blocks counted
+    across the table load (FIB index built, shared blocks counted
     once) divided by the table size: the combined sender + receiver
     resident footprint of one route.  [attr_sets] is the compact route
     store's resident shared attribute-set count after the load;

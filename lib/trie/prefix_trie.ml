@@ -176,8 +176,33 @@ let matches addr t =
   in
   go t []
 
-let longest_match addr t =
-  match matches addr t with [] -> None | best :: _ -> Some best
+(* Deepest-first search without building the match list: remember the
+   deepest valued node seen whose prefix covers [p], and stop at the
+   first node that does not (its descendants extend it, so none of them
+   can either) or that is already as long as [p].  Top-level, so a walk
+   allocates nothing but its result. *)
+let rec covering p lq t best =
+  match t with
+  | Empty -> best
+  | Leaf n -> if Prefix.subsumes n.pfx p then t else best
+  | Branch n ->
+    let len = Prefix.length n.pfx in
+    if len >= lq || not (Prefix.subsumes n.pfx p) then best
+    else covering p lq (if Prefix.bit p len then n.r else n.l) best
+  | Bnode n ->
+    if not (Prefix.subsumes n.pfx p) then best
+    else
+      let len = Prefix.length n.pfx in
+      if len >= lq then t
+      else covering p lq (if Prefix.bit p len then n.r else n.l) t
+
+let longest_covering p t =
+  match covering p (Prefix.length p) t Empty with
+  | Leaf n -> Some (n.pfx, n.v)
+  | Bnode n -> Some (n.pfx, n.v)
+  | Empty | Branch _ -> None
+
+let longest_match addr t = longest_covering (Prefix.make addr 32) t
 
 let rec fold f t acc =
   match t with

@@ -27,6 +27,11 @@ val longest_match : Dbgp_types.Ipv4.t -> 'a t -> (Dbgp_types.Prefix.t * 'a) opti
 (** The most-specific prefix containing the address — the data plane's
     forwarding lookup. *)
 
+val longest_covering :
+  Dbgp_types.Prefix.t -> 'a t -> (Dbgp_types.Prefix.t * 'a) option
+(** The most-specific binding whose prefix subsumes the argument (the
+    argument itself included).  {!longest_match} is this at /32. *)
+
 val matches : Dbgp_types.Ipv4.t -> 'a t -> (Dbgp_types.Prefix.t * 'a) list
 (** Every prefix containing the address, most-specific first. *)
 

@@ -13,6 +13,8 @@ module Loc_rib = Dbgp_core.Loc_rib
 module Adj_rib_out = Dbgp_core.Adj_rib_out
 module Pipeline = Dbgp_core.Pipeline
 module Speaker = Dbgp_core.Speaker
+module Dm = Dbgp_core.Decision_module
+module Trie = Dbgp_trie.Prefix_trie
 module Peer = Dbgp_core.Peer
 module Policy = Dbgp_bgp.Policy
 module Damping = Dbgp_bgp.Flap_damping
@@ -101,7 +103,118 @@ let test_loc_rib_lpm_fib () =
     (match Loc_rib.find loc (pfx "10.0.0.0/8") with
      | Some ("local", _) -> true
      | _ -> false);
-  check "absent from fib" true (Loc_rib.next_hop loc (ip "10.1.2.3") = None)
+  check "absent from fib" true (Loc_rib.next_hop loc (ip "10.1.2.3") = None);
+  (* ...and a hop-less more-specific never shadows a forwardable
+     covering route. *)
+  Loc_rib.set loc (pfx "10.0.0.0/8") ("wide", Some (ip "10.0.0.1"));
+  Loc_rib.set loc (pfx "10.1.2.0/24") ("local", None);
+  check "hop-less /24 skipped" true
+    (Loc_rib.next_hop loc (ip "10.1.2.3") = Some (ip "10.0.0.1"));
+  check "lookup still sees it" true
+    (match Loc_rib.lookup loc (ip "10.1.2.3") with
+     | Some (p, ("local", None)) -> Prefix.equal p (pfx "10.1.2.0/24")
+     | _ -> false)
+
+(* Random write sequences against a model map.  After every write the
+   FIB must answer like a linear scan for the deepest hop-bearing match
+   (so each query also covers the rebuild after a write), and [lookup]
+   like the trie's longest match over all routes. *)
+let qcheck_loc_rib_fib =
+  let open QCheck in
+  let gen_prefix =
+    Gen.(
+      map3
+        (fun base off len ->
+          Prefix.make (Ipv4.of_int ((base lsl 24) lor off)) len)
+        (int_bound 3) (int_bound 0xFFFF)
+        (oneof [ oneofl [ 0; 8; 16; 24; 32 ]; int_bound 32 ]))
+  in
+  (* [None] removes; [Some None] installs a hop-less route. *)
+  let gen_op =
+    Gen.(
+      pair gen_prefix
+        (frequency
+           [ (1, return None);
+             (2, return (Some None));
+             (5, map (fun h -> Some (Some (Ipv4.of_int h))) (int_bound 0xFFFF)) ]))
+  in
+  let gen =
+    Gen.(pair (list_size (int_range 0 40) gen_op) (list_size (return 8) (int_bound 0xFF)))
+  in
+  let print (ops, _) =
+    String.concat "; "
+      (List.map
+         (fun (q, op) ->
+           Prefix.to_string q
+           ^ match op with
+             | None -> " -"
+             | Some None -> " local"
+             | Some (Some h) -> " via " ^ Ipv4.to_string h)
+         ops)
+  in
+  Test.make ~name:"loc-rib fib = linear scan, lookup = trie" ~count:300
+    (make ~print gen) (fun (ops, offs) ->
+      let loc = Loc_rib.create ~next_hop:Fun.id () in
+      let probes model =
+        Ipv4.any :: Ipv4.of_int 0xFFFFFFFF
+        :: List.concat_map
+             (fun (q, _) ->
+               let n = Ipv4.to_int (Prefix.network q) in
+               List.map (fun o -> Ipv4.of_int (n lor o)) offs
+               @ [ Prefix.network q; Ipv4.of_int (n lor 0xFFFF) ])
+             (Prefix.Map.bindings model)
+      in
+      let agrees model =
+        let trie = Prefix.Map.fold Trie.add model Trie.empty in
+        List.for_all
+          (fun a ->
+            let deepest =
+              Prefix.Map.fold
+                (fun q h acc ->
+                  match (h, acc) with
+                  | Some _, Some (d, _) when Prefix.length d >= Prefix.length q -> acc
+                  | Some h, _ when Prefix.mem a q -> Some (q, h)
+                  | _ -> acc)
+                model None
+            in
+            Loc_rib.next_hop loc a = Option.map snd deepest
+            && Loc_rib.lookup loc a = Trie.longest_match a trie)
+          (probes model)
+      in
+      let step model (q, op) =
+        match model with
+        | None -> None
+        | Some model ->
+          let model =
+            match op with
+            | None -> Loc_rib.remove loc q; Prefix.Map.remove q model
+            | Some h -> Loc_rib.set loc q h; Prefix.Map.add q h model
+          in
+          if agrees model then Some model else None
+      in
+      Loc_rib.next_hop loc (ip "10.0.0.1") = None
+      && Loc_rib.lookup loc (ip "10.0.0.1") = None
+      && List.fold_left step (Some Prefix.Map.empty) ops <> None)
+
+(* Nested active ranges: the deepest range covering the whole prefix
+   wins, and a more-specific range inside the prefix does not hide the
+   one that covers it. *)
+let test_active_for_nested () =
+  let s =
+    Speaker.create (Speaker.config ~asn:(asn 5) ~addr:(Ipv4.of_octets 10 0 0 5) ())
+  in
+  let p = Protocol_id.wiser and q = Protocol_id.bgpsec in
+  Speaker.add_module s { (Dm.bgp ()) with Dm.protocol = p };
+  Speaker.add_module s { (Dm.bgp ()) with Dm.protocol = q };
+  Speaker.set_active s (pfx "10.0.0.0/8") p;
+  Speaker.set_active s (pfx "10.0.0.0/24") q;
+  let active x = Speaker.active_for s (pfx x) in
+  check "/8 -> P" true (Protocol_id.equal (active "10.0.0.0/8") p);
+  check "/16 -> P" true (Protocol_id.equal (active "10.0.0.0/16") p);
+  check "/24 -> Q" true (Protocol_id.equal (active "10.0.0.0/24") q);
+  check "/25 -> Q" true (Protocol_id.equal (active "10.0.0.0/25") q);
+  check "outside -> BGP" true
+    (Protocol_id.equal (active "11.0.0.0/8") Protocol_id.bgp)
 
 (* ------------------ dirty-prefix scheduler ------------------ *)
 
@@ -839,7 +952,10 @@ let () =
           Alcotest.test_case "drop clears stale" `Quick
             test_adj_rib_in_drop_clears_stale ] );
       ( "loc-rib",
-        [ Alcotest.test_case "lpm + fib" `Quick test_loc_rib_lpm_fib ] );
+        [ Alcotest.test_case "lpm + fib" `Quick test_loc_rib_lpm_fib;
+          QCheck_alcotest.to_alcotest qcheck_loc_rib_fib ] );
+      ( "active-range",
+        [ Alcotest.test_case "nested ranges" `Quick test_active_for_nested ] );
       ( "scheduler",
         [ Alcotest.test_case "coalescing" `Quick test_pipeline_coalescing;
           Alcotest.test_case "re-mark during drain" `Quick

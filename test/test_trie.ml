@@ -1,5 +1,6 @@
 open Dbgp_types
 module Trie = Dbgp_trie.Prefix_trie
+module Fib = Dbgp_trie.Fib_index
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -251,6 +252,26 @@ let qcheck_vs_reference =
         && List.for_all
              (fun a -> Trie.longest_match a t = Ref_trie.longest_match a r)
              (probes ops));
+    Test.make ~name:"longest_covering = deepest subsuming binding" ~count:300
+      arb_ops (fun ops ->
+        let t, r = build ops in
+        let deepest q =
+          List.fold_left
+            (fun acc (q', v) ->
+              if not (Prefix.subsumes q' q) then acc
+              else
+                match acc with
+                | Some (d, _) when Prefix.length d >= Prefix.length q' -> acc
+                | _ -> Some (q', v))
+            None (Ref_trie.bindings r)
+        in
+        List.for_all
+          (fun (q, _) ->
+            let wider = Prefix.make (Prefix.network q) (Prefix.length q / 2) in
+            List.for_all
+              (fun q -> Trie.longest_covering q t = deepest q)
+              [ q; wider; Prefix.default ])
+          ops);
     Test.make ~name:"update parity with reference" ~count:300 arb_ops
       (fun ops ->
         let t, r = build ops in
@@ -303,6 +324,117 @@ let qcheck =
           (fun (q, _) -> Trie.find q (Trie.remove q t) = None)
           ops) ]
 
+(* ------------------------- flat FIB index ------------------------- *)
+
+let reference_hop table addr =
+  List.fold_left
+    (fun acc (q, nh) ->
+      if not (Prefix.mem addr q) then acc
+      else
+        match acc with
+        | Some (d, _) when Prefix.length d >= Prefix.length q -> acc
+        | _ -> Some (q, nh))
+    None table
+  |> Option.map snd
+
+let test_fib_empty () =
+  let ix = Fib.create 0 in
+  check_int "empty" 0 (Fib.cardinal ix);
+  check "miss" true (Fib.find ix (ip "10.1.2.3") = None);
+  check "zero address" true (Fib.find ix Ipv4.any = None)
+
+(* /32 hosts whose probe chains start at the last slot wrap to slot 0:
+   every one must still be found, and an absent key homed there must
+   walk the wrapped chain to a miss. *)
+let homed_last ix n =
+  let last = Fib.capacity ix - 1 in
+  let rec go a acc k =
+    if k = 0 then List.rev acc
+    else
+      let q = Prefix.make (Ipv4.of_int a) 32 in
+      if Fib.home ix q = last then go (a + 1) (q :: acc) (k - 1)
+      else go (a + 1) acc k
+  in
+  go 0x0A000000 [] n
+
+let test_fib_wrap () =
+  let ix = Fib.create 0 in
+  let cap = Fib.capacity ix in
+  match homed_last ix 5 with
+  | absent :: chain ->
+    List.iteri (fun i q -> Fib.add ix q (Ipv4.of_int (i + 1))) chain;
+    check_int "no growth" cap (Fib.capacity ix);
+    List.iteri
+      (fun i q ->
+        check "wrapped key found" true
+          (Fib.find ix (Prefix.network q) = Some (Ipv4.of_int (i + 1))))
+      chain;
+    check "absent key misses" true (Fib.find ix (Prefix.network absent) = None);
+    Fib.add ix (List.hd chain) (ip "9.9.9.9");
+    check_int "replace keeps count" 4 (Fib.cardinal ix);
+    check "replaced" true
+      (Fib.find ix (Prefix.network (List.hd chain)) = Some (ip "9.9.9.9"))
+  | [] -> assert false
+
+let fib_qcheck =
+  let open QCheck in
+  (* Networks cluster around a few bases so prefixes nest; lengths hit
+     /0 and /32 often. *)
+  let gen_prefix =
+    Gen.(
+      map3
+        (fun base off len ->
+          Prefix.make (Ipv4.of_int ((base lsl 24) lor off)) len)
+        (int_bound 3) (int_bound 0xFFFF)
+        (oneof [ oneofl [ 0; 8; 24; 32 ]; int_bound 32 ]))
+  in
+  let gen_table =
+    Gen.(list_size (int_range 0 80) (pair gen_prefix (int_bound 0xFFFF)))
+  in
+  let probes table =
+    Ipv4.any :: Ipv4.of_int 0xFFFFFFFF
+    :: List.concat_map
+         (fun (q, _) ->
+           let n = Ipv4.to_int (Prefix.network q) in
+           [ Prefix.network q; Ipv4.of_int (n lor 0xFF); Ipv4.of_int (n lxor 1) ])
+         table
+  in
+  let build table =
+    let ix = Fib.create 0 in
+    List.iter (fun (q, h) -> Fib.add ix q (Ipv4.of_int h)) table;
+    ix
+  in
+  (* Later bindings replace earlier ones for the same prefix. *)
+  let last_wins table =
+    List.fold_left
+      (fun m (q, h) -> Prefix.Map.add q (Ipv4.of_int h) m)
+      Prefix.Map.empty table
+    |> Prefix.Map.bindings
+  in
+  [ Test.make ~name:"find = linear scan for the deepest match" ~count:300
+      (make gen_table) (fun table ->
+        let ix = build table and ref_table = last_wins table in
+        Fib.cardinal ix = List.length ref_table
+        && Fib.capacity ix >= 2 * Fib.cardinal ix
+        && List.for_all
+             (fun a -> Fib.find ix a = reference_hop ref_table a)
+             (probes table));
+    Test.make ~name:"wrapping probe chains = linear scan" ~count:200
+      (make Gen.(pair (int_range 1 7) (list_size (int_range 0 3) (pair gen_prefix nat))))
+      (fun (k, extra) ->
+        (* Up to seven keys homed at the last slot plus a few others:
+           still at most half full, so the chain stays wrapped. *)
+        let ix = Fib.create 0 in
+        let chain =
+          List.map (fun q -> (q, Ipv4.to_int (Prefix.network q))) (homed_last ix k)
+        in
+        let table = chain @ List.filteri (fun i _ -> i + k < 8) extra in
+        List.iter (fun (q, h) -> Fib.add ix q (Ipv4.of_int h)) table;
+        Fib.capacity ix = 16
+        && List.for_all
+             (fun a -> Fib.find ix a = reference_hop (last_wins table) a)
+             (probes table)) ]
+
 let () =
   Alcotest.run "trie"
     [ ("basics",
@@ -318,5 +450,9 @@ let () =
        [ Alcotest.test_case "fold order" `Quick test_fold_order;
          Alcotest.test_case "map/filter" `Quick test_map_filter ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck);
+      ( "fib index",
+        [ Alcotest.test_case "empty" `Quick test_fib_empty;
+          Alcotest.test_case "wrapping chain" `Quick test_fib_wrap ]
+        @ List.map QCheck_alcotest.to_alcotest fib_qcheck );
       ( "vs-reference",
         List.map QCheck_alcotest.to_alcotest qcheck_vs_reference ) ]
