@@ -96,6 +96,7 @@ type t = {
   c_updates_rx : Metrics.counter;
   c_withdrawals_rx : Metrics.counter;
   c_duplicates : Metrics.counter;
+  c_rejected : Metrics.counter;
   (* Stage-1 ingress chain (loop rejection then global import), fixed at
      construction — composing it per message allocated a closure on
      every announce. *)
@@ -151,6 +152,7 @@ let create cfg =
     c_updates_rx = Metrics.counter obs "updates.received";
     c_withdrawals_rx = Metrics.counter obs "withdrawals.received";
     c_duplicates = Metrics.counter obs "updates.duplicate";
+    c_rejected = Metrics.counter obs "import.rejected";
     ingress = Filters.compose Filters.reject_loops cfg.global_import;
     gen = 0;
     contrib_cache = None;
@@ -311,7 +313,7 @@ let note_flap t ~now peer prefix amount =
         (Trace.Damping_suppress
            { asn = my_asn t;
              peer = Asn.to_int peer.Peer.asn;
-             prefix = Prefix.to_string prefix;
+             prefix = Prefix.to_int prefix;
              reuse_at });
       t.reuse_events <- (prefix, reuse_at) :: t.reuse_events
     end
@@ -671,7 +673,7 @@ let process t ~now prefix =
     Trace.emit t.trace ~at:now
       (Trace.Decision_run
          { asn = my_asn t;
-           prefix = Prefix.to_string prefix;
+           prefix = Prefix.to_int prefix;
            changed = true;
            best_via });
     ( match next with
@@ -685,10 +687,11 @@ let process t ~now prefix =
 (* --------------- stage 1: ingest, mark dirty, drain --------------- *)
 
 (* Absorb an update into the Adj-RIB-In and mark its prefix dirty when
-   selection could be affected.  Returns nothing; the decision process
-   runs at the next {!flush}.  Accounting (received/duplicate/rejected
-   counters, stale-mark clearing, flap penalties) happens here, at
-   arrival time — exactly as the eager speaker did. *)
+   selection could be affected.  Returns [true] when global import
+   policy rejected an announce; the decision process runs at the next
+   {!flush}.  Accounting (received/duplicate/rejected counters,
+   stale-mark clearing, flap penalties) happens here, at arrival time —
+   exactly as the eager speaker did. *)
 let ingest_msg t ~now ~from msg =
   match msg with
   | Withdraw prefix ->
@@ -701,18 +704,19 @@ let ingest_msg t ~now ~from msg =
     Adj_rib_in.clear_stale t.rib_in ~peer:from prefix;
     if Option.is_some prev then
       note_flap t ~now from prefix (withdraw_penalty t);
-    Pipeline.mark t.sched prefix
+    Pipeline.mark t.sched prefix;
+    false
   | Announce ia -> (
     Metrics.incr t.c_updates_rx;
     (* Stage 1: global import filtering, loop rejection first. *)
     match t.ingress ia with
     | None ->
-      bump t "import.rejected";
+      Metrics.incr t.c_rejected;
       Trace.emit t.trace ~at:now
         (Trace.Import_rejected
            { asn = my_asn t;
              peer = Asn.to_int from.Peer.asn;
-             prefix = Prefix.to_string ia.Ia.prefix });
+             prefix = Prefix.to_int ia.Ia.prefix });
       (* A rejected IA acts as an implicit withdrawal of any previous
          route from this peer for the prefix. *)
       ( match Adj_rib_in.find t.rib_in ~peer:from ia.Ia.prefix with
@@ -722,9 +726,10 @@ let ingest_msg t ~now ~from msg =
         Adj_rib_in.remove t.rib_in ~peer:from ia.Ia.prefix;
         Adj_rib_in.clear_stale t.rib_in ~peer:from ia.Ia.prefix;
         note_flap t ~now from ia.Ia.prefix (withdraw_penalty t);
-        Pipeline.mark t.sched ia.Ia.prefix )
-    | Some ia -> (
-      match Adj_rib_in.find t.rib_in ~peer:from ia.Ia.prefix with
+        Pipeline.mark t.sched ia.Ia.prefix );
+      true
+    | Some ia ->
+      ( match Adj_rib_in.find t.rib_in ~peer:from ia.Ia.prefix with
       | Some prev when Ia.equal prev ia ->
         (* Duplicate delivery (session retransmit, route refresh): the
            stored route is byte-identical, so re-running the decision
@@ -745,7 +750,8 @@ let ingest_msg t ~now ~from msg =
         let ia = Attr_table.share ia in
         Adj_rib_in.set t.rib_in ~peer:from ia.Ia.prefix ia;
         Adj_rib_in.clear_stale t.rib_in ~peer:from ia.Ia.prefix;
-        Pipeline.mark t.sched ia.Ia.prefix ) )
+        Pipeline.mark t.sched ia.Ia.prefix );
+      false )
 
 let absorb t ~now ~from exn =
   bump t "errors.internal";
@@ -757,8 +763,14 @@ let absorb t ~now ~from exn =
          stage = Errors.stage_name Errors.Pipeline;
          reason = Printexc.to_string exn })
 
-let ingest ?(now = 0.) t ~from msg =
-  try ingest_msg t ~now ~from msg with exn -> absorb t ~now ~from exn
+(* [ingest], reporting an import rejection. *)
+let admit t ~now ~from msg =
+  try ingest_msg t ~now ~from msg
+  with exn ->
+    absorb t ~now ~from exn;
+    false
+
+let ingest ?(now = 0.) t ~from msg = ignore (admit t ~now ~from msg)
 
 let pending t = Pipeline.pending t.sched
 
@@ -769,13 +781,18 @@ let flush ?(now = 0.) t = Pipeline.drain t.sched ~f:(process t ~now)
    route (RFC 7606's least-destructive-action principle), not tear down
    the speaker.  Anything a filter, decision module or factory throws is
    absorbed here and accounted as an internal error. *)
-let receive ?(now = 0.) t ~from msg =
-  try
-    ingest_msg t ~now ~from msg;
-    flush ~now t
-  with exn ->
+let receive_admit t ~now ~from msg =
+  match ingest_msg t ~now ~from msg with
+  | rejected -> (
+    try (rejected, flush ~now t)
+    with exn ->
+      absorb t ~now ~from exn;
+      (rejected, []) )
+  | exception exn ->
     absorb t ~now ~from exn;
-    []
+    (false, [])
+
+let receive ?(now = 0.) t ~from msg = snd (receive_admit t ~now ~from msg)
 
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
@@ -831,11 +848,8 @@ let receive_wire ?(now = 0.) ?(defer = false) t ~from bytes =
   (* [defer]: buffer into the pipeline instead of draining immediately —
      the batched network path flushes at MRAI boundaries. *)
   let rx msg =
-    if defer then begin
-      ingest ~now t ~from msg;
-      []
-    end
-    else receive ~now t ~from msg
+    if defer then (admit t ~now ~from msg, [])
+    else receive_admit t ~now ~from msg
   in
   let treat_as_withdraw prefix e =
     record_error t ~now ~from e;
@@ -843,7 +857,7 @@ let receive_wire ?(now = 0.) ?(defer = false) t ~from bytes =
        directly) keeps the resilience semantics: the peer's stale mark
        clears and, if a route existed, the damping penalty clock starts
        — a corrupted flap is still a flap. *)
-    (Rx_withdrawn, rx (Withdraw prefix))
+    (Rx_withdrawn, snd (rx (Withdraw prefix)))
   in
   match Codec.decode_robust bytes with
   | Error e when e.Errors.cls = Errors.Session_reset ->
@@ -869,11 +883,9 @@ let receive_wire ?(now = 0.) ?(defer = false) t ~from bytes =
         (Errors.make Errors.Treat_as_withdraw Errors.Semantic
            "missing BGP next-hop descriptor")
     else begin
-      let rejected_before = Metrics.count (Metrics.counter t.obs "import.rejected") in
-      let out = rx (Announce ia) in
-      if Metrics.count (Metrics.counter t.obs "import.rejected") > rejected_before
-      then (Rx_filtered, out)
-      else (Rx_accepted (List.length discarded), out)
+      match rx (Announce ia) with
+      | true, out -> (Rx_filtered, out)
+      | false, out -> (Rx_accepted (List.length discarded), out)
     end
 
 (* Wire-level withdraw: the counterpart of {!receive_wire} for Withdraw
@@ -905,13 +917,18 @@ let receive_wire_withdraw ?(now = 0.) ?(defer = false) t ~from bytes =
    the per-message flush overhead. *)
 let receive_wire_batch ?(now = 0.) ?(defer = false) t ~from bytes =
   let rx_batch msgs =
-    List.iter (fun m -> ingest ~now t ~from m) msgs;
-    if defer then []
-    else
-      try flush ~now t
-      with exn ->
-        absorb t ~now ~from exn;
-        []
+    let rejected =
+      List.fold_left
+        (fun n m -> if admit t ~now ~from m then n + 1 else n)
+        0 msgs
+    in
+    ( rejected,
+      if defer then []
+      else
+        try flush ~now t
+        with exn ->
+          absorb t ~now ~from exn;
+          [] )
   in
   match Codec.decode_batch_robust bytes with
   | Error e ->
@@ -921,7 +938,7 @@ let receive_wire_batch ?(now = 0.) ?(defer = false) t ~from bytes =
     (* Corrupted attribute block: RFC 7606 treat-as-withdraw scoped to
        the whole batch — every salvaged prefix loses its route. *)
     record_error t ~now ~from e;
-    (Rx_withdrawn, rx_batch (List.map (fun p -> Withdraw p) prefixes))
+    (Rx_withdrawn, snd (rx_batch (List.map (fun p -> Withdraw p) prefixes)))
   | Ok (Codec.Batch_routes (ias, discarded)) -> (
     List.iter (record_error t ~now ~from) discarded;
     match ias with
@@ -937,18 +954,12 @@ let receive_wire_batch ?(now = 0.) ?(defer = false) t ~from bytes =
         in
         record_error t ~now ~from e;
         ( Rx_withdrawn,
-          rx_batch (List.map (fun (ia : Ia.t) -> Withdraw ia.Ia.prefix) ias)
+          snd
+            (rx_batch (List.map (fun (ia : Ia.t) -> Withdraw ia.Ia.prefix) ias))
         )
       end
       else begin
-        let rejected_before =
-          Metrics.count (Metrics.counter t.obs "import.rejected")
-        in
-        let out = rx_batch (List.map (fun ia -> Announce ia) ias) in
-        let rejected =
-          Metrics.count (Metrics.counter t.obs "import.rejected")
-          - rejected_before
-        in
+        let rejected, out = rx_batch (List.map (fun ia -> Announce ia) ias) in
         if rejected >= List.length ias then (Rx_filtered, out)
         else (Rx_accepted (List.length discarded), out)
       end )
@@ -1063,7 +1074,7 @@ let reevaluate ?(now = 0.) t prefix =
   if was_suppressed && not (any_suppressed t prefix) then begin
     bump t "damping.reused";
     Trace.emit t.trace ~at:now
-      (Trace.Damping_reuse { asn = my_asn t; prefix = Prefix.to_string prefix })
+      (Trace.Damping_reuse { asn = my_asn t; prefix = Prefix.to_int prefix })
   end;
   out
 

@@ -305,7 +305,7 @@ let rec dispatch t ~from outbox =
                 (Trace.Update_sent
                    { src = Asn.to_int from;
                      dst = dst_asn;
-                     prefix = Prefix.to_string (prefix_of_msg msg);
+                     prefix = Prefix.to_int (prefix_of_msg msg);
                      bytes = msg_bytes msg;
                      withdraw = is_withdraw msg });
               let at =
@@ -343,7 +343,7 @@ let rec dispatch t ~from outbox =
             (Trace.Update_sent
                { src = Asn.to_int from;
                  dst = dst_asn;
-                 prefix = Prefix.to_string (prefix_of_msg msg);
+                 prefix = Prefix.to_int (prefix_of_msg msg);
                  bytes = msg_bytes msg;
                  withdraw = is_withdraw msg });
           let jitter, reorder =
@@ -440,7 +440,7 @@ and deliver_once t ~now ~from ~to_ msg =
     (Trace.Update_received
        { src = Asn.to_int from;
          dst = Asn.to_int to_;
-         prefix = Prefix.to_string (prefix_of_msg msg);
+         prefix = Prefix.to_int (prefix_of_msg msg);
          bytes;
          withdraw = is_withdraw msg });
   let s = speaker t to_ in
@@ -612,7 +612,7 @@ and deliver_frame_once t ~now ~from ~to_ frame =
     (Trace.Update_received
        { src = Asn.to_int from;
          dst = Asn.to_int to_;
-         prefix = Prefix.to_string head_prefix;
+         prefix = Prefix.to_int head_prefix;
          bytes;
          withdraw = (match frame with Frame_withdraws _ -> true | _ -> false)
        });

@@ -102,28 +102,37 @@ let of_metrics m =
       ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) (Metrics.gauges m)));
       ("histograms", Obj (List.map (fun (k, h) -> (k, hist h)) (Metrics.histograms m))) ]
 
+(* The text [Prefix.to_string] gives for a packed prefix (network
+   [lsl 6] [lor] length): the dotted quad, a slash, the length. *)
+let prefix_text p =
+  let n = p lsr 6 in
+  String
+    (Printf.sprintf "%d.%d.%d.%d/%d"
+       ((n lsr 24) land 0xFF) ((n lsr 16) land 0xFF) ((n lsr 8) land 0xFF)
+       (n land 0xFF) (p land 0x3F))
+
 let event_fields : Trace.event -> (string * t) list = function
   | Trace.Session_state { asn; peer; state } ->
     [ ("asn", Int asn); ("peer", Int peer); ("state", String state) ]
   | Trace.Update_sent { src; dst; prefix; bytes; withdraw }
   | Trace.Update_received { src; dst; prefix; bytes; withdraw } ->
-    [ ("src", Int src); ("dst", Int dst); ("prefix", String prefix);
+    [ ("src", Int src); ("dst", Int dst); ("prefix", prefix_text prefix);
       ("bytes", Int bytes); ("withdraw", Bool withdraw) ]
   | Trace.Decision_run { asn; prefix; changed; best_via } ->
-    [ ("asn", Int asn); ("prefix", String prefix); ("changed", Bool changed);
+    [ ("asn", Int asn); ("prefix", prefix_text prefix); ("changed", Bool changed);
       ("best_via", match best_via with Some a -> Int a | None -> Null) ]
   | Trace.Mrai_flush { src; dst; batched } ->
     [ ("src", Int src); ("dst", Int dst); ("batched", Int batched) ]
   | Trace.Damping_suppress { asn; peer; prefix; reuse_at } ->
-    [ ("asn", Int asn); ("peer", Int peer); ("prefix", String prefix);
+    [ ("asn", Int asn); ("peer", Int peer); ("prefix", prefix_text prefix);
       ("reuse_at", Float reuse_at) ]
   | Trace.Damping_reuse { asn; prefix } ->
-    [ ("asn", Int asn); ("prefix", String prefix) ]
+    [ ("asn", Int asn); ("prefix", prefix_text prefix) ]
   | Trace.Restart_phase { asn; peer; phase; routes } ->
     [ ("asn", Int asn); ("peer", Int peer); ("phase", String phase);
       ("routes", Int routes) ]
   | Trace.Import_rejected { asn; peer; prefix } ->
-    [ ("asn", Int asn); ("peer", Int peer); ("prefix", String prefix) ]
+    [ ("asn", Int asn); ("peer", Int peer); ("prefix", prefix_text prefix) ]
   | Trace.Rx_error { asn; peer; cls; stage; reason } ->
     [ ("asn", Int asn); ("peer", Int peer); ("cls", String cls);
       ("stage", String stage); ("reason", String reason) ]

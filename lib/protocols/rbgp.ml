@@ -62,23 +62,22 @@ let most_disjoint ~primary cands =
    select and consumed by contribute. *)
 let decision_module () =
   let bgp = Dm.bgp () in
-  let backups : (string, Path_elem.t list) Hashtbl.t = Hashtbl.create 16 in
+  let backups : (Prefix.t, Path_elem.t list) Hashtbl.t = Hashtbl.create 16 in
   let select ~prefix cands =
     match bgp.Dm.select ~prefix cands with
     | None ->
-      Hashtbl.remove backups (Prefix.to_string prefix);
+      Hashtbl.remove backups prefix;
       None
     | Some best ->
       let others = List.filter (fun c -> c != best) cands in
       ( match most_disjoint ~primary:best.Dm.ia.Ia.path_vector others with
         | Some alt ->
-          Hashtbl.replace backups (Prefix.to_string prefix)
-            alt.Dm.ia.Ia.path_vector
-        | None -> Hashtbl.remove backups (Prefix.to_string prefix) );
+          Hashtbl.replace backups prefix alt.Dm.ia.Ia.path_vector
+        | None -> Hashtbl.remove backups prefix );
       Some best
   in
   let contribute ~me ia =
-    match Hashtbl.find_opt backups (Prefix.to_string ia.Ia.prefix) with
+    match Hashtbl.find_opt backups ia.Ia.prefix with
     | Some path -> set_backup (Path_elem.As me :: path) ia
     | None -> ia
   in

@@ -31,7 +31,6 @@ let masks =
   Array.init 33 (fun l ->
       if l = 0 then 0 else 0xFFFF_FFFF lsl (32 - l) land 0xFFFF_FFFF)
 
-let pack p = (Ipv4.to_int (Prefix.network p) lsl 6) lor Prefix.length p
 let slot shift key = (key * 0x1E37_79B9_7F4A_7C15) lsr shift
 
 (* The slot holding [key], or the empty slot where it belongs. *)
@@ -58,7 +57,7 @@ let grow t =
 
 let add t p nh =
   if 2 * (t.count + 1) > Array.length t.keys then grow t;
-  insert t (pack p) nh;
+  insert t (Prefix.to_int p) nh;
   let len = Prefix.length p in
   if not (Array.mem len t.lengths) then begin
     let ls = Array.append t.lengths [| len |] in
@@ -81,4 +80,4 @@ let rec find_from t a i =
 let find t addr = find_from t (Ipv4.to_int addr) 0
 let cardinal t = t.count
 let capacity t = Array.length t.keys
-let home t p = slot t.shift (pack p)
+let home t p = slot t.shift (Prefix.to_int p)

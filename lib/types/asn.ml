@@ -26,15 +26,13 @@ let pp ppf a = Format.fprintf ppf "AS%d" a
 
 let of_string_opt s =
   match String.index_opt s '.' with
-  | None -> ( match int_of_string_opt s with
-              | None -> None
-              | Some n -> of_int_opt n )
+  | None -> Option.bind (Decimal.of_string_opt ~max_digits:10 s) of_int_opt
   | Some i ->
     (* asdot notation: <high>.<low>, each 16-bit *)
     let hi = String.sub s 0 i and lo = String.sub s (i + 1) (String.length s - i - 1) in
-    ( match (int_of_string_opt hi, int_of_string_opt lo) with
-      | Some h, Some l when h >= 0 && h <= 0xFFFF && l >= 0 && l <= 0xFFFF ->
-        Some ((h lsl 16) lor l)
+    let half = Decimal.of_string_opt ~max_digits:5 in
+    ( match (half hi, half lo) with
+      | Some h, Some l when h <= 0xFFFF && l <= 0xFFFF -> Some ((h lsl 16) lor l)
       | _ -> None )
 
 let of_string s =

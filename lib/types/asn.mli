@@ -35,7 +35,8 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> t
-(** Parses either plain ("65001") or asdot ("1.10") notation.
+(** Parses either plain ("65001") or asdot ("1.10") notation, in ASCII
+    digits only: at most ten for a plain ASN, five per asdot half.
     @raise Invalid_argument on malformed input. *)
 
 val of_string_opt : string -> t option

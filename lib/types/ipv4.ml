@@ -24,8 +24,8 @@ let of_string_opt s =
   match String.split_on_char '.' s with
   | [ a; b; c; d ] ->
     let parse o =
-      match int_of_string_opt o with
-      | Some n when n >= 0 && n <= 255 && o <> "" -> Some n
+      match Decimal.of_string_opt ~max_digits:3 o with
+      | Some n when n <= 255 -> Some n
       | _ -> None
     in
     ( match (parse a, parse b, parse c, parse d) with

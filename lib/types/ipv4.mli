@@ -22,7 +22,8 @@ val of_octets : int -> int -> int -> int -> t
 val to_octets : t -> int * int * int * int
 
 val of_string : string -> t
-(** Parses dotted-quad notation. @raise Invalid_argument on bad input. *)
+(** Parses dotted-quad notation: four fields of one to three ASCII
+    digits, each at most 255.  @raise Invalid_argument on bad input. *)
 
 val of_string_opt : string -> t option
 val to_string : t -> string

@@ -26,8 +26,8 @@ let of_string_opt s =
   | Some i ->
     let addr = String.sub s 0 i
     and len = String.sub s (i + 1) (String.length s - i - 1) in
-    ( match (Ipv4.of_string_opt addr, int_of_string_opt len) with
-      | Some a, Some l when l >= 0 && l <= 32 -> Some (make a l)
+    ( match (Ipv4.of_string_opt addr, Decimal.of_string_opt ~max_digits:2 len) with
+      | Some a, Some l when l <= 32 -> Some (make a l)
       | _ -> None )
 
 let of_string s =
@@ -35,24 +35,10 @@ let of_string s =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Prefix.of_string: %S" s)
 
-(* Rendered on every trace emit (twice per delivered update), so the
-   Printf cost is memoized behind a small direct-mapped cache; -1 is
-   not a valid pack, so it marks an empty slot.  The slot is the top
-   [ts_bits] bits of a multiplicative (Fibonacci) hash of the whole
-   pack: low-bit slicing would send every /24 — whose low eight network
-   bits are zero — to the same couple of slots. *)
-let ts_bits = 9
-let ts_memo : (t * string) array = Array.make (1 lsl ts_bits) (-1, "")
-
 let to_string p =
-  let slot = (p * 0x1E37_79B9_7F4A_7C15) lsr (Sys.int_size - ts_bits) in
-  let (p', s) = Array.unsafe_get ts_memo slot in
-  if p' = p then s
-  else begin
-    let s = Printf.sprintf "%s/%d" (Ipv4.to_string (network p)) (p land 0x3F) in
-    Array.unsafe_set ts_memo slot (p, s);
-    s
-  end
+  Printf.sprintf "%s/%d" (Ipv4.to_string (network p)) (p land 0x3F)
+
+let to_int p = p
 
 let pp ppf p = Format.pp_print_string ppf (to_string p)
 

@@ -16,11 +16,19 @@ val network : t -> Ipv4.t
 val length : t -> int
 
 val of_string : string -> t
-(** Parses ["a.b.c.d/len"]; a bare address parses as a /32.
+(** Parses ["a.b.c.d/len"]; a bare address parses as a /32.  Every
+    field is plain decimal: one to three ASCII digits per octet, one or
+    two for the length.
     @raise Invalid_argument on malformed input. *)
 
 val of_string_opt : string -> t option
 val to_string : t -> string
+
+val to_int : t -> int
+(** The packed form, [network lsl 6 lor length]: 38 bits, and ordered
+    exactly as {!compare} orders prefixes.  Trace events carry prefixes
+    this way. *)
+
 val pp : Format.formatter -> t -> unit
 
 val mem : Ipv4.t -> t -> bool

@@ -79,7 +79,8 @@ let test_histogram_observe () =
 
 (* ------------------------- trace ------------------------- *)
 
-let ev i = Trace.Damping_reuse { asn = i; prefix = "10.0.0.0/8" }
+let pfx s = Prefix.to_int (Prefix.of_string s)
+let ev i = Trace.Damping_reuse { asn = i; prefix = pfx "10.0.0.0/8" }
 
 let test_trace_ring () =
   let t = Trace.create ~capacity:4 () in
@@ -113,9 +114,193 @@ let test_trace_labels () =
   check_str "update_sent" "update_sent"
     (Trace.label
        (Trace.Update_sent
-          { src = 1; dst = 2; prefix = "p"; bytes = 3; withdraw = false }));
+          { src = 1; dst = 2; prefix = 0; bytes = 3; withdraw = false }));
   check_str "mrai_flush" "mrai_flush"
     (Trace.label (Trace.Mrai_flush { src = 1; dst = 2; batched = 3 }))
+
+(* Columns are lossless: every field of every kind comes back from
+   [entries] bit for bit, across wraparound and [clear]. *)
+let same_event (a : Trace.event) (b : Trace.event) =
+  match (a, b) with
+  | ( Trace.Damping_suppress { asn; peer; prefix; reuse_at },
+      Trace.Damping_suppress
+        { asn = asn'; peer = peer'; prefix = prefix'; reuse_at = reuse_at' } )
+    ->
+    asn = asn' && peer = peer' && prefix = prefix'
+    && Int64.equal (Int64.bits_of_float reuse_at) (Int64.bits_of_float reuse_at')
+  | _ -> a = b
+
+let same_entry (at, ev) (e : Trace.entry) =
+  Int64.equal (Int64.bits_of_float at) (Int64.bits_of_float e.Trace.at)
+  && same_event ev e.Trace.event
+
+let gen_event =
+  let open QCheck.Gen in
+  let asn = oneof [ return 0; return 0xFFFF_FFFF; int_bound 0xFFFF_FFFF ] in
+  let prefix =
+    map Prefix.to_int
+      (oneof
+         [ return Prefix.default;
+           return (Prefix.of_string "255.255.255.255/32");
+           map2
+             (fun a l -> Prefix.make (Ipv4.of_int a) l)
+             (int_bound 0xFFFF_FFFF) (int_bound 32) ])
+  in
+  let text =
+    oneof [ return ""; return "\000"; return "a\000b\000"; string_size (int_bound 12) ]
+  in
+  let float =
+    oneof
+      [ return Float.nan; return Float.infinity; return Float.neg_infinity;
+        return (-0.); return (-1.5); float ]
+  in
+  oneof
+    [ map3 (fun asn peer state -> Trace.Session_state { asn; peer; state }) asn asn text;
+      map3
+        (fun (src, dst) prefix (bytes, withdraw) ->
+          Trace.Update_sent { src; dst; prefix; bytes; withdraw })
+        (pair asn asn) prefix (pair int bool);
+      map3
+        (fun (src, dst) prefix (bytes, withdraw) ->
+          Trace.Update_received { src; dst; prefix; bytes; withdraw })
+        (pair asn asn) prefix (pair int bool);
+      map3
+        (fun asn prefix (changed, best_via) ->
+          Trace.Decision_run { asn; prefix; changed; best_via })
+        asn prefix (pair bool (opt asn));
+      map3 (fun src dst batched -> Trace.Mrai_flush { src; dst; batched }) asn asn int;
+      map3
+        (fun (asn, peer) prefix reuse_at ->
+          Trace.Damping_suppress { asn; peer; prefix; reuse_at })
+        (pair asn asn) prefix float;
+      map2 (fun asn prefix -> Trace.Damping_reuse { asn; prefix }) asn prefix;
+      map3
+        (fun (asn, peer) phase routes -> Trace.Restart_phase { asn; peer; phase; routes })
+        (pair asn asn) text int;
+      map3 (fun asn peer prefix -> Trace.Import_rejected { asn; peer; prefix }) asn asn prefix;
+      map3
+        (fun (asn, peer) (cls, stage) reason ->
+          Trace.Rx_error { asn; peer; cls; stage; reason })
+        (pair asn asn) (pair text text) text ]
+  |> pair float
+
+let arb_trace_case =
+  let open QCheck in
+  let evs = Gen.list_size (Gen.int_bound 150) gen_event in
+  make
+    ~print:(fun (cap, a, b) ->
+      Printf.sprintf "capacity %d: %s | %s" cap
+        (String.concat " " (List.map (fun (_, e) -> Trace.label e) a))
+        (String.concat " " (List.map (fun (_, e) -> Trace.label e) b)))
+    Gen.(triple (int_range 1 64) evs evs)
+
+let check_retained t sent =
+  let n = List.length sent in
+  let kept = List.filteri (fun i _ -> i >= n - Trace.capacity t) sent in
+  let es = Trace.entries t in
+  Trace.emitted t = n
+  && Trace.overwritten t = max 0 (n - Trace.capacity t)
+  && List.length es = List.length kept
+  && List.for_all2 same_entry kept es
+
+let prop_trace_lossless (cap, first, second) =
+  let t = Trace.create ~capacity:cap () in
+  List.iter (fun (at, ev) -> Trace.emit t ~at ev) first;
+  let ok_first = check_retained t first in
+  Trace.clear t;
+  let ok_clear = Trace.entries t = [] && Trace.emitted t = 0 in
+  List.iter (fun (at, ev) -> Trace.emit t ~at ev) second;
+  ok_first && ok_clear && check_retained t second
+
+let test_trace_rare_after_wrap () =
+  (* Only common kinds until the ring has wrapped, then rare ones: the
+     side ring starts late and must still pair with the right slots. *)
+  let t = Trace.create ~capacity:4 () in
+  for i = 1 to 9 do
+    Trace.emit t ~at:(float_of_int i) (ev i)
+  done;
+  let rare =
+    [ Trace.Restart_phase { asn = 1; peer = 2; phase = "flushed"; routes = 7 };
+      ev 11;
+      Trace.Rx_error { asn = 1; peer = 2; cls = ""; stage = "s\000"; reason = "" } ]
+  in
+  List.iteri (fun i e -> Trace.emit t ~at:(float_of_int (10 + i)) e) rare;
+  check "rare kinds round-trip after wrap" true
+    (List.for_all2 same_entry
+       ((9., ev 9) :: List.mapi (fun i e -> (float_of_int (10 + i), e)) rare)
+       (Trace.entries t))
+
+(* Snapshot renders a packed prefix exactly as [Prefix.to_string]. *)
+let prop_prefix_text (a, l) =
+  let p = Prefix.make (Ipv4.of_int a) l in
+  let t = Trace.create ~capacity:1 () in
+  Trace.emit t ~at:0. (Trace.Damping_reuse { asn = 1; prefix = Prefix.to_int p });
+  match Snapshot.member "events" (Snapshot.of_trace t) with
+  | Some (Snapshot.List [ e ]) ->
+    Snapshot.member "prefix" e = Some (Snapshot.String (Prefix.to_string p))
+  | _ -> false
+
+let trace_qcheck =
+  let open QCheck in
+  [ Test.make ~name:"columns are lossless" ~count:500 arb_trace_case
+      prop_trace_lossless;
+    Test.make ~name:"snapshot prefix text is Prefix.to_string" ~count:1000
+      (pair
+         (oneof [ int_bound 0xFFFF_FFFF; always 0; always 0xFFFF_FFFF ])
+         (int_bound 32))
+      prop_prefix_text ]
+
+(* One event of each kind, rendered by the boxed-ring implementation
+   that stored prefixes as text; the columnar ring must match it byte
+   for byte. *)
+let golden_of_trace =
+  String.concat ""
+    [ {|{"emitted":11,"overwritten":0,"events":[{"at":0.5,"type":"session_state","asn":64501,"peer":0,"state":"Established"},|};
+      {|{"at":1,"type":"update_sent","src":64501,"dst":64502,"prefix":"10.1.0.0/16","bytes":71,"withdraw":false},|};
+      {|{"at":1.25,"type":"update_received","src":64501,"dst":64502,"prefix":"0.0.0.0/0","bytes":9,"withdraw":true},|};
+      {|{"at":2,"type":"decision_run","asn":64502,"prefix":"255.255.255.255/32","changed":true,"best_via":64501},|};
+      {|{"at":2.5,"type":"decision_run","asn":4294967295,"prefix":"192.0.2.0/24","changed":false,"best_via":null},|};
+      {|{"at":3,"type":"mrai_flush","src":64501,"dst":64502,"batched":12},|};
+      {|{"at":3.75,"type":"damping_suppress","asn":64502,"peer":64501,"prefix":"10.1.0.0/16","reuse_at":1803.125},|};
+      {|{"at":4,"type":"damping_reuse","asn":64502,"prefix":"10.1.0.0/16"},|};
+      {|{"at":5,"type":"restart_phase","asn":64502,"peer":64501,"phase":"stale-marked","routes":40},|};
+      {|{"at":6,"type":"import_rejected","asn":0,"peer":64501,"prefix":"172.16.0.0/12"},|};
+      {|{"at":7,"type":"rx_error","asn":64502,"peer":64501,"cls":"treat_as_withdraw","stage":"attribute","reason":"bad \"len\"\n"}]}|} ]
+
+let test_snapshot_golden () =
+  let t = Trace.create ~capacity:16 () in
+  let e at ev = Trace.emit t ~at ev in
+  e 0.5 (Trace.Session_state { asn = 64501; peer = 0; state = "Established" });
+  e 1.
+    (Trace.Update_sent
+       { src = 64501; dst = 64502; prefix = pfx "10.1.0.0/16"; bytes = 71;
+         withdraw = false });
+  e 1.25
+    (Trace.Update_received
+       { src = 64501; dst = 64502; prefix = pfx "0.0.0.0/0"; bytes = 9;
+         withdraw = true });
+  e 2.
+    (Trace.Decision_run
+       { asn = 64502; prefix = pfx "255.255.255.255/32"; changed = true;
+         best_via = Some 64501 });
+  e 2.5
+    (Trace.Decision_run
+       { asn = 4294967295; prefix = pfx "192.0.2.0/24"; changed = false;
+         best_via = None });
+  e 3. (Trace.Mrai_flush { src = 64501; dst = 64502; batched = 12 });
+  e 3.75
+    (Trace.Damping_suppress
+       { asn = 64502; peer = 64501; prefix = pfx "10.1.0.0/16"; reuse_at = 1803.125 });
+  e 4. (Trace.Damping_reuse { asn = 64502; prefix = pfx "10.1.0.0/16" });
+  e 5.
+    (Trace.Restart_phase
+       { asn = 64502; peer = 64501; phase = "stale-marked"; routes = 40 });
+  e 6. (Trace.Import_rejected { asn = 0; peer = 64501; prefix = pfx "172.16.0.0/12" });
+  e 7.
+    (Trace.Rx_error
+       { asn = 64502; peer = 64501; cls = "treat_as_withdraw"; stage = "attribute";
+         reason = "bad \"len\"\n" });
+  check_str "of_trace JSON" golden_of_trace (Snapshot.to_json (Snapshot.of_trace t))
 
 (* ------------------------- snapshot ------------------------- *)
 
@@ -157,8 +342,8 @@ let test_snapshot_of_trace () =
   let t = Trace.create ~capacity:8 () in
   Trace.emit t ~at:1.
     (Trace.Update_sent
-       { src = 1; dst = 2; prefix = "99.0.0.0/24"; bytes = 64; withdraw = false });
-  Trace.emit t ~at:2. (Trace.Damping_reuse { asn = 3; prefix = "99.0.0.0/24" });
+       { src = 1; dst = 2; prefix = pfx "99.0.0.0/24"; bytes = 64; withdraw = false });
+  Trace.emit t ~at:2. (Trace.Damping_reuse { asn = 3; prefix = pfx "99.0.0.0/24" });
   let s = Snapshot.of_trace t in
   check "emitted field" true (Snapshot.member "emitted" s = Some (Snapshot.Int 2));
   ( match Snapshot.member "events" s with
@@ -167,6 +352,8 @@ let test_snapshot_of_trace () =
         (Snapshot.member "type" first = Some (Snapshot.String "update_sent"));
       check "bytes carried" true
         (Snapshot.member "bytes" first = Some (Snapshot.Int 64));
+      check "prefix rendered" true
+        (Snapshot.member "prefix" first = Some (Snapshot.String "99.0.0.0/24"));
       check "second is damping_reuse" true
         (Snapshot.member "type" second = Some (Snapshot.String "damping_reuse"))
     | _ -> Alcotest.fail "events list wrong" );
@@ -794,11 +981,14 @@ let () =
          Alcotest.test_case "wire registry bleed" `Quick test_wire_registry_bleed ]);
       ("trace",
        [ Alcotest.test_case "ring buffer" `Quick test_trace_ring;
-         Alcotest.test_case "labels" `Quick test_trace_labels ]);
+         Alcotest.test_case "labels" `Quick test_trace_labels;
+         Alcotest.test_case "rare kind after wrap" `Quick test_trace_rare_after_wrap ]
+       @ List.map QCheck_alcotest.to_alcotest trace_qcheck);
       ("snapshot",
        [ Alcotest.test_case "json rendering" `Quick test_json_rendering;
          Alcotest.test_case "of_metrics" `Quick test_snapshot_of_metrics;
          Alcotest.test_case "of_trace" `Quick test_snapshot_of_trace;
+         Alcotest.test_case "of_trace golden" `Quick test_snapshot_golden;
          Alcotest.test_case "percentile" `Quick test_percentile ]);
       ("end-to-end",
        [ Alcotest.test_case "speaker instruments" `Quick test_speaker_instruments;

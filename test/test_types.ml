@@ -106,14 +106,41 @@ let test_prefix_split () =
 (* The render memo must keep a run of /24s resident: the second pass
    over 64 consecutive /24s returns the very strings the first
    produced. *)
-let test_prefix_to_string_memo () =
-  let ps = List.init 64 (fun i -> Prefix.make (Ipv4.of_octets 99 0 i 0) 24) in
-  let first = List.map Prefix.to_string ps in
-  let second = List.map Prefix.to_string ps in
-  List.iter2
-    (fun p s -> check_str "renders" (Prefix.to_string p) s)
-    ps first;
-  check "second pass served from the memo" true (List.for_all2 ( == ) first second)
+let test_prefix_to_string () =
+  List.iter
+    (fun (s, p) -> check_str s s (Prefix.to_string p))
+    [ ("0.0.0.0/0", Prefix.default);
+      ("255.255.255.255/32", Prefix.make (Ipv4.of_int 0xFFFF_FFFF) 32);
+      ("10.0.0.0/8", Prefix.make (Ipv4.of_octets 10 1 2 3) 8);
+      ("192.168.0.128/25", Prefix.make (Ipv4.of_octets 192 168 0 200) 25) ]
+
+(* Every field is plain decimal: [int_of_string_opt] would also take
+   signs, underscores and radix prefixes. *)
+let test_prefix_strict () =
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Prefix.of_string_opt s = None))
+    [ "0x0a.0.0.0/8"; "10.0.0.0/1_6"; "10.0.0.0/+8"; "10.0.0.0/0x10";
+      "-0.0.0.0/8"; "10.0.0.0/-0"; "10.0.0.0/"; "10.0.0.0/008"; "0o12.0.0.0/8";
+      "10.0.0.0/0b1"; "1_0.0.0.0/8"; "10.0.0.0 /8"; "10.0.0.0/8 "; "0010.0.0.0/8" ];
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Ipv4.of_string_opt s = None))
+    [ "+1.2.3.4"; "1.2.3.0x4"; "1.2.3.-0"; "1.2.3.4_" ];
+  (* Leading zeros within a field's width are still decimal. *)
+  check "leading zeros" true
+    (Prefix.of_string_opt "010.001.0.0/08"
+    = Some (Prefix.make (Ipv4.of_octets 10 1 0 0) 8));
+  check "bare address" true
+    (Prefix.of_string_opt "010.0.0.1" = Some (Prefix.make (Ipv4.of_octets 10 0 0 1) 32))
+
+let test_asn_strict () =
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Asn.of_string_opt s = None))
+    [ "0x10"; "1_000"; "+5"; "0o17"; "0b1"; "-0"; "1.0x1"; "1.+1"; "+1.1";
+      "1._1"; ""; "."; "1."; ".1"; " 5"; "04294967295"; "000001.1" ];
+  check_int "leading zeros" 17 (Asn.to_int (Asn.of_string "0017"));
+  check_int "largest plain" 0xFFFF_FFFF (Asn.to_int (Asn.of_string "4294967295"));
+  check "just past largest" true (Asn.of_string_opt "4294967296" = None);
+  check_int "asdot leading zeros" 65537 (Asn.to_int (Asn.of_string "00001.00001"))
 
 let test_prefix_bit () =
   let p = Prefix.of_string "128.0.0.0/2" in
@@ -311,6 +338,7 @@ let () =
     [ ("asn",
        [ Alcotest.test_case "bounds" `Quick test_asn_bounds;
          Alcotest.test_case "strings" `Quick test_asn_strings;
+         Alcotest.test_case "strict decimal" `Quick test_asn_strict;
          Alcotest.test_case "reserved" `Quick test_asn_reserved;
          Alcotest.test_case "collections" `Quick test_asn_collections ]);
       ("ipv4",
@@ -325,7 +353,8 @@ let () =
          Alcotest.test_case "subsumes" `Quick test_prefix_subsumes;
          Alcotest.test_case "split" `Quick test_prefix_split;
          Alcotest.test_case "bit" `Quick test_prefix_bit;
-         Alcotest.test_case "to_string memo" `Quick test_prefix_to_string_memo ]);
+         Alcotest.test_case "to_string" `Quick test_prefix_to_string;
+         Alcotest.test_case "strict decimal" `Quick test_prefix_strict ]);
       ("island-id", [ Alcotest.test_case "identity" `Quick test_island_ids ]);
       ("protocol-id",
        [ Alcotest.test_case "registry" `Quick test_protocol_registry;
