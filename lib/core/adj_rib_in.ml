@@ -6,14 +6,14 @@ open Dbgp_types
 
    A slot is specialized to its population: almost every prefix in a
    full table has exactly one contributing peer (a transit AS learns
-   each destination from one upstream), and a [Single] cell is 3 words
-   where a one-entry [Peer.Map] node is 6 — on a million-route
-   Adj-RIB-In that halves the per-binding overhead.  [Multi] (a map,
-   always holding >= 2 peers) keeps {!candidates}'s deterministic
-   ascending order for the genuinely contested prefixes. *)
+   each destination from one upstream), and a [Single] cell is 3 words.
+   A contested prefix is a [Multi] of two parallel arrays, always of
+   >= 2 peers: the peers sorted by [Peer.compare] (so lookups bisect and
+   {!candidates} comes out ascending) and their routes at the same
+   index.  Two peers cost 9 words, where a two-node [Peer.Map] costs 14. *)
 type 'r slot =
   | Single of Peer.t * 'r
-  | Multi of 'r Peer.Map.t
+  | Multi of Peer.t array * 'r array
 
 type 'r t = {
   routes : (Prefix.t, 'r slot) Hashtbl.t;
@@ -22,38 +22,61 @@ type 'r t = {
 
 let create () = { routes = Hashtbl.create 64; stale = Peer.Map.empty }
 
-let set t ~peer prefix r =
-  let slot =
-    match Hashtbl.find_opt t.routes prefix with
-    | None -> Single (peer, r)
-    | Some (Single (p, _)) when Peer.equal p peer -> Single (peer, r)
-    | Some (Single (p, r0)) ->
-      Multi (Peer.Map.add peer r (Peer.Map.singleton p r0))
-    | Some (Multi m) -> Multi (Peer.Map.add peer r m)
+(* The index of [peer] in the sorted [ps], or [-(i + 1)] when it is
+   absent and belongs at index [i]. *)
+let search ps peer =
+  let rec go lo hi =
+    if lo >= hi then -(lo + 1)
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Peer.compare ps.(mid) peer in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
   in
-  Hashtbl.replace t.routes prefix slot
+  go 0 (Array.length ps)
 
+let insert_at a i x =
+  Array.concat [ Array.sub a 0 i; [| x |]; Array.sub a i (Array.length a - i) ]
+
+let remove_at a i =
+  Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
+
+(* The slot of peers [ps] plus [peer], absent from them, with route [r]. *)
+let insert ps rs peer r =
+  let i = -(search ps peer + 1) in
+  Multi (insert_at ps i peer, insert_at rs i r)
+
+let set t ~peer prefix r =
+  match Hashtbl.find_opt t.routes prefix with
+  | Some (Multi (ps, rs)) when search ps peer >= 0 -> rs.(search ps peer) <- r
+  | slot ->
+    Hashtbl.replace t.routes prefix
+      ( match slot with
+        | None -> Single (peer, r)
+        | Some (Single (p, _)) when Peer.equal p peer -> Single (peer, r)
+        | Some (Single (p, r0)) -> insert [| p |] [| r0 |] peer r
+        | Some (Multi (ps, rs)) -> insert ps rs peer r )
+
+(* A slot that drops to one peer becomes [Single] again. *)
 let remove t ~peer prefix =
   match Hashtbl.find_opt t.routes prefix with
-  | None -> ()
-  | Some (Single (p, _)) ->
-    if Peer.equal p peer then Hashtbl.remove t.routes prefix
-  | Some (Multi m) -> (
-    let m = Peer.Map.remove peer m in
-    match Peer.Map.cardinal m with
-    | 0 -> Hashtbl.remove t.routes prefix
-    | 1 ->
-      let p, r = Peer.Map.choose m in
-      Hashtbl.replace t.routes prefix (Single (p, r))
-    | _ -> Hashtbl.replace t.routes prefix (Multi m) )
+  | Some (Single (p, _)) when Peer.equal p peer -> Hashtbl.remove t.routes prefix
+  | Some (Multi (ps, rs)) ->
+    let i = search ps peer in
+    if i >= 0 then
+      Hashtbl.replace t.routes prefix
+        ( if Array.length ps = 2 then Single (ps.(1 - i), rs.(1 - i))
+          else Multi (remove_at ps i, remove_at rs i) )
+  | _ -> ()
 
 let slot_find peer = function
   | Single (p, r) -> if Peer.equal p peer then Some r else None
-  | Multi m -> Peer.Map.find_opt peer m
+  | Multi (ps, rs) ->
+    let i = search ps peer in
+    if i >= 0 then Some rs.(i) else None
 
 let slot_mem peer = function
   | Single (p, _) -> Peer.equal p peer
-  | Multi m -> Peer.Map.mem peer m
+  | Multi (ps, _) -> search ps peer >= 0
 
 let find t ~peer prefix =
   Option.bind (Hashtbl.find_opt t.routes prefix) (slot_find peer)
@@ -62,7 +85,7 @@ let candidates t prefix =
   match Hashtbl.find_opt t.routes prefix with
   | None -> []
   | Some (Single (p, r)) -> [ (p, r) ]
-  | Some (Multi m) -> Peer.Map.bindings m
+  | Some (Multi (ps, rs)) -> List.init (Array.length ps) (fun i -> (ps.(i), rs.(i)))
 
 let prefixes_of t ~peer =
   Hashtbl.fold
@@ -79,7 +102,7 @@ let prefixes t =
 let size t =
   Hashtbl.fold
     (fun _ s acc ->
-      acc + match s with Single _ -> 1 | Multi m -> Peer.Map.cardinal m)
+      acc + match s with Single _ -> 1 | Multi (ps, _) -> Array.length ps)
     t.routes 0
 
 (* ------------------------- stale marks ------------------------- *)

@@ -18,23 +18,24 @@ type group = {
   mutable egress : Ia.t option;
 }
 
-type record_entry = { mutable out : Ia.t option; mutable confirmed : bool }
-
-(* Each entry carries a confirmed bit: {!record} is optimistic (sent ⇒
-   delivered) and the network layer calls {!note_failed} for every
-   message it actually drops, so after a session loss the record set
-   describes exactly what the peer may still hold.  [out = None]
-   entries are withdraw tombstones — a withdraw was sent but may not
-   have arrived, so the peer possibly retains a route we no longer
-   advertise.  The table is mutated in place on the very hot {!record}
-   path; the read accessors that need determinism sort on the way
-   out. *)
-type table = (Prefix.t, record_entry) Hashtbl.t
-
-(* [table] is created by the first write: a neighbor that is never sent
-   anything — every neighbor of a speaker that exports nothing — costs
-   no table. *)
-type handle = { mutable group : group; mutable table : table option }
+(* [table] binds each prefix to the option box the group's evaluation
+   produced: [Some ia] for an announcement, [None] for a withdraw
+   tombstone (a withdraw was sent but may not have arrived, so the peer
+   possibly retains a route we no longer advertise).  {!record} is
+   optimistic (sent ⇒ delivered) and the network layer calls
+   {!note_failed} for every message it actually drops, which puts the
+   prefix in [lost]; an entry is confirmed iff its prefix is not lost,
+   so after a session loss the confirmed entries are exactly what the
+   peer holds.  Both tables are mutated in place on the very hot
+   {!record} path; the read accessors that need determinism sort on the
+   way out.  Each is created by its first write: a neighbor that is
+   never sent anything costs no [table], one that never loses a message
+   no [lost]. *)
+type handle = {
+  mutable group : group;
+  mutable table : (Prefix.t, Ia.t option) Hashtbl.t option;
+  mutable lost : (Prefix.t, unit) Hashtbl.t option;
+}
 
 type t = {
   mutable groups : group list; (* newest first; ids never reused *)
@@ -85,7 +86,7 @@ let join t ~peer key =
     end;
     h
   | None ->
-    let h = { group = target; table = None } in
+    let h = { group = target; table = None; lost = None } in
     target.members <- target.members + 1;
     t.handles <- Peer.Map.add peer h t.handles;
     h
@@ -127,19 +128,19 @@ let writable h =
     h.table <- Some m;
     m
 
+let is_lost h prefix =
+  match h.lost with Some l -> Hashtbl.mem l prefix | None -> false
+
 let record h prefix out =
+  (match h.lost with Some l -> Hashtbl.remove l prefix | None -> ());
   match out with
-  | None -> Option.iter (fun m -> Hashtbl.remove m prefix) h.table
-  | Some _ -> (
+  | None -> (
+    match h.table with Some m -> Hashtbl.remove m prefix | None -> () )
+  | Some _ ->
     (* Store the caller's option value as-is: it is the same box the
        group's evaluation produced, so a recorded advertisement costs no
        per-route [Some] of its own. *)
-    let m = writable h in
-    match Hashtbl.find_opt m prefix with
-    | Some e ->
-      e.out <- out;
-      e.confirmed <- true
-    | None -> Hashtbl.replace m prefix { out; confirmed = true } )
+    Hashtbl.replace (writable h) prefix out
 
 let find h prefix =
   match h.table with
@@ -147,7 +148,7 @@ let find h prefix =
   | Some m -> (
     match Hashtbl.find_opt m prefix with
     | None -> None
-    | Some e -> Some (e.out, e.confirmed) )
+    | Some out -> Some (out, not (is_lost h prefix)) )
 
 let advertised h prefix =
   match h.table with Some m -> Hashtbl.mem m prefix | None -> false
@@ -156,29 +157,27 @@ let entries h =
   match h.table with
   | None -> []
   | Some m ->
-    Hashtbl.fold (fun p e acc -> (p, e.out, e.confirmed) :: acc) m []
+    Hashtbl.fold (fun p out acc -> (p, out, not (is_lost h p)) :: acc) m []
     |> List.sort (fun (a, _, _) (b, _, _) -> Prefix.compare a b)
 
 let note_failed t ~peer prefix =
   match Peer.Map.find_opt peer t.handles with
   | None -> ()
-  | Some h -> (
+  | Some h ->
+    if Option.is_none h.lost then h.lost <- Some (Hashtbl.create 16);
+    Option.iter (fun l -> Hashtbl.replace l prefix ()) h.lost;
     let m = writable h in
-    match Hashtbl.find_opt m prefix with
-    | Some e -> e.confirmed <- false
-    | None ->
-      (* A dropped withdraw: the entry was optimistically removed by
-         {!record}, but the peer may still hold the route.  Leave a
-         tombstone so the next sync re-sends the withdraw. *)
-      Hashtbl.replace m prefix { out = None; confirmed = false } )
+    (* A dropped withdraw: the entry was optimistically removed by
+       {!record}, but the peer may still hold the route.  Leave a
+       tombstone so the next sync re-sends the withdraw. *)
+    if not (Hashtbl.mem m prefix) then Hashtbl.replace m prefix None
 
 let bindings t ~peer =
   match Option.bind (Peer.Map.find_opt peer t.handles) (fun h -> h.table) with
   | None -> []
   | Some m ->
     Hashtbl.fold
-      (fun p e acc ->
-        match e.out with Some ia -> (p, ia) :: acc | None -> acc)
+      (fun p out acc -> match out with Some ia -> (p, ia) :: acc | None -> acc)
       m []
     |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
 

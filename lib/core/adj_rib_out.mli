@@ -71,8 +71,9 @@ val set_result : t -> handle -> Ia.t option -> unit
 
 val record : handle -> Dbgp_types.Prefix.t -> Ia.t option -> unit
 (** [Some ia]: we announced [ia]; [None]: we withdrew (or never had
-    anything advertised — the entry is removed).  Recording is
-    optimistic: the entry is marked confirmed (sent ⇒ delivered) until
+    anything advertised — the entry is removed).  The caller's option
+    box is stored as-is.  Recording is optimistic: it clears any loss
+    mark on [prefix], so the entry is confirmed (sent ⇒ delivered) until
     the transport reports otherwise via {!note_failed}. *)
 
 val find : handle -> Dbgp_types.Prefix.t -> (Ia.t option * bool) option
@@ -88,12 +89,12 @@ val entries : handle -> (Dbgp_types.Prefix.t * Ia.t option * bool) list
 
 val note_failed : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
 (** The transport dropped the last message for [prefix] toward [peer]:
-    clear the entry's confirmed bit, or — for a dropped withdraw whose
-    entry {!record} already removed — leave an unconfirmed
-    [out = None] tombstone, so a later incremental sync knows the peer
-    may still hold a route we no longer advertise.  A drop reported
-    after the peer {!leave}s is ignored: a torn-down session leaves the
-    peer holding nothing from us. *)
+    mark [prefix] lost — its entry is unconfirmed until the next
+    {!record} — and, for a dropped withdraw whose entry {!record}
+    already removed, leave an [out = None] tombstone, so a later
+    incremental sync knows the peer may still hold a route we no longer
+    advertise.  A drop reported after the peer {!leave}s is ignored: a
+    torn-down session leaves the peer holding nothing from us. *)
 
 val bindings : t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t) list
 val peers : t -> Peer.t list

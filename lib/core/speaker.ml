@@ -35,28 +35,20 @@ let config ?island ?(island_members = []) ?(hide_island_interior = false)
   { asn; addr; island; island_members; hide_island_interior; passthrough;
     global_import; global_export }
 
-type chosen = {
-  candidate : Decision_module.candidate;
-  outgoing : Ia.t;
-  built_gen : int;
-      (* Module-configuration generation the outgoing IA was built
-         under; lets [process] reuse it (skipping the factory) when the
-         same candidate wins again and no module/active change could
-         have altered the build. *)
-  built_from : Decision_module.candidate list;
-      (* The full post-import candidate list the build saw.  Reuse must
-         compare against all of it, not just the winner: a module's
-         [contribute] may read state its [select] derived from the
-         losers (R-BGP records the runner-up as the backup path), so a
-         changed loser can change the outgoing IA even when the winner
-         is untouched. *)
-}
+type chosen = { candidate : Decision_module.candidate; outgoing : Ia.t }
 
 (* A neighbor as the egress edge sees it: its Adj-RIB-Out handle (peer
    group + advertised table) and its stage-7 filter chain, both fixed
    when the neighbor is added — the config is immutable, so the chain
-   never needs rebuilding. *)
-type egress = { nbr : neighbor; out : Adj_rib_out.handle; chain : Filters.t }
+   never needs rebuilding.  [from] is the neighbor's [Some peer], made
+   once here and shared by every candidate learned from it, so a
+   decision run allocates no option box per candidate. *)
+type egress = {
+  nbr : neighbor;
+  out : Adj_rib_out.handle;
+  chain : Filters.t;
+  from : Peer.t option;
+}
 
 module Damping = Dbgp_bgp.Flap_damping
 
@@ -103,8 +95,8 @@ type t = {
   ingress : Filters.t;
   (* Generation counter for anything that changes how outgoing IAs are
      built (module set, per-prefix active protocol).  Bumped by
-     {!add_module}/{!set_active}; lets [process] trust memoized builds
-     and the caches below. *)
+     {!add_module}/{!set_active}; the caches below are valid only for
+     the generation they were filled in. *)
   mutable gen : int;
   mutable contrib_cache : (int * Protocol_id.t * (Ia.t -> Ia.t) list) option;
   mutable supported_cache : (int * Protocol_id.Set.t) option;
@@ -238,7 +230,9 @@ let egress_chain cfg (n : neighbor) : Filters.t =
 let add_neighbor t n =
   let out = Adj_rib_out.join t.rib_out ~peer:n.peer (group_key_of n) in
   t.nbrs <-
-    Peer.Map.add n.peer { nbr = n; out; chain = egress_chain t.cfg n } t.nbrs
+    Peer.Map.add n.peer
+      { nbr = n; out; chain = egress_chain t.cfg n; from = Some n.peer }
+      t.nbrs
 
 let neighbors t = List.map (fun (_, e) -> e.nbr) (Peer.Map.bindings t.nbrs)
 let has_neighbor t peer = Peer.Map.mem peer t.nbrs
@@ -539,10 +533,9 @@ let process t ~now prefix =
             (* Per-neighbor then protocol-specific import filters,
                applied directly — [Filters.compose] would allocate a
                closure per candidate per run. *)
+            let nbr = Peer.Map.find_opt peer t.nbrs in
             let nbr_import =
-              match Peer.Map.find_opt peer t.nbrs with
-              | Some e -> e.nbr.import
-              | None -> Filters.accept
+              match nbr with Some e -> e.nbr.import | None -> Filters.accept
             in
             match nbr_import ia with
             | None -> None
@@ -550,97 +543,65 @@ let process t ~now prefix =
               ( match m.Decision_module.import_filter ia with
                 | None -> None
                 | Some ia ->
-                  Some { Decision_module.from_peer = Some peer; ia } ))
+                  let from_peer =
+                    match nbr with Some e -> e.from | None -> Some peer
+                  in
+                  Some { Decision_module.from_peer; ia } ))
         (Adj_rib_in.candidates t.rib_in prefix)
   in
   let selected = m.Decision_module.select ~prefix raw_candidates in
   let prev = Loc_rib.find t.loc prefix in
-  (* Memoized build: when the same stored candidate wins again under the
-     same module configuration, the factory is a pure function of inputs
-     that have not changed — reuse the previous outgoing IA wholesale.
-     Physical equality is exact here: candidates carry the Adj-RIB-In /
-     local-map values themselves, so an unchanged winner is the same
-     pointer. *)
-  let same_candidate (a : Decision_module.candidate)
-      (b : Decision_module.candidate) =
-    a.Decision_module.ia == b.Decision_module.ia
-    && ( match (a.Decision_module.from_peer, b.Decision_module.from_peer) with
-       | None, None -> true
-       | Some a, Some b -> a == b || Peer.equal a b
-       | _ -> false )
-  in
-  let reused =
-    match (prev, selected) with
-    | Some p, Some c when p.built_gen = t.gen ->
-      same_candidate p.candidate c
-      (* The whole input set must be unchanged, not just the winner:
-         [contribute] may depend on the losers (see [built_from]).
-         Candidate records are rebuilt each run but their IAs are
-         physically stable when nothing arrived, so pairwise [==] on
-         the IAs is exact. *)
-      && List.compare_lengths p.built_from raw_candidates = 0
-      && List.for_all2 same_candidate p.built_from raw_candidates
-    | _ -> false
-  in
   let next =
-    if reused then prev
-    else
-      match selected with
-      | None -> None
-      | Some candidate ->
-        (* Local origination advertises the IA as-is (the origin's own ASN is
-           already its path vector); learned routes go through the factory. *)
-        let outgoing =
-          match candidate.Decision_module.from_peer with
-          | None -> candidate.Decision_module.ia
-          | Some _ ->
-            let contributions =
-              match t.contrib_cache with
-              | Some (g, a, cs) when g = t.gen && Protocol_id.equal a active ->
-                cs
-              | _ ->
-                let mods =
-                  Hashtbl.fold (fun _ dm acc -> dm :: acc) t.modules []
-                  |> List.sort (fun (a : Decision_module.t) b ->
-                         Protocol_id.compare a.protocol b.protocol)
-                in
-                (* Active module contributes first, then other supported
-                   ones. *)
-                let actives, others =
-                  List.partition
-                    (fun (dm : Decision_module.t) ->
-                      Protocol_id.equal dm.protocol active)
-                    mods
-                in
-                let cs =
-                  List.map
-                    (fun (dm : Decision_module.t) ia ->
-                      dm.contribute ~me:t.cfg.asn ia)
-                    (actives @ others)
-                in
-                t.contrib_cache <- Some (t.gen, active, cs);
-                cs
-            in
-            Factory.build ~passthrough:t.cfg.passthrough
-              ~supported:(supported t) ~me:t.cfg.asn ~my_addr:t.cfg.addr
-              ~contributions candidate.Decision_module.ia
-        in
-        ( match m.Decision_module.export_filter outgoing with
-          | None -> None
-          | Some outgoing ->
-            (* The Loc-RIB chosen entry holds its own reference on the
-               outgoing attribute set — built IAs fan out to every
-               neighbor, so collapsing equal builds is the big sharing
-               win on transit speakers. *)
-            Some
-              { candidate;
-                outgoing = Attr_table.share outgoing;
-                built_gen = t.gen;
-                built_from = raw_candidates } )
+    match selected with
+    | None -> None
+    | Some candidate ->
+      (* Local origination advertises the IA as-is (the origin's own ASN is
+         already its path vector); learned routes go through the factory. *)
+      let outgoing =
+        match candidate.Decision_module.from_peer with
+        | None -> candidate.Decision_module.ia
+        | Some _ ->
+          let contributions =
+            match t.contrib_cache with
+            | Some (g, a, cs) when g = t.gen && Protocol_id.equal a active ->
+              cs
+            | _ ->
+              let mods =
+                Hashtbl.fold (fun _ dm acc -> dm :: acc) t.modules []
+                |> List.sort (fun (a : Decision_module.t) b ->
+                       Protocol_id.compare a.protocol b.protocol)
+              in
+              (* Active module contributes first, then other supported
+                 ones. *)
+              let actives, others =
+                List.partition
+                  (fun (dm : Decision_module.t) ->
+                    Protocol_id.equal dm.protocol active)
+                  mods
+              in
+              let cs =
+                List.map
+                  (fun (dm : Decision_module.t) ia ->
+                    dm.contribute ~me:t.cfg.asn ia)
+                  (actives @ others)
+              in
+              t.contrib_cache <- Some (t.gen, active, cs);
+              cs
+          in
+          Factory.build ~passthrough:t.cfg.passthrough
+            ~supported:(supported t) ~me:t.cfg.asn ~my_addr:t.cfg.addr
+            ~contributions candidate.Decision_module.ia
+      in
+      ( match m.Decision_module.export_filter outgoing with
+        | None -> None
+        | Some outgoing ->
+          (* The Loc-RIB chosen entry holds its own reference on the
+             outgoing attribute set — built IAs fan out to every
+             neighbor, so collapsing equal builds is the big sharing
+             win on transit speakers. *)
+          Some { candidate; outgoing = Attr_table.share outgoing } )
   in
   let changed =
-    (not reused)
-    &&
     match (prev, next) with
     | None, None -> false
     | Some a, Some b ->
@@ -655,10 +616,8 @@ let process t ~now prefix =
      drops; if it turns out equal to the stored entry it is discarded
      and its own reference drops.  Refcounts only steer attribute-table
      residency, so this bookkeeping can never invalidate a route. *)
-  if changed then
-    Option.iter (fun p -> Attr_table.release p.outgoing) prev
-  else if not reused then
-    Option.iter (fun c -> Attr_table.release c.outgoing) next;
+  if changed then Option.iter (fun p -> Attr_table.release p.outgoing) prev
+  else Option.iter (fun c -> Attr_table.release c.outgoing) next;
   if changed then begin
     Metrics.incr t.c_changes;
     Metrics.set t.g_last_change now;

@@ -340,14 +340,12 @@ val export_group_count : t -> int
 type chosen = {
   candidate : Decision_module.candidate;  (** the selected incoming route *)
   outgoing : Ia.t;  (** the IA built for re-advertisement (pre per-neighbor filters) *)
-  built_gen : int;
-      (** module-configuration generation the outgoing IA was built under
-          (internal build-memoization token) *)
-  built_from : Decision_module.candidate list;
-      (** the full post-import candidate list the build saw (internal
-          build-memoization token: a module's [contribute] may depend on
-          the losers, so reuse requires the whole set unchanged) *)
 }
+(** A Loc-RIB entry: the winner and what it is re-advertised as, and
+    nothing else.  Every decision run that selects a route builds
+    [outgoing] afresh through the factory and the attribute table; when
+    the build equals the stored entry, the stored entry stays and
+    nothing is re-advertised. *)
 
 val best : t -> Dbgp_types.Prefix.t -> chosen option
 val best_routes : t -> (Dbgp_types.Prefix.t * chosen) list

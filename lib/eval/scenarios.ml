@@ -527,8 +527,9 @@ let wiser_feedback () =
       (fun (asn, w, _) ->
         if Wiser.poll_demand w then begin
           (* Re-registering the module bumps the speaker's build
-             generation so the memoized outgoing IA is rebuilt with the
-             new cost. *)
+             generation, so its cached contribution list picks up the
+             new module; the reevaluation then rebuilds the outgoing IA
+             with the new cost. *)
           Speaker.add_module (Network.speaker net asn) (Wiser.decision_module w);
           Network.reevaluate net asn gadget_prefix
         end)

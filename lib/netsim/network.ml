@@ -374,18 +374,22 @@ let rec dispatch t ~from outbox =
               scheduled := true;
               Event_queue.schedule t.q ~delay:(t.mrai +. delay) (fun () ->
                   scheduled := false;
-                  let msgs = Hashtbl.fold (fun _ m acc -> m :: acc) batch [] in
-                  Hashtbl.reset batch;
-                  Metrics.incr (Metrics.counter t.obs "net.mrai_flushes");
-                  Metrics.incr ~by:(List.length msgs)
-                    (Metrics.counter t.obs "net.mrai_batched");
-                  Trace.emit t.trace ~at:(Event_queue.now t.q)
-                    (Trace.Mrai_flush
-                       { src = Asn.to_int from;
-                         dst = dst_asn;
-                         batched = List.length msgs });
-                  if t.batching then deliver_batched t ~from ~to_:dst msgs
-                  else List.iter (fun m -> deliver t ~from ~to_:dst m) msgs)
+                  (* A batch {!clear_pending} emptied has nothing to
+                     flush. *)
+                  if Hashtbl.length batch > 0 then begin
+                    let msgs = Hashtbl.fold (fun _ m acc -> m :: acc) batch [] in
+                    Hashtbl.reset batch;
+                    Metrics.incr (Metrics.counter t.obs "net.mrai_flushes");
+                    Metrics.incr ~by:(List.length msgs)
+                      (Metrics.counter t.obs "net.mrai_batched");
+                    Trace.emit t.trace ~at:(Event_queue.now t.q)
+                      (Trace.Mrai_flush
+                         { src = Asn.to_int from;
+                           dst = dst_asn;
+                           batched = List.length msgs });
+                    if t.batching then deliver_batched t ~from ~to_:dst msgs
+                    else List.iter (fun m -> deliver t ~from ~to_:dst m) msgs
+                  end)
             end
           end
         end)
@@ -733,8 +737,9 @@ let link t ?(latency = 1.0) ?(a_import = Dbgp_core.Filters.accept)
   connect_link t cfg
 
 (* MRAI batches survive across link events as closures over the batch
-   table; emptying the table makes an already-scheduled flush a no-op, so
-   a failed link never delivers stale pre-failure state. *)
+   table; emptying the table makes an already-scheduled flush a no-op —
+   nothing delivered, counted or traced — so a failed link never
+   delivers stale pre-failure state. *)
 let clear_pending t a b =
   let clear src dst =
     match Hashtbl.find_opt t.pending (pack_pair (Asn.to_int src) (Asn.to_int dst)) with

@@ -6,6 +6,7 @@ module Ia = Dbgp_core.Ia
 module Value = Dbgp_core.Value
 module Dm = Dbgp_core.Decision_module
 module Peer = Dbgp_core.Peer
+module Speaker = Dbgp_core.Speaker
 module Legacy = Dbgp_core.Legacy
 module Rbgp = Dbgp_protocols.Rbgp
 module Lisp = Dbgp_protocols.Lisp_like
@@ -65,6 +66,53 @@ let test_rbgp_module_attaches_backup () =
   ignore (m.Dm.select ~prefix:(pfx "98.0.0.0/24") [ best ]);
   let lone = m.Dm.contribute ~me:(asn 10) { best.Dm.ia with Ia.prefix = pfx "98.0.0.0/24" } in
   check "no runner-up, no backup" true (Rbgp.failover lone = None)
+
+(* The outgoing IA depends on the losers too: R-BGP's backup is the
+   runner-up's path.  When only the runner-up changes, the winner stays
+   but the backup must follow, and the new outgoing IA must be
+   re-advertised. *)
+let test_rbgp_loser_change_readvertised () =
+  let prefix = pfx "99.0.0.0/24" in
+  let s = Speaker.create (Speaker.config ~asn:(asn 10) ~addr:(ip "10.0.0.10") ()) in
+  List.iter
+    (fun n ->
+      Speaker.add_neighbor s
+        (Speaker.neighbor ~relationship:Dbgp_bgp.Policy.To_customer (peer n)))
+    [ 2; 3; 4 ];
+  Speaker.add_module s (Rbgp.decision_module ());
+  Speaker.set_active s prefix Rbgp.protocol;
+  let via hops = List.fold_left (fun ia n -> Ia.prepend_as (asn n) ia) (base_ia ()) hops in
+  let backup_mentions n ia =
+    match Rbgp.failover ia with
+    | Some backup -> List.exists (Path_elem.mentions_asn (asn n)) backup
+    | None -> false
+  in
+  Speaker.ingest s ~from:(peer 2) (Speaker.Announce (via [ 2 ]));
+  Speaker.ingest s ~from:(peer 3) (Speaker.Announce (via [ 7; 3 ]));
+  ignore (Speaker.flush s);
+  let winner () =
+    match Speaker.best s prefix with
+    | Some c -> c
+    | None -> Alcotest.fail "no route selected"
+  in
+  check "short path wins" true
+    (Option.map (fun p -> Peer.equal p (peer 2)) (winner ()).Speaker.candidate.Dm.from_peer
+    = Some true);
+  check "backup is the runner-up via AS 7" true (backup_mentions 7 (winner ()).Speaker.outgoing);
+  (* Only the runner-up changes: AS 3 now routes via AS 8. *)
+  let out = Speaker.receive s ~from:(peer 3) (Speaker.Announce (via [ 8; 3 ])) in
+  check "winner kept" true
+    (Option.map (fun p -> Peer.equal p (peer 2)) (winner ()).Speaker.candidate.Dm.from_peer
+    = Some true);
+  check "backup follows the runner-up" true
+    (backup_mentions 8 (winner ()).Speaker.outgoing
+    && not (backup_mentions 7 (winner ()).Speaker.outgoing));
+  check "re-advertised with the new backup" true
+    (List.exists
+       (fun (p, m) ->
+         Peer.equal p (peer 4)
+         && match m with Speaker.Announce ia -> backup_mentions 8 ia | _ -> false)
+       out)
 
 (* ------------------------- LISP ------------------------- *)
 
@@ -433,7 +481,9 @@ let () =
     [ ("rbgp",
        [ Alcotest.test_case "backup roundtrip" `Quick test_rbgp_backup_roundtrip;
          Alcotest.test_case "most disjoint" `Quick test_rbgp_most_disjoint;
-         Alcotest.test_case "module attaches backup" `Quick test_rbgp_module_attaches_backup ]);
+         Alcotest.test_case "module attaches backup" `Quick test_rbgp_module_attaches_backup;
+         Alcotest.test_case "loser change re-advertised" `Quick
+           test_rbgp_loser_change_readvertised ]);
       ("lisp", [ Alcotest.test_case "mobility" `Quick test_lisp_mobility ]);
       ("link-state",
        [ Alcotest.test_case "lsa validation" `Quick test_link_state_lsa_validation;

@@ -252,6 +252,27 @@ let test_network_mrai_converges_same_routes () =
   in
   check "same final routes with and without MRAI" true (routes 0. = routes 10.)
 
+let test_network_mrai_cleared_batch () =
+  (* A link failure empties the pending MRAI batch, but the flush it had
+     scheduled still fires: it must do nothing — no flush counted, no
+     trace event — rather than report a flush of zero messages. *)
+  let net = mk_net [ 1; 2; 3 ] in
+  Network.set_mrai net 5.;
+  Network.originate net (asn 1) (origin_ia 1 "99.0.0.0/24");
+  check "one event ran" true (Eq.step (Network.queue net));
+  Network.fail_link net (asn 1) (asn 2);
+  let stats = Network.run net in
+  check_int "no flush of an emptied batch" 0 (net_counter net "net.mrai_flushes");
+  check_int "nothing batched" 0 (net_counter net "net.mrai_batched");
+  check_int "nothing delivered" 0 stats.Network.messages;
+  let flush_events =
+    List.filter
+      (fun (e : Dbgp_obs.Trace.entry) ->
+        match e.event with Dbgp_obs.Trace.Mrai_flush _ -> true | _ -> false)
+      (Dbgp_obs.Trace.entries (Network.trace net))
+  in
+  check_int "no flush traced" 0 (List.length flush_events)
+
 let test_network_batched_delivery () =
   (* Attribute-bucketed frames are a transport optimization: with and
      without them the network must converge to identical routes, and
@@ -498,6 +519,7 @@ let () =
          Alcotest.test_case "withdrawal stats" `Quick test_network_stats_withdrawals;
          Alcotest.test_case "mrai batches" `Quick test_network_mrai_batches;
          Alcotest.test_case "mrai same routes" `Quick test_network_mrai_converges_same_routes;
+         Alcotest.test_case "mrai cleared batch" `Quick test_network_mrai_cleared_batch;
          Alcotest.test_case "batched delivery" `Quick test_network_batched_delivery;
          Alcotest.test_case "sampled-hash collisions" `Quick test_sampled_hash_collisions;
          Alcotest.test_case "sync withdraw sweep" `Quick test_network_sync_withdraw_sweep;

@@ -74,6 +74,79 @@ let test_adj_rib_in_drop_clears_stale () =
   check_int "stale erased with routes" 0 (Adj_rib_in.stale_count db);
   check "no routes left" false (Adj_rib_in.has_routes db ~peer:p1)
 
+(* Random set/remove sequences over a few prefixes and up to six peers,
+   against a [Peer.Map] per prefix.  Contested prefixes keep crossing the
+   one-peer/two-peer boundary, so slots flip between [Single] and
+   [Multi] both ways; every read is compared after every write. *)
+let qcheck_adj_rib_in_model =
+  let open QCheck in
+  let prefixes = List.map pfx [ "1.0.0.0/8"; "2.0.0.0/8"; "3.0.0.0/8" ] in
+  let peers = List.init 6 (fun i -> peer (i + 1)) in
+  (* (peer index, prefix index, [Some v] sets, [None] removes) *)
+  let gen_op =
+    Gen.(
+      triple (int_bound 5) (int_bound 2)
+        (frequency [ (2, return None); (3, map Option.some (int_bound 99)) ]))
+  in
+  let print =
+    Print.list (fun (i, j, v) ->
+        Printf.sprintf "%d %d %s" i j
+          (match v with None -> "-" | Some v -> string_of_int v))
+  in
+  Test.make ~name:"adj-rib-in = peer-map model" ~count:500
+    (make ~print Gen.(list_size (int_range 0 60) gen_op))
+    (fun ops ->
+      let db = Adj_rib_in.create () in
+      let agrees model =
+        let slot q =
+          Option.value (Prefix.Map.find_opt q model) ~default:Peer.Map.empty
+        in
+        List.for_all
+          (fun q ->
+            Adj_rib_in.candidates db q = Peer.Map.bindings (slot q)
+            && List.for_all
+                 (fun p ->
+                   Adj_rib_in.find db ~peer:p q = Peer.Map.find_opt p (slot q))
+                 peers)
+          prefixes
+        && Adj_rib_in.size db
+           = Prefix.Map.fold (fun _ m n -> n + Peer.Map.cardinal m) model 0
+        && Prefix.Set.elements (Adj_rib_in.prefixes db)
+           = List.map fst (Prefix.Map.bindings model)
+        && List.for_all
+             (fun p ->
+               let held =
+                 List.filter (fun q -> Peer.Map.mem p (slot q)) prefixes
+               in
+               Adj_rib_in.prefixes_of db ~peer:p = held
+               && Adj_rib_in.has_routes db ~peer:p = (held <> []))
+             peers
+      in
+      let step model (i, j, v) =
+        let p = List.nth peers i and q = List.nth prefixes j in
+        let m =
+          Option.value (Prefix.Map.find_opt q model) ~default:Peer.Map.empty
+        in
+        let m =
+          match v with
+          | Some v ->
+            Adj_rib_in.set db ~peer:p q v;
+            Peer.Map.add p v m
+          | None ->
+            Adj_rib_in.remove db ~peer:p q;
+            Peer.Map.remove p m
+        in
+        if Peer.Map.is_empty m then Prefix.Map.remove q model
+        else Prefix.Map.add q m model
+      in
+      let rec go model = function
+        | [] -> true
+        | op :: rest ->
+          let model = step model op in
+          agrees model && go model rest
+      in
+      go Prefix.Map.empty ops)
+
 (* ------------------------- Loc-RIB ------------------------- *)
 
 let test_loc_rib_lpm_fib () =
@@ -556,6 +629,190 @@ let qcheck_group_major =
     (QCheck.make ~print:print_scenario gen_scenario)
     prop_group_major
 
+(* ------------------- Adj-RIB-Out advertised state ------------------- *)
+
+(* Advertised-state operations: [Record (peer, prefix, ia)] with [ia] an
+   index into a small IA pool or [None] for a withdraw, and
+   [Lost (peer, prefix)] for a message the transport dropped. *)
+type out_op = Record of int * int * int option | Lost of int * int
+
+let out_peers = List.init 3 (fun i -> peer (i + 1))
+let out_prefixes = List.map pfx [ "20.0.0.0/24"; "21.0.0.0/24"; "22.0.0.0/24" ]
+
+let out_pool =
+  Array.init 3 (fun k ->
+      Array.of_list
+        (List.map
+           (fun q -> base_ia ~prefix:(Prefix.to_string q) ~origin:(k + 1) ())
+           out_prefixes))
+
+let print_out_op = function
+  | Record (i, j, None) -> Printf.sprintf "record %d %d -" i j
+  | Record (i, j, Some k) -> Printf.sprintf "record %d %d ia%d" i j k
+  | Lost (i, j) -> Printf.sprintf "lost %d %d" i j
+
+(* Runs [ops] against both the Adj-RIB-Out and a reference map of
+   [(out, confirmed)] per peer, comparing every accessor after every
+   operation.  A record sets [(out, true)] or, for a withdraw, removes
+   the entry; a loss clears [confirmed], or leaves an unconfirmed
+   [None] tombstone where a withdraw already removed the entry. *)
+let adj_rib_out_agrees ops =
+  let rib = Adj_rib_out.create () in
+  let handles =
+    List.map (fun p -> Adj_rib_out.join rib ~peer:p (key Policy.To_customer)) out_peers
+  in
+  let same_out a b = Option.equal Ia.equal a b in
+  let agrees model =
+    List.for_all2
+      (fun (p, h) m ->
+        let entries = Prefix.Map.bindings m in
+        List.for_all
+          (fun q ->
+            Option.equal
+              (fun (o, c) (o', c') -> same_out o o' && c = c')
+              (Adj_rib_out.find h q) (Prefix.Map.find_opt q m)
+            && Adj_rib_out.advertised h q = Prefix.Map.mem q m)
+          out_prefixes
+        && List.compare_lengths (Adj_rib_out.entries h) entries = 0
+        && List.for_all2
+             (fun (q, o, c) (q', (o', c')) ->
+               Prefix.equal q q' && same_out o o' && c = c')
+             (Adj_rib_out.entries h) entries
+        && List.equal
+             (fun (q, ia) (q', ia') -> Prefix.equal q q' && Ia.equal ia ia')
+             (Adj_rib_out.bindings rib ~peer:p)
+             (List.filter_map
+                (fun (q, (o, _)) -> Option.map (fun ia -> (q, ia)) o)
+                entries))
+      (List.combine out_peers handles)
+      model
+    && Adj_rib_out.peers rib
+       = List.filter_map
+           (fun (p, m) -> if Prefix.Map.is_empty m then None else Some p)
+           (List.combine out_peers model)
+  in
+  let step model = function
+    | Record (i, j, o) ->
+      let q = List.nth out_prefixes j in
+      let o = Option.map (fun k -> out_pool.(k).(j)) o in
+      Adj_rib_out.record (List.nth handles i) q o;
+      List.mapi
+        (fun i' m ->
+          if i' <> i then m
+          else
+            match o with
+            | Some _ -> Prefix.Map.add q (o, true) m
+            | None -> Prefix.Map.remove q m)
+        model
+    | Lost (i, j) ->
+      let q = List.nth out_prefixes j in
+      Adj_rib_out.note_failed rib ~peer:(List.nth out_peers i) q;
+      List.mapi
+        (fun i' m ->
+          if i' <> i then m
+          else
+            let o = Option.fold ~none:None ~some:fst (Prefix.Map.find_opt q m) in
+            Prefix.Map.add q (o, false) m)
+        model
+  in
+  let rec go model = function
+    | [] -> true
+    | op :: rest ->
+      let model = step model op in
+      agrees model && go model rest
+  in
+  go (List.map (fun _ -> Prefix.Map.empty) out_peers) ops
+
+(* A lost withdraw leaves a tombstone that a later withdraw clears; a
+   lost announcement is confirmed again by its re-record. *)
+let test_adj_rib_out_tombstone_and_rerecord () =
+  check "scripted sequence matches the model" true
+    (adj_rib_out_agrees
+       [ Record (0, 0, Some 0);
+         Record (0, 0, None);
+         Lost (0, 0);
+         Record (0, 1, Some 1);
+         Lost (0, 1);
+         Record (0, 1, Some 2);
+         Lost (1, 2);
+         Record (0, 0, None);
+         Record (1, 2, None) ]);
+  let rib = Adj_rib_out.create () in
+  let h = Adj_rib_out.join rib ~peer:(peer 1) (key Policy.To_customer) in
+  let q = List.hd out_prefixes in
+  Adj_rib_out.record h q (Some out_pool.(0).(0));
+  Adj_rib_out.record h q None;
+  Adj_rib_out.note_failed rib ~peer:(peer 1) q;
+  check "lost withdraw leaves an unconfirmed tombstone" true
+    (Adj_rib_out.find h q = Some (None, false));
+  check "tombstone keeps the peer listed" true (Adj_rib_out.peers rib = [ peer 1 ]);
+  Adj_rib_out.record h q (Some out_pool.(1).(0));
+  Adj_rib_out.note_failed rib ~peer:(peer 1) q;
+  Adj_rib_out.record h q (Some out_pool.(2).(0));
+  check "re-record after a loss is confirmed" true
+    (match Adj_rib_out.find h q with
+     | Some (Some ia, true) -> Ia.equal ia out_pool.(2).(0)
+     | _ -> false)
+
+let qcheck_adj_rib_out_model =
+  let open QCheck in
+  let gen_op =
+    Gen.(
+      frequency
+        [ ( 3,
+            map3
+              (fun i j o -> Record (i, j, o))
+              (int_bound 2) (int_bound 2)
+              (frequency [ (1, return None); (2, map Option.some (int_bound 2)) ]) );
+          (2, map2 (fun i j -> Lost (i, j)) (int_bound 2) (int_bound 2)) ])
+  in
+  Test.make ~name:"adj-rib-out = (out, confirmed) model" ~count:500
+    (make ~print:(Print.list print_out_op) Gen.(list_size (int_range 0 60) gen_op))
+    adj_rib_out_agrees
+
+(* ------------------- per-route memory guard ------------------- *)
+
+(* Marginal heap words per prefix at a speaker whose two customers
+   announce the same [n] prefixes: each prefix then holds a contested
+   Adj-RIB-In slot, a Loc-RIB entry and an Adj-RIB-Out entry toward the
+   losing customer.  Taking the difference of two table sizes cancels
+   the speaker's fixed cost (registry, trace ring, modules). *)
+let words_per_prefix () =
+  let words n =
+    let s =
+      Speaker.create
+        (Speaker.config ~asn:(asn 100) ~addr:(Ipv4.of_octets 10 0 0 100) ())
+    in
+    List.iter
+      (fun k ->
+        Speaker.add_neighbor s
+          (Speaker.neighbor ~relationship:Policy.To_customer (peer k)))
+      [ 1; 2 ];
+    for i = 0 to n - 1 do
+      let prefix = Prefix.make (Ipv4.of_int (0x0A000000 + (i lsl 8))) 24 in
+      List.iter
+        (fun k ->
+          let ia =
+            Ia.originate ~prefix ~origin_asn:(asn k)
+              ~next_hop:(Ipv4.of_octets 10 0 0 k) ()
+          in
+          Speaker.ingest s ~from:(peer k) (Speaker.Announce ia))
+        [ 1; 2 ]
+    done;
+    ignore (Speaker.flush s);
+    check_int "every prefix selected" n (List.length (Speaker.best_routes s));
+    Obj.reachable_words (Obj.repr s)
+  in
+  let n1 = 2048 and n2 = 4096 in
+  float_of_int (words n2 - words n1) /. float_of_int (n2 - n1)
+
+let test_words_per_prefix () =
+  let w = words_per_prefix () in
+  (* Measured at 56.0 words; a field added to an entry of any of the
+     three stages costs at least one more word per prefix. *)
+  if w > 56.5 then
+    Alcotest.failf "%.2f words per prefix, above the 56.5 guard" w
+
 (* ------------------- Adj-RIB-Out handle lifetime ------------------- *)
 
 let msgs_to p out = List.filter_map (fun (q, m) -> if Peer.equal p q then Some m else None) out
@@ -950,7 +1207,8 @@ let () =
     [ ( "adj-rib-in",
         [ Alcotest.test_case "stale marks" `Quick test_adj_rib_in_stale;
           Alcotest.test_case "drop clears stale" `Quick
-            test_adj_rib_in_drop_clears_stale ] );
+            test_adj_rib_in_drop_clears_stale;
+          QCheck_alcotest.to_alcotest qcheck_adj_rib_in_model ] );
       ( "loc-rib",
         [ Alcotest.test_case "lpm + fib" `Quick test_loc_rib_lpm_fib;
           QCheck_alcotest.to_alcotest qcheck_loc_rib_fib ] );
@@ -976,6 +1234,12 @@ let () =
             test_group_flip_withdraws_once;
           Alcotest.test_case "orphan Adj-RIB-Out check" `Quick
             test_orphan_adj_out_check ] );
+      ( "adj-rib-out-state",
+        [ Alcotest.test_case "tombstone and re-record" `Quick
+            test_adj_rib_out_tombstone_and_rerecord;
+          QCheck_alcotest.to_alcotest qcheck_adj_rib_out_model ] );
+      ( "route-memory",
+        [ Alcotest.test_case "words per prefix" `Quick test_words_per_prefix ] );
       ( "reestablish",
         [ Alcotest.test_case "incremental sync, not a storm" `Quick
             test_reestablish_incremental;
