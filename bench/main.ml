@@ -312,8 +312,8 @@ let pipeline_bench () =
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path scenario: updates/s, GC words per update and wire-cache hit *)
-(* rates at three BRITE sizes in both delivery modes, compared against  *)
-(* the recorded pre-change baseline, persisted as BENCH_perf.json.      *)
+(* rates at three BRITE sizes, compared against the recorded           *)
+(* pre-change baseline, persisted as BENCH_perf.json.                  *)
 (* Message counts are deterministic; timing and GC fields are not.      *)
 (* ------------------------------------------------------------------ *)
 

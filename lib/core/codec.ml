@@ -582,6 +582,81 @@ let decode_withdraw_batch_robust s :
         :: !discards;
     Ok (prefixes, List.rev !discards)
 
+(* ------------------------------------------------------------------ *)
+(* Frames: the unit the network delivers.  A one-prefix frame keeps the
+   single-prefix layout ({!encode} / {!encode_withdraw}) — the batch
+   layouts' count and length octets would cost every lone update 3+
+   bytes — and two or more prefixes use the batch layouts. *)
+
+type frame =
+  | Routes of Ia.t list
+  | Withdraws of Prefix.t list
+
+type layout = Announce | Withdraw | Announce_batch | Withdraw_batch
+
+let layout = function
+  | Routes [ _ ] -> Announce
+  | Routes _ -> Announce_batch
+  | Withdraws [ _ ] -> Withdraw
+  | Withdraws _ -> Withdraw_batch
+
+let encode_frame = function
+  | Routes [ ia ] -> encode_cached ia
+  | Routes ias -> encode_batch ias
+  | Withdraws [ p ] -> encode_withdraw p
+  | Withdraws ps -> encode_withdraw_batch ps
+
+type decoded = {
+  routes : Ia.t list;
+  withdrawn : Prefix.t list;
+  errors : Errors.t list;
+}
+
+let lost e = { routes = []; withdrawn = []; errors = [ e ] }
+
+(* A route without a BGP next hop cannot enter the FIB: RFC 7606 maps
+   that to treat-as-withdraw, not discard.  A frame's routes share one
+   attribute set, so the head decides for all of them. *)
+let with_next_hop routes errors =
+  match routes with
+  | (head : Ia.t) :: _ when Ia.next_hop head = None ->
+    { routes = [];
+      withdrawn = List.map (fun (ia : Ia.t) -> ia.Ia.prefix) routes;
+      errors =
+        errors
+        @ [ Errors.make Errors.Treat_as_withdraw Errors.Semantic
+              "missing BGP next-hop descriptor" ] }
+  | _ -> { routes; withdrawn = []; errors }
+
+let decode_frame layout s =
+  match layout with
+  | Announce -> (
+    match decode_robust s with
+    | Ok (ia, discarded) -> with_next_hop [ ia ] discarded
+    | Error e when e.Errors.cls = Errors.Session_reset -> lost e
+    | Error e -> (
+      (* Any other verdict means the prefix itself decoded, so re-read
+         it and scope the damage to that one route. *)
+      match R.prefix (R.of_string s) with
+      | prefix -> { routes = []; withdrawn = [ prefix ]; errors = [ e ] }
+      | exception _ -> lost { e with Errors.cls = Errors.Session_reset } ) )
+  | Announce_batch -> (
+    match decode_batch_robust s with
+    | Ok (Batch_routes (ias, discarded)) -> with_next_hop ias discarded
+    | Ok (Batch_withdraw (prefixes, e)) ->
+      { routes = []; withdrawn = prefixes; errors = [ e ] }
+    | Error e -> lost e )
+  | Withdraw -> (
+    match decode_withdraw_robust s with
+    | Ok (prefix, discarded) ->
+      { routes = []; withdrawn = [ prefix ]; errors = discarded }
+    | Error e -> lost e )
+  | Withdraw_batch -> (
+    match decode_withdraw_batch_robust s with
+    | Ok (prefixes, discarded) ->
+      { routes = []; withdrawn = prefixes; errors = discarded }
+    | Error e -> lost e )
+
 type breakdown = {
   base : int;
   critical_fix : int;

@@ -50,9 +50,9 @@ val decode_withdraw_robust :
     Many NLRI prefixes sharing one attribute block, as real BGP packs an
     UPDATE: [varint count; count × delimited NLRI entry; delimited
     attribute block] for announces, [varint count; count × delimited
-    prefix] for withdraws.  Single-prefix frames remain first-class and
-    byte-identical — batching is a delivery-layer choice, not a codec
-    migration. *)
+    prefix] for withdraws.  A one-prefix {!frame} keeps the
+    single-prefix layout ({!encode} / {!encode_withdraw}); these layouts
+    carry two or more. *)
 
 val encode_batch : Ia.t list -> string
 (** One frame for the whole batch.  The attribute block is taken from
@@ -86,6 +86,50 @@ val decode_withdraw_batch_robust :
 (** Salvaging decode of a batched withdraw frame: malformed entries are
     discarded alone ([Discard_attribute] in the error list), framing
     loss is [Error] with [Session_reset].  Never raises. *)
+
+(** {1 Frames}
+
+    The unit the network delivers: every message crosses the simulated
+    wire as one frame of bytes. *)
+
+type frame =
+  | Routes of Ia.t list
+      (** One or more announces sharing one attribute set
+          ({!Ia.same_attrs}); the attribute block is the head's. *)
+  | Withdraws of Dbgp_types.Prefix.t list  (** One or more prefixes. *)
+
+(** The four wire layouts a frame can take. *)
+type layout =
+  | Announce        (** {!encode}: one prefix and its attributes *)
+  | Withdraw        (** {!encode_withdraw}: one prefix *)
+  | Announce_batch  (** {!encode_batch} *)
+  | Withdraw_batch  (** {!encode_withdraw_batch} *)
+
+val layout : frame -> layout
+(** A one-prefix frame takes the single-prefix layout, two or more
+    prefixes the batch layout. *)
+
+val encode_frame : frame -> string
+(** The frame's bytes in its {!layout}: a one-prefix frame is
+    byte-identical to {!encode} (served from {!encode_cached}) or
+    {!encode_withdraw}, so a lone update pays no batch framing.
+    @raise Invalid_argument on an empty frame. *)
+
+(** A decoded frame, after salvage. *)
+type decoded = {
+  routes : Ia.t list;  (** routes to ingest *)
+  withdrawn : Dbgp_types.Prefix.t list;  (** prefixes to withdraw *)
+  errors : Errors.t list;  (** verdicts to record, in order *)
+}
+
+val decode_frame : layout -> string -> decoded
+(** RFC 7606-style salvaging decode of any layout.  Per-descriptor and
+    per-entry damage is discarded alone ([Discard_attribute] errors
+    next to the surviving routes).  Damage around a readable prefix —
+    the structure of a single announce, a batch's attribute block — or
+    a missing BGP next hop turns the frame's routes into withdraws with
+    one [Treat_as_withdraw] error.  Lost framing salvages nothing and
+    carries one [Session_reset] error.  Never raises. *)
 
 (** {1 Encode-once wire sharing}
 

@@ -740,18 +740,16 @@ let flush ?(now = 0.) t = Pipeline.drain t.sched ~f:(process t ~now)
    route (RFC 7606's least-destructive-action principle), not tear down
    the speaker.  Anything a filter, decision module or factory throws is
    absorbed here and accounted as an internal error. *)
-let receive_admit t ~now ~from msg =
+let receive ?(now = 0.) t ~from msg =
   match ingest_msg t ~now ~from msg with
-  | rejected -> (
-    try (rejected, flush ~now t)
+  | _ -> (
+    try flush ~now t
     with exn ->
       absorb t ~now ~from exn;
-      (rejected, []) )
+      [] )
   | exception exn ->
     absorb t ~now ~from exn;
-    (false, [])
-
-let receive ?(now = 0.) t ~from msg = snd (receive_admit t ~now ~from msg)
+    []
 
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
@@ -803,131 +801,23 @@ let record_error t ~now ~from (e : Errors.t) =
          stage = Errors.stage_name e.Errors.stage;
          reason = e.Errors.reason })
 
-let receive_wire ?(now = 0.) ?(defer = false) t ~from bytes =
-  (* [defer]: buffer into the pipeline instead of draining immediately —
-     the batched network path flushes at MRAI boundaries. *)
-  let rx msg =
-    if defer then (admit t ~now ~from msg, [])
-    else receive_admit t ~now ~from msg
+(* One wire receive for every frame layout: record the decode's
+   verdicts, ingest its routes and withdraws, then drain once.  [defer]
+   leaves the drain to the caller — the network flushes at MRAI
+   boundaries.  Withdrawing through the ingest path (not
+   [Adj_rib_in.remove] directly) keeps the resilience semantics: the
+   peer's stale mark clears and, if a route existed, the damping
+   penalty clock starts — a corrupted flap is still a flap. *)
+let receive_wire ?(now = 0.) ?(defer = false) t ~from layout bytes =
+  let d = Codec.decode_frame layout bytes in
+  List.iter (record_error t ~now ~from) d.Codec.errors;
+  let rejected =
+    List.fold_left
+      (fun n ia -> if admit t ~now ~from (Announce ia) then n + 1 else n)
+      0 d.Codec.routes
   in
-  let treat_as_withdraw prefix e =
-    record_error t ~now ~from e;
-    (* Withdrawing through the ingest path (not [Adj_rib_in.remove]
-       directly) keeps the resilience semantics: the peer's stale mark
-       clears and, if a route existed, the damping penalty clock starts
-       — a corrupted flap is still a flap. *)
-    (Rx_withdrawn, snd (rx (Withdraw prefix)))
-  in
-  match Codec.decode_robust bytes with
-  | Error e when e.Errors.cls = Errors.Session_reset ->
-    record_error t ~now ~from e;
-    (Rx_session_error, [])
-  | Error e -> (
-    (* Any non-reset verdict means the prefix itself decoded (only an
-       unreadable prefix escalates to Session_reset), so we can re-read
-       it and scope the damage to that one route. *)
-    match Dbgp_wire.Reader.prefix (Dbgp_wire.Reader.of_string bytes) with
-    | prefix -> treat_as_withdraw prefix e
-    | exception _ ->
-      record_error t ~now ~from
-        { e with Errors.cls = Errors.Session_reset };
-      (Rx_session_error, []) )
-  | Ok (ia, discarded) ->
-    List.iter (record_error t ~now ~from) discarded;
-    if Ia.next_hop ia = None then
-      (* Structurally valid but semantically unusable: without a BGP
-         next hop the route cannot enter the FIB.  RFC 7606 maps this
-         to treat-as-withdraw, not discard. *)
-      treat_as_withdraw ia.Ia.prefix
-        (Errors.make Errors.Treat_as_withdraw Errors.Semantic
-           "missing BGP next-hop descriptor")
-    else begin
-      match rx (Announce ia) with
-      | true, out -> (Rx_filtered, out)
-      | false, out -> (Rx_accepted (List.length discarded), out)
-    end
-
-(* Wire-level withdraw: the counterpart of {!receive_wire} for Withdraw
-   messages, so faults (and adversaries) on the wire can hit the full
-   message surface.  A withdraw carries only the prefix; if that decodes
-   the damage is at worst a (possibly wrong-prefix) withdraw — already
-   the least-destructive action — and an unreadable prefix escalates to
-   Session_reset exactly like an unreadable announce prefix. *)
-let receive_wire_withdraw ?(now = 0.) ?(defer = false) t ~from bytes =
-  let rx msg =
-    if defer then begin
-      ingest ~now t ~from msg;
-      []
-    end
-    else receive ~now t ~from msg
-  in
-  match Codec.decode_withdraw_robust bytes with
-  | Error e ->
-    record_error t ~now ~from e;
-    (Rx_session_error, [])
-  | Ok (prefix, discarded) ->
-    List.iter (record_error t ~now ~from) discarded;
-    (Rx_withdrawn, rx (Withdraw prefix))
-
-(* Batched wire receive: one frame, many NLRI prefixes sharing one
-   attribute block.  The whole batch is ingested before a single
-   decision flush — the pipeline's dirty-prefix scheduler coalesces the
-   work exactly as it does for a burst of single-prefix messages, minus
-   the per-message flush overhead. *)
-let receive_wire_batch ?(now = 0.) ?(defer = false) t ~from bytes =
-  let rx_batch msgs =
-    let rejected =
-      List.fold_left
-        (fun n m -> if admit t ~now ~from m then n + 1 else n)
-        0 msgs
-    in
-    ( rejected,
-      if defer then []
-      else
-        try flush ~now t
-        with exn ->
-          absorb t ~now ~from exn;
-          [] )
-  in
-  match Codec.decode_batch_robust bytes with
-  | Error e ->
-    record_error t ~now ~from e;
-    (Rx_session_error, [])
-  | Ok (Codec.Batch_withdraw (prefixes, e)) ->
-    (* Corrupted attribute block: RFC 7606 treat-as-withdraw scoped to
-       the whole batch — every salvaged prefix loses its route. *)
-    record_error t ~now ~from e;
-    (Rx_withdrawn, snd (rx_batch (List.map (fun p -> Withdraw p) prefixes)))
-  | Ok (Codec.Batch_routes (ias, discarded)) -> (
-    List.iter (record_error t ~now ~from) discarded;
-    match ias with
-    | [] -> (Rx_accepted (List.length discarded), [])
-    | head :: _ ->
-      (* The IAs share one attribute set, so the semantic next-hop check
-         is batch-wide: no usable next hop means no route in the batch
-         can enter the FIB. *)
-      if Ia.next_hop head = None then begin
-        let e =
-          Errors.make Errors.Treat_as_withdraw Errors.Semantic
-            "missing BGP next-hop descriptor"
-        in
-        record_error t ~now ~from e;
-        ( Rx_withdrawn,
-          snd
-            (rx_batch (List.map (fun (ia : Ia.t) -> Withdraw ia.Ia.prefix) ias))
-        )
-      end
-      else begin
-        let rejected, out = rx_batch (List.map (fun ia -> Announce ia) ias) in
-        if rejected >= List.length ias then (Rx_filtered, out)
-        else (Rx_accepted (List.length discarded), out)
-      end )
-
-(* Batched withdraw frame: per-entry salvage, then one decision flush
-   for every surviving prefix. *)
-let receive_wire_withdraw_batch ?(now = 0.) ?(defer = false) t ~from bytes =
-  let rx_batch msgs =
-    List.iter (fun m -> ingest ~now t ~from m) msgs;
+  List.iter (fun p -> ingest ~now t ~from (Withdraw p)) d.Codec.withdrawn;
+  let out =
     if defer then []
     else
       try flush ~now t
@@ -935,13 +825,16 @@ let receive_wire_withdraw_batch ?(now = 0.) ?(defer = false) t ~from bytes =
         absorb t ~now ~from exn;
         []
   in
-  match Codec.decode_withdraw_batch_robust bytes with
-  | Error e ->
-    record_error t ~now ~from e;
-    (Rx_session_error, [])
-  | Ok (prefixes, discarded) ->
-    List.iter (record_error t ~now ~from) discarded;
-    (Rx_withdrawn, rx_batch (List.map (fun p -> Withdraw p) prefixes))
+  let has cls = List.exists (fun (e : Errors.t) -> e.Errors.cls = cls) d.Codec.errors in
+  let outcome =
+    match (d.Codec.routes, layout) with
+    | _ when has Errors.Session_reset -> Rx_session_error
+    | [], (Codec.Withdraw | Codec.Withdraw_batch) -> Rx_withdrawn
+    | [], _ when has Errors.Treat_as_withdraw -> Rx_withdrawn
+    | routes, _ when routes <> [] && rejected = List.length routes -> Rx_filtered
+    | _ -> Rx_accepted (List.length d.Codec.errors)
+  in
+  (outcome, out)
 
 (* ---------------- session teardown ---------------- *)
 

@@ -18,13 +18,16 @@
     (selected best + FIB), {!Adj_rib_out} (peer groups and per-neighbor
     advertised state) — connected by a dirty-prefix scheduler
     ({!Pipeline}).
-    {!receive} ingests and drains immediately (eager, the historical
-    behaviour); {!ingest} + {!flush} split the two so the session layer
-    can batch many updates into one decision run per prefix.
+    The netsim session layer delivers every message as a frame of bytes
+    through the one wire receive, {!receive_wire}, which decodes,
+    ingests and (unless deferred) drains.  {!receive} hands over one
+    in-memory message and drains immediately; {!ingest} + {!flush}
+    split the two so a caller can batch many updates into one decision
+    run per prefix.
 
-    Speakers are pure with respect to I/O: {!receive}, {!originate} and
-    {!peer_down} return the messages to transmit; the netsim session
-    layer owns delivery. *)
+    Speakers are pure with respect to I/O: {!receive_wire},
+    {!originate} and {!peer_down} return the messages to transmit; the
+    netsim session layer owns delivery. *)
 
 type msg =
   | Announce of Ia.t
@@ -178,79 +181,44 @@ val pending : t -> int
 
 (** {1 Wire-level receive: RFC 7606-style error handling}
 
-    {!receive_wire} is the adversarial-input entry point: it decodes raw
-    bytes with {!Codec.decode_robust} and applies the revised-error-handling
-    severity ladder — malformed descriptors are discarded individually,
-    structural damage around a readable prefix becomes a withdrawal of
-    that one route, and only an unreadable prefix is surfaced as a
-    session-level error (the session layer decides whether to reset). *)
+    {!receive_wire} is how every delivered message reaches a speaker:
+    one frame of bytes in any {!Codec.layout}, decoded by
+    {!Codec.decode_frame} under the revised-error-handling severity
+    ladder — malformed descriptors or NLRI entries are discarded
+    individually, structural damage around a readable prefix (or a
+    missing next hop) withdraws the frame's routes, and only lost
+    framing is surfaced as a session-level error (the session layer
+    decides whether to reset). *)
 
 type rx_outcome =
   | Rx_accepted of int
-      (** Route accepted; the int counts descriptors individually
-          discarded as malformed ([Discard_attribute], usually 0). *)
-  | Rx_filtered     (** Decoded fine but rejected by import policy. *)
+      (** Routes accepted; the int counts descriptors or NLRI entries
+          individually discarded as malformed ([Discard_attribute],
+          usually 0). *)
+  | Rx_filtered     (** Decoded fine but every route rejected by import policy. *)
   | Rx_withdrawn
-      (** Treat-as-withdraw: the prefix was readable but the rest was
-          not trustworthy, so any previous route from this peer for it
-          was withdrawn (starting the damping penalty clock). *)
+      (** A withdraw frame, or treat-as-withdraw: the prefixes were
+          readable but the rest was not trustworthy, so any previous
+          route from this peer for them was withdrawn (starting the
+          damping penalty clock). *)
   | Rx_session_error
-      (** Framing damage before the prefix; nothing could be salvaged. *)
+      (** Framing damage; nothing could be salvaged. *)
 
 val receive_wire :
   ?now:float ->
   ?defer:bool ->
   t ->
   from:Peer.t ->
+  Codec.layout ->
   string ->
   rx_outcome * (Peer.t * msg) list
-(** Feed one encoded announcement through the full pipeline.  Never
+(** Feed one encoded frame through the pipeline: every salvaged route
+    and withdraw is ingested, then one decision {!flush} runs.  Never
     raises; every error verdict is counted ([errors.discard_attribute],
-    [errors.treat_as_withdraw], [errors.session_reset]) and traced as an
-    [rx_error] event.  [defer] (default false) buffers into the
-    dirty-prefix pipeline instead of draining immediately — the emission
-    list is then always empty and the update takes effect at the next
-    {!flush}. *)
-
-val receive_wire_withdraw :
-  ?now:float ->
-  ?defer:bool ->
-  t ->
-  from:Peer.t ->
-  string ->
-  rx_outcome * (Peer.t * msg) list
-(** Feed one encoded withdraw (see {!Codec.encode_withdraw}) through the
-    pipeline — the Withdraw counterpart of {!receive_wire}, so wire
-    faults cover the full message surface.  A readable prefix yields
-    [Rx_withdrawn] (trailing garbage is discarded and counted); an
-    unreadable prefix yields [Rx_session_error].  Never raises. *)
-
-val receive_wire_batch :
-  ?now:float ->
-  ?defer:bool ->
-  t ->
-  from:Peer.t ->
-  string ->
-  rx_outcome * (Peer.t * msg) list
-(** Feed one batched announce frame (see {!Codec.encode_batch}) through
-    the pipeline.  The whole batch is ingested before a single decision
-    flush.  Salvage follows {!Codec.decode_batch_robust}: a corrupted
-    NLRI entry is discarded alone; a corrupted attribute block (or, the
-    attributes being shared, a missing next hop) treats every salvaged
-    prefix as withdrawn; only lost framing is [Rx_session_error].
-    [Rx_filtered] means import policy rejected the entire batch.  Never
-    raises. *)
-
-val receive_wire_withdraw_batch :
-  ?now:float ->
-  ?defer:bool ->
-  t ->
-  from:Peer.t ->
-  string ->
-  rx_outcome * (Peer.t * msg) list
-(** Feed one batched withdraw frame (see {!Codec.encode_withdraw_batch})
-    through the pipeline: per-entry salvage, then one decision flush for
-    every surviving prefix.  Never raises. *)
+    [errors.treat_as_withdraw], [errors.session_reset]) and traced as
+    an [rx_error] event.  [defer] (default false) skips the flush — the
+    emission list is then always empty and the frame takes effect at
+    the next {!flush}. *)
 
 (** {1 Resilience: graceful restart (RFC 4724) and flap damping (RFC 2439)} *)
 

@@ -253,11 +253,9 @@ let run cfg =
         | Error _ -> incr batch_session_reset
         | exception _ -> incr escaped );
     match
-      if announce then
-        Speaker.receive_wire_batch ~now:(float_of_int idx) speaker ~from:peer wire
-      else
-        Speaker.receive_wire_withdraw_batch ~now:(float_of_int idx) speaker
-          ~from:peer wire
+      Speaker.receive_wire ~now:(float_of_int idx) speaker ~from:peer
+        (if announce then Codec.Announce_batch else Codec.Withdraw_batch)
+        wire
     with
     | (_ : Speaker.rx_outcome), (_ : (Peer.t * Speaker.msg) list) -> ()
     | exception _ -> incr escaped
@@ -282,7 +280,8 @@ let run cfg =
       | exception _ -> incr escaped );
     (* Full pipeline. *)
     ( match
-        Speaker.receive_wire ~now:(float_of_int idx) speaker ~from:peer wire
+        Speaker.receive_wire ~now:(float_of_int idx) speaker ~from:peer
+          Codec.Announce wire
       with
       | Speaker.Rx_accepted 0, _ -> incr accepted
       | Speaker.Rx_accepted n, _ ->

@@ -15,9 +15,9 @@
     structure — NLRI count tampering, attribute-block truncation,
     NLRI/attr split-point corruption — through
     {!Dbgp_core.Codec.decode_batch_robust},
-    {!Dbgp_core.Codec.decode_withdraw_batch_robust},
-    {!Dbgp_core.Speaker.receive_wire_batch} and
-    {!Dbgp_core.Speaker.receive_wire_withdraw_batch} (none may raise).
+    {!Dbgp_core.Codec.decode_withdraw_batch_robust} and
+    {!Dbgp_core.Speaker.receive_wire} with the batch layouts (none may
+    raise).
 
     Everything is driven by one seed: the same [config] reproduces the
     same cases and the same outcome histogram, so the histogram can be

@@ -10,17 +10,15 @@
    - encode-cache and decode-memo hit rates from
      {!Dbgp_core.Codec.wire_metrics} counter deltas around the run.
 
-   Each size runs twice: once with in-memory delivery (the headline
-   throughput mode, comparable to the recorded pre-change baseline) and
-   once with {!Dbgp_netsim.Network.set_wire_delivery} on, where every
-   clean announcement crosses a real serialization boundary — encode on
-   the sender (amortised by the encode cache), robust decode on the
+   Every message crosses a real serialization boundary — encode on the
+   sender (amortised by the encode cache), robust decode on the
    receiver (amortised by the decode memo).
 
-   The pre-change baseline constants below were measured on this
-   machine at 1000 ASes / 64 prefixes / MRAI 2.0 immediately before the
-   interning + encode-once + heap-scheduler changes landed; [headline]
-   reports the current run against them. *)
+   The pre-change baseline constants below were measured at 1000 ASes /
+   64 prefixes / MRAI 2.0 immediately before the interning +
+   encode-once + heap-scheduler changes landed, with announcements
+   handed over as in-memory values; [headline] reports the current run
+   against them. *)
 
 open Dbgp_types
 module Network = Dbgp_netsim.Network
@@ -32,7 +30,6 @@ module Snapshot = Dbgp_obs.Snapshot
 type row = {
   ases : int;
   prefixes : int;
-  wire : bool;
   messages : int;
   updates : int;
   events : int;
@@ -60,8 +57,8 @@ type headline = {
   minor_words_reduction : float;
 }
 
-(* Recorded on this machine at 1000 ASes / 64 prefixes / MRAI 2.0,
-   in-memory delivery, at the commit preceding the hot-path work
+(* Recorded at 1000 ASes / 64 prefixes / MRAI 2.0, in-memory
+   delivery, at the commit preceding the hot-path work
    ("Restructure speaker into staged RIB pipeline..."). *)
 let baseline_updates_per_s = 57_572.
 let baseline_minor_words_per_update = 1487.3
@@ -93,10 +90,9 @@ let rate hits misses =
   if hits + misses = 0 then 0.
   else float_of_int hits /. float_of_int (hits + misses)
 
-let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(wire = false) ~ases () =
+let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ~ases () =
   let net = build ~seed ~ases in
   Network.set_mrai net mrai;
-  Network.set_wire_delivery net wire;
   for i = 0 to prefixes - 1 do
     let prefix = Prefix.of_string (Printf.sprintf "99.%d.0.0/24" i) in
     let origin = Asn.of_int (1 + (i mod ases)) in
@@ -129,7 +125,6 @@ let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(wire = false) ~ases () =
   let dec_misses = wire_count "wire.decode_memo.misses" - dec_misses0 in
   { ases;
     prefixes;
-    wire;
     messages = stats.Network.messages;
     updates;
     events = stats.Network.events;
@@ -298,20 +293,15 @@ let pp_sharded ppf r =
     (if r.s_transcript_match then "match" else "DIVERGED")
 
 let suite ?(sizes = [ 100; 500; 1000 ]) ?(prefixes = 64) () =
-  List.concat_map
-    (fun ases ->
-      [ run ~ases ~prefixes (); run ~ases ~prefixes ~wire:true () ])
-    sizes
+  List.map (fun ases -> run ~ases ~prefixes ()) sizes
 
 let headline rows =
   let pick =
     List.fold_left
       (fun acc r ->
-        if r.wire then acc
-        else
-          match acc with
-          | Some best when best.ases >= r.ases -> acc
-          | _ -> Some r)
+        match acc with
+        | Some best when best.ases >= r.ases -> acc
+        | _ -> Some r)
       None rows
   in
   match pick with
@@ -330,7 +320,6 @@ let to_snapshot r =
   Snapshot.Obj
     [ ("ases", Snapshot.Int r.ases);
       ("prefixes", Snapshot.Int r.prefixes);
-      ("wire", Snapshot.Bool r.wire);
       ("messages", Snapshot.Int r.messages);
       ("updates", Snapshot.Int r.updates);
       ("events", Snapshot.Int r.events);
@@ -363,11 +352,9 @@ let headline_to_snapshot h =
 
 let pp ppf r =
   Format.fprintf ppf
-    "%4d ASes %3d pfx %-6s %6d updates  %7.0f up/s (%7.0f cpu)  \
+    "%4d ASes %3d pfx %6d updates  %7.0f up/s (%7.0f cpu)  \
      %6.0f minor w/up  enc %d/%d (%.0f%%)  dec %d/%d (%.0f%%)"
-    r.ases r.prefixes
-    (if r.wire then "wire" else "memory")
-    r.updates r.updates_per_s r.updates_per_cpu_s r.minor_words_per_update
+    r.ases r.prefixes r.updates r.updates_per_s r.updates_per_cpu_s r.minor_words_per_update
     r.enc_hits
     (r.enc_hits + r.enc_misses)
     (100. *. r.enc_hit_rate) r.dec_hits
@@ -376,7 +363,7 @@ let pp ppf r =
 
 let pp_headline ppf h =
   Format.fprintf ppf
-    "%d ASes / %d prefixes (in-memory): %.0f updates/s vs %.0f baseline \
+    "%d ASes / %d prefixes: %.0f updates/s vs %.0f baseline \
      (%.2fx); %.0f minor words/update vs %.1f baseline (%.0f%% less)"
     h.row.ases h.row.prefixes h.row.updates_per_s h.baseline_updates_per_s
     h.speedup h.row.minor_words_per_update h.baseline_minor_words_per_update

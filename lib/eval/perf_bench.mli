@@ -8,12 +8,8 @@
     [wire.encode_cache.*] / [wire.decode_memo.*] hit rates from
     {!Dbgp_core.Codec.wire_metrics} counter deltas around the run.
 
-    Each size runs in two delivery modes: {e memory} (announcements
-    handed over as in-memory values — the headline throughput mode,
-    comparable to the recorded pre-change baseline) and {e wire}
-    ({!Dbgp_netsim.Network.set_wire_delivery}: every clean announcement
-    is encoded by the sender and robustly decoded by the receiver, so
-    both wire caches face real fan-out traffic).
+    Every message is encoded by the sender and robustly decoded by the
+    receiver, so both wire caches face real fan-out traffic.
 
     Topology and message counts are deterministic for a given seed; the
     timing and GC fields are machine-dependent. *)
@@ -21,7 +17,6 @@
 type row = {
   ases : int;
   prefixes : int;
-  wire : bool;             (** wire-faithful delivery was enabled *)
   messages : int;          (** wire messages delivered network-wide *)
   updates : int;           (** announcements + withdrawals handed to speakers *)
   events : int;            (** simulator events executed *)
@@ -42,7 +37,7 @@ type row = {
 }
 
 type headline = {
-  row : row;               (** largest in-memory row of the suite *)
+  row : row;               (** largest row of the suite *)
   baseline_updates_per_s : float;
   baseline_minor_words_per_update : float;
   speedup : float;         (** row vs recorded pre-change baseline *)
@@ -50,19 +45,18 @@ type headline = {
 }
 
 val run :
-  ?seed:int -> ?prefixes:int -> ?mrai:float -> ?wire:bool -> ases:int ->
-  unit -> row
-(** Defaults: seed 42, 64 prefixes, MRAI 2.0 s, in-memory delivery. *)
+  ?seed:int -> ?prefixes:int -> ?mrai:float -> ases:int -> unit -> row
+(** Defaults: seed 42, 64 prefixes, MRAI 2.0 s. *)
 
 val suite : ?sizes:int list -> ?prefixes:int -> unit -> row list
-(** Two {!run}s (memory then wire) per topology size; default sizes
-    100, 500 and 1000 ASes at 64 prefixes. *)
+(** One {!run} per topology size; default sizes 100, 500 and 1000 ASes
+    at 64 prefixes. *)
 
 val headline : row list -> headline option
-(** The largest in-memory row compared against the recorded pre-change
-    baseline (57,572 updates/s and 1487.3 minor words/update at
-    1000 ASes / 64 prefixes on the reference machine).  [None] if the
-    list holds no in-memory row. *)
+(** The largest row compared against the recorded pre-change baseline
+    (57,572 updates/s and 1487.3 minor words/update at 1000 ASes /
+    64 prefixes on the reference machine, measured with in-memory
+    delivery).  [None] on an empty list. *)
 
 (** {1 Sharded axis}
 

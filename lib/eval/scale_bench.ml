@@ -14,8 +14,9 @@
      delta around the load (FIB index built), i.e. the combined
      sender + receiver footprint of one route crossing the pipeline;
    - table-transfer message counts for a session bounce on the feed
-     link, three ways: [full] (no graceful restart — the legacy
-     re-announce storm, ~1 message per route), [clean] (graceful
+     link, three ways: [full] (no graceful restart — the re-announce
+     storm, which crosses in attribute-bucketed frames and is also
+     reported per prefix, ~1 message per route), [clean] (graceful
      restart, nothing changed while down — the streamed incremental
      sync should send ~0 and skip ~all), and [churn] (a slice of the
      table re-originated while the session was down — the sync should
@@ -183,44 +184,50 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
   let frames () =
     Metrics.count (Metrics.counter (Network.metrics net) "net.batch.frames")
   in
-  (* Arm 1 — the legacy storm: no graceful restart, so the bounce drops
-     and refreshes the full table, one message per route (the per-prefix
-     baseline the batched arm is judged against). *)
+  (* Per-prefix messages: every multi-prefix frame stands in for
+     [net.batch.saved] further single-prefix messages. *)
+  let per_prefix () =
+    msgs ()
+    + Metrics.count (Metrics.counter (Network.metrics net) "net.batch.saved")
+  in
+  (* Arm 1 — the session-establish storm: no graceful restart, so the
+     bounce drops and refreshes the full table.  The feed's table shares
+     one attribute set, so each MRAI flush leaves as one multi-prefix
+     frame (one attribute block + NLRI list).  The per-prefix baseline
+     the frames are judged against — one message and one single-prefix
+     encoding per route — follows from the same run: the per-prefix
+     message count, and the routes the frames carried, which are the
+     feed's Adj-RIB-Out toward the collector. *)
   Network.set_graceful_restart net None;
   Network.fail_link net feed_asn prov_asn;
   ignore (Network.run net);
   let m0 = msgs () in
   let b0 = abytes () in
-  Network.recover_link net feed_asn prov_asn;
-  ignore (Network.run net);
-  let full_transfer_msgs = msgs () - m0 in
-  let full_transfer_bytes = abytes () - b0 in
-  (* Arm 1b — the same storm with attribute-bucketed frames: the feed's
-     table shares one attribute set, so each MRAI flush leaves as one
-     multi-prefix frame (one attribute block + NLRI list) instead of one
-     message per prefix. *)
-  Network.set_batching net true;
-  Network.fail_link net feed_asn prov_asn;
-  ignore (Network.run net);
-  let m0 = msgs () in
-  let b0 = abytes () in
   let f0 = frames () in
+  let p0 = per_prefix () in
   Network.recover_link net feed_asn prov_asn;
   ignore (Network.run net);
-  Network.set_batching net false;
   let batched_transfer_msgs = msgs () - m0 in
   let batched_transfer_bytes = abytes () - b0 in
   let batch_frames = frames () - f0 in
+  let full_transfer_msgs = per_prefix () - p0 in
+  let full_transfer_bytes =
+    List.fold_left
+      (fun acc (_, ia) -> acc + Dbgp_core.Codec.size ia)
+      0
+      (Speaker.adj_out (Network.speaker net feed_asn)
+         (Network.peer_of net prov_asn))
+  in
   (* Arm 2 — clean incremental re-establish inside the graceful window:
      both Adj-RIB-Outs survived, nothing changed, so the streamed sync
      should skip everything. *)
   Network.set_graceful_restart net (Some 1e9);
   Network.fail_link net feed_asn prov_asn;
-  let m0 = msgs () in
+  let p0 = per_prefix () in
   let sk0 = c "sync.skipped" in
   Network.recover_link net feed_asn prov_asn;
   ignore (Network.run net);
-  let clean_transfer_msgs = msgs () - m0 in
+  let clean_transfer_msgs = per_prefix () - p0 in
   let clean_skipped = c "sync.skipped" - sk0 in
   (* Arm 3 — churn under the outage: a slice of the table re-originates
      while the session is down (the sends die on the cut link and demote
@@ -234,11 +241,11 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
       (Dbgp_core.Ia.originate ~prefix:(feed_prefix i) ~origin_asn:feed_asn
          ~next_hop:(Network.speaker_addr feed_asn) ())
   done;
-  let m0 = msgs () in
+  let p0 = per_prefix () in
   Event_queue.schedule q ~delay:5.0 (fun () ->
       Network.recover_link net feed_asn prov_asn);
   ignore (Network.run net);
-  let churn_transfer_msgs = msgs () - m0 in
+  let churn_transfer_msgs = per_prefix () - p0 in
   { ases;
     prefixes;
     bg_prefixes = bg;

@@ -6,18 +6,23 @@
     whose provider (a route collector) re-exports nothing, and bounces
     the feed link three ways to compare table-transfer cost:
 
-    - [full_transfer_msgs]/[full_transfer_bytes]: no graceful restart —
-      the legacy session-establish re-announce storm, ~1 message per
-      route (the per-prefix baseline);
-    - [batched_transfer_msgs]/[batched_transfer_bytes]: the same storm
-      with attribute-bucketed frames ({!Dbgp_netsim.Network.set_batching})
-      — the table shares one attribute set, so it crosses in
-      [batch_frames] multi-prefix frames;
+    - [batched_transfer_msgs]/[batched_transfer_bytes]: no graceful
+      restart — the session-establish re-announce storm.  The table
+      shares one attribute set, so it crosses in [batch_frames]
+      multi-prefix frames (see {!Dbgp_netsim.Network.set_mrai});
+    - [full_transfer_msgs]/[full_transfer_bytes]: the same storm's
+      per-prefix baseline, derived from that run — one message per
+      route (frames plus [net.batch.saved]) and one single-prefix
+      encoding per route (the sum of {!Dbgp_core.Codec.size} over the
+      routes the transfer carried);
     - [clean_transfer_msgs]: re-establish inside the graceful window
       with nothing changed — the streamed incremental sync should send
       ~0 and skip ~the whole table ([clean_skipped]);
     - [churn_transfer_msgs]: [churn_routes] re-originated while the
       session was down — the sync should re-send just those.
+
+    Like [full_transfer_msgs], the clean and churn arms count per-prefix
+    messages, so all three compare route for route.
 
     [words_per_route] is the network's [Obj.reachable_words] delta
     across the table load (FIB index built, shared blocks counted

@@ -169,9 +169,9 @@ let run_hub_policy ~seed ~domains =
 (* Scenario 3: seeded chaos over a 30-AS BRITE graph in four regions.  *)
 (* Flap links are pinned intra-region (fault state must stay region-   *)
 (* private); per-link loss/jitter/corruption apply only to intra-      *)
-(* region links, drawn from per-region split PRNG streams.  Wire       *)
-(* delivery is on, so every clean delivery crosses the codec and the   *)
-(* per-domain encode/decode caches earn their keep.                    *)
+(* region links, drawn from per-region split PRNG streams.  Every      *)
+(* delivery crosses the codec, so the per-domain encode/decode caches  *)
+(* earn their keep.                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let run_chaos ~seed ~domains =
@@ -198,7 +198,7 @@ let run_chaos ~seed ~domains =
   let is_flap a b = List.mem (a, b) flapped || List.mem (b, a) flapped in
   let damping = Some { Damping.default with Damping.half_life = 5. } in
   let sh =
-    Shard.create ~wire_delivery:true ~regions:4
+    Shard.create ~regions:4
       ~make_speaker:(fun a -> mk_speaker ~damping a)
       ()
   in

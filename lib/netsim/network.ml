@@ -1,6 +1,7 @@
 open Dbgp_types
 module Speaker = Dbgp_core.Speaker
 module Peer = Dbgp_core.Peer
+module Codec = Dbgp_core.Codec
 module Metrics = Dbgp_obs.Metrics
 module Trace = Dbgp_obs.Trace
 module Snapshot = Dbgp_obs.Snapshot
@@ -59,11 +60,6 @@ type t = {
   latencies : (int, float) Hashtbl.t;  (* by packed ASN pair, a < b; presence = link up *)
   links : (int, link_cfg) Hashtbl.t;   (* config for every link ever made *)
   mutable mrai : float;
-  mutable wire_delivery : bool;
-  (* Attribute-bucketed frame delivery at MRAI flush (opt-in, see
-     {!set_batching}): prefixes sharing an attribute set leave in one
-     multi-prefix frame instead of one message each. *)
-  mutable batching : bool;
   mutable fault : Fault_model.t option;
   (* Adversarial egress interposition: a compromised AS rewrites (or
      silently drops) messages it sends, before they hit the wire.  The
@@ -110,8 +106,6 @@ let create () =
     latencies = Hashtbl.create 64;
     links = Hashtbl.create 64;
     mrai = 0.;
-    wire_delivery = false;
-    batching = false;
     fault = None;
     interposer = None;
     graceful_window = None;
@@ -225,34 +219,35 @@ let set_change_feed t feed =
                  ~fingerprint:(Speaker.loc_fingerprint s prefix))))
     t.speakers
 
-
 let prefix_of_msg = function
   | Speaker.Announce ia -> ia.Dbgp_core.Ia.prefix
   | Speaker.Withdraw p -> p
 
-(* Encoded size of a message on the wire.  Withdrawals carry just the
-   prefix (1 length octet + up to 4 address octets). *)
+(* Encoded size of a message on its own (a one-prefix frame). *)
 let msg_bytes m =
   match m with
-  | Speaker.Announce ia -> Dbgp_core.Codec.size ia
-  | Speaker.Withdraw _ -> 5
+  | Speaker.Announce ia -> Codec.size ia
+  | Speaker.Withdraw p -> String.length (Codec.encode_withdraw p)
 
 let is_withdraw = function
   | Speaker.Announce _ -> false
   | Speaker.Withdraw _ -> true
 
-(* ------------- attribute-bucketed frames (opt-in, MRAI flush) -------------
+(* ------------------------------ frames ------------------------------
 
-   With {!set_batching} on, an MRAI flush leaves the wire as multi-prefix
-   frames: announces are bucketed by attribute set ({!Dbgp_core.Ia.same_attrs})
-   so each bucket ships one attribute block plus an NLRI list, and the
-   flush's withdraws ship as one withdraw frame.  Singleton buckets keep
-   the single-prefix path — and with batching off (the default) nothing
-   here runs, so golden transcripts are untouched. *)
+   Every message crosses the wire as a {!Codec.frame} of bytes.  With
+   MRAI 0 each message leaves alone, as a one-prefix frame; an MRAI
+   flush buckets its announces by attribute set
+   ({!Dbgp_core.Ia.same_attrs}) so each bucket ships one attribute block
+   plus an NLRI list, and the flush's withdraws ship as one frame. *)
 
-type frame =
-  | Frame_routes of Dbgp_core.Ia.t list (* ≥2, pairwise same_attrs *)
-  | Frame_withdraws of Prefix.t list    (* ≥2 *)
+let frame_of_msg = function
+  | Speaker.Announce ia -> Codec.Routes [ ia ]
+  | Speaker.Withdraw p -> Codec.Withdraws [ p ]
+
+let frame_prefixes = function
+  | Codec.Routes ias -> List.map (fun (ia : Dbgp_core.Ia.t) -> ia.Dbgp_core.Ia.prefix) ias
+  | Codec.Withdraws ps -> ps
 
 module Attr_buckets = Hashtbl.Make (struct
   type t = Dbgp_core.Ia.t
@@ -261,263 +256,11 @@ module Attr_buckets = Hashtbl.Make (struct
   let hash = Dbgp_core.Ia.attrs_hash
 end)
 
-let frame_prefixes = function
-  | Frame_routes ias -> List.map (fun (ia : Dbgp_core.Ia.t) -> ia.Dbgp_core.Ia.prefix) ias
-  | Frame_withdraws ps -> ps
-
-let rec dispatch t ~from outbox =
-  List.iter
-    (fun ((peer : Peer.t), msg) ->
-      match Hashtbl.find_opt t.by_addr (Ipv4.to_int peer.Peer.addr) with
-      | None -> (
-        (* Not simulated here — but possibly simulated by another
-           partition.  Cross-partition sends bypass MRAI sender-side
-           coalescing (each message ships individually with the MRAI
-           interval added to its arrival delay, preserving the
-           conservative lookahead the epoch barrier depends on) and see
-           no fault model (cross-cut links are fault-free by the
-           partitioner's pinning contract).  Receive-side batching at
-           the destination still coalesces decision runs. *)
-        match
-          (t.remote, Hashtbl.find_opt t.remote_addrs (Ipv4.to_int peer.Peer.addr))
-        with
-        | Some hook, Some dst_asn ->
-          let dst = Asn.of_int dst_asn in
-          if not (Hashtbl.mem t.latencies (lat_key from dst)) then
-            note_lost t ~from ~to_:dst msg
-          else begin
-            match
-              match t.interposer with
-              | None -> Some msg
-              | Some f -> (
-                match f ~from ~to_:dst msg with
-                | Some m ->
-                  if m != msg then
-                    Metrics.incr (Metrics.counter t.obs "net.adversary.tampered");
-                  Some m
-                | None ->
-                  Metrics.incr (Metrics.counter t.obs "net.adversary.dropped");
-                  None )
-            with
-            | None -> ()
-            | Some msg ->
-              Trace.emit t.trace ~at:(Event_queue.now t.q)
-                (Trace.Update_sent
-                   { src = Asn.to_int from;
-                     dst = dst_asn;
-                     prefix = Prefix.to_int (prefix_of_msg msg);
-                     bytes = msg_bytes msg;
-                     withdraw = is_withdraw msg });
-              let at =
-                Event_queue.now t.q +. Float.max t.mrai 0.
-                +. latency t from dst
-              in
-              hook ~from ~to_:dst ~at msg
-          end
-        | _ -> () (* neighbor not simulated anywhere; drop *) )
-      | Some dst_asn ->
-        let dst = Asn.of_int dst_asn in
-        if not (Hashtbl.mem t.latencies (lat_key from dst)) then
-          (* Link already down at send time: the message dies here, and
-             the sender's Adj-RIB-Out must know (routes that change
-             while a session is down are exactly what an incremental
-             re-establish has to re-send). *)
-          note_lost t ~from ~to_:dst msg
-        else begin
-          match
-            match t.interposer with
-            | None -> Some msg
-            | Some f -> (
-              match f ~from ~to_:dst msg with
-              | Some m ->
-                if m != msg then
-                  Metrics.incr (Metrics.counter t.obs "net.adversary.tampered");
-                Some m
-              | None ->
-                Metrics.incr (Metrics.counter t.obs "net.adversary.dropped");
-                None )
-          with
-          | None -> () (* suppressed by the compromised sender *)
-          | Some msg ->
-          Trace.emit t.trace ~at:(Event_queue.now t.q)
-            (Trace.Update_sent
-               { src = Asn.to_int from;
-                 dst = dst_asn;
-                 prefix = Prefix.to_int (prefix_of_msg msg);
-                 bytes = msg_bytes msg;
-                 withdraw = is_withdraw msg });
-          let jitter, reorder =
-            match t.fault with
-            | Some f ->
-              ( Fault_model.jitter f (Asn.to_int from) dst_asn,
-                Fault_model.reorder_delay f ~now:(Event_queue.now t.q)
-                  (Asn.to_int from) dst_asn )
-            | None -> (0., 0.)
-          in
-          let delay = latency t from dst +. jitter +. reorder in
-          if t.mrai <= 0. then
-            Event_queue.schedule t.q ~delay (fun () -> deliver t ~from ~to_:dst msg)
-          else begin
-            (* MRAI batching: keep only the latest state per prefix and
-               flush the whole batch once per interval. *)
-            let key = pack_pair (Asn.to_int from) dst_asn in
-            let batch, scheduled =
-              match Hashtbl.find_opt t.pending key with
-              | Some entry -> entry
-              | None ->
-                let entry = (Hashtbl.create 8, ref false) in
-                Hashtbl.replace t.pending key entry;
-                entry
-            in
-            Hashtbl.replace batch (prefix_of_msg msg) msg;
-            if not !scheduled then begin
-              scheduled := true;
-              Event_queue.schedule t.q ~delay:(t.mrai +. delay) (fun () ->
-                  scheduled := false;
-                  (* A batch {!clear_pending} emptied has nothing to
-                     flush. *)
-                  if Hashtbl.length batch > 0 then begin
-                    let msgs = Hashtbl.fold (fun _ m acc -> m :: acc) batch [] in
-                    Hashtbl.reset batch;
-                    Metrics.incr (Metrics.counter t.obs "net.mrai_flushes");
-                    Metrics.incr ~by:(List.length msgs)
-                      (Metrics.counter t.obs "net.mrai_batched");
-                    Trace.emit t.trace ~at:(Event_queue.now t.q)
-                      (Trace.Mrai_flush
-                         { src = Asn.to_int from;
-                           dst = dst_asn;
-                           batched = List.length msgs });
-                    if t.batching then deliver_batched t ~from ~to_:dst msgs
-                    else List.iter (fun m -> deliver t ~from ~to_:dst m) msgs
-                  end)
-            end
-          end
-        end)
-    outbox
-
-and note_lost t ~from ~to_ msg =
-  (* Delivery-failure feedback to the sender's Adj-RIB-Out: in this
-     simulator the transport knows exactly which messages die, playing
-     the role a TCP connection reset plays for a real speaker.  Without
-     it the confirmed bits would claim the peer holds state it never
-     received and an incremental sync would wrongly skip it. *)
-  match Hashtbl.find_opt t.speakers (Asn.to_int from) with
-  | Some s -> Speaker.note_undelivered s (peer_of t to_) (prefix_of_msg msg)
-  | None -> ()
-
-and deliver t ~from ~to_ msg =
-  let now = Event_queue.now t.q in
-  if not (Hashtbl.mem t.latencies (lat_key from to_)) then begin
-    (* The link went down while the message was in flight. *)
-    Metrics.incr t.c_dropped;
-    note_lost t ~from ~to_ msg
-  end
-  else if
-    match t.fault with
-    | Some f -> Fault_model.drop f ~now (Asn.to_int from) (Asn.to_int to_)
-    | None -> false
-  then begin
-    Metrics.incr t.c_dropped;
-    note_lost t ~from ~to_ msg
-  end
-  else begin
-    (* Duplicate delivery: the session layer hands the same message to
-       the speaker twice (a retransmit).  The second copy draws its own
-       corruption decision, as a real retransmit would. *)
-    let dup =
-      match t.fault with
-      | Some f -> Fault_model.duplicate f ~now (Asn.to_int from) (Asn.to_int to_)
-      | None -> false
-    in
-    deliver_once t ~now ~from ~to_ msg;
-    if dup then deliver_once t ~now ~from ~to_ msg
-  end
-
-and deliver_once t ~now ~from ~to_ msg =
-  let bytes = msg_bytes msg in
-  Metrics.incr t.c_messages;
-  Metrics.observe t.h_msg_bytes (float_of_int bytes);
-  ( match msg with
-    | Speaker.Announce _ -> Metrics.incr ~by:bytes t.c_announce_bytes
-    | Speaker.Withdraw _ -> Metrics.incr t.c_withdrawals );
-  Trace.emit t.trace ~at:now
-    (Trace.Update_received
-       { src = Asn.to_int from;
-         dst = Asn.to_int to_;
-         prefix = Prefix.to_int (prefix_of_msg msg);
-         bytes;
-         withdraw = is_withdraw msg });
-  let s = speaker t to_ in
-  (* With MRAI batching on, receipt only ingests (marks the prefix dirty
-     in the speaker's pipeline); the decision process runs once per dirty
-     prefix when the scheduled drain fires. *)
-  let batched = t.mrai > 0. in
-  let outbox =
-    match (t.fault, msg) with
-    | Some f, Speaker.Announce ia
-      when Fault_model.corrupt f ~now (Asn.to_int from) (Asn.to_int to_) ->
-      (* Wire-level corruption: instead of handing over the in-memory
-         value, encode it, damage the bytes, and push them through the
-         robust decode path — the receiver sees exactly what a damaged
-         TCP stream would carry. *)
-      let wire = Fault_model.mutate f (Dbgp_core.Codec.encode ia) in
-      Metrics.incr (Metrics.counter t.obs "net.corruption.injected");
-      let outcome, out =
-        Speaker.receive_wire ~now ~defer:batched s ~from:(peer_of t from) wire
-      in
-      ( match outcome with
-        | Speaker.Rx_accepted _ ->
-          (* The damage hit bits the codec could absorb. *)
-          Metrics.incr (Metrics.counter t.obs "net.corruption.survived")
-        | Speaker.Rx_filtered | Speaker.Rx_withdrawn
-        | Speaker.Rx_session_error -> () );
-      out
-    | Some f, Speaker.Withdraw p
-      when Fault_model.corrupt f ~now (Asn.to_int from) (Asn.to_int to_) ->
-      (* Withdraws cross the wire too: encode the prefix, damage the
-         bytes, push them through the robust withdraw decode.  The full
-         message surface — not just Announces — faces the fault model. *)
-      let wire = Fault_model.mutate f (Dbgp_core.Codec.encode_withdraw p) in
-      Metrics.incr (Metrics.counter t.obs "net.corruption.injected");
-      let outcome, out =
-        Speaker.receive_wire_withdraw ~now ~defer:batched s
-          ~from:(peer_of t from) wire
-      in
-      ( match outcome with
-        | Speaker.Rx_withdrawn
-          when (match Dbgp_core.Codec.decode_withdraw_robust wire with
-               | Ok (p', _) -> Prefix.compare p' p = 0
-               | Error _ -> false) ->
-          (* The damage hit bits the codec could absorb: the intended
-             prefix still came through. *)
-          Metrics.incr (Metrics.counter t.obs "net.corruption.survived")
-        | _ -> () );
-      out
-    | _, Speaker.Announce ia when t.wire_delivery ->
-      (* Wire-faithful delivery (opt-in, see {!set_wire_delivery}):
-         encode the announcement — the sender-side cache makes repeats
-         cheap — and hand the receiver the bytes through the robust
-         decode path, where the receive-side memo recognises wire
-         strings it has already decoded.  Clean bytes round-trip to an
-         equal IA, so routing behavior is unchanged; only the
-         serialization boundary becomes real. *)
-      let wire = Dbgp_core.Codec.encode_cached ia in
-      snd (Speaker.receive_wire ~now ~defer:batched s ~from:(peer_of t from) wire)
-    | _ ->
-      if batched then begin
-        Speaker.ingest ~now s ~from:(peer_of t from) msg;
-        []
-      end
-      else Speaker.receive ~now s ~from:(peer_of t from) msg
-  in
-  drain_reuse t to_ s;
-  dispatch t ~from:to_ outbox;
-  if batched then schedule_drain t to_ s
-
-(* Bucket one MRAI flush into frames.  Per-prefix latest-state semantics
-   are the pending table's (each prefix appears once); order across
-   buckets follows first appearance in the flush. *)
-and deliver_batched t ~from ~to_ msgs =
+(* Bucket one MRAI flush into frames: the withdraws first, then one
+   frame per attribute set in order of first appearance.  Per-prefix
+   latest-state semantics are the pending table's (each prefix appears
+   once). *)
+let frames_of_flush msgs =
   let withdraws, announces =
     List.partition_map
       (function
@@ -525,127 +268,235 @@ and deliver_batched t ~from ~to_ msgs =
         | Speaker.Announce ia -> Either.Right ia)
       msgs
   in
-  let buckets =
-    let tbl = Attr_buckets.create 16 in
-    let order = ref [] in
-    List.iter
-      (fun (ia : Dbgp_core.Ia.t) ->
-        match Attr_buckets.find_opt tbl ia with
-        | Some cell -> cell := ia :: !cell
-        | None ->
-          let cell = ref [ ia ] in
-          Attr_buckets.add tbl ia cell;
-          order := cell :: !order)
-      announces;
-    List.rev_map (fun cell -> List.rev !cell) !order
-  in
-  ( match withdraws with
-    | [] -> ()
-    | [ p ] -> deliver t ~from ~to_ (Speaker.Withdraw p)
-    | ps -> deliver_frame t ~from ~to_ (Frame_withdraws ps) );
+  let tbl = Attr_buckets.create 16 in
+  let order = ref [] in
   List.iter
-    (function
-      | [] -> ()
-      | [ ia ] -> deliver t ~from ~to_ (Speaker.Announce ia)
-      | ias -> deliver_frame t ~from ~to_ (Frame_routes ias))
-    buckets
+    (fun (ia : Dbgp_core.Ia.t) ->
+      match Attr_buckets.find_opt tbl ia with
+      | Some cell -> cell := ia :: !cell
+      | None ->
+        let cell = ref [ ia ] in
+        Attr_buckets.add tbl ia cell;
+        order := cell :: !order)
+    announces;
+  let routes = List.rev_map (fun cell -> Codec.Routes (List.rev !cell)) !order in
+  if withdraws = [] then routes else Codec.Withdraws withdraws :: routes
 
-(* Frame counterpart of {!deliver}: same loss/drop/duplicate decisions,
-   scoped to the whole frame (one wire message). *)
-and deliver_frame t ~from ~to_ frame =
-  let now = Event_queue.now t.q in
-  let lose () =
-    Metrics.incr t.c_dropped;
-    match Hashtbl.find_opt t.speakers (Asn.to_int from) with
-    | Some s ->
-      let peer = peer_of t to_ in
-      List.iter (Speaker.note_undelivered s peer) (frame_prefixes frame)
-    | None -> ()
-  in
-  if not (Hashtbl.mem t.latencies (lat_key from to_)) then lose ()
-  else if
+(* Where a message to [peer] goes: the destination ASN, with the shard
+   engine's hook when another partition simulates it; [None] when it is
+   simulated nowhere. *)
+let destination t (peer : Peer.t) =
+  let addr = Ipv4.to_int peer.Peer.addr in
+  match Hashtbl.find_opt t.by_addr addr with
+  | Some asn -> Some (asn, None)
+  | None -> (
+    match (t.remote, Hashtbl.find_opt t.remote_addrs addr) with
+    | Some hook, Some asn -> Some (asn, Some hook)
+    | _ -> None )
+
+(* The compromised sender's rewrite, if any: [None] = suppressed. *)
+let interpose t ~from ~to_ msg =
+  match t.interposer with
+  | None -> Some msg
+  | Some f -> (
+    match f ~from ~to_ msg with
+    | Some m ->
+      if m != msg then
+        Metrics.incr (Metrics.counter t.obs "net.adversary.tampered");
+      Some m
+    | None ->
+      Metrics.incr (Metrics.counter t.obs "net.adversary.dropped");
+      None )
+
+(* Delivery-failure feedback to the sender's Adj-RIB-Out: in this
+   simulator the transport knows exactly which messages die, playing
+   the role a TCP connection reset plays for a real speaker.  Without
+   it the confirmed bits would claim the peer holds state it never
+   received and an incremental sync would wrongly skip it. *)
+let note_lost t ~from ~to_ prefixes =
+  match Hashtbl.find_opt t.speakers (Asn.to_int from) with
+  | Some s ->
+    let peer = peer_of t to_ in
+    List.iter (Speaker.note_undelivered s peer) prefixes
+  | None -> ()
+
+let rec dispatch t ~from outbox =
+  List.iter
+    (fun ((peer : Peer.t), msg) ->
+      match destination t peer with
+      | None -> () (* neighbor not simulated anywhere; drop *)
+      | Some (dst_asn, remote) -> (
+        let dst = Asn.of_int dst_asn in
+        if not (Hashtbl.mem t.latencies (lat_key from dst)) then
+          (* Link already down at send time: the message dies here, and
+             the sender's Adj-RIB-Out must know (routes that change
+             while a session is down are exactly what an incremental
+             re-establish has to re-send). *)
+          note_lost t ~from ~to_:dst [ prefix_of_msg msg ]
+        else
+          match interpose t ~from ~to_:dst msg with
+          | None -> () (* suppressed by the compromised sender *)
+          | Some msg -> (
+            Trace.emit t.trace ~at:(Event_queue.now t.q)
+              (Trace.Update_sent
+                 { src = Asn.to_int from;
+                   dst = dst_asn;
+                   prefix = Prefix.to_int (prefix_of_msg msg);
+                   bytes = msg_bytes msg;
+                   withdraw = is_withdraw msg });
+            match remote with
+            | Some hook ->
+              (* Cross-partition sends bypass MRAI sender-side
+                 coalescing (each message ships individually with the
+                 MRAI interval added to its arrival delay, preserving
+                 the conservative lookahead the epoch barrier depends
+                 on) and see no fault model (cross-cut links are
+                 fault-free by the partitioner's pinning contract).
+                 Receive-side batching at the destination still
+                 coalesces decision runs. *)
+              hook ~from ~to_:dst
+                ~at:
+                  (Event_queue.now t.q +. Float.max t.mrai 0.
+                 +. latency t from dst)
+                msg
+            | None -> send t ~from ~to_:dst msg ) ))
+    outbox
+
+(* Local egress: fault-model delay, then either immediate delivery
+   (MRAI 0) or the per-pair MRAI batch. *)
+and send t ~from ~to_ msg =
+  let jitter, reorder =
     match t.fault with
-    | Some f -> Fault_model.drop f ~now (Asn.to_int from) (Asn.to_int to_)
-    | None -> false
-  then lose ()
+    | Some f ->
+      ( Fault_model.jitter f (Asn.to_int from) (Asn.to_int to_),
+        Fault_model.reorder_delay f ~now:(Event_queue.now t.q)
+          (Asn.to_int from) (Asn.to_int to_) )
+    | None -> (0., 0.)
+  in
+  let delay = latency t from to_ +. jitter +. reorder in
+  if t.mrai <= 0. then
+    Event_queue.schedule t.q ~delay (fun () ->
+        deliver t ~from ~to_ (frame_of_msg msg))
   else begin
-    let dup =
-      match t.fault with
-      | Some f ->
-        Fault_model.duplicate f ~now (Asn.to_int from) (Asn.to_int to_)
-      | None -> false
+    (* MRAI batching: keep only the latest state per prefix and flush
+       the whole batch once per interval. *)
+    let key = pack_pair (Asn.to_int from) (Asn.to_int to_) in
+    let batch, scheduled =
+      match Hashtbl.find_opt t.pending key with
+      | Some entry -> entry
+      | None ->
+        let entry = (Hashtbl.create 8, ref false) in
+        Hashtbl.replace t.pending key entry;
+        entry
     in
-    deliver_frame_once t ~now ~from ~to_ frame;
-    if dup then deliver_frame_once t ~now ~from ~to_ frame
+    Hashtbl.replace batch (prefix_of_msg msg) msg;
+    if not !scheduled then begin
+      scheduled := true;
+      Event_queue.schedule t.q ~delay:(t.mrai +. delay) (fun () ->
+          scheduled := false;
+          (* A batch {!clear_pending} emptied has nothing to flush. *)
+          if Hashtbl.length batch > 0 then begin
+            let msgs = Hashtbl.fold (fun _ m acc -> m :: acc) batch [] in
+            Hashtbl.reset batch;
+            Metrics.incr (Metrics.counter t.obs "net.mrai_flushes");
+            Metrics.incr ~by:(List.length msgs)
+              (Metrics.counter t.obs "net.mrai_batched");
+            Trace.emit t.trace ~at:(Event_queue.now t.q)
+              (Trace.Mrai_flush
+                 { src = Asn.to_int from;
+                   dst = Asn.to_int to_;
+                   batched = List.length msgs });
+            List.iter (deliver t ~from ~to_) (frames_of_flush msgs)
+          end)
+    end
   end
 
-and deliver_frame_once t ~now ~from ~to_ frame =
-  let clean, head_prefix, n =
-    match frame with
-    | Frame_routes ias ->
-      ( Dbgp_core.Codec.encode_batch ias,
-        (List.hd ias).Dbgp_core.Ia.prefix,
-        List.length ias )
-    | Frame_withdraws ps ->
-      (Dbgp_core.Codec.encode_withdraw_batch ps, List.hd ps, List.length ps)
-  in
-  (* Frames always cross the wire as bytes, so the fault model corrupts
-     them directly — a damaged attribute block takes the whole batch to
-     treat-as-withdraw, a damaged NLRI entry loses only itself. *)
-  let corrupted =
+(* The transport's fate for one frame: lost with a link that went down
+   while it was in flight, dropped by the fault model, or received —
+   twice when the session layer retransmits it. *)
+and deliver t ~from ~to_ frame =
+  let now = Event_queue.now t.q in
+  let a = Asn.to_int from and b = Asn.to_int to_ in
+  if
+    (not (Hashtbl.mem t.latencies (lat_key from to_)))
+    || match t.fault with Some f -> Fault_model.drop f ~now a b | None -> false
+  then begin
+    Metrics.incr t.c_dropped;
+    note_lost t ~from ~to_ (frame_prefixes frame)
+  end
+  else begin
+    (* The duplicate copy draws its own corruption decision, as a real
+       retransmit would. *)
+    let dup =
+      match t.fault with
+      | Some f -> Fault_model.duplicate f ~now a b
+      | None -> false
+    in
+    receive t ~now ~from ~to_ frame;
+    if dup then receive t ~now ~from ~to_ frame
+  end
+
+(* One copy of a frame arriving: encode it, let the fault model damage
+   the bytes, account for it, and hand the bytes to the speaker's robust
+   decode.  A damaged attribute block takes the whole frame to
+   treat-as-withdraw, a damaged NLRI entry loses only itself. *)
+and receive t ~now ~from ~to_ frame =
+  let a = Asn.to_int from and b = Asn.to_int to_ in
+  let layout = Codec.layout frame in
+  let clean = Codec.encode_frame frame in
+  let wire, corrupted =
     match t.fault with
-    | Some f when Fault_model.corrupt f ~now (Asn.to_int from) (Asn.to_int to_)
-      ->
+    | Some f when Fault_model.corrupt f ~now a b ->
       Metrics.incr (Metrics.counter t.obs "net.corruption.injected");
-      Some (Fault_model.mutate f clean)
-    | _ -> None
+      (Fault_model.mutate f clean, true)
+    | _ -> (clean, false)
   in
-  let wire = Option.value corrupted ~default:clean in
-  let bytes = String.length wire in
+  let prefixes = frame_prefixes frame in
+  let n = List.length prefixes in
+  (* Accounted at the size the sender put on the wire. *)
+  let bytes = String.length clean in
   Metrics.incr t.c_messages;
   Metrics.observe t.h_msg_bytes (float_of_int bytes);
   ( match frame with
-    | Frame_routes _ -> Metrics.incr ~by:bytes t.c_announce_bytes
-    | Frame_withdraws ps -> Metrics.incr ~by:(List.length ps) t.c_withdrawals );
-  Metrics.incr (Metrics.counter t.obs "net.batch.frames");
-  Metrics.incr ~by:(n - 1) (Metrics.counter t.obs "net.batch.saved");
-  Metrics.observe
-    (Metrics.histogram t.obs "net.batch.prefixes_per_frame")
-    (float_of_int n);
+    | Codec.Routes _ -> Metrics.incr ~by:bytes t.c_announce_bytes
+    | Codec.Withdraws _ -> Metrics.incr ~by:n t.c_withdrawals );
+  if n > 1 then begin
+    Metrics.incr (Metrics.counter t.obs "net.batch.frames");
+    Metrics.incr ~by:(n - 1) (Metrics.counter t.obs "net.batch.saved");
+    Metrics.observe
+      (Metrics.histogram t.obs "net.batch.prefixes_per_frame")
+      (float_of_int n)
+  end;
   Trace.emit t.trace ~at:now
     (Trace.Update_received
-       { src = Asn.to_int from;
-         dst = Asn.to_int to_;
-         prefix = Prefix.to_int head_prefix;
+       { src = a;
+         dst = b;
+         prefix = Prefix.to_int (List.hd prefixes);
          bytes;
-         withdraw = (match frame with Frame_withdraws _ -> true | _ -> false)
-       });
+         withdraw = (match frame with Codec.Withdraws _ -> true | _ -> false) });
   let s = speaker t to_ in
-  let peer = peer_of t from in
-  let batched = t.mrai > 0. in
+  (* With a positive MRAI, receipt only ingests (marks the prefixes
+     dirty in the speaker's pipeline); the decision process runs once per
+     dirty prefix when the scheduled drain fires. *)
+  let defer = t.mrai > 0. in
   let outcome, outbox =
-    match frame with
-    | Frame_routes _ ->
-      Speaker.receive_wire_batch ~now ~defer:batched s ~from:peer wire
-    | Frame_withdraws _ ->
-      Speaker.receive_wire_withdraw_batch ~now ~defer:batched s ~from:peer
-        wire
+    Speaker.receive_wire ~now ~defer s ~from:(peer_of t from) layout wire
   in
-  ( match (corrupted, frame, outcome) with
-    | Some _, Frame_routes _, Speaker.Rx_accepted _ ->
-      (* The damage hit bits the codec could absorb. *)
-      Metrics.incr (Metrics.counter t.obs "net.corruption.survived")
-    | Some _, Frame_withdraws ps, Speaker.Rx_withdrawn
-      when (match Dbgp_core.Codec.decode_withdraw_batch_robust wire with
-           | Ok (ps', _) ->
-             List.compare_lengths ps' ps = 0
-             && List.for_all2 (fun a b -> Prefix.compare a b = 0) ps' ps
-           | Error _ -> false) ->
-      Metrics.incr (Metrics.counter t.obs "net.corruption.survived")
-    | _ -> () );
+  if corrupted then begin
+    (* The damage hit bits the codec could absorb: the routes were
+       accepted, or exactly the intended prefixes were withdrawn. *)
+    let survived =
+      match (frame, outcome) with
+      | Codec.Routes _, Speaker.Rx_accepted _ -> true
+      | Codec.Withdraws ps, Speaker.Rx_withdrawn ->
+        List.equal Prefix.equal (Codec.decode_frame layout wire).Codec.withdrawn ps
+      | _ -> false
+    in
+    if survived then Metrics.incr (Metrics.counter t.obs "net.corruption.survived")
+  end;
   drain_reuse t to_ s;
   dispatch t ~from:to_ outbox;
-  if batched then schedule_drain t to_ s
+  if defer then schedule_drain t to_ s
 
 (* One pending drain per speaker: the first arrival in a batch schedules
    it, everything landing within the MRAI window coalesces into the same
@@ -834,7 +685,7 @@ let deliver_remote t ~from ~to_ msg =
     Some (prefix_of_msg msg)
   end
   else begin
-    deliver_once t ~now ~from ~to_ msg;
+    receive t ~now ~from ~to_ (frame_of_msg msg);
     None
   end
 
@@ -1034,9 +885,13 @@ let set_interposer t f = t.interposer <- f
 let set_mrai t v =
   if v < 0. then invalid_arg "Network.set_mrai: negative interval" else t.mrai <- v
 
-let set_wire_delivery t v = t.wire_delivery <- v
-let set_batching t v = t.batching <- v
-let batching t = t.batching
+(* Batched wire delivery is the only delivery path; these remain so
+   callers that ask for it keep working. *)
+let only_path name v =
+  if not v then invalid_arg (name ^ ": batched wire delivery is the only path")
+
+let set_wire_delivery _ v = only_path "Network.set_wire_delivery" v
+let set_batching _ v = only_path "Network.set_batching" v
 
 (* Stats as of now; [events]/[exhausted] are the caller's because only
    it knows how many queue events this run accounted for (the sharded

@@ -128,12 +128,12 @@ val refresh_all : t -> unit
 
 val set_fault_model : t -> Fault_model.t -> unit
 (** Attach a fault model; its loss/jitter/corruption/duplicate/reorder
-    decisions apply to every subsequently delivered message.  A corrupted
-    announcement is encoded, bit-damaged by the model, and fed through
-    {!Dbgp_core.Speaker.receive_wire} (the RFC 7606 path) instead of
-    being delivered as an in-memory value; a duplicated message is handed
-    to the receiving speaker twice; a reordered one picks up extra
-    delivery delay. *)
+    decisions apply to every subsequently delivered frame, drawn in that
+    order: drop, then duplicate, then corruption for each copy.  A
+    corrupted frame's bytes are bit-damaged (or truncated) by the model
+    before {!Dbgp_core.Speaker.receive_wire} decodes them under the
+    RFC 7606 ladder; a duplicated frame is handed to the receiving
+    speaker twice; a reordered message picks up extra delivery delay. *)
 
 val fault_model : t -> Fault_model.t option
 
@@ -177,7 +177,19 @@ val set_mrai : t -> float -> unit
     "flexibility in choosing the rate at which to disseminate
     advertisements" Section 3.5 leans on.  Default 0 (immediate).
 
-    A positive MRAI also batches on the receive side: arriving updates
+    Every message crosses the wire as a {!Dbgp_core.Codec.frame}: encoded
+    by the sender (amortised by the encode cache), decoded by the
+    receiver's {!Dbgp_core.Speaker.receive_wire} (amortised by the
+    decode memo).  With MRAI 0 each message leaves alone as a one-prefix
+    frame.  An MRAI flush partitions its messages into attribute buckets
+    ({!Dbgp_core.Ia.same_attrs}): each bucket leaves as one frame — one
+    attribute block plus an NLRI list — and the flush's withdraws leave
+    as one withdraw frame.  Frames of two or more prefixes are counted
+    as [net.batch.frames], the per-prefix messages they replace as
+    [net.batch.saved], and their sizes in the
+    [net.batch.prefixes_per_frame] histogram.
+
+    A positive MRAI also batches on the receive side: arriving frames
     are only ingested into the speaker's dirty-prefix pipeline, and one
     drain per speaker per interval runs the decision process once per
     dirty prefix — however many updates arrived in between (the saving is
@@ -185,34 +197,14 @@ val set_mrai : t -> float -> unit
     @raise Invalid_argument on negative values. *)
 
 val set_wire_delivery : t -> bool -> unit
-(** When enabled, clean announcements are delivered as encoded bytes
-    through {!Dbgp_core.Speaker.receive_wire} instead of as in-memory
-    values: the sender pays {!Dbgp_core.Codec.encode} (amortised by the
-    encode cache) and the receiver pays {!Dbgp_core.Codec.decode_robust}
-    (amortised by the decode memo).  Clean bytes round-trip to an equal
-    IA, so routing outcomes are unchanged — this mode exists to make the
-    serialization boundary real for wire-path benchmarks
-    ({!Dbgp_eval.Perf_bench}).  Default off. *)
+(** Kept for callers that ask for wire delivery: every message already
+    crosses the wire as bytes (see {!set_mrai}), so [true] does nothing.
+    @raise Invalid_argument on [false] — there is no in-memory path. *)
 
 val set_batching : t -> bool -> unit
-(** Attribute-bucketed frame delivery (default off).  With batching on
-    and a positive MRAI, each MRAI flush partitions its messages into
-    attribute buckets ({!Dbgp_core.Ia.same_attrs}): every bucket of two
-    or more announces leaves as one {!Dbgp_core.Codec.encode_batch}
-    frame — one attribute block plus an NLRI prefix list — and the
-    flush's withdraws (two or more) leave as one withdraw frame.
-    Frames always cross the wire as bytes through the robust batch
-    decode, so the fault model corrupts real frames: a damaged
-    attribute block takes the whole batch to treat-as-withdraw, a
-    damaged NLRI entry is salvaged around.  Singleton buckets keep the
-    single-prefix path, and with batching off nothing changes — golden
-    transcripts are byte-identical.  Message savings are visible as
-    [net.batch.frames] / [net.batch.saved] and the
-    [net.batch.prefixes_per_frame] histogram.  No effect when MRAI is
-    0 (there is no flush to bucket). *)
-
-val batching : t -> bool
-(** Whether attribute-bucketed frame delivery is enabled. *)
+(** Kept for callers that ask for attribute-bucketed frames: every MRAI
+    flush already buckets (see {!set_mrai}), so [true] does nothing.
+    @raise Invalid_argument on [false] — there is no per-message flush. *)
 
 val originate : t -> Dbgp_types.Asn.t -> Dbgp_core.Ia.t -> unit
 (** Locally originate a route at the AS and schedule its announcements. *)
@@ -242,8 +234,11 @@ val set_interposer :
 
 val inject : t -> from:Dbgp_core.Peer.t -> to_:Dbgp_types.Asn.t ->
   Dbgp_core.Speaker.msg -> unit
-(** Deliver an arbitrary message as if [from] had sent it (attack and
-    fault-injection tests). *)
+(** Hand an arbitrary message to the speaker as if [from] had sent it
+    (attack and fault-injection tests).  It models a compromised
+    speaker's own message, not a delivery: it goes straight to
+    {!Dbgp_core.Speaker.receive}, bypassing the wire and the fault
+    model. *)
 
 val run : ?max_events:int -> t -> stats
 (** Run to quiescence. *)

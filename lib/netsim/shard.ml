@@ -68,7 +68,6 @@ type built = {
 
 type t = {
   mrai : float;
-  wire_delivery : bool;
   want_regions : int;
   make_speaker : int -> Speaker.t;
   mutable decl_nodes : int list;          (* reversed *)
@@ -87,13 +86,11 @@ type stats = {
   lookahead : float;
 }
 
-let create ?(mrai = 0.) ?(wire_delivery = false) ?(regions = 2) ~make_speaker
-    () =
+let create ?(mrai = 0.) ?(regions = 2) ~make_speaker () =
   if mrai < 0. then invalid_arg "Shard.create: negative MRAI";
   if regions < 1 then invalid_arg "Shard.create: regions must be >= 1";
   {
     mrai;
-    wire_delivery;
     want_regions = regions;
     make_speaker;
     decl_nodes = [];
@@ -172,11 +169,7 @@ let build t =
   in
   let nregions = Partition.regions part in
   let nets = Array.init nregions (fun _ -> Network.create ()) in
-  Array.iter
-    (fun net ->
-      Network.set_mrai net t.mrai;
-      Network.set_wire_delivery net t.wire_delivery)
-    nets;
+  Array.iter (fun net -> Network.set_mrai net t.mrai) nets;
   let speakers = Hashtbl.create (Array.length nodes) in
   Array.iter
     (fun a ->

@@ -37,7 +37,6 @@ type stats = {
 
 val create :
   ?mrai:float ->
-  ?wire_delivery:bool ->
   ?regions:int ->
   make_speaker:(int -> Dbgp_core.Speaker.t) ->
   unit ->

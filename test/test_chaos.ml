@@ -281,7 +281,7 @@ let test_graceful_restart_corrupted_refresh () =
   Speaker.peer_down_graceful ~now:1. sp from;
   check "stale marked" true (Speaker.is_stale sp from prefix);
   let wire = Dbgp_core.Codec.encode ia ^ "\xde\xad" in
-  let outcome, _ = Speaker.receive_wire ~now:2. sp ~from wire in
+  let outcome, _ = Speaker.receive_wire ~now:2. sp ~from Dbgp_core.Codec.Announce wire in
   check "treated as withdraw" true (outcome = Speaker.Rx_withdrawn);
   check "stale mark cleared" false (Speaker.is_stale sp from prefix);
   check_int "no stale leak" 0 (Speaker.stale_count sp);
@@ -298,13 +298,13 @@ let test_corrupted_update_charges_damping () =
   check "no penalty after clean announce" true
     (Speaker.flap_penalty sp ~now:0. from prefix = 0.);
   let wire = Dbgp_core.Codec.encode ia ^ "\x00" in
-  let outcome, _ = Speaker.receive_wire ~now:0.1 sp ~from wire in
+  let outcome, _ = Speaker.receive_wire ~now:0.1 sp ~from Dbgp_core.Codec.Announce wire in
   check "treated as withdraw" true (outcome = Speaker.Rx_withdrawn);
   check "penalty clock started" true
     (Speaker.flap_penalty sp ~now:0.1 from prefix > 0.);
   (* Two more corrupted cycles push the route over the suppress line. *)
   ignore (Speaker.receive ~now:0.2 sp ~from (Speaker.Announce ia));
-  ignore (Speaker.receive_wire ~now:0.3 sp ~from wire);
+  ignore (Speaker.receive_wire ~now:0.3 sp ~from Dbgp_core.Codec.Announce wire);
   check "corrupted flaps suppress" true
     (Speaker.suppressed sp ~now:0.3 from prefix)
 

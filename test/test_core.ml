@@ -316,6 +316,22 @@ let test_codec_batch_roundtrip () =
     (Invalid_argument "Codec.encode_batch: empty batch") (fun () ->
       ignore (Codec.encode_batch []))
 
+(* A one-prefix frame keeps the single-prefix layout byte for byte: a
+   lone update must not pay batch framing. *)
+let test_codec_frame_one_prefix () =
+  let ia = rich_ia () in
+  Alcotest.(check string) "one route = encode" (Codec.encode ia)
+    (Codec.encode_frame (Codec.Routes [ ia ]));
+  Alcotest.(check string) "one withdraw = encode_withdraw"
+    (Codec.encode_withdraw ia.Ia.prefix)
+    (Codec.encode_frame (Codec.Withdraws [ ia.Ia.prefix ]));
+  check "layouts" true
+    (Codec.layout (Codec.Routes [ ia ]) = Codec.Announce
+    && Codec.layout (Codec.Routes [ ia; ia ]) = Codec.Announce_batch
+    && Codec.layout (Codec.Withdraws [ ia.Ia.prefix ]) = Codec.Withdraw
+    && Codec.layout (Codec.Withdraws [ ia.Ia.prefix; ia.Ia.prefix ])
+       = Codec.Withdraw_batch)
+
 let test_codec_batch_salvage () =
   let ias = batch_ias () in
   let wire = Codec.encode_batch ias in
@@ -927,6 +943,28 @@ let qcheck =
         | Ok (Codec.Batch_routes ([ a; b ], [])) ->
           Ia.equal a ia && Ia.same_attrs b ia
         | _ -> false);
+    Test.make ~name:"frame roundtrip (1-8 routes or withdraws)" ~count:200
+      (make
+         (Gen.triple gen_ia (Gen.int_range 1 8) Gen.bool))
+      (fun (ia, n, announce) ->
+        (* Every route of a frame shares the head's attribute set, which
+           needs a next hop to be usable at all. *)
+        let ia = Ia.with_next_hop (ip "10.0.0.1") ia in
+        let routes =
+          List.init n (fun i ->
+              Ia.with_prefix (Prefix.make (Ipv4.of_int (i lsl 8)) 24) ia)
+        in
+        let prefixes = List.map (fun (r : Ia.t) -> r.Ia.prefix) routes in
+        let frame =
+          if announce then Codec.Routes routes else Codec.Withdraws prefixes
+        in
+        let d = Codec.decode_frame (Codec.layout frame) (Codec.encode_frame frame) in
+        d.Codec.errors = []
+        &&
+        if announce then
+          d.Codec.withdrawn = [] && List.equal Ia.equal d.Codec.routes routes
+        else
+          d.Codec.routes = [] && List.equal Prefix.equal d.Codec.withdrawn prefixes);
     Test.make ~name:"attrs_hash agrees with same_attrs" ~count:200
       (make (Gen.pair gen_ia (Gen.int_bound 0xFFFF)))
       (fun (ia, n) ->
@@ -1013,6 +1051,8 @@ let () =
          Alcotest.test_case "frame overrun" `Quick test_codec_frame_overrun;
          Alcotest.test_case "batch roundtrip" `Quick test_codec_batch_roundtrip;
          Alcotest.test_case "batch salvage" `Quick test_codec_batch_salvage;
+         Alcotest.test_case "one-prefix frames keep their bytes" `Quick
+           test_codec_frame_one_prefix;
          Alcotest.test_case "withdraw batch" `Quick test_codec_withdraw_batch ]);
       ("filters",
        [ Alcotest.test_case "loops" `Quick test_filters_loops;

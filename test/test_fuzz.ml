@@ -102,7 +102,7 @@ let make_speaker () =
 
 let test_receive_wire_accept () =
   let sp, from = make_speaker () in
-  let outcome, _ = Speaker.receive_wire sp ~from (Codec.encode (rich_ia ())) in
+  let outcome, _ = Speaker.receive_wire sp ~from Codec.Announce (Codec.encode (rich_ia ())) in
   check "accepted clean" true (outcome = Speaker.Rx_accepted 0);
   check "route installed" true (Speaker.best sp prefix <> None);
   check "pass-through survived the wire" true
@@ -117,7 +117,7 @@ let test_receive_wire_filtered () =
   let sp, from = make_speaker () in
   (* A repeated AS on the path vector: decodes fine, loop-rejected. *)
   let looped = Ia.prepend_as (asn 7) (rich_ia ()) in
-  let outcome, out = Speaker.receive_wire sp ~from (Codec.encode looped) in
+  let outcome, out = Speaker.receive_wire sp ~from Codec.Announce (Codec.encode looped) in
   check "filtered by import policy" true (outcome = Speaker.Rx_filtered);
   check "nothing advertised" true (out = []);
   check "rejection counted" true (counter_of sp "import.rejected" > 0)
@@ -125,12 +125,12 @@ let test_receive_wire_filtered () =
 let test_receive_wire_missing_next_hop () =
   let sp, from = make_speaker () in
   (* Announce first so the treat-as-withdraw is observable. *)
-  ignore (Speaker.receive_wire sp ~from (Codec.encode (rich_ia ())));
+  ignore (Speaker.receive_wire sp ~from Codec.Announce (Codec.encode (rich_ia ())));
   check "route present" true (Speaker.best sp prefix <> None);
   (* Strip every BGP descriptor: structurally valid, semantically not. *)
   let no_nh = Ia.remove_protocol Protocol_id.bgp (rich_ia ()) in
   check "test IA really lacks a next hop" true (Ia.next_hop no_nh = None);
-  let outcome, _ = Speaker.receive_wire sp ~from (Codec.encode no_nh) in
+  let outcome, _ = Speaker.receive_wire sp ~from Codec.Announce (Codec.encode no_nh) in
   check "semantic failure is treat-as-withdraw" true
     (outcome = Speaker.Rx_withdrawn);
   check "previous route withdrawn" true (Speaker.best sp prefix = None);
@@ -141,7 +141,7 @@ let test_receive_wire_session_error () =
   (* 0xff reads as prefix length 255: unrecoverable framing damage.  (A
      single 0x00 would decode as a valid 0.0.0.0/0 prefix and land on
      treat-as-withdraw instead.) *)
-  let outcome, out = Speaker.receive_wire sp ~from "\xff" in
+  let outcome, out = Speaker.receive_wire sp ~from Codec.Announce "\xff" in
   check "framing damage is a session error" true
     (outcome = Speaker.Rx_session_error);
   check "nothing advertised" true (out = []);

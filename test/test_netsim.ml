@@ -274,41 +274,53 @@ let test_network_mrai_cleared_batch () =
   check_int "no flush traced" 0 (List.length flush_events)
 
 let test_network_batched_delivery () =
-  (* Attribute-bucketed frames are a transport optimization: with and
-     without them the network must converge to identical routes, and
-     with them the same table must cross the wire in fewer messages. *)
+  (* Frame conservation: on a fault-free MRAI run with no link failures
+     every flushed message arrives in exactly one frame, so frames plus
+     the per-prefix messages they replaced account for every message the
+     flushes batched — and every route still reaches the far end. *)
   let n = 12 in
-  let build batching =
-    let net = mk_net [ 1; 2; 3; 4 ] in
-    Network.set_mrai net 5.;
-    Network.set_batching net batching;
-    for i = 0 to n - 1 do
-      Network.originate net (asn 1) (origin_ia 1 (Printf.sprintf "99.%d.0.0/24" i))
-    done;
-    let stats = Network.run net in
-    (net, stats)
-  in
-  let net_b, st_b = build true in
-  let net_p, st_p = build false in
-  let path net i =
-    match
-      Speaker.best (Network.speaker net (asn 4))
-        (pfx (Printf.sprintf "99.%d.0.0/24" i))
-    with
-    | Some c -> Ia.asns_on_path c.Speaker.candidate.Dbgp_core.Decision_module.ia
-    | None -> []
-  in
+  let net = mk_net [ 1; 2; 3; 4 ] in
+  Network.set_mrai net 5.;
   for i = 0 to n - 1 do
-    check "route reaches AS 4" true (path net_b i <> []);
-    check "same path either way" true (path net_b i = path net_p i)
+    Network.originate net (asn 1) (origin_ia 1 (Printf.sprintf "99.%d.0.0/24" i))
   done;
-  check "batching sends fewer messages" true
-    (st_b.Network.messages < st_p.Network.messages);
-  check "frames counted" true (net_counter net_b "net.batch.frames" > 0);
+  let stats = Network.run net in
+  for i = 0 to n - 1 do
+    check "route reaches AS 4" true
+      (Speaker.best (Network.speaker net (asn 4))
+         (pfx (Printf.sprintf "99.%d.0.0/24" i))
+       <> None)
+  done;
+  check_int "messages + saved = batched"
+    (net_counter net "net.mrai_batched")
+    (stats.Network.messages + net_counter net "net.batch.saved");
+  check "frames counted" true (net_counter net "net.batch.frames" > 0);
   check "per-prefix messages saved" true
-    (net_counter net_b "net.batch.saved" >= n - 1);
-  check_int "batching off leaves counters silent" 0
-    (net_counter net_p "net.batch.frames")
+    (net_counter net "net.batch.saved" >= n - 1)
+
+let test_network_default_delivers_bytes () =
+  (* No setter called: every announce still crosses the wire as bytes,
+     so each one passes through the receiver's decode memo once. *)
+  let module Codec = Dbgp_core.Codec in
+  Codec.wire_metrics_reset ();
+  let net = mk_net [ 1; 2; 3 ] in
+  Network.originate net (asn 1) (origin_ia 1 "99.0.0.0/24");
+  Network.originate net (asn 3) (origin_ia 3 "99.1.0.0/24");
+  ignore (Network.run net);
+  let wire name = Metrics.count (Metrics.counter (Codec.wire_metrics ()) name) in
+  let announces = Network.counter_total net "updates.received" in
+  check "announces delivered" true (announces >= 4);
+  check_int "every announce decoded from bytes" announces
+    (wire "wire.decode_memo.hits" + wire "wire.decode_memo.misses");
+  (* The old mode switches survive only as no-ops. *)
+  Network.set_wire_delivery net true;
+  Network.set_batching net true;
+  List.iter
+    (fun set ->
+      match set net false with
+      | () -> Alcotest.fail "switching delivery off must be refused"
+      | exception Invalid_argument _ -> ())
+    [ Network.set_wire_delivery; Network.set_batching ]
 
 (* The attribute-set hash samples long payloads, so two 32 KB payloads
    differing in one unsampled byte collide.  Every table keyed by that
@@ -346,8 +358,6 @@ let test_sampled_hash_collisions () =
      flush from AS 1 holds all three; only p0 and p2 may share a frame. *)
   let net = mk_net [ 1; 2 ] in
   Network.set_mrai net 5.;
-  Network.set_batching net true;
-  Network.set_wire_delivery net true;
   let prefixes = [ "99.0.0.0/24"; "99.1.0.0/24"; "99.2.0.0/24" ] in
   List.iteri
     (fun i p ->
@@ -375,7 +385,6 @@ let test_network_sync_withdraw_sweep () =
   let n = 10 and k = 6 in
   let net = mk_net [ 1; 2 ] in
   Network.set_mrai net 5.;
-  Network.set_batching net true;
   Network.set_graceful_restart net (Some 500.);
   for i = 0 to n - 1 do
     Network.originate net (asn 1) (origin_ia 1 (Printf.sprintf "99.%d.0.0/24" i))
@@ -521,6 +530,8 @@ let () =
          Alcotest.test_case "mrai same routes" `Quick test_network_mrai_converges_same_routes;
          Alcotest.test_case "mrai cleared batch" `Quick test_network_mrai_cleared_batch;
          Alcotest.test_case "batched delivery" `Quick test_network_batched_delivery;
+         Alcotest.test_case "default delivers bytes" `Quick
+           test_network_default_delivers_bytes;
          Alcotest.test_case "sampled-hash collisions" `Quick test_sampled_hash_collisions;
          Alcotest.test_case "sync withdraw sweep" `Quick test_network_sync_withdraw_sweep;
          Alcotest.test_case "duplicate delivery absorbed" `Quick

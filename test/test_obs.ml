@@ -506,7 +506,7 @@ let test_error_observability () =
   in
   Speaker.add_neighbor s
     (Speaker.neighbor ~relationship:Dbgp_bgp.Policy.To_customer from);
-  ignore (Speaker.receive_wire s ~from "\xff");
+  ignore (Speaker.receive_wire s ~from Dbgp_core.Codec.Announce "\xff");
   ( match Snapshot.member "counters" (Snapshot.of_metrics (Speaker.metrics s)) with
     | Some (Snapshot.Obj fields) ->
       check "errors.session_reset pinned" true
@@ -573,7 +573,6 @@ let test_batch_attr_counter_names () =
   Network.link net ~a:(Asn.of_int 1) ~b:(Asn.of_int 2)
     ~b_is:Dbgp_bgp.Policy.To_provider ();
   Network.set_mrai net 1.0;
-  Network.set_batching net true;
   for i = 0 to 7 do
     Network.originate net (Asn.of_int 1)
       (Dbgp_core.Ia.originate
@@ -641,10 +640,10 @@ let test_pipeline_bench_schema () =
 
 (* BENCH_perf.json rows come straight from [Perf_bench.to_snapshot]; pin
    the schema here so the bench artifact cannot drift silently.  A small
-   wire-mode run doubles as an end-to-end check that the decode memo
-   sees real receive-side traffic. *)
+   run doubles as an end-to-end check that the decode memo sees real
+   receive-side traffic. *)
 let test_perf_bench_schema () =
-  let r = E.Perf_bench.run ~ases:25 ~prefixes:8 ~wire:true () in
+  let r = E.Perf_bench.run ~ases:25 ~prefixes:8 () in
   let s = E.Perf_bench.to_snapshot r in
   let int_fields =
     [ "ases"; "prefixes"; "messages"; "updates"; "events";
@@ -669,13 +668,11 @@ let test_perf_bench_schema () =
       | Some (Snapshot.Float _) | Some (Snapshot.Int _) -> ()
       | _ -> Alcotest.fail (f ^ ": expected numeric field"))
     float_fields;
-  ( match Snapshot.member "wire" s with
-    | Some (Snapshot.Bool true) -> ()
-    | _ -> Alcotest.fail "wire must echo the delivery mode" );
-  (* Wire mode means both caches saw the convergence traffic. *)
+  (* Every delivery crosses the wire, so both caches saw the
+     convergence traffic. *)
   check "encode cache hits > 0" true (r.E.Perf_bench.enc_hits > 0);
   check "decode memo hits > 0" true (r.E.Perf_bench.dec_hits > 0);
-  ( match E.Perf_bench.headline [ { r with E.Perf_bench.wire = false } ] with
+  ( match E.Perf_bench.headline [ r ] with
     | Some h ->
       let hs = E.Perf_bench.headline_to_snapshot h in
       List.iter
@@ -686,14 +683,15 @@ let test_perf_bench_schema () =
         [ "updates_per_s"; "baseline_updates_per_s"; "speedup";
           "minor_words_per_update"; "baseline_minor_words_per_update";
           "minor_words_reduction" ]
-    | None -> Alcotest.fail "headline must pick the in-memory row" );
+    | None -> Alcotest.fail "headline must pick the row" );
   check "json renders" true
     (String.length (Snapshot.to_json_pretty s) > 0)
 
 (* BENCH_scale.json rows come straight from [Scale_bench.to_snapshot];
-   pin the schema plus the headline claims: the legacy arm re-sends the
-   whole table on a session bounce, the clean incremental arm streams
-   ~nothing, and the churn arm re-sends only what changed. *)
+   pin the schema plus the headline claims, in per-prefix messages: a
+   session bounce without graceful restart re-sends the whole table,
+   the clean incremental arm streams ~nothing, and the churn arm
+   re-sends only what changed. *)
 let test_scale_bench_schema () =
   let r = E.Scale_bench.run ~ases:30 ~prefixes:50 ~bg:4 () in
   let s = E.Scale_bench.to_snapshot r in
@@ -721,7 +719,7 @@ let test_scale_bench_schema () =
       | Some (Snapshot.Float _) | Some (Snapshot.Int _) -> ()
       | _ -> Alcotest.fail (f ^ ": expected numeric field"))
     float_fields;
-  check "full arm re-sends the table" true
+  check "storm re-sends the table" true
     (r.E.Scale_bench.full_transfer_msgs >= r.E.Scale_bench.prefixes);
   check "clean arm streams ~nothing" true
     (r.E.Scale_bench.clean_transfer_msgs <= 2);
@@ -730,9 +728,12 @@ let test_scale_bench_schema () =
   check "churn arm re-sends only the changed slice" true
     (r.E.Scale_bench.churn_transfer_msgs
      <= r.E.Scale_bench.churn_routes + 1);
-  (* The attribute-bucketed arm: the whole feed table shares one
-     attribute set, so it must cross in a handful of multi-prefix
-     frames — at least 4x fewer messages than the per-prefix storm. *)
+  (* The whole feed table shares one attribute set, so the storm must
+     cross in a handful of multi-prefix frames — at least 4x fewer
+     messages, and fewer bytes, than its per-prefix figures. *)
+  check "batched arm fewer bytes" true
+    (r.E.Scale_bench.batched_transfer_bytes
+     < r.E.Scale_bench.full_transfer_bytes);
   check "batched arm >= 4x fewer messages" true
     (r.E.Scale_bench.batched_transfer_msgs * 4
      <= r.E.Scale_bench.full_transfer_msgs);

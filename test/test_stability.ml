@@ -193,7 +193,7 @@ let test_treat_as_withdraw_shares_damping_clock () =
   ignore (Speaker.receive ~now:1. sp_w ~from:from_w (Speaker.Withdraw prefix));
   let sp_c, from_c, _, ia = mk () in
   let wire = Dbgp_core.Codec.encode ia ^ "\x00" in
-  let outcome, _ = Speaker.receive_wire ~now:1. sp_c ~from:from_c wire in
+  let outcome, _ = Speaker.receive_wire ~now:1. sp_c ~from:from_c Dbgp_core.Codec.Announce wire in
   check "corrupted update treated as withdraw" true
     (outcome = Speaker.Rx_withdrawn);
   let pen_w = Speaker.flap_penalty sp_w ~now:1. from_w prefix in
