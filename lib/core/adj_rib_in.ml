@@ -15,9 +15,13 @@ type 'r slot =
   | Single of Peer.t * 'r
   | Multi of Peer.t array * 'r array
 
+(* A peer's stale marks are a prefix hashtable, present only while it
+   holds at least one mark: marking or clearing one prefix of a
+   full-table restart window touches one bucket and allocates no tree
+   path. *)
 type 'r t = {
   routes : (Prefix.t, 'r slot) Hashtbl.t;
-  mutable stale : Prefix.Set.t Peer.Map.t;
+  mutable stale : unit Prefix.Tbl.t Peer.Map.t;
 }
 
 let create () = { routes = Hashtbl.create 64; stale = Peer.Map.empty }
@@ -107,43 +111,52 @@ let size t =
 
 (* ------------------------- stale marks ------------------------- *)
 
-let stale_of t ~peer =
-  Option.value (Peer.Map.find_opt peer t.stale) ~default:Prefix.Set.empty
-
-let is_stale t ~peer prefix = Prefix.Set.mem prefix (stale_of t ~peer)
+let is_stale t ~peer prefix =
+  match Peer.Map.find_opt peer t.stale with
+  | None -> false
+  | Some marks -> Prefix.Tbl.mem marks prefix
 
 let stale_count t =
-  Peer.Map.fold (fun _ s acc -> acc + Prefix.Set.cardinal s) t.stale 0
+  Peer.Map.fold (fun _ marks acc -> acc + Prefix.Tbl.length marks) t.stale 0
 
-let has_stale t ~peer = not (Prefix.Set.is_empty (stale_of t ~peer))
+let has_stale t ~peer = Peer.Map.mem peer t.stale
 
+(* Marks are inserted in the routes table's bucket order; nothing reads
+   them back in table order ({!take_stale} sorts). *)
 let mark_stale t ~peer =
-  let ps = prefixes_of t ~peer in
-  if ps = [] then 0
+  let marks =
+    match Peer.Map.find_opt peer t.stale with
+    | Some marks -> marks
+    | None -> Prefix.Tbl.create 1
+  in
+  let held = ref false in
+  Hashtbl.iter
+    (fun p s ->
+      if slot_mem peer s then begin
+        held := true;
+        Prefix.Tbl.replace marks p ()
+      end)
+    t.routes;
+  if not !held then 0
   else begin
-    let set =
-      List.fold_left (fun s p -> Prefix.Set.add p s) (stale_of t ~peer) ps
-    in
-    t.stale <- Peer.Map.add peer set t.stale;
-    Prefix.Set.cardinal set
+    t.stale <- Peer.Map.add peer marks t.stale;
+    Prefix.Tbl.length marks
   end
 
 let clear_stale t ~peer prefix =
-  t.stale <-
-    Peer.Map.update peer
-      (function
-        | None -> None
-        | Some s ->
-          let s = Prefix.Set.remove prefix s in
-          if Prefix.Set.is_empty s then None else Some s)
-      t.stale
+  match Peer.Map.find_opt peer t.stale with
+  | None -> ()
+  | Some marks ->
+    Prefix.Tbl.remove marks prefix;
+    if Prefix.Tbl.length marks = 0 then t.stale <- Peer.Map.remove peer t.stale
 
 let take_stale t ~peer =
   match Peer.Map.find_opt peer t.stale with
-  | None -> Prefix.Set.empty
-  | Some set ->
+  | None -> []
+  | Some marks ->
     t.stale <- Peer.Map.remove peer t.stale;
-    set
+    Prefix.Tbl.fold (fun p () acc -> p :: acc) marks []
+    |> List.sort Prefix.compare
 
 let drop_peer t ~peer =
   let affected = prefixes_of t ~peer in

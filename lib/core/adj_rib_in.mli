@@ -44,11 +44,10 @@ val clear_stale : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
 val is_stale : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.t -> bool
 val has_stale : 'r t -> peer:Peer.t -> bool
 
-val stale_of : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.Set.t
-
-val take_stale : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.Set.t
-(** Remove and return the peer's stale set (empty if none) — closing a
-    restart window. *)
+val take_stale : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.t list
+(** Remove the peer's stale marks and return their prefixes, ascending
+    (empty if none) — closing a restart window.  The list's length is
+    the number of marks closed. *)
 
 val stale_count : 'r t -> int
 (** Stale marks across all peers. *)

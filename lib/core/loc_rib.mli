@@ -1,15 +1,26 @@
 (** Loc-RIB: stage 2 of the RIB pipeline.
 
     The per-prefix selected best routes plus a forwarding view.  The
-    routes live in one map; the next hop is not stored per route — it
-    is a projection of the chosen value (supplied at {!create}), so a
-    RIB entry's resident cost is exactly one map node.  {!next_hop}
-    answers from a flat {!Dbgp_trie.Fib_index} over the routes whose
-    projection yields a next hop.  The index is built lazily:
-    {!set}/{!remove} only touch the route map and drop the index, and
-    the first {!next_hop} after a write rebuilds it in one pass over
-    the map.  This keeps FIB maintenance out of the decision hot path
-    while each lookup costs one hash probe per prefix length present.
+    routes live in one {!Dbgp_types.Prefix.Tbl} hashtable keyed by the
+    packed prefix, so a write replaces one bucket cell in place and
+    allocates nothing when it replaces a route.  The next hop is not
+    stored per route — it is a projection of the chosen value (supplied
+    at {!create}).
+
+    The ordered walks ({!fold}, {!bindings}, {!fold_range}) read a
+    sorted array of the keys, rebuilt lazily by the first walk after
+    the key set changed.  The keys added since the last rebuild are
+    sorted and merged with the old array in one linear pass, so a
+    chunked transfer that interleaves with route changes never
+    re-sorts the table; only when the new keys outnumber the sorted
+    ones is the whole key set sorted afresh.
+
+    {!next_hop} answers from a flat {!Dbgp_trie.Fib_index} over the
+    routes whose projection yields a next hop.  The index is built
+    lazily: {!set}/{!remove} drop it, and the first {!next_hop} after a
+    write rebuilds it in one unordered pass over the table.  This keeps
+    FIB maintenance out of the decision hot path while each lookup
+    costs one hash probe per prefix length present.
 
     Polymorphic in the chosen-route type; a route whose projection
     yields no next hop (locally originated) is selectable but never
@@ -35,6 +46,8 @@ val bindings : 'c t -> (Dbgp_types.Prefix.t * 'c) list
 (** Ascending by prefix. *)
 
 val fold : (Dbgp_types.Prefix.t -> 'c -> 'a -> 'a) -> 'c t -> 'a -> 'a
+(** Ascending by prefix.  [f] must not write to the table. *)
+
 val cardinal : 'c t -> int
 
 val fold_range :
@@ -48,7 +61,8 @@ val fold_range :
     routes strictly above [above] ([None] starts from the beginning).
     Returns the accumulator and the cursor to resume from — [None] when
     the table is exhausted.  The backbone of chunked streaming table
-    transfer.  @raise Invalid_argument when [limit <= 0]. *)
+    transfer.  [f] must not write to the table; writes between two
+    calls are fine.  @raise Invalid_argument when [limit <= 0]. *)
 
 val next_hop : 'c t -> Dbgp_types.Ipv4.t -> Dbgp_types.Ipv4.t option
 (** Longest-prefix-match FIB lookup: the next hop of the most-specific

@@ -28,10 +28,16 @@ let mark t prefix =
 let pending t = Hashtbl.length t.dirty
 
 let sorted_batch t =
-  Hashtbl.fold (fun p () acc -> p :: acc) t.dirty []
-  |> List.sort Prefix.compare
+  let batch = Array.make (Hashtbl.length t.dirty) Prefix.default and i = ref 0 in
+  Hashtbl.iter
+    (fun p () ->
+      batch.(!i) <- p;
+      incr i)
+    t.dirty;
+  Array.sort Prefix.compare batch;
+  batch
 
-let dirty t = sorted_batch t
+let dirty t = Array.to_list (sorted_batch t)
 
 let drain t ~f =
   if Hashtbl.length t.dirty = 0 then []
@@ -45,6 +51,6 @@ let drain t ~f =
        drain: the batch is snapshotted and cleared before [f] runs. *)
     let batch = sorted_batch t in
     Hashtbl.reset t.dirty;
-    let chunks = List.rev_map f batch in
-    List.concat (List.rev chunks)
+    let chunks = Array.map f batch in
+    Array.fold_right ( @ ) chunks []
   end

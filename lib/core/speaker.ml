@@ -67,13 +67,14 @@ type t = {
   loc : chosen Loc_rib.t;
   rib_out : Adj_rib_out.t;
   sched : Pipeline.t;
-  mutable local : Ia.t Prefix.Map.t;  (* locally originated routes *)
+  local : Ia.t Prefix.Tbl.t;  (* locally originated routes *)
   (* Resilience state.  [flap_state]: RFC 2439 per-(peer,prefix)
-     damping penalties; suppressed routes are excluded from selection.
+     damping penalties, one prefix table per peer that has flapped;
+     suppressed routes are excluded from selection.
      [reuse_events]: (prefix, time) pairs the runtime must re-evaluate
      at, drained via {!take_reuse_events}. *)
   mutable damping : Damping.params option;
-  mutable flap_state : Damping.t Prefix.Map.t Peer.Map.t;
+  mutable flap_state : Damping.t Prefix.Tbl.t Peer.Map.t;
   mutable reuse_events : (Prefix.t * float) list;
   (* Observability.  Every speaker owns a metrics registry and an event
      trace; the decision-path instruments are cached here because they
@@ -130,7 +131,7 @@ let create cfg =
         ();
     rib_out = Adj_rib_out.create ();
     sched = Pipeline.create obs;
-    local = Prefix.Map.empty;
+    local = Prefix.Tbl.create 1;
     damping = None;
     flap_state = Peer.Map.empty;
     reuse_events = [];
@@ -267,7 +268,9 @@ let take_reuse_events t =
   evs
 
 let flap_state_of t peer prefix =
-  Option.bind (Peer.Map.find_opt peer t.flap_state) (Prefix.Map.find_opt prefix)
+  match Peer.Map.find_opt peer t.flap_state with
+  | None -> None
+  | Some states -> Prefix.Tbl.find_opt states prefix
 
 let has_flap_state t peer = Peer.Map.mem peer t.flap_state
 
@@ -291,11 +294,15 @@ let note_flap t ~now peer prefix amount =
       | Some st -> st
       | None ->
         let st = Damping.create () in
-        let m =
-          Option.value (Peer.Map.find_opt peer t.flap_state)
-            ~default:Prefix.Map.empty
+        let states =
+          match Peer.Map.find_opt peer t.flap_state with
+          | Some states -> states
+          | None ->
+            let states = Prefix.Tbl.create 1 in
+            t.flap_state <- Peer.Map.add peer states t.flap_state;
+            states
         in
-        t.flap_state <- Peer.Map.add peer (Prefix.Map.add prefix st m) t.flap_state;
+        Prefix.Tbl.replace states prefix st;
         st
     in
     let was = Damping.is_suppressed p st ~now in
@@ -498,8 +505,7 @@ let sync_peer ?(limit = max_int) ?cursor t peer =
    Contrast {!flush_stale}, which closes an expired restart window by
    dropping what was never refreshed. *)
 let end_of_rib ?(now = 0.) t peer =
-  let set = Adj_rib_in.take_stale t.rib_in ~peer in
-  let routes = Prefix.Set.cardinal set in
+  let routes = List.length (Adj_rib_in.take_stale t.rib_in ~peer) in
   if routes > 0 then begin
     Metrics.incr ~by:routes (Metrics.counter t.obs "restart.retained");
     Trace.emit t.trace ~at:now
@@ -519,7 +525,7 @@ let process t ~now prefix =
   let m = module_for t active in
   let raw_candidates =
     let local =
-      match Prefix.Map.find_opt prefix t.local with
+      match Prefix.Tbl.find_opt t.local prefix with
       | None -> []
       | Some ia -> [ { Decision_module.from_peer = None; ia } ]
     in
@@ -754,9 +760,9 @@ let receive ?(now = 0.) t ~from msg =
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
      a million prefixes with one policy holds one attribute block. *)
-  Option.iter Attr_table.release (Prefix.Map.find_opt ia.Ia.prefix t.local);
+  Option.iter Attr_table.release (Prefix.Tbl.find_opt t.local ia.Ia.prefix);
   let ia = Attr_table.share ia in
-  t.local <- Prefix.Map.add ia.Ia.prefix ia t.local;
+  Prefix.Tbl.replace t.local ia.Ia.prefix ia;
   Pipeline.mark t.sched ia.Ia.prefix;
   flush ~now t
 
@@ -764,10 +770,10 @@ let originate ?(now = 0.) t (ia : Ia.t) =
    local route, withdrawing it from every peer (or falling back to a
    learned route).  This is how a hijacker stands down. *)
 let withdraw_origin ?(now = 0.) t prefix =
-  match Prefix.Map.find_opt prefix t.local with
+  match Prefix.Tbl.find_opt t.local prefix with
   | Some ia ->
     Attr_table.release ia;
-    t.local <- Prefix.Map.remove prefix t.local;
+    Prefix.Tbl.remove t.local prefix;
     Pipeline.mark t.sched prefix;
     flush ~now t
   | None -> []
@@ -864,10 +870,10 @@ let remove_neighbor ?(now = 0.) t peer =
 (* Close a graceful-restart window: drop every route from [peer] that is
    still stale (never refreshed) and recompute the affected prefixes. *)
 let flush_stale ?(now = 0.) t peer =
-  let set = Adj_rib_in.take_stale t.rib_in ~peer in
-  if Prefix.Set.is_empty set then []
-  else begin
-    let routes = Prefix.Set.cardinal set in
+  match Adj_rib_in.take_stale t.rib_in ~peer with
+  | [] -> []
+  | stale ->
+    let routes = List.length stale in
     Metrics.incr ~by:routes (Metrics.counter t.obs "restart.flushed");
     Trace.emit t.trace ~at:now
       (Trace.Restart_phase
@@ -875,19 +881,18 @@ let flush_stale ?(now = 0.) t peer =
            peer = Asn.to_int peer.Peer.asn;
            phase = "flushed";
            routes });
-    Prefix.Set.iter
+    List.iter
       (fun p ->
         Option.iter Attr_table.release (Adj_rib_in.find t.rib_in ~peer p);
         Adj_rib_in.remove t.rib_in ~peer p;
         Pipeline.mark t.sched p)
-      set;
+      stale;
     flush ~now t
-  end
 
 let any_suppressed t prefix =
   Peer.Map.exists
     (fun _peer states ->
-      match Prefix.Map.find_opt prefix states with
+      match Prefix.Tbl.find_opt states prefix with
       | Some st -> Damping.currently_suppressed st
       | None -> false)
     t.flap_state
@@ -910,7 +915,7 @@ let reevaluate ?(now = 0.) t prefix =
       let earliest =
         Peer.Map.fold
           (fun _peer states acc ->
-            match Prefix.Map.find_opt prefix states with
+            match Prefix.Tbl.find_opt states prefix with
             | Some st when Damping.is_suppressed p st ~now ->
               let at = now +. Damping.time_to_reuse p st ~now in
               (match acc with Some e -> Some (Float.min e at) | None -> Some at)

@@ -55,3 +55,10 @@ val split : t -> (t * t) option
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hashtables keyed by prefix.  The hash mixes every bit of the packed
+    key into the bucket index, so prefixes of one length that differ
+    only in high network bits still spread; it does not depend on
+    [OCAMLRUNPARAM=R].  Iteration order is a function of the table's
+    history, not of prefix order. *)

@@ -131,6 +131,176 @@ let test_budget_exhaustion_signal () =
   check "probe surfaces exhaustion" true probe.E.Stress.budget_exhausted;
   check "probe ran exactly the budget" true (probe.E.Stress.events_run <= 5)
 
+(* --------------- flat route state vs reference models --------------- *)
+
+module Loc_rib = Dbgp_core.Loc_rib
+module Adj_rib_in = Dbgp_core.Adj_rib_in
+
+(* A random prefix inside 10.0.0.0/8, lengths 8-32, drawn from a pool
+   small enough that keys are often removed and added again, with
+   nested lengths so longest-prefix matches have several candidates. *)
+let pool_prefix rand pool =
+  let i = rand pool in
+  let len = 8 + (i * 7 mod 25) in
+  Prefix.make (Ipv4.of_int ((10 lsl 24) lor (i * 40503 land 0xFFFFFF))) len
+
+let pp_keys ps = String.concat "," (List.map Prefix.to_string ps)
+
+(* The chunk the old [Prefix.Map] cursor returned: at most [limit]
+   bindings strictly above [above], and the last of them as the cursor
+   when more remain. *)
+let model_chunk model ~above ~limit =
+  let rest =
+    Prefix.Map.bindings model
+    |> List.filter (fun (p, _) ->
+           match above with None -> true | Some a -> Prefix.compare p a > 0)
+  in
+  let rec take n acc = function
+    | [] -> (List.rev acc, None)
+    | _ :: _ when n = 0 -> (List.rev acc, Some (fst (List.hd acc)))
+    | b :: tl -> take (n - 1) (b :: acc) tl
+  in
+  take limit [] rest
+
+(* Deepest model route containing [a], optionally only hop-bearing. *)
+let model_lpm ?(hops_only = false) model a =
+  Prefix.Map.fold
+    (fun p ((_, hop) as v) best ->
+      if Prefix.mem a p && ((not hops_only) || hop <> None) then
+        match best with
+        | Some (q, _) when Prefix.length q >= Prefix.length p -> best
+        | _ -> Some (p, v)
+      else best)
+    model None
+
+(* One interleaving of writes and chunked cursor walks, with reads
+   checked against the model after every step.  Up to three cursors
+   are open at once, so keys change between the chunks of a walk;
+   bursts of adds push the key set past the sorted view's size. *)
+let loc_rib_interleaving seed =
+  let rand = prng seed in
+  let pool = 8 + rand 120 in
+  let loc = Loc_rib.create ~next_hop:snd () in
+  let model = ref Prefix.Map.empty in
+  let cursors = ref [] in
+  let fail what = Alcotest.failf "seed %d: %s" seed what in
+  let write () =
+    let p = pool_prefix rand pool in
+    if rand 3 = 0 then begin
+      Loc_rib.remove loc p;
+      model := Prefix.Map.remove p !model
+    end
+    else begin
+      let v =
+        (rand 1000, if rand 4 = 0 then None else Some (Ipv4.of_int (rand 50)))
+      in
+      Loc_rib.set loc p v;
+      model := Prefix.Map.add p v !model
+    end
+  in
+  let step () =
+    match rand 10 with
+    | 0 -> for _ = 1 to 1 + rand 40 do write () done
+    | 1 | 2 -> (
+      match !cursors with
+      | above :: rest ->
+        let limit = 1 + rand 6 in
+        let got, next =
+          Loc_rib.fold_range loc ~above ~limit
+            ~f:(fun p v acc -> (p, v) :: acc)
+            ~init:[]
+        in
+        let want, want_next = model_chunk !model ~above ~limit in
+        if List.rev got <> want || next <> want_next then
+          fail
+            (Printf.sprintf "chunk above %s: got [%s] want [%s]"
+               (match above with Some a -> Prefix.to_string a | None -> "-")
+               (pp_keys (List.map fst (List.rev got)))
+               (pp_keys (List.map fst want)));
+        cursors :=
+          (match next with None -> rest | Some _ -> rest @ [ next ])
+      | [] -> () )
+    | 3 -> if List.length !cursors < 3 then cursors := None :: !cursors
+    | 4 ->
+      let a = Ipv4.of_int ((10 lsl 24) lor rand 0x1000000) in
+      if Loc_rib.lookup loc a <> model_lpm !model a then fail "lookup";
+      if Loc_rib.next_hop loc a
+         <> Option.bind (model_lpm ~hops_only:true !model a) (fun (_, v) ->
+                snd v)
+      then fail "next_hop"
+    | _ -> write ()
+  in
+  for _ = 1 to 60 + rand 60 do
+    step ();
+    let p = pool_prefix rand pool in
+    if Loc_rib.find loc p <> Prefix.Map.find_opt p !model then fail "find";
+    if Loc_rib.cardinal loc <> Prefix.Map.cardinal !model then fail "cardinal"
+  done;
+  if Loc_rib.bindings loc <> Prefix.Map.bindings !model then fail "bindings";
+  if Loc_rib.fold (fun p _ acc -> p :: acc) loc []
+     <> Prefix.Map.fold (fun p _ acc -> p :: acc) !model []
+  then fail "fold"
+
+let test_loc_rib_matches_model () =
+  for seed = 1 to 2_000 do
+    loc_rib_interleaving seed
+  done
+
+(* Stale marks against a [Prefix.Set] per peer, over random route
+   writes, marks, clears, takes and peer drops. *)
+let stale_interleaving seed =
+  let rand = prng seed in
+  let pool = 4 + rand 60 in
+  let peers = Array.init 3 (fun i -> Peer.make ~asn:(Asn.of_int (65000 + i)) ~addr:(Ipv4.of_int (i + 1))) in
+  let db = Adj_rib_in.create () in
+  let held = Array.make 3 Prefix.Set.empty in
+  let marks = Array.make 3 Prefix.Set.empty in
+  let fail what = Alcotest.failf "seed %d: %s" seed what in
+  for _ = 1 to 80 + rand 80 do
+    let i = rand 3 in
+    let peer = peers.(i) and p = pool_prefix rand pool in
+    ( match rand 12 with
+      | 0 | 1 | 2 | 3 ->
+        Adj_rib_in.set db ~peer p ();
+        held.(i) <- Prefix.Set.add p held.(i)
+      | 4 ->
+        Adj_rib_in.remove db ~peer p;
+        held.(i) <- Prefix.Set.remove p held.(i)
+      | 5 ->
+        let want =
+          if Prefix.Set.is_empty held.(i) then 0
+          else begin
+            marks.(i) <- Prefix.Set.union marks.(i) held.(i);
+            Prefix.Set.cardinal marks.(i)
+          end
+        in
+        if Adj_rib_in.mark_stale db ~peer <> want then fail "mark_stale"
+      | 6 | 7 ->
+        Adj_rib_in.clear_stale db ~peer p;
+        marks.(i) <- Prefix.Set.remove p marks.(i)
+      | 8 ->
+        if Adj_rib_in.take_stale db ~peer <> Prefix.Set.elements marks.(i) then
+          fail "take_stale";
+        marks.(i) <- Prefix.Set.empty
+      | 9 ->
+        ignore (Adj_rib_in.drop_peer db ~peer);
+        held.(i) <- Prefix.Set.empty;
+        marks.(i) <- Prefix.Set.empty
+      | _ -> () );
+    if Adj_rib_in.is_stale db ~peer p <> Prefix.Set.mem p marks.(i) then
+      fail "is_stale";
+    if Adj_rib_in.has_stale db ~peer <> not (Prefix.Set.is_empty marks.(i))
+    then fail "has_stale";
+    if Adj_rib_in.stale_count db
+       <> Array.fold_left (fun n s -> n + Prefix.Set.cardinal s) 0 marks
+    then fail "stale_count"
+  done
+
+let test_stale_marks_match_model () =
+  for seed = 1 to 2_000 do
+    stale_interleaving seed
+  done
+
 (* ----------------------------- interning ----------------------------- *)
 
 let fresh_path n =
@@ -269,6 +439,11 @@ let () =
            test_heap_matches_reference_model;
          Alcotest.test_case "budget exhaustion surfaced" `Quick
            test_budget_exhaustion_signal ]);
+      ("flat-route-state",
+       [ Alcotest.test_case "loc-rib = Map reference model" `Quick
+           test_loc_rib_matches_model;
+         Alcotest.test_case "stale marks = Set reference model" `Quick
+           test_stale_marks_match_model ]);
       ("interning",
        [ Alcotest.test_case "structural implies physical" `Quick
            test_intern_structural_implies_physical;
