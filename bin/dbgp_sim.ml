@@ -456,7 +456,12 @@ let stats ases seed events =
     | Dbgp_obs.Snapshot.Obj fields ->
       Dbgp_obs.Snapshot.Obj
         (fields
-        @ [ ("ases", Dbgp_obs.Snapshot.Int ases);
+        @ [ ( "route_store",
+              Dbgp_obs.Snapshot.Obj
+                (List.map
+                   (fun (k, v) -> (k, Dbgp_obs.Snapshot.Int v))
+                   (E.Scale_bench.caps ())) );
+            ("ases", Dbgp_obs.Snapshot.Int ases);
             ("seed", Dbgp_obs.Snapshot.Int seed) ])
     | other -> other
   in

@@ -1,8 +1,9 @@
 open Dbgp_types
 
-(* The outer per-prefix table is a hashtable so {!set} — run once per
-   delivered announcement — replaces its bucket in place instead of
-   rebuilding a functional-map spine.
+(* The outer per-prefix table is a {!Prefix.Tbl} hashtable so {!set} —
+   run once per delivered announcement — replaces its bucket in place
+   instead of rebuilding a functional-map spine, and a lookup hashes the
+   packed prefix arithmetically instead of through the generic hash.
 
    A slot is specialized to its population: almost every prefix in a
    full table has exactly one contributing peer (a transit AS learns
@@ -20,11 +21,11 @@ type 'r slot =
    full-table restart window touches one bucket and allocates no tree
    path. *)
 type 'r t = {
-  routes : (Prefix.t, 'r slot) Hashtbl.t;
+  routes : 'r slot Prefix.Tbl.t;
   mutable stale : unit Prefix.Tbl.t Peer.Map.t;
 }
 
-let create () = { routes = Hashtbl.create 64; stale = Peer.Map.empty }
+let create () = { routes = Prefix.Tbl.create 64; stale = Peer.Map.empty }
 
 (* The index of [peer] in the sorted [ps], or [-(i + 1)] when it is
    absent and belongs at index [i]. *)
@@ -50,10 +51,10 @@ let insert ps rs peer r =
   Multi (insert_at ps i peer, insert_at rs i r)
 
 let set t ~peer prefix r =
-  match Hashtbl.find_opt t.routes prefix with
+  match Prefix.Tbl.find_opt t.routes prefix with
   | Some (Multi (ps, rs)) when search ps peer >= 0 -> rs.(search ps peer) <- r
   | slot ->
-    Hashtbl.replace t.routes prefix
+    Prefix.Tbl.replace t.routes prefix
       ( match slot with
         | None -> Single (peer, r)
         | Some (Single (p, _)) when Peer.equal p peer -> Single (peer, r)
@@ -62,12 +63,12 @@ let set t ~peer prefix r =
 
 (* A slot that drops to one peer becomes [Single] again. *)
 let remove t ~peer prefix =
-  match Hashtbl.find_opt t.routes prefix with
-  | Some (Single (p, _)) when Peer.equal p peer -> Hashtbl.remove t.routes prefix
+  match Prefix.Tbl.find_opt t.routes prefix with
+  | Some (Single (p, _)) when Peer.equal p peer -> Prefix.Tbl.remove t.routes prefix
   | Some (Multi (ps, rs)) ->
     let i = search ps peer in
     if i >= 0 then
-      Hashtbl.replace t.routes prefix
+      Prefix.Tbl.replace t.routes prefix
         ( if Array.length ps = 2 then Single (ps.(1 - i), rs.(1 - i))
           else Multi (remove_at ps i, remove_at rs i) )
   | _ -> ()
@@ -83,28 +84,35 @@ let slot_mem peer = function
   | Multi (ps, _) -> search ps peer >= 0
 
 let find t ~peer prefix =
-  Option.bind (Hashtbl.find_opt t.routes prefix) (slot_find peer)
+  Option.bind (Prefix.Tbl.find_opt t.routes prefix) (slot_find peer)
 
 let candidates t prefix =
-  match Hashtbl.find_opt t.routes prefix with
+  match Prefix.Tbl.find_opt t.routes prefix with
   | None -> []
   | Some (Single (p, r)) -> [ (p, r) ]
   | Some (Multi (ps, rs)) -> List.init (Array.length ps) (fun i -> (ps.(i), rs.(i)))
 
 let prefixes_of t ~peer =
-  Hashtbl.fold
+  Prefix.Tbl.fold
     (fun p s acc -> if slot_mem peer s then p :: acc else acc)
     t.routes []
   |> List.sort Prefix.compare
 
 let has_routes t ~peer =
-  Hashtbl.fold (fun _ s acc -> acc || slot_mem peer s) t.routes false
+  Prefix.Tbl.fold (fun _ s acc -> acc || slot_mem peer s) t.routes false
+
+let iter t f =
+  Prefix.Tbl.iter
+    (fun p -> function
+      | Single (peer, r) -> f p peer r
+      | Multi (ps, rs) -> Array.iteri (fun i peer -> f p peer rs.(i)) ps)
+    t.routes
 
 let prefixes t =
-  Hashtbl.fold (fun p _ acc -> Prefix.Set.add p acc) t.routes Prefix.Set.empty
+  Prefix.Tbl.fold (fun p _ acc -> Prefix.Set.add p acc) t.routes Prefix.Set.empty
 
 let size t =
-  Hashtbl.fold
+  Prefix.Tbl.fold
     (fun _ s acc ->
       acc + match s with Single _ -> 1 | Multi (ps, _) -> Array.length ps)
     t.routes 0
@@ -130,7 +138,7 @@ let mark_stale t ~peer =
     | None -> Prefix.Tbl.create 1
   in
   let held = ref false in
-  Hashtbl.iter
+  Prefix.Tbl.iter
     (fun p s ->
       if slot_mem peer s then begin
         held := true;

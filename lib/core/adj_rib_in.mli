@@ -29,6 +29,9 @@ val drop_peer : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.t list
 (** Session loss: removes every route and stale mark of the peer and
     returns the affected prefixes, ascending. *)
 
+val iter : 'r t -> (Dbgp_types.Prefix.t -> Peer.t -> 'r -> unit) -> unit
+(** Every stored route, in no particular order. *)
+
 val prefixes : 'r t -> Dbgp_types.Prefix.Set.t
 val size : 'r t -> int
 (** Total stored routes across all (prefix, peer) pairs. *)

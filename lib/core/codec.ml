@@ -279,12 +279,24 @@ let wire_metrics_reset () =
   Array.fill ws.enc_cache 0 enc_slots None;
   Array.fill ws.dec_memo 0 dec_slots None
 
+(* The cache is keyed by identity, so its slot needs spread, not
+   agreement with equality: the prefix and the advertiser (the first path
+   element) tell apart the IAs one round of deliveries encodes, and
+   reading them costs two loads — hashing the attribute set would walk
+   cold path and descriptor cells on every delivery, hits included. *)
+let enc_slot (ia : Ia.t) =
+  let first =
+    match ia.path_vector with
+    | Path_elem.As a :: _ -> Asn.to_int a
+    | _ -> 0
+  in
+  ((Intern.prefix_pack ia.prefix + (first * 0x9E3779B9)) * 0x2545F4914F6CDD1D)
+  lsr 40
+  land (enc_slots - 1)
+
 let encode_cached ia =
   let ws = wire_state () in
-  (* [Ia.hash] never reads descriptor payloads: a generic hash of the IA
-     would read every byte of a 32 KB descriptor on every lookup, hits
-     included. *)
-  let slot = Ia.hash ia land (enc_slots - 1) in
+  let slot = enc_slot ia in
   match Array.unsafe_get ws.enc_cache slot with
   | Some (ia', wire) when ia' == ia ->
     Dbgp_obs.Metrics.incr ws.c_enc_hits;
@@ -341,7 +353,7 @@ let decode_attrs_salvage r discards =
   in
   let path_vector =
     guard Errors.Path_vector (fun () ->
-        Intern.path_vector (R.list ~min_width:2 r decode_elem))
+        R.list ~min_width:2 r decode_elem)
   in
   let membership =
     guard Errors.Membership (fun () -> R.list ~min_width:3 r decode_membership)
@@ -421,7 +433,7 @@ let decode_memo_residency () =
 let decode s : Ia.t =
   let r = R.of_string s in
   let prefix = Intern.prefix (R.prefix r) in
-  let path_vector = Intern.path_vector (R.list ~min_width:2 r decode_elem) in
+  let path_vector = R.list ~min_width:2 r decode_elem in
   let membership = R.list ~min_width:3 r decode_membership in
   let path_descriptors = R.list ~min_width:pd_min_width r decode_pd in
   let island_descriptors = R.list ~min_width:id_min_width r decode_id in

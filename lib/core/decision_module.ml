@@ -25,28 +25,14 @@ let best_by cmp cands =
   | c :: rest ->
     Some (List.fold_left (fun acc x -> if cmp x acc > 0 then x else acc) c rest)
 
-(* [origin_of] walks the IA's path descriptors, and [select] evaluates
-   it O(candidates) times per run on path-length ties — the common case
-   in a mesh of equal-length routes.  IAs are hash-consed, so a small
-   direct-mapped identity memo turns the repeat walks into one array
-   probe. *)
-let origin_slots = 512
-let origin_memo : (Ia.t * int) option array = Array.make origin_slots None
-
+(* BGP's origin attribute (2, incomplete, when absent).  A walk of two
+   or three descriptors — cheaper than hashing the IA for a memo slot. *)
 let origin_of_ia ia =
-  let slot = Ia.hash ia land (origin_slots - 1) in
-  match Array.unsafe_get origin_memo slot with
-  | Some (ia', o) when ia' == ia -> o
-  | _ ->
-    let o =
-      match
-        Ia.find_path_descriptor ~proto:Protocol_id.bgp ~field:Ia.field_origin ia
-      with
-      | Some v -> Option.value (Value.as_int v) ~default:2
-      | None -> 2
-    in
-    Array.unsafe_set origin_memo slot (Some (ia, o));
-    o
+  match
+    Ia.find_path_descriptor ~proto:Protocol_id.bgp ~field:Ia.field_origin ia
+  with
+  | Some v -> Option.value (Value.as_int v) ~default:2
+  | None -> 2
 
 let bgp () =
   let origin_of c = origin_of_ia c.ia in

@@ -78,7 +78,7 @@ let prepend_as a t = { t with path_vector = Path_elem.As a :: t.path_vector }
 let prepend_island i t =
   { t with path_vector = Path_elem.Island i :: t.path_vector }
 
-let has_loop t = Intern.has_loop t.path_vector
+let has_loop t = Path_elem.has_loop t.path_vector
 let path_length t = Path_elem.path_length t.path_vector
 
 let asns_on_path t =
@@ -196,13 +196,13 @@ let with_next_hop nh t =
   in
   set_path_descriptor ~owners ~field:field_next_hop (Value.Addr nh) t
 
-let equal a b = a == b || a = b
-
-(* Attribute equality ignoring the prefix: the batching layer buckets
-   routes whose attribute sets coincide.  Per-field pointer checks come
-   first — interning and the export cache make physical sharing the
-   common case — with a structural fallback per field so equal-but-
-   unshared attributes still bucket together. *)
+(* Attribute equality ignoring the prefix: the relation by which the
+   attribute table identifies a set and the batching layer buckets
+   routes.  Per-field pointer checks come first — every route the
+   attribute table stores points at its set's canonical fields, so
+   physical sharing is the common case — with a structural fallback per
+   field so equal-but-unshared attributes (a freshly decoded or built
+   set) still compare equal. *)
 let same_attrs a b =
   a == b
   || ((a.path_vector == b.path_vector || a.path_vector = b.path_vector)
@@ -212,8 +212,13 @@ let same_attrs a b =
      && (a.island_descriptors == b.island_descriptors
         || a.island_descriptors = b.island_descriptors))
 
+(* Structural equality, but a field the two share physically is not
+   walked: polymorphic [=] would compare a shared 32 KB descriptor byte
+   by byte. *)
+let equal a b = a == b || (Prefix.equal a.prefix b.prefix && same_attrs a b)
+
 (* The hash for [same_attrs]: every table keyed by an attribute set
-   (attribute table, batching buckets, encode and origin memos) uses it.
+   (the attribute table, the batching buckets) uses it.
    Built on [Value.hash_fold], so it never reads a descriptor payload,
    and bounded to the first [attr_breadth] entries of each list.  Owners
    and field names are left out: they rarely tell attribute sets apart,
@@ -252,7 +257,6 @@ let attrs_fold t =
     (Value.mix h (-5)) attr_breadth t.island_descriptors
 
 let attrs_hash t = Value.finish (attrs_fold t)
-let hash t = Value.finish (Value.mix (attrs_fold t) (Intern.prefix_pack t.prefix))
 
 let with_prefix prefix t =
   if Prefix.equal prefix t.prefix then t else { t with prefix }

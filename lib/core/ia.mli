@@ -134,11 +134,12 @@ val equal : t -> t -> bool
 
 val same_attrs : t -> t -> bool
 (** Equality of everything {e except} the prefix — path vector,
-    membership, descriptors.  Physical per-field fast paths first (the
-    group-major egress and attribute table make sharing the common case),
-    structural fallback second.  This is the bucketing relation for
-    multi-prefix batched updates: routes with [same_attrs] can share one
-    wire attribute block. *)
+    membership, descriptors.  Physical per-field fast paths first (routes
+    held by the attribute table point at their set's canonical fields,
+    so sharing is the common case), structural fallback second.  This is
+    the relation {!Attr_table} identifies sets by, and the bucketing
+    relation for multi-prefix batched updates: routes with [same_attrs]
+    can share one wire attribute block. *)
 
 val attrs_hash : t -> int
 (** Hash of the attribute set, consistent with {!same_attrs}: the key
@@ -146,11 +147,6 @@ val attrs_hash : t -> int
     reads descriptor payload bytes (see {!Value.hash}) and looks at a
     bounded prefix of each list, so it is O(1) on any IA; attribute sets
     it cannot tell apart cost their table a structural compare. *)
-
-val hash : t -> int
-(** {!attrs_hash} mixed with the prefix: the slot key of the identity
-    memos over whole IAs (the codec's encode cache, the decision
-    module's origin memo). *)
 
 val with_prefix : Dbgp_types.Prefix.t -> t -> t
 (** [t] re-pointed at [prefix]; the attribute fields are physically

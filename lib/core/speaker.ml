@@ -37,6 +37,16 @@ let config ?island ?(island_members = []) ?(hide_island_interior = false)
 
 type chosen = { candidate : Decision_module.candidate; outgoing : Ia.t }
 
+(* A Loc-RIB route: the peer it was learned from ([None]: originated here),
+   the selected (post-import) attribute set and the set it is
+   re-advertised with.  The prefix is the Loc-RIB key, so {!chosen} is
+   rebuilt from these on demand. *)
+type route = {
+  via : Peer.t option;
+  cand : Attr_table.entry;
+  out : Attr_table.entry;
+}
+
 (* A neighbor as the egress edge sees it: its Adj-RIB-Out handle (peer
    group + advertised table) and its stage-7 filter chain, both fixed
    when the neighbor is added — the config is immutable, so the chain
@@ -58,16 +68,17 @@ type t = {
   mutable active : Protocol_id.t Trie.t;
   mutable nbrs : egress Peer.Map.t;
   (* The three-stage RIB pipeline of Figure 5.  [rib_in]: per-(prefix,
-     peer) post-global-import IAs plus graceful-restart stale marks.
+     peer) post-global-import attribute sets plus graceful-restart stale
+     marks.
      [loc]: selected best routes with a lazily rebuilt FIB index.
      [rib_out]: peer groups and per-peer advertised state.  [sched]: the
      dirty-prefix work queue between stages — ingest marks, {!flush}
      drains. *)
-  rib_in : Ia.t Adj_rib_in.t;
-  loc : chosen Loc_rib.t;
+  rib_in : Attr_table.entry Adj_rib_in.t;
+  loc : route Loc_rib.t;
   rib_out : Adj_rib_out.t;
   sched : Pipeline.t;
-  local : Ia.t Prefix.Tbl.t;  (* locally originated routes *)
+  local : Attr_table.entry Prefix.Tbl.t;  (* locally originated routes *)
   (* Resilience state.  [flap_state]: RFC 2439 per-(peer,prefix)
      damping penalties, one prefix table per peer that has flapped;
      suppressed routes are excluded from selection.
@@ -124,10 +135,7 @@ let create cfg =
     rib_in = Adj_rib_in.create ();
     loc =
       Loc_rib.create
-        ~next_hop:(fun c ->
-          Option.map
-            (fun p -> p.Peer.addr)
-            c.candidate.Decision_module.from_peer)
+        ~next_hop:(fun r -> Option.map (fun p -> p.Peer.addr) r.via)
         ();
     rib_out = Adj_rib_out.create ();
     sched = Pipeline.create obs;
@@ -250,8 +258,8 @@ let module_for t proto =
 let set_export_rule t rule = t.export_rule <- rule
 let export_rule t = t.export_rule
 
-let learned_relationship t (c : Decision_module.candidate) =
-  match c.from_peer with
+let learned_relationship t from =
+  match from with
   | None -> None
   | Some p ->
     Option.map (fun e -> e.nbr.relationship) (Peer.Map.find_opt p t.nbrs)
@@ -352,13 +360,13 @@ let peer_down_graceful ?(now = 0.) t peer =
            routes })
   end
 
-(* The outgoing IA (if any) for [chosen] toward one neighbor, in the
-   current Adj-RIB-Out round.  The relationship export rule and the
+(* The IA (if any) toward one neighbor for a route learned [from] and
+   re-advertised as [outgoing], in the current Adj-RIB-Out round.  The relationship export rule and the
    egress chain are group-wide, so they run for the first member of each
    group served in the round (a miss) and every later member reuses the
    result (a hit).  Split-horizon and the on-path check are per neighbor
    and run only when the group exports something. *)
-let emission t ~learned (chosen : chosen) e =
+let emission t ~learned ~from (outgoing : Ia.t) e =
   let out =
     if Adj_rib_out.evaluated t.rib_out e.out then begin
       Metrics.incr t.c_export_hits;
@@ -368,7 +376,7 @@ let emission t ~learned (chosen : chosen) e =
       Metrics.incr t.c_export_misses;
       let out =
         if t.export_rule ~learned ~to_:e.nbr.relationship then
-          e.chain chosen.outgoing
+          e.chain outgoing
         else None
       in
       Adj_rib_out.set_result t.rib_out e.out out;
@@ -380,23 +388,20 @@ let emission t ~learned (chosen : chosen) e =
   | Some _ ->
     let peer = e.nbr.peer in
     let is_sender =
-      match chosen.candidate.Decision_module.from_peer with
-      | Some p -> Peer.equal p peer
-      | None -> false
+      match from with Some p -> Peer.equal p peer | None -> false
     in
     let on_path =
-      List.exists
-        (Path_elem.mentions_asn peer.Peer.asn)
-        chosen.outgoing.Ia.path_vector
+      List.exists (Path_elem.mentions_asn peer.Peer.asn) outgoing.Ia.path_vector
       && not (Asn.equal peer.Peer.asn t.cfg.asn)
     in
     if is_sender || on_path then None else out
 
 (* A fan-out toward a single neighbor (refresh, sync) is a round of its
    own. *)
-let emission_alone t chosen e =
+let emission_alone t prefix r e =
   Adj_rib_out.next_round t.rib_out;
-  emission t ~learned:(learned_relationship t chosen.candidate) chosen e
+  emission t ~learned:(learned_relationship t r.via) ~from:r.via
+    (Attr_table.route r.out prefix) e
 
 (* Send [o] to the neighbor, or withdraw what it was previously sent
    when it gets nothing; the message is consed onto [acc]. *)
@@ -419,11 +424,15 @@ let send e prefix o acc =
 let distribute t prefix =
   ( match Loc_rib.find t.loc prefix with
     | None -> Peer.Map.fold (fun _ e acc -> send e prefix None acc) t.nbrs []
-    | Some chosen ->
+    | Some r ->
       Adj_rib_out.next_round t.rib_out;
-      let learned = learned_relationship t chosen.candidate in
+      let learned = learned_relationship t r.via in
+      (* One IA for every neighbor: the group result and the encode
+         cache key on it physically. *)
+      let outgoing = Attr_table.route r.out prefix in
       Peer.Map.fold
-        (fun _ e acc -> send e prefix (emission t ~learned chosen e) acc)
+        (fun _ e acc ->
+          send e prefix (emission t ~learned ~from:r.via outgoing e) acc)
         t.nbrs [] )
   |> List.rev
 
@@ -435,7 +444,7 @@ let refresh_peer t peer =
   | None -> []
   | Some e ->
     Loc_rib.fold
-      (fun prefix chosen acc -> send e prefix (emission_alone t chosen e) acc)
+      (fun prefix r acc -> send e prefix (emission_alone t prefix r e) acc)
       t.loc []
     |> List.rev
 
@@ -466,8 +475,8 @@ let sync_peer ?(limit = max_int) ?cursor t peer =
     let sent = ref 0 and skipped = ref 0 and withdrawn = ref 0 in
     let (), next =
       Loc_rib.fold_range t.loc ~above:cursor ~limit
-        ~f:(fun prefix chosen () ->
-          match emission_alone t chosen e with
+        ~f:(fun prefix r () ->
+          match emission_alone t prefix r e with
           | Some ia as o -> (
             match Adj_rib_out.find e.out prefix with
             | Some (Some prev, true) when Ia.equal prev ia -> incr skipped
@@ -523,15 +532,18 @@ let process t ~now prefix =
   Metrics.incr t.c_runs;
   let active = active_for t prefix in
   let m = module_for t active in
+  let local = Prefix.Tbl.find_opt t.local prefix in
+  let learned = Adj_rib_in.candidates t.rib_in prefix in
   let raw_candidates =
     let local =
-      match Prefix.Tbl.find_opt t.local prefix with
+      match local with
       | None -> []
-      | Some ia -> [ { Decision_module.from_peer = None; ia } ]
+      | Some e ->
+        [ { Decision_module.from_peer = None; ia = Attr_table.route e prefix } ]
     in
     local
     @ List.filter_map
-        (fun (peer, ia) ->
+        (fun (peer, e) ->
           (* Damping: suppressed routes stay in the Adj-RIB-In but are
              invisible to selection until their penalty decays. *)
           if suppressed t ~now peer prefix then None
@@ -543,7 +555,7 @@ let process t ~now prefix =
             let nbr_import =
               match nbr with Some e -> e.nbr.import | None -> Filters.accept
             in
-            match nbr_import ia with
+            match nbr_import (Attr_table.route e prefix) with
             | None -> None
             | Some ia ->
               ( match m.Decision_module.import_filter ia with
@@ -553,7 +565,7 @@ let process t ~now prefix =
                     match nbr with Some e -> e.from | None -> Some peer
                   in
                   Some { Decision_module.from_peer; ia } ))
-        (Adj_rib_in.candidates t.rib_in prefix)
+        learned
   in
   let selected = m.Decision_module.select ~prefix raw_candidates in
   let prev = Loc_rib.find t.loc prefix in
@@ -601,39 +613,55 @@ let process t ~now prefix =
       ( match m.Decision_module.export_filter outgoing with
         | None -> None
         | Some outgoing ->
-          (* The Loc-RIB chosen entry holds its own reference on the
-             outgoing attribute set — built IAs fan out to every
-             neighbor, so collapsing equal builds is the big sharing
-             win on transit speakers. *)
-          Some { candidate; outgoing = Attr_table.share outgoing } )
+          (* The Loc-RIB route holds one reference on each of its two
+             sets.  The selected set is the stored route's own unless an
+             import filter rewrote it, so it is taken without hashing;
+             the outgoing set is new to the table only when its build
+             is — built IAs fan out to every neighbor, so collapsing
+             equal builds is the big sharing win on transit speakers. *)
+          let via = candidate.Decision_module.from_peer in
+          let stored =
+            match via with
+            | None -> local
+            | Some p ->
+              List.find_map
+                (fun (q, e) -> if Peer.equal p q then Some e else None)
+                learned
+          in
+          let ia = candidate.Decision_module.ia in
+          let cand =
+            match stored with
+            | Some e -> Attr_table.share_like e ia
+            | None -> Attr_table.share ia
+          in
+          Some { via; cand; out = Attr_table.share_like cand outgoing } )
   in
   let changed =
     match (prev, next) with
     | None, None -> false
     | Some a, Some b ->
       not
-        ( Ia.equal a.candidate.Decision_module.ia b.candidate.Decision_module.ia
-        && a.candidate.Decision_module.from_peer = b.candidate.Decision_module.from_peer
-        && Ia.equal a.outgoing b.outgoing )
+        ( Attr_table.same a.cand b.cand
+        && a.via = b.via
+        && Attr_table.same a.out b.out )
     | _ -> true
   in
-  (* Reference discipline: a freshly built chosen entry acquired a
-     reference above.  If it replaces a stored entry the old reference
-     drops; if it turns out equal to the stored entry it is discarded
-     and its own reference drops.  Refcounts only steer attribute-table
-     residency, so this bookkeeping can never invalidate a route. *)
-  if changed then Option.iter (fun p -> Attr_table.release p.outgoing) prev
-  else Option.iter (fun c -> Attr_table.release c.outgoing) next;
+  (* Reference discipline: a freshly built route acquired its references
+     above.  If it replaces a stored route the old references drop; if
+     it turns out equal to the stored route it is discarded and its own
+     references drop. *)
+  let drop r =
+    Attr_table.release r.cand;
+    Attr_table.release r.out
+  in
+  if changed then Option.iter drop prev else Option.iter drop next;
   if changed then begin
     Metrics.incr t.c_changes;
     Metrics.set t.g_last_change now;
     let best_via =
       match next with
       | None -> None
-      | Some c ->
-        Option.map
-          (fun p -> Asn.to_int p.Peer.asn)
-          c.candidate.Decision_module.from_peer
+      | Some r -> Option.map (fun p -> Asn.to_int p.Peer.asn) r.via
     in
     Trace.emit t.trace ~at:now
       (Trace.Decision_run
@@ -643,7 +671,7 @@ let process t ~now prefix =
            best_via });
     ( match next with
       | None -> Loc_rib.remove t.loc prefix
-      | Some c -> Loc_rib.set t.loc prefix c );
+      | Some r -> Loc_rib.set t.loc prefix r );
     (match t.change_hook with Some f -> f ~now prefix | None -> ());
     distribute t prefix
   end
@@ -694,28 +722,30 @@ let ingest_msg t ~now ~from msg =
         Pipeline.mark t.sched ia.Ia.prefix );
       true
     | Some ia ->
-      ( match Adj_rib_in.find t.rib_in ~peer:from ia.Ia.prefix with
-      | Some prev when Ia.equal prev ia ->
+      let prefix = ia.Ia.prefix in
+      (* The set is identified here, once: the Adj-RIB-In stores its
+         entry (one reference), and equal sets across peers and prefixes
+         are one block. *)
+      let e = Attr_table.share ia in
+      ( match Adj_rib_in.find t.rib_in ~peer:from prefix with
+      | Some prev when Attr_table.same prev e ->
         (* Duplicate delivery (session retransmit, route refresh): the
            stored route is byte-identical, so re-running the decision
            process or charging a flap penalty would amplify the
            duplicate.  Refreshing the stale mark is the only effect. *)
+        Attr_table.release e;
         Metrics.incr t.c_duplicates;
-        Adj_rib_in.clear_stale t.rib_in ~peer:from ia.Ia.prefix
+        Adj_rib_in.clear_stale t.rib_in ~peer:from prefix
       | prev ->
         ( match prev with
           | Some p ->
             (* Re-advertisement with changed attributes is a flap too. *)
             Attr_table.release p;
-            note_flap t ~now from ia.Ia.prefix (attr_change_penalty t)
+            note_flap t ~now from prefix (attr_change_penalty t)
           | None -> () );
-        (* The Adj-RIB-In holds a reference on the route's attribute
-           set; sharing here also canonicalizes the stored IA so equal
-           attribute sets across peers and prefixes are one block. *)
-        let ia = Attr_table.share ia in
-        Adj_rib_in.set t.rib_in ~peer:from ia.Ia.prefix ia;
-        Adj_rib_in.clear_stale t.rib_in ~peer:from ia.Ia.prefix;
-        Pipeline.mark t.sched ia.Ia.prefix );
+        Adj_rib_in.set t.rib_in ~peer:from prefix e;
+        Adj_rib_in.clear_stale t.rib_in ~peer:from prefix;
+        Pipeline.mark t.sched prefix );
       false )
 
 let absorb t ~now ~from exn =
@@ -760,9 +790,9 @@ let receive ?(now = 0.) t ~from msg =
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
      a million prefixes with one policy holds one attribute block. *)
+  let e = Attr_table.share ia in
   Option.iter Attr_table.release (Prefix.Tbl.find_opt t.local ia.Ia.prefix);
-  let ia = Attr_table.share ia in
-  Prefix.Tbl.replace t.local ia.Ia.prefix ia;
+  Prefix.Tbl.replace t.local ia.Ia.prefix e;
   Pipeline.mark t.sched ia.Ia.prefix;
   flush ~now t
 
@@ -771,8 +801,8 @@ let originate ?(now = 0.) t (ia : Ia.t) =
    learned route).  This is how a hijacker stands down. *)
 let withdraw_origin ?(now = 0.) t prefix =
   match Prefix.Tbl.find_opt t.local prefix with
-  | Some ia ->
-    Attr_table.release ia;
+  | Some e ->
+    Attr_table.release e;
     Prefix.Tbl.remove t.local prefix;
     Pipeline.mark t.sched prefix;
     flush ~now t
@@ -935,8 +965,16 @@ let reevaluate ?(now = 0.) t prefix =
   end;
   out
 
-let best t prefix = Loc_rib.find t.loc prefix
-let best_routes t = Loc_rib.bindings t.loc
+let chosen_of prefix r =
+  { candidate =
+      { Decision_module.from_peer = r.via;
+        ia = Attr_table.route r.cand prefix };
+    outgoing = Attr_table.route r.out prefix }
+
+let best t prefix = Option.map (chosen_of prefix) (Loc_rib.find t.loc prefix)
+
+let best_routes t =
+  Loc_rib.fold (fun p r acc -> (p, chosen_of p r) :: acc) t.loc [] |> List.rev
 
 let set_change_hook t hook = t.change_hook <- hook
 
@@ -950,17 +988,25 @@ let set_change_hook t hook = t.change_hook <- hook
 let loc_fingerprint t prefix =
   match Loc_rib.find t.loc prefix with
   | None -> 0
-  | Some c ->
-    let via =
-      match c.candidate.Decision_module.from_peer with
-      | None -> -1
-      | Some p -> Asn.to_int p.Peer.asn
-    in
-    let h = Hashtbl.hash (via, Codec.encode_cached c.outgoing) in
+  | Some r ->
+    let via = match r.via with None -> -1 | Some p -> Asn.to_int p.Peer.asn in
+    let h = Hashtbl.hash (via, Codec.encode_cached (Attr_table.route r.out prefix)) in
     if h = 0 then 1 else h
 let next_hop_of t dest = Loc_rib.next_hop t.loc dest
 let adj_out t peer = Adj_rib_out.bindings t.rib_out ~peer
 let adj_out_peers t = Adj_rib_out.peers t.rib_out
 let has_adj_in t peer = Adj_rib_in.has_routes t.rib_in ~peer
-let candidates_for t prefix = Adj_rib_in.candidates t.rib_in prefix
+let candidates_for t prefix =
+  List.map
+    (fun (p, e) -> (p, Attr_table.route e prefix))
+    (Adj_rib_in.candidates t.rib_in prefix)
 let ia_db_size t = Adj_rib_in.size t.rib_in
+
+let iter_attr_refs t f =
+  Adj_rib_in.iter t.rib_in (fun _ _ e -> f e);
+  Prefix.Tbl.iter (fun _ e -> f e) t.local;
+  Loc_rib.fold
+    (fun _ r () ->
+      f r.cand;
+      f r.out)
+    t.loc ()

@@ -309,11 +309,14 @@ type chosen = {
   candidate : Decision_module.candidate;  (** the selected incoming route *)
   outgoing : Ia.t;  (** the IA built for re-advertisement (pre per-neighbor filters) *)
 }
-(** A Loc-RIB entry: the winner and what it is re-advertised as, and
-    nothing else.  Every decision run that selects a route builds
-    [outgoing] afresh through the factory and the attribute table; when
-    the build equals the stored entry, the stored entry stays and
-    nothing is re-advertised. *)
+(** A Loc-RIB route as the introspection calls return it: the winner and
+    what it is re-advertised as.  The Loc-RIB itself stores only the
+    winner's peer and the two attribute-set entries ({!Attr_table.entry});
+    {!best} and {!best_routes} rebuild these IAs from them.  Every
+    decision run that selects a route builds the outgoing IA afresh
+    through the factory and identifies its set in the attribute table;
+    when both sets and the peer equal the stored route's, the stored
+    route stays and nothing is re-advertised. *)
 
 val best : t -> Dbgp_types.Prefix.t -> chosen option
 val best_routes : t -> (Dbgp_types.Prefix.t * chosen) list
@@ -351,6 +354,12 @@ val candidates_for : t -> Dbgp_types.Prefix.t -> (Peer.t * Ia.t) list
     selected best). *)
 
 val ia_db_size : t -> int
+
+val iter_attr_refs : t -> (Attr_table.entry -> unit) -> unit
+(** Every attribute-set reference the speaker holds: one per Adj-RIB-In
+    route, one per local origination and two per Loc-RIB route (the
+    selected set and the re-advertised one) — the references
+    {!Attr_table.audit} balances against refcounts. *)
 
 (** {1 Observability} *)
 

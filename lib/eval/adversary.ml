@@ -105,6 +105,9 @@ let authorized p o = (not (Prefix.subsumes prefix p)) || Asn.equal o victim
 
 let build cfg topo arm =
   let g = graph_of cfg topo in
+  (* The attribute-table audit after each phase needs this network's
+     speakers to be the only route holders. *)
+  Dbgp_core.Attr_table.reset ();
   let net = Network.create () in
   let n = Graph.size g in
   let dbgp = arm <> Legacy in
@@ -276,6 +279,7 @@ let state_clean net arm a =
     else Some (Attack.tamper_proto, tamper_field, tamper_value)
   in
   Invariants.ok (Invariants.check ?expect_descriptor ~prefix ~dest net)
+  && Invariants.network_refcounts net = []
   && (match detect net arm a with None -> true | Some vs -> vs = [])
   (* Predicates for the other attack classes must be silent too: honest
      state carries no forged descriptors, valleys or fake origins. *)
@@ -310,6 +314,7 @@ let run_scenario cfg topo arm kind =
   Attack.launch net attack;
   let s1 = Network.run ?max_events:cfg.budget net in
   let b1 = via_attacker net attack.Attack.attacker in
+  let attack_refs_clean = Invariants.network_refcounts net = [] in
   let poisoned =
     List.filter (fun a -> not (List.exists (Asn.equal a) b0)) b1
   in
@@ -325,7 +330,8 @@ let run_scenario cfg topo arm kind =
   let s2 = Network.run ?max_events:cfg.budget net in
   let b2 = via_attacker net attack.Attack.attacker in
   let recovered_clean =
-    state_clean net arm attack
+    attack_refs_clean
+    && state_clean net arm attack
     && List.for_all (fun a -> List.exists (Asn.equal a) b0) b2
   in
   let time_to_recover =

@@ -89,6 +89,9 @@ let dest = Ipv4.of_string "99.0.0.1"
 let build cfg =
   let rng = Prng.create cfg.seed in
   let g = Brite.generate rng { Brite.default with Brite.n = cfg.ases } in
+  (* This network's speakers are the only route holders from here on,
+     so the attribute table's refcounts can be audited against them. *)
+  Dbgp_core.Attr_table.reset ();
   let net = Network.create () in
   for i = 0 to Graph.size g - 1 do
     ignore (Harness.add_as net (i + 1))
@@ -142,6 +145,7 @@ let run_with_net cfg =
   Network.set_damping net cfg.damping;
   Network.originate net (Asn.of_int 1) (origin_ia ());
   let initial = Network.run ?max_events:cfg.budget net in
+  let initial_drift = Invariants.network_refcounts net in
   (* Valley-free policy can leave some stub ASes without a route even in
      a fault-free world; they are the baseline the post-chaos state is
      measured against, not a chaos casualty. *)
@@ -203,7 +207,13 @@ let run_with_net cfg =
       float_of_int (final.Network.messages - initial.Network.messages)
       /. float_of_int flaps
   in
-  let invariants = Invariants.check ~prefix ~dest net in
+  let invariants =
+    let r = Invariants.check ~prefix ~dest net in
+    { r with
+      Invariants.violations =
+        r.Invariants.violations @ initial_drift
+        @ Invariants.network_refcounts net }
+  in
   let net_counter name =
     match Dbgp_obs.Metrics.find_counter (Network.metrics net) name with
     | Some c -> Dbgp_obs.Metrics.count c

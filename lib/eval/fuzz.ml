@@ -197,7 +197,20 @@ let make_speaker () =
 let run cfg =
   if cfg.cases < 0 then invalid_arg "Fuzz.run: negative case count";
   let rng = Prng.create cfg.seed in
+  (* The speaker is the only route holder, so the attribute table's
+     refcounts can be audited against it. *)
+  Dbgp_core.Attr_table.reset ();
   let speaker, peer = make_speaker () in
+  (* Refcount drift is a speaker bug, not an input verdict: fail the run
+     at the first audit that finds one. *)
+  let audit idx =
+    match Invariants.refcounts [ speaker ] with
+    | [] -> ()
+    | v :: _ ->
+      failwith
+        (Format.asprintf "Fuzz.run: after case %d: %a" idx
+           Invariants.pp_violation v)
+  in
   let accepted = ref 0
   and accepted_with_discards = ref 0
   and filtered = ref 0
@@ -291,8 +304,10 @@ let run cfg =
       | Speaker.Rx_withdrawn, _ -> incr withdrawn
       | Speaker.Rx_session_error, _ -> incr session_error
       | exception _ -> incr escaped );
-    if idx land 3 = 0 then batch_leg rng idx ia
+    if idx land 3 = 0 then batch_leg rng idx ia;
+    if idx land 1023 = 1023 then audit idx
   done;
+  audit cfg.cases;
   { config = cfg;
     accepted = !accepted;
     accepted_with_discards = !accepted_with_discards;

@@ -19,6 +19,7 @@ type violation =
   | Valley_export of int * int
   | Forged_island_descriptor of int
   | Forged_adjacency of int * int * int
+  | Refcount_drift of int * int * int
 
 type report = {
   speakers : int;
@@ -263,6 +264,20 @@ let forged_candidates net ~prefix ~owner =
 (* Post-teardown cleanliness for one (speaker, ex-peer) pair: after
    [Speaker.remove_neighbor] nothing of the peer may remain in any
    pipeline stage or in the damping memory. *)
+(* Every stored route holds exactly one reference per attribute set it
+   keeps, so each resident set's refcount must equal the references the
+   speakers hold to it.  Only meaningful when these speakers are the
+   only route holders in the domain: the harnesses reset the table when
+   they build their network. *)
+let refcounts speakers =
+  Dbgp_core.Attr_table.audit (fun f ->
+      List.iter (fun s -> Speaker.iter_attr_refs s f) speakers)
+  |> List.map (fun (d : Dbgp_core.Attr_table.drift) ->
+         Refcount_drift (d.slot, d.refcount, d.references))
+
+let network_refcounts net =
+  refcounts (List.map (Network.speaker net) (Network.asns net))
+
 let peer_clean s peer =
   let ai = Asn.to_int (Speaker.asn s) in
   let pi = Asn.to_int peer.Dbgp_core.Peer.asn in
@@ -290,12 +305,13 @@ let kind_name = function
   | Valley_export _ -> "valley_export"
   | Forged_island_descriptor _ -> "forged_island_descriptor"
   | Forged_adjacency _ -> "forged_adjacency"
+  | Refcount_drift _ -> "refcount_drift"
 
 let all_kinds =
   [ "forwarding_loop"; "route_via_down_link"; "rib_fib_mismatch";
     "passthrough_mutated"; "stale_leak"; "orphan_adj_out"; "orphan_adj_in";
     "orphan_flap"; "orphan_stale"; "origin_mismatch"; "valley_export";
-    "forged_island_descriptor"; "forged_adjacency" ]
+    "forged_island_descriptor"; "forged_adjacency"; "refcount_drift" ]
 
 let pp_violation ppf = function
   | Forwarding_loop a -> Format.fprintf ppf "forwarding loop at AS%d" a
@@ -325,6 +341,12 @@ let pp_violation ppf = function
   | Forged_adjacency (a, x, y) ->
     Format.fprintf ppf
       "AS%d routes on a path claiming nonexistent adjacency AS%d-AS%d" a x y
+  | Refcount_drift (-1, _, n) ->
+    Format.fprintf ppf "%d stored routes reference evicted attribute sets" n
+  | Refcount_drift (id, rc, n) ->
+    Format.fprintf ppf
+      "attribute set in slot %d has refcount %d but %d stored references"
+      id rc n
 
 let pp ppf r =
   if ok r then

@@ -53,6 +53,11 @@ type violation =
       (** (asn, x, y): the selected route's path claims consecutive ASes
           x and y are adjacent, but no such link exists — a forged-path
           hijack. *)
+  | Refcount_drift of int * int * int
+      (** (table slot, refcount, stored references): a resident
+          attribute set whose refcount is not the number of routes
+          referencing it — a leak when higher, a premature eviction when
+          lower.  Slot -1 counts references to sets already evicted. *)
 
 type report = {
   speakers : int;           (** speakers examined *)
@@ -123,6 +128,17 @@ val forged_candidates :
     announced, before import policy rejects anything.  This is where a
     {e contained} hijack is still visible: the first validating speaker
     holds the forged candidate it refused to select. *)
+
+val refcounts : Dbgp_core.Speaker.t list -> violation list
+(** {!Refcount_drift} for every resident set of the calling domain's
+    {!Dbgp_core.Attr_table} whose refcount differs from the references
+    the speakers' Adj-RIB-In, originations and Loc-RIB hold
+    ({!Dbgp_core.Speaker.iter_attr_refs}).  Sound only when these
+    speakers hold every reference in the domain — reset the table
+    ({!Dbgp_core.Attr_table.reset}) before building them. *)
+
+val network_refcounts : Dbgp_netsim.Network.t -> violation list
+(** {!refcounts} over every speaker of the network. *)
 
 val peer_clean : Dbgp_core.Speaker.t -> Dbgp_core.Peer.t -> violation list
 (** Post-teardown cleanliness for one (speaker, ex-peer) pair: after

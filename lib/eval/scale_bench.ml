@@ -46,6 +46,10 @@ type row = {
   load_updates_per_s : float;
   words_per_route : float;
   attr_sets : int;          (* resident shared attribute sets after load *)
+  attr_overflow : int;
+  string_clears : int;
+  value_clears : int;
+  descriptor_clears : int;
   peak_heap_words : int;    (* major-heap high-water mark after load *)
   live_words : int;         (* live words after load (post full major) *)
   full_transfer_msgs : int;
@@ -113,12 +117,24 @@ let build ~seed ~ases =
    every word reachable from it, counting shared blocks once. *)
 let net_words net = Obj.reachable_words (Obj.repr net)
 
+let count_of m name =
+  match Metrics.find_counter m name with Some c -> Metrics.count c | None -> 0
+
+let caps () =
+  [ ("attr_table.overflow",
+     count_of (Dbgp_core.Attr_table.metrics ()) "attr_table.overflow");
+    ("intern.string.clears", (Dbgp_types.Intern.string_stats ()).clears);
+    ("intern.value.clears", (Dbgp_core.Codec.value_intern_stats ()).clears);
+    ("attr_table.descriptors.clears",
+     (Dbgp_core.Attr_table.descriptor_stats ()).clears) ]
+
 let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
     ~prefixes () =
   (* Rows must be independent: a previous cell's speakers were dropped
      without teardown, so their attribute sets would otherwise stay
      resident and pollute this row's [attr_sets]. *)
   Dbgp_core.Attr_table.reset ();
+  let caps0 = caps () in
   let net, g, feed_asn, prov_asn, feed, provider = build ~seed ~ases in
   Network.set_mrai net mrai;
   let c = Network.counter_total net in
@@ -246,6 +262,7 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
       Network.recover_link net feed_asn prov_asn);
   ignore (Network.run net);
   let churn_transfer_msgs = per_prefix () - p0 in
+  let cap name = List.assoc name (caps ()) - List.assoc name caps0 in
   { ases;
     prefixes;
     bg_prefixes = bg;
@@ -262,6 +279,10 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
        else 0.);
     words_per_route;
     attr_sets;
+    attr_overflow = cap "attr_table.overflow";
+    string_clears = cap "intern.string.clears";
+    value_clears = cap "intern.value.clears";
+    descriptor_clears = cap "attr_table.descriptors.clears";
     peak_heap_words;
     live_words;
     full_transfer_msgs;
@@ -309,6 +330,10 @@ let to_snapshot r =
       ("load_updates_per_s", Snapshot.Float r.load_updates_per_s);
       ("words_per_route", Snapshot.Float r.words_per_route);
       ("attr_sets", Snapshot.Int r.attr_sets);
+      ("attr_overflow", Snapshot.Int r.attr_overflow);
+      ("string_clears", Snapshot.Int r.string_clears);
+      ("value_clears", Snapshot.Int r.value_clears);
+      ("descriptor_clears", Snapshot.Int r.descriptor_clears);
       ("peak_heap_words", Snapshot.Int r.peak_heap_words);
       ("live_words", Snapshot.Int r.live_words);
       ("full_transfer_msgs", Snapshot.Int r.full_transfer_msgs);
@@ -324,11 +349,13 @@ let to_snapshot r =
 let pp ppf r =
   Format.fprintf ppf
     "%5d ASes %7d pfx  %7.0f bg-up/s  %7.0f load-up/s  %5.1f words/route  \
-     (%d attr sets, %.1fM live words)  transfer full %d msgs/%d B, batched \
+     (%d attr sets, %d overflowed, %d+%d+%d intern clears, %.1fM live \
+     words)  transfer full %d msgs/%d B, batched \
      %d msgs/%d B in %d frames / clean %d (skipped %d) / churn %d (of %d \
      changed)"
     r.ases r.prefixes r.bg_updates_per_s r.load_updates_per_s r.words_per_route
-    r.attr_sets
+    r.attr_sets r.attr_overflow r.string_clears r.value_clears
+    r.descriptor_clears
     (float_of_int r.live_words /. 1e6)
     r.full_transfer_msgs r.full_transfer_bytes r.batched_transfer_msgs
     r.batched_transfer_bytes r.batch_frames r.clean_transfer_msgs

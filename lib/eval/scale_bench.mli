@@ -28,7 +28,12 @@
     across the table load (FIB index built, shared blocks counted
     once) divided by the table size: the combined sender + receiver
     resident footprint of one route.  [attr_sets] is the compact route
-    store's resident shared attribute-set count after the load;
+    store's resident shared attribute-set count after the load, and the
+    store's caps are reported, not silent: [attr_overflow] counts sets
+    left unshared because the attribute table was full, and
+    [string_clears]/[value_clears]/[descriptor_clears] the wholesale
+    resets of the string, descriptor-value and descriptor-list intern
+    tables during the cell;
     [peak_heap_words]/[live_words] are the process major-heap
     high-water mark and post-full-major live set.  The results ship in
     [BENCH_scale.json]. *)
@@ -47,6 +52,10 @@ type row = {
   load_updates_per_s : float;
   words_per_route : float;
   attr_sets : int;
+  attr_overflow : int;
+  string_clears : int;
+  value_clears : int;
+  descriptor_clears : int;
   peak_heap_words : int;
   live_words : int;
   full_transfer_msgs : int;
@@ -59,6 +68,12 @@ type row = {
   churn_routes : int;
   churn_transfer_msgs : int;
 }
+
+val caps : unit -> (string * int) list
+(** The route store's capacity counters in the calling domain, by name:
+    [attr_table.overflow] and the [clears] of the string, descriptor-value
+    and descriptor-list intern tables (cumulative; rows report their
+    deltas). *)
 
 val feed_prefix : int -> Dbgp_types.Prefix.t
 (** The deterministic table contents: /24s spread over 192.0.0.0/2 by a

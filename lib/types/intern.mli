@@ -1,21 +1,27 @@
-(** Hash-consed interning for hot-path values.
+(** Interning for small hot-path values: descriptor values and strings.
 
     Maps structurally equal values to one physical representative so
-    equality checks short-circuit on [==] and fanned-out announces
-    share storage.  Tables are bounded (reset wholesale at capacity);
+    equality checks short-circuit on [==] and a decoded table holds one
+    copy of each.  Tables are bounded (reset wholesale at capacity);
     every interned value stays valid after a reset — only future
     sharing is lost — so callers never need to care about residency.
 
-    The shared tables below are what the codec and speaker use; the
-    {!Make} functor builds additional per-type tables.
+    Attribute sets are identified by {!Dbgp_core.Attr_table}, once per
+    set where it enters a speaker; path vectors are not interned.  Value
+    interning stays because descriptor values repeat across otherwise
+    distinct attribute sets, which the attribute table cannot share.
 
-    Domain-safety: the shared tables (and the loop memo) are
-    domain-local — each OCaml 5 domain lazily creates its own instance
-    on first use, so sharded simulations intern lock-free.  Interning is
-    semantically transparent, so per-domain canonicalization is sound:
-    values crossing domains merely lose the pointer-equality fast path
-    and fall back to structural comparison.  Stats and {!clear_all}
-    refer to the calling domain's tables. *)
+    The shared string table below is what the codec uses; the {!Make}
+    functor builds additional per-type tables (the codec's value
+    table).
+
+    Domain-safety: the shared table is domain-local — each OCaml 5
+    domain lazily creates its own instance on first use, so sharded
+    simulations intern lock-free.  Interning is semantically
+    transparent, so per-domain canonicalization is sound: values
+    crossing domains merely lose the pointer-equality fast path and fall
+    back to structural comparison.  Stats and {!clear_all} refer to the
+    calling domain's table. *)
 
 type stats = { hits : int; misses : int; size : int; clears : int }
 
@@ -46,14 +52,6 @@ end
 
 module Make (H : HashedType) : S with type value = H.t
 
-val path_elem : Path_elem.t -> Path_elem.t
-(** Canonical representative of one path element. *)
-
-val path_vector : Path_elem.t list -> Path_elem.t list
-(** Canonical representative of a whole vector, hash-consed cell by
-    cell: vectors sharing a structural tail share it physically, so
-    prepending onto an interned vector only adds one fresh cell. *)
-
 val string : string -> string
 (** Canonical representative for small repeated strings (descriptor
     field names, protocol names). *)
@@ -66,18 +64,21 @@ val prefix : Prefix.t -> Prefix.t
 
 val prefix_pack : Prefix.t -> int
 (** The dense-int pack itself ([network lsl 6 lor length]) — the
-    compact-route-store key under which a RIB entry degenerates to an
-    int pair (prefix pack, attribute-set id). *)
-
-val has_loop : Path_elem.t list -> bool
-(** [Path_elem.has_loop] behind a direct-mapped identity memo —
-    repeated checks of the same (physically) vector are O(1).  Sound
-    for any argument, fast for interned ones. *)
+    compact-route-store key: a RIB entry is the pair (prefix pack,
+    attribute-set entry). *)
 
 val path_elem_stats : unit -> stats
+(** Always zero: path elements are not interned.  Kept for the
+    benchmark (perfbench/bench.ml), which reports it. *)
+
 val path_vector_stats : unit -> stats
+(** Always zero: path vectors are not interned.  Kept for the benchmark
+    (perfbench/bench.ml), which reports it. *)
+
 val string_stats : unit -> stats
+(** The calling domain's string table; the benchmark
+    (perfbench/bench.ml) reports it. *)
 
 val clear_all : unit -> unit
-(** Reset every global table and the loop memo (tests, and leak-proof
-    teardown paths). *)
+(** Empty the string table (tests, and the benchmark
+    (perfbench/bench.ml) between set-ups). *)

@@ -33,7 +33,32 @@ let to_string = function
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 let path_length path = List.length path
 
-let has_loop path =
+(* The loop check runs on every received announcement.  A path vector
+   is short, so comparing each element with the ones after it costs a
+   few dozen integer compares and allocates nothing; past
+   [scan_limit] AS numbers (only hostile or synthetic input) the
+   quadratic scan gives way to set membership.  AS numbers repeated
+   inside one AS_SET are not a loop, as before. *)
+let scan_limit = 32
+
+let rec asn_later a = function
+  | [] -> false
+  | As b :: rest -> Asn.equal a b || asn_later a rest
+  | As_set s :: rest -> List.exists (Asn.equal a) s || asn_later a rest
+  | Island _ :: rest -> asn_later a rest
+
+let rec island_later i = function
+  | [] -> false
+  | Island j :: rest -> Island_id.equal i j || island_later i rest
+  | (As _ | As_set _) :: rest -> island_later i rest
+
+let rec scan = function
+  | [] -> false
+  | As a :: rest -> asn_later a rest || scan rest
+  | Island i :: rest -> island_later i rest || scan rest
+  | As_set s :: rest -> List.exists (fun a -> asn_later a rest) s || scan rest
+
+let has_loop_sets path =
   let rec go seen_as seen_isl = function
     | [] -> false
     | As a :: rest ->
@@ -46,6 +71,18 @@ let has_loop path =
       || go (List.fold_left (fun acc a -> Asn.Set.add a acc) seen_as s) seen_isl rest
   in
   go Asn.Set.empty Island_id.Set.empty path
+
+(* More than [n] AS numbers and islands on [path], AS_SET members
+   counted one by one. *)
+let rec longer_than n = function
+  | [] -> false
+  | As_set s :: rest ->
+    let n = n - List.length s in
+    n < 0 || longer_than n rest
+  | (As _ | Island _) :: rest -> n = 0 || longer_than (n - 1) rest
+
+let has_loop path =
+  if longer_than scan_limit path then has_loop_sets path else scan path
 
 let pp_path ppf path =
   Format.pp_print_list

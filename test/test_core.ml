@@ -424,32 +424,51 @@ let test_attr_table_lifecycle () =
   let a' = Attr_table.share a in
   let b' = Attr_table.share b in
   check_int "one resident set" 1 (Attr_table.occupancy ());
+  check "one entry" true (a' == b' && Attr_table.same a' b');
+  let ra = Attr_table.route a' a.Ia.prefix and rb = Attr_table.route b' b.Ia.prefix in
   check "canonicalized to one physical set" true
-    (a'.Ia.path_vector == b'.Ia.path_vector
-    && a'.Ia.path_descriptors == b'.Ia.path_descriptors);
-  check "prefixes kept distinct" false (Prefix.equal a'.Ia.prefix b'.Ia.prefix);
-  check "refcount 2" true (Attr_table.refcount a' = Some 2);
-  let id0 = Attr_table.id_of a' in
-  check "dense id assigned" true (id0 <> None);
-  (* A different attribute set gets its own id. *)
+    (ra.Ia.path_vector == rb.Ia.path_vector
+    && ra.Ia.path_descriptors == rb.Ia.path_descriptors);
+  check "prefixes kept distinct" false (Prefix.equal ra.Ia.prefix rb.Ia.prefix);
+  check "refcount 2" true (Attr_table.refcount a = Some 2 && Attr_table.refs a' = 2);
+  (* A different attribute set gets its own entry. *)
   let c = Attr_table.share (base_ia ~prefix:"88.0.0.0/24" ()) in
   check_int "two resident sets" 2 (Attr_table.occupancy ());
-  check "distinct ids" true (Attr_table.id_of c <> id0);
-  (* Releases retire the entry only at refcount zero; its id returns to
-     the free list and is handed out again. *)
+  check "distinct sets" false (Attr_table.same a' c);
+  (* A hint whose fields the IA shares physically is taken without a
+     probe; any other IA is shared by value. *)
+  check "share_like the route's own fields" true (Attr_table.share_like a' rb == a');
+  check "share_like a fresh copy" true (Attr_table.share_like c (rich_ia ()) == a');
+  check "refcount 4" true (Attr_table.refs a' = 4);
   Attr_table.release a';
-  check "still resident after one release" true (Attr_table.refcount b' = Some 1);
+  Attr_table.release a';
+  (* Releases retire the entry only at refcount zero; the set then gets a
+     new entry. *)
+  Attr_table.release a';
+  check "still resident after one release" true (Attr_table.refcount b = Some 1);
   Attr_table.release b';
-  check "evicted at zero" true (Attr_table.refcount b' = None);
+  check "evicted at zero" true (Attr_table.refcount b = None);
   check_int "one set left" 1 (Attr_table.occupancy ());
   let d = Attr_table.share (rich_ia ()) in
-  check "freed id reused" true (Attr_table.id_of d = id0);
+  check "evicted entry is not the new one" false (d == a');
+  check "evicted entry still compares by value" true (Attr_table.same a' d);
   (* Releasing a non-resident set is a no-op: evict c, then release it
      again. *)
   Attr_table.release c;
   check_int "c evicted" 1 (Attr_table.occupancy ());
   Attr_table.release c;
   check_int "no-op release" 1 (Attr_table.occupancy ());
+  (* A reset leaves the table; the entries held stay valid and compare
+     by value. *)
+  let d' = Attr_table.share (rich_ia ()) in
+  Attr_table.reset ();
+  check_int "reset empties" 0 (Attr_table.occupancy ());
+  check "detached entries compare by value" true (Attr_table.same d d');
+  Attr_table.release d;
+  check_int "release after reset is a no-op" 0 (Attr_table.occupancy ());
+  ignore (Attr_table.share (rich_ia ()));
+  ignore (Attr_table.share (rich_ia ()));
+  Attr_table.release (Attr_table.share (base_ia ~prefix:"88.0.0.0/24" ()));
   let m = Attr_table.metrics () in
   let counter name =
     match Dbgp_obs.Metrics.find_counter m name with
@@ -971,8 +990,7 @@ let qcheck =
         let moved = Ia.with_prefix (Prefix.make (Ipv4.of_int (n lsl 8)) 24) ia in
         let copy = Codec.decode (Codec.encode ia) in
         Ia.attrs_hash moved = Ia.attrs_hash ia
-        && Ia.attrs_hash copy = Ia.attrs_hash ia
-        && Ia.hash copy = Ia.hash ia);
+        && Ia.attrs_hash copy = Ia.attrs_hash ia);
     Test.make ~name:"aggregates are loop-free covering advertisements" ~count:100
       (pair (int_bound 0xFFFF) (int_bound 0xFFFF))
       (fun (n1, n2) ->

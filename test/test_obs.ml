@@ -697,7 +697,8 @@ let test_scale_bench_schema () =
   let s = E.Scale_bench.to_snapshot r in
   let int_fields =
     [ "ases"; "prefixes"; "bg_prefixes"; "edges"; "bg_updates";
-      "load_updates"; "attr_sets"; "peak_heap_words"; "live_words";
+      "load_updates"; "attr_sets"; "attr_overflow"; "string_clears";
+      "value_clears"; "descriptor_clears"; "peak_heap_words"; "live_words";
       "full_transfer_msgs"; "full_transfer_bytes";
       "batched_transfer_msgs"; "batched_transfer_bytes"; "batch_frames";
       "clean_transfer_msgs"; "clean_skipped"; "churn_routes";

@@ -4,8 +4,9 @@
    - the heap-backed {!Dbgp_netsim.Event_queue} dequeues exactly like a
      Map-based reference model over randomized interleavings, including
      same-time FIFO ties and events scheduled mid-run;
-   - hash-consed interning makes structural equality physical, and the
-     tables survive {!Dbgp_core.Speaker.remove_neighbor};
+   - the attribute table makes stored copies of one set physical, and a
+     set another peer still holds survives
+     {!Dbgp_core.Speaker.remove_neighbor};
    - the receive-side decode memo stays bounded under fuzz-grade input
      and never memoizes damaged wires;
    - the encode cache serves byte-identical (and physically shared)
@@ -303,31 +304,40 @@ let test_stale_marks_match_model () =
 
 (* ----------------------------- interning ----------------------------- *)
 
-let fresh_path n =
-  (* Rebuilt from scratch each call: structurally equal, physically new. *)
-  List.init n (fun i -> Path_elem.as_ (Asn.of_int (100 + i)))
-
+(* Decoding does not intern path vectors; the attribute table does the
+   sharing once a route is stored.  Two peers deliver byte-identical
+   copies: the speaker stores one physical set for both. *)
 let test_intern_structural_implies_physical () =
-  let a = Intern.path_vector (fresh_path 6) in
-  let b = Intern.path_vector (fresh_path 6) in
-  check "interned vectors share storage" true (a == b);
-  let e1 = Intern.path_elem (Path_elem.as_ (Asn.of_int 7)) in
-  let e2 = Intern.path_elem (Path_elem.as_ (Asn.of_int 7)) in
-  check "interned elements share storage" true (e1 == e2);
-  (* Tail sharing: prepending onto an interned vector interns only the
-     new cell. *)
-  let longer = Intern.path_vector (Path_elem.as_ (Asn.of_int 1) :: a) in
-  check "tail shared physically" true (List.tl longer == a);
-  (* Decoding the same wire twice yields physically shared vectors. *)
+  let s =
+    Speaker.create
+      (Speaker.config ~asn:(Asn.of_int 5) ~addr:(Ipv4.of_octets 10 0 0 5) ())
+  in
+  let p1 = Peer.make ~asn:(Asn.of_int 1) ~addr:(Ipv4.of_octets 10 0 0 1)
+  and p2 = Peer.make ~asn:(Asn.of_int 2) ~addr:(Ipv4.of_octets 10 0 0 2) in
+  List.iter
+    (fun p -> Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer p))
+    [ p1; p2 ];
+  let prefix = Prefix.of_string "99.1.0.0/24" in
   let ia =
-    Ia.originate ~prefix:(Prefix.of_string "99.1.0.0/24")
-      ~origin_asn:(Asn.of_int 1) ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
+    Ia.prepend_as (Asn.of_int 3)
+      (Ia.originate ~prefix ~origin_asn:(Asn.of_int 4)
+         ~next_hop:(Ipv4.of_octets 10 0 0 1) ())
   in
   let wire = Codec.encode ia in
   let d1 = Codec.decode wire and d2 = Codec.decode wire in
-  check "decoded path vectors interned" true
-    (d1.Ia.path_vector == d2.Ia.path_vector)
+  check "decoded copies are fresh" false (d1.Ia.path_vector == d2.Ia.path_vector);
+  ignore (Speaker.receive s ~from:p1 (Speaker.Announce d1));
+  ignore (Speaker.receive s ~from:p2 (Speaker.Announce d2));
+  match Speaker.candidates_for s prefix with
+  | [ (_, a); (_, b) ] ->
+    check "stored sets share storage" true
+      (a.Ia.path_vector == b.Ia.path_vector
+      && a.Ia.path_descriptors == b.Ia.path_descriptors)
+  | _ -> Alcotest.fail "two candidates"
 
+(* A teardown releases only the removed peer's references: a set another
+   peer still holds stays resident, and re-learning it from the removed
+   peer shares it again. *)
 let test_intern_survives_remove_neighbor () =
   let mk n =
     Speaker.create
@@ -335,36 +345,39 @@ let test_intern_survives_remove_neighbor () =
          ~addr:(Ipv4.of_octets 10 0 0 n) ())
   in
   let s = mk 5 in
-  let p1 = Peer.make ~asn:(Asn.of_int 1) ~addr:(Ipv4.of_octets 10 0 0 1) in
+  let p1 = Peer.make ~asn:(Asn.of_int 1) ~addr:(Ipv4.of_octets 10 0 0 1)
+  and p2 = Peer.make ~asn:(Asn.of_int 2) ~addr:(Ipv4.of_octets 10 0 0 2) in
+  let prefix = Prefix.of_string "99.2.0.0/24" in
   let announce () =
     let ia =
-      Ia.originate ~prefix:(Prefix.of_string "99.2.0.0/24")
-        ~origin_asn:(Asn.of_int 1) ~next_hop:(Ipv4.of_octets 10 0 0 1) ()
+      Ia.prepend_as (Asn.of_int 3)
+        (Ia.originate ~prefix ~origin_asn:(Asn.of_int 4)
+           ~next_hop:(Ipv4.of_octets 10 0 0 1) ())
     in
     Codec.decode (Codec.encode ia)
   in
-  Speaker.add_neighbor s
-    (Speaker.neighbor ~relationship:Policy.To_customer p1);
-  ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
-  let before =
-    match Speaker.best s (Prefix.of_string "99.2.0.0/24") with
-    | Some c -> c.Speaker.candidate.Dbgp_core.Decision_module.ia.Ia.path_vector
-    | None -> Alcotest.fail "route installed"
+  let add p =
+    Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer p)
   in
-  ignore (Speaker.remove_neighbor s p1);
-  check "route gone after removal" true
-    (Speaker.best s (Prefix.of_string "99.2.0.0/24") = None);
-  (* Re-add and re-learn: the global intern tables were untouched by the
-     teardown, so the re-learned route shares the same physical path. *)
-  Speaker.add_neighbor s
-    (Speaker.neighbor ~relationship:Policy.To_customer p1);
+  add p1;
+  add p2;
   ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
-  ( match Speaker.best s (Prefix.of_string "99.2.0.0/24") with
-    | Some c ->
-      check "re-learned path physically equal to pre-removal path" true
-        (c.Speaker.candidate.Dbgp_core.Decision_module.ia.Ia.path_vector
-         == before)
-    | None -> Alcotest.fail "route re-installed" )
+  ignore (Speaker.receive s ~from:p2 (Speaker.Announce (announce ())));
+  let path_of_peer p =
+    match List.assoc_opt p (Speaker.candidates_for s prefix) with
+    | Some ia -> ia.Ia.path_vector
+    | None -> Alcotest.fail "candidate missing"
+  in
+  let before = path_of_peer p2 in
+  ignore (Speaker.remove_neighbor s p1);
+  check "p2's route kept" true (path_of_peer p2 == before);
+  add p1;
+  ignore (Speaker.receive s ~from:p1 (Speaker.Announce (announce ())));
+  check "re-learned path physically equal to the resident set" true
+    (path_of_peer p1 == before);
+  ignore (Speaker.remove_neighbor s p1);
+  ignore (Speaker.remove_neighbor s p2);
+  check "route gone after removal" true (Speaker.best s prefix = None)
 
 (* --------------------------- decode memo ----------------------------- *)
 

@@ -38,7 +38,27 @@ let test_smoke () =
      <= r.E.Scale_bench.churn_routes + 1
     && r.E.Scale_bench.churn_transfer_msgs >= r.E.Scale_bench.churn_routes)
 
+(* The route store's caps are loud: every cell reports its attribute
+   table overflows and intern-table clears, and on a grid well inside
+   the caps all of them read zero. *)
+let test_caps_silent () =
+  List.iter
+    (fun (r : E.Scale_bench.row) ->
+      let what = Printf.sprintf "%d ASes / %d prefixes" r.ases r.prefixes in
+      Alcotest.(check int) (what ^ ": attribute table overflow") 0 r.attr_overflow;
+      Alcotest.(check int) (what ^ ": string table clears") 0 r.string_clears;
+      Alcotest.(check int) (what ^ ": value table clears") 0 r.value_clears;
+      Alcotest.(check int)
+        (what ^ ": descriptor table clears") 0 r.descriptor_clears)
+    (E.Scale_bench.suite ~grid:[ (30, 200); (100, 2_000) ] ());
+  check "caps named" true
+    (List.map fst (E.Scale_bench.caps ())
+    = [ "attr_table.overflow"; "intern.string.clears"; "intern.value.clears";
+        "attr_table.descriptors.clears" ])
+
 let () =
   Alcotest.run "scale"
     [ ( "smoke",
-        [ Alcotest.test_case "100 ASes / 1k prefixes" `Quick test_smoke ] ) ]
+        [ Alcotest.test_case "100 ASes / 1k prefixes" `Quick test_smoke;
+          Alcotest.test_case "caps silent on a small grid" `Quick
+            test_caps_silent ] ) ]

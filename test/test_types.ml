@@ -331,7 +331,36 @@ let qcheck =
       (list_of_size (Gen.int_range 0 8) (int_bound 100000))
       (fun ns ->
         let uniq = List.sort_uniq compare ns in
-        not (Path_elem.has_loop (List.map (fun n -> Path_elem.As (Asn.of_int n)) uniq))) ]
+        not (Path_elem.has_loop (List.map (fun n -> Path_elem.As (Asn.of_int n)) uniq)));
+    (* The loop check scans pairs on short paths and uses sets past 32
+       AS numbers; both must agree with the set-based definition: an AS
+       or island twice, AS_SET members included, repeats inside one
+       AS_SET excepted. *)
+    Test.make ~name:"has_loop = set-based reference" ~count:500
+      (let elem =
+         Gen.(
+           frequency
+             [ (6, map (fun n -> Path_elem.As (Asn.of_int n)) (int_bound 40));
+               (1, map (fun n -> Path_elem.Island (Island_id.named (string_of_int n))) (int_bound 6));
+               (1, map (fun ns -> Path_elem.As_set (List.map Asn.of_int ns))
+                     (list_size (int_range 1 12) (int_bound 40))) ])
+       in
+       make ~print:(fun pv -> Format.asprintf "%a" Path_elem.pp_path pv)
+         Gen.(list_size (int_range 0 40) elem))
+      (fun pv ->
+        let reference =
+          let rec go seen_as seen_isl = function
+            | [] -> false
+            | Path_elem.As a :: rest ->
+              List.mem a seen_as || go (a :: seen_as) seen_isl rest
+            | Path_elem.Island i :: rest ->
+              List.exists (Island_id.equal i) seen_isl || go seen_as (i :: seen_isl) rest
+            | Path_elem.As_set s :: rest ->
+              List.exists (fun a -> List.mem a seen_as) s || go (s @ seen_as) seen_isl rest
+          in
+          go [] [] pv
+        in
+        Path_elem.has_loop pv = reference) ]
 
 let () =
   Alcotest.run "types"
