@@ -48,10 +48,6 @@ let is_hijack = function
   | Origin_hijack | Subprefix_hijack | Forged_path_hijack -> true
   | Route_leak | Island_forgery | Passthrough_tamper -> false
 
-let uses_interposer = function
-  | Island_forgery | Passthrough_tamper -> true
-  | Origin_hijack | Subprefix_hijack | Forged_path_hijack | Route_leak -> false
-
 type t = {
   kind : kind;
   attacker : Asn.t;

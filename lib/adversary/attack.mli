@@ -50,10 +50,6 @@ val is_hijack : kind -> bool
 (** The three hijack variants — the classes the BGPSec-like critical fix
     (with origin authorization) claims to contain. *)
 
-val uses_interposer : kind -> bool
-(** Attacks that act on forwarded traffic (via the network interposer)
-    rather than by hostile origination/export. *)
-
 type t = {
   kind : kind;
   attacker : Dbgp_types.Asn.t;
@@ -68,9 +64,6 @@ val poisoned_prefix : t -> Dbgp_types.Prefix.t
 val forged_island : Dbgp_types.Island_id.t
 val forged_proto : Dbgp_types.Protocol_id.t
 val forged_field : string
-val forged_value : Dbgp_core.Value.t
-(** Ground truth for {!Island_forgery}: the descriptor the attacker
-    injects, which detection checks must find absent on honest state. *)
 
 val tamper_proto : Dbgp_types.Protocol_id.t
 (** The foreign protocol whose descriptors {!Passthrough_tamper}

@@ -50,11 +50,6 @@ let prepend a = function
   | Seq asns :: rest -> Seq (a :: asns) :: rest
   | path -> Seq [ a ] :: path
 
-let strip_non_transitive t =
-  { t with
-    local_pref = None;
-    unknowns = List.filter (fun u -> u.transitive) t.unknowns }
-
 let equal a b = a = b
 
 let pp_origin ppf = function

@@ -50,7 +50,6 @@ val make :
   t
 
 val community : asn:int -> value:int -> community
-val pp_community : Format.formatter -> community -> unit
 
 val as_path_length : as_path -> int
 (** AS_SET segments count as one hop (RFC 4271 section 9.1.2.2 a). *)
@@ -63,10 +62,6 @@ val as_path_contains : Dbgp_types.Asn.t -> as_path -> bool
 
 val prepend : Dbgp_types.Asn.t -> as_path -> as_path
 (** Prepend an ASN, merging into a leading AS_SEQUENCE if present. *)
-
-val strip_non_transitive : t -> t
-(** What crosses an eBGP boundary: drops LOCAL_PREF and non-transitive
-    unknowns. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -71,9 +71,6 @@ val config : t -> config
 val peer_open : t -> Message.open_msg option
 (** The peer's OPEN once received (in Open_confirm / Established). *)
 
-val negotiated_hold_time : t -> int option
-(** min of both sides' proposals, once known. *)
-
 val handle : t -> event -> t * action list
 
 val state_name : state -> string

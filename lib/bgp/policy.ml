@@ -21,9 +21,6 @@ type clause = { cond : match_cond; permit : bool; actions : action list }
 
 type t = clause list
 
-let permit_all = [ { cond = Match_any; permit = true; actions = [] } ]
-let deny_all = []
-
 let rec matches cond prefix (attrs : Attr.t) =
   match cond with
   | Match_any -> true
@@ -56,29 +53,6 @@ let apply policy prefix attrs =
       else go rest
   in
   go policy
-
-let lp_customer = 200
-let lp_peer = 100
-let lp_provider = 50
-
-let import_for rel =
-  let lp =
-    match rel with
-    | To_customer -> lp_customer
-    | To_peer -> lp_peer
-    | To_provider -> lp_provider
-  in
-  [ { cond = Match_any; permit = true; actions = [ Set_local_pref lp ] } ]
-
-let export_for rel ~learned_local_pref =
-  let from_customer =
-    match learned_local_pref with Some lp -> lp >= lp_customer | None -> true
-    (* A locally originated route (no import LOCAL_PREF) is exported to
-       everyone, like a customer route. *)
-  in
-  match rel with
-  | To_customer -> true
-  | To_peer | To_provider -> from_customer
 
 type export_rule = learned:relationship option -> to_:relationship -> bool
 

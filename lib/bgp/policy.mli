@@ -32,22 +32,10 @@ type clause = { cond : match_cond; permit : bool; actions : action list }
 
 type t = clause list
 
-val permit_all : t
-val deny_all : t
-
 val apply :
   t -> Dbgp_types.Prefix.t -> Attr.t -> Attr.t option
 (** [apply policy prefix attrs] is [Some attrs'] if permitted (actions
     applied in clause order) or [None] if denied. *)
-
-val import_for : relationship -> t
-(** Gao-Rexford import: sets LOCAL_PREF 200 / 100 / 50 for routes from a
-    customer / peer / provider. *)
-
-val export_for : relationship -> learned_local_pref:int option -> bool
-(** Gao-Rexford export rule: may a route with the given import-assigned
-    LOCAL_PREF be sent on a session of this relationship?  Customer
-    routes (lp >= 200) go everywhere; others only to customers. *)
 
 type export_rule = learned:relationship option -> to_:relationship -> bool
 (** Relationship-keyed export gate: may a route learned over a session of

@@ -98,15 +98,8 @@ let leave t ~peer =
     t.handles <- Peer.Map.remove peer t.handles;
     depart t h.group
 
-let group_id h = h.group.id
-let group_of t ~peer = Option.map group_id (Peer.Map.find_opt peer t.handles)
-let group_count t = List.length t.groups
-
-let group_members t id =
-  Peer.Map.fold
-    (fun peer h acc -> if h.group.id = id then peer :: acc else acc)
-    t.handles []
-  |> List.rev
+let group_of t ~peer =
+  Option.map (fun h -> h.group.id) (Peer.Map.find_opt peer t.handles)
 
 (* --------------------- group-major evaluation --------------------- *)
 
@@ -189,3 +182,7 @@ let peers t =
       | _ -> acc)
     t.handles []
   |> List.rev
+
+module For_tests = struct
+  let group_count t = List.length t.groups
+end

@@ -44,10 +44,7 @@ val leave : t -> peer:Peer.t -> unit
     is dropped) and forget everything advertised to it.  The handle is
     dead afterwards; a later {!join} starts from an empty table. *)
 
-val group_id : handle -> int
 val group_of : t -> peer:Peer.t -> int option
-val group_count : t -> int
-val group_members : t -> int -> Peer.t list
 
 (** {1 Group-major evaluation}
 
@@ -99,3 +96,9 @@ val note_failed : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
 val bindings : t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t) list
 val peers : t -> Peer.t list
 (** Peers with at least one recorded entry, ascending. *)
+
+(** Probes of the group table, for the tests that pin its life cycle. *)
+module For_tests : sig
+  val group_count : t -> int
+  (** Live peer groups; a group left empty is dropped at once. *)
+end

@@ -2,22 +2,17 @@ open Dbgp_types
 
 type merge_rule = Cannot_aggregate | Take_worst | Take_min | Must_be_equal
 
-let rules : (int * string, merge_rule) Hashtbl.t = Hashtbl.create 16
-
-let register_rule ~proto ~field rule =
-  Hashtbl.replace rules (Protocol_id.to_int proto, field) rule
-
+(* The rules reflect the paper's analysis: plain BGP fields merge
+   conservatively, EQ-BGP's bottleneck bandwidth takes the min, and
+   everything else cannot aggregate. *)
 let rule_for ~proto ~field =
-  Option.value
-    (Hashtbl.find_opt rules (Protocol_id.to_int proto, field))
-    ~default:Cannot_aggregate
-
-(* Built-in rules reflecting the paper's analysis: plain BGP fields merge
-   conservatively; everything else defaults to Cannot_aggregate. *)
-let () =
-  register_rule ~proto:Protocol_id.bgp ~field:Ia.field_origin Take_worst;
-  register_rule ~proto:Protocol_id.bgp ~field:Ia.field_next_hop Must_be_equal;
-  register_rule ~proto:Protocol_id.eq_bgp ~field:"eqbgp-bw" Take_min
+  if Protocol_id.equal proto Protocol_id.bgp && field = Ia.field_origin then
+    Take_worst
+  else if Protocol_id.equal proto Protocol_id.bgp && field = Ia.field_next_hop
+  then Must_be_equal
+  else if Protocol_id.equal proto Protocol_id.eq_bgp && field = "eqbgp-bw" then
+    Take_min
+  else Cannot_aggregate
 
 let siblings a b =
   Prefix.length a > 0
@@ -92,12 +87,3 @@ let aggregate (a : Ia.t) (b : Ia.t) =
         path_descriptors;
         island_descriptors }
   end
-
-let aggregable_fraction (ia : Ia.t) =
-  match ia.Ia.path_descriptors with
-  | [] -> 1.
-  | ds ->
-    let ok =
-      List.length (List.filter (fun d -> descriptor_rule d <> Cannot_aggregate) ds)
-    in
-    float_of_int ok /. float_of_int (List.length ds)

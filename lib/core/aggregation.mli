@@ -6,7 +6,9 @@
     information — "BGPSec's attestations cannot be aggregated and it is
     not clear how to aggregate Wiser's path costs".  This module makes
     that concrete: per-protocol {!merge_rule}s say how (or whether) a
-    descriptor survives aggregation, and {!aggregate} combines two
+    descriptor survives aggregation — BGP's origin takes the worst, its
+    next hop must be equal, EQ-BGP's bandwidth takes the min, and
+    nothing else aggregates — and {!aggregate} combines two
     sibling IAs into one covering advertisement, path vectors merged
     BGP-style into an AS_SET with ATOMIC_AGGREGATE semantics. *)
 
@@ -17,15 +19,6 @@ type merge_rule =
   | Take_min              (** keep the min (bottleneck bandwidth) *)
   | Must_be_equal         (** keep iff both sides agree *)
 
-val register_rule :
-  proto:Dbgp_types.Protocol_id.t -> field:string -> merge_rule -> unit
-(** Process-global registry; later registrations override. *)
-
-val rule_for :
-  proto:Dbgp_types.Protocol_id.t -> field:string -> merge_rule
-(** [Cannot_aggregate] when nothing is registered — the safe default the
-    paper's analysis implies. *)
-
 val aggregate : Ia.t -> Ia.t -> Ia.t option
 (** [aggregate a b] combines two IAs whose prefixes are siblings (the
     two halves of a covering prefix) into one IA for the covering
@@ -34,6 +27,3 @@ val aggregate : Ia.t -> Ia.t -> Ia.t option
     only when identical on both sides.  [None] if the prefixes are not
     siblings. *)
 
-val aggregable_fraction : Ia.t -> float
-(** The fraction of an IA's path descriptors that would survive
-    aggregation — the quantitative form of the Section 3.5 argument. *)

@@ -24,14 +24,17 @@
 
    Refcounts govern residency, never memory safety: attribute lists are
    GC-managed, and an entry that is not resident is still a valid value
-   for whoever holds it.  An entry is not resident when it was made
-   while the table was full (counted under [attr_table.overflow]), when
-   it was resident at a {!reset}, when it belongs to another domain's
-   table (sets made during set-up in the main domain can reach a
-   shard's speaker), or when its refcount reached zero — evicted, the
+   for whoever holds it.  An entry is not resident when it was resident
+   at a {!reset}, when it belongs to another domain's table (sets made
+   during set-up in the main domain can reach a shard's speaker), or
+   when its refcount reached zero — evicted, the
    one case where a stored reference means refcount drift ({!audit}).
    Acquires and releases of a non-resident entry do nothing, and [same]
    compares it structurally, so a route holding one keeps its meaning.
+
+   The table has no cap: it doubles at half load and an entry leaves it
+   when its refcount reaches zero, so residency is bounded by the
+   references that stored routes hold.
 
    Domain-local: each OCaml 5 domain has its own table. *)
 
@@ -59,13 +62,11 @@ type state = {
   c_hits : Metrics.counter;
   c_misses : Metrics.counter;
   c_evictions : Metrics.counter;
-  c_overflow : Metrics.counter;
   g_occupancy : Metrics.gauge;
   mutable slots : entry array; (* power of two, [nil] = empty *)
   mutable count : int;
 }
 
-let max_size = 262_144
 let initial_slots = 2048
 
 let state_key =
@@ -76,7 +77,6 @@ let state_key =
         c_hits = Metrics.counter obs "attr_table.hits";
         c_misses = Metrics.counter obs "attr_table.misses";
         c_evictions = Metrics.counter obs "attr_table.evictions";
-        c_overflow = Metrics.counter obs "attr_table.overflow";
         g_occupancy = Metrics.gauge obs "attr_table.occupancy";
         slots = Array.make initial_slots nil;
         count = 0;
@@ -134,7 +134,6 @@ let reset () =
   s.slots <- Array.make initial_slots nil;
   s.count <- 0
 
-let canon e = e.canon
 let route e prefix = Ia.with_prefix prefix e.canon
 
 (* The slot holding [e] in [s], or -1. *)
@@ -187,11 +186,6 @@ let share ia =
   in
   let i = find (h land mask) in
   if i < 0 then slots.(-1 - i)
-  else if s.count >= max_size then begin
-    (* Full table: the route keeps its set unshared. *)
-    Metrics.incr s.c_overflow;
-    { canon = ia; meta = (h lsl count_bits) lor 1 }
-  end
   else begin
     Metrics.incr s.c_misses;
     let e = { canon = with_shared_descriptors ia; meta = (h lsl count_bits) lor 1 } in

@@ -16,14 +16,18 @@
     compared again once it is stored.
 
     Refcounting governs table membership only, never memory safety: an
-    entry that has left the table (evicted at refcount zero, made while
-    the table was full, or resident at a {!reset}) is still a valid
+    entry that has left the table (evicted at refcount zero, or resident
+    at a {!reset}) is still a valid
     value for whoever holds it.  {!Speaker} owns the acquire/release
     discipline; {!audit} checks it.
 
     Domain-local: each OCaml 5 domain shares within itself, lock-free,
     and ignores acquires and releases of another domain's entries.
-    Counters ([attr_table.hits]/[.misses]/[.evictions]/[.overflow]) and
+    The table has no cap: it doubles at half load and an entry leaves
+    it at refcount zero, so residency is bounded by the references that
+    stored routes hold.
+
+    Counters ([attr_table.hits]/[.misses]/[.evictions]) and
     the [attr_table.occupancy] gauge live in the calling domain's
     registry, {!metrics}. *)
 
@@ -33,9 +37,7 @@ type entry
 
 val share : Ia.t -> entry
 (** Identify the IA's attribute set and take one reference to it: the
-    resident entry for an equal set, or a new one (refcount 1).  When the
-    table is at {!max_size} the set gets an entry of its own that joins
-    no table (counted under [attr_table.overflow]). *)
+    resident entry for an equal set, or a new one (refcount 1). *)
 
 val share_like : entry -> Ia.t -> entry
 (** [share_like hint ia]: one reference to [hint] when [ia]'s attribute
@@ -48,10 +50,6 @@ val release : entry -> unit
     ([attr_table.evictions]).  A no-op for an entry that is not resident
     in the calling domain's table. *)
 
-val canon : entry -> Ia.t
-(** The set, as the IA that first brought it into the table (its prefix
-    is that IA's). *)
-
 val route : entry -> Dbgp_types.Prefix.t -> Ia.t
 (** The route's IA: the canonical set re-pointed at [prefix] with
     {!Ia.with_prefix} (the canonical IA itself when the prefix matches). *)
@@ -60,9 +58,6 @@ val same : entry -> entry -> bool
 (** Equality of the sets: a pointer compare between two entries
     resident in the calling domain's table, {!Ia.same_attrs} when either
     is not. *)
-
-val refs : entry -> int
-(** The entry's refcount (0 once evicted). *)
 
 val refcount : Ia.t -> int option
 (** Current reference count of the IA's attribute set, if resident
@@ -87,9 +82,6 @@ val descriptor_stats : unit -> Dbgp_types.Intern.stats
 
 val occupancy : unit -> int
 (** Resident attribute sets in the calling domain's table. *)
-
-val max_size : int
-(** Hard entry bound; beyond it {!share} stops sharing. *)
 
 val metrics : unit -> Dbgp_obs.Metrics.t
 (** The calling domain's [attr_table.*] registry. *)

@@ -400,7 +400,6 @@ let decode_robust_uncached s : (Ia.t * Errors.t list, Errors.t) result =
    rx traces replay identically on every malformed delivery. *)
 
 let dec_memo_max_wire = 4096
-let decode_memo_capacity = dec_slots
 
 let decode_robust s : (Ia.t * Errors.t list, Errors.t) result =
   let ws = wire_state () in
@@ -423,12 +422,14 @@ let decode_robust s : (Ia.t * Errors.t list, Errors.t) result =
       result
   end
 
-let decode_memo_reset () = Array.fill (wire_state ()).dec_memo 0 dec_slots None
+module For_tests = struct
+  let decode_memo_capacity = dec_slots
 
-let decode_memo_residency () =
-  Array.fold_left
-    (fun n e -> if e = None then n else n + 1)
-    0 (wire_state ()).dec_memo
+  let decode_memo_residency () =
+    Array.fold_left
+      (fun n e -> if e = None then n else n + 1)
+      0 (wire_state ()).dec_memo
+end
 
 let decode s : Ia.t =
   let r = R.of_string s in

@@ -38,13 +38,6 @@ val size : Ia.t -> int
 val encode_withdraw : Dbgp_types.Prefix.t -> string
 (** Wire format of a Withdraw message: just the withdrawn prefix. *)
 
-val decode_withdraw_robust :
-  string -> (Dbgp_types.Prefix.t * Errors.t list, Errors.t) result
-(** RFC 7606-style decode for withdraw wires.  [Ok (prefix, discarded)]
-    when the prefix decodes ([discarded] notes trailing garbage as a
-    [Discard_attribute]); [Error e] with [e.cls = Session_reset] when the
-    prefix itself is unreadable.  Never raises. *)
-
 (** {1 Batched frames}
 
     Many NLRI prefixes sharing one attribute block, as real BGP packs an
@@ -161,15 +154,16 @@ val value_intern_stats : unit -> Dbgp_types.Intern.stats
 (** Interning statistics for decoded descriptor values (calling
     domain's table). *)
 
-val decode_memo_capacity : int
-(** Hard slot bound of the decode memo — residency can never exceed
-    this regardless of input. *)
+(** Probes of the decode memo, for the tests that bound it under fuzz
+    input. *)
+module For_tests : sig
+  val decode_memo_capacity : int
+  (** Hard slot bound of the decode memo — residency can never exceed
+      this regardless of input. *)
 
-val decode_memo_residency : unit -> int
-(** Occupied decode-memo slots (tests: bounded under fuzz input). *)
-
-val decode_memo_reset : unit -> unit
-(** Drop all memoized decodes (tests). *)
+  val decode_memo_residency : unit -> int
+  (** Occupied decode-memo slots. *)
+end
 
 val encode_compressed : Ia.t -> string
 (** LZSS-compressed encoding (Section 3.2: "IAs can be compressed to

@@ -7,14 +7,10 @@ let reject _ = None
 let compose f g ia = Option.bind (f ia) g
 let chain fs = List.fold_left compose accept fs
 let reject_loops ia = if Ia.has_loop ia then None else Some ia
-let drop_protocol p ia = Some (Ia.remove_protocol p ia)
 
 let keep_only keep ia =
   let drop = Protocol_id.Set.diff (Ia.protocols ia) keep in
   Some (Protocol_id.Set.fold Ia.remove_protocol drop ia)
-
-let strip_island_descriptors (ia : Ia.t) =
-  Some { ia with island_descriptors = [] }
 
 let prepend_as a ia = Some (Ia.prepend_as a ia)
 let abstract_island ~island ~members ia = Some (Ia.abstract_island ~island ~members ia)

@@ -20,15 +20,10 @@ val reject_loops : t
 (** The loop-detection stage: drops any IA whose path vector repeats an
     AS or island (G-R5).  Installed at ingress by every speaker. *)
 
-val drop_protocol : Dbgp_types.Protocol_id.t -> t
-(** Remove one protocol's control information, keep the IA. *)
-
 val keep_only : Dbgp_types.Protocol_id.Set.t -> t
 (** Remove every protocol not in the set.  [keep_only {bgp}] is the
     legacy-BGP downgrade applied when speaking to a peer that did not
     advertise the D-BGP capability (Section 3.5). *)
-
-val strip_island_descriptors : t
 
 val prepend_as : Dbgp_types.Asn.t -> t
 (** Egress: prepend my AS number to the path vector. *)

@@ -99,6 +99,7 @@ let of_update (u : Message.update) =
           | None -> base ) )
   | _ -> None
 
+(* Substituted for any ASN that does not fit 16 bits. *)
 let as_trans = Asn.of_int 23456
 
 let to_update_two_byte (ia : Ia.t) =
@@ -115,14 +116,3 @@ let to_update_two_byte (ia : Ia.t) =
     { u with
       Message.attrs =
         Some { attrs with Attr.as_path = List.map squash attrs.Attr.as_path } }
-
-let reconstruct_path (u : Message.update) =
-  match of_update u with
-  | Some ia -> (
-    match Ia.asns_on_path ia with [] -> None | asns -> Some asns )
-  | None -> None
-
-let roundtrips ia =
-  match of_update (to_update ia) with
-  | Some ia' -> Ia.equal ia ia'
-  | None -> false

@@ -27,10 +27,6 @@ val of_update : Dbgp_bgp.Message.update -> Ia.t option
     plain-BGP IA is synthesized from the standard attributes.  [None]
     for withdraw-only updates or updates without NLRI. *)
 
-val roundtrips : Ia.t -> bool
-(** [of_update (to_update ia) = Some ia] — holds for every IA whose path
-    vector the legacy AS_PATH can carry. *)
-
 (** {1 Two-byte peers}
 
     Section 3.5: during transition, D-BGP "could translate between
@@ -39,16 +35,7 @@ val roundtrips : Ia.t -> bool
     vectors are being deployed today" — i.e. RFC 6793's AS_TRANS
     mechanism. *)
 
-val as_trans : Dbgp_types.Asn.t
-(** ASN 23456, substituted for any ASN that does not fit 16 bits. *)
-
 val to_update_two_byte : Ia.t -> Dbgp_bgp.Message.update
 (** Like {!to_update}, but the legacy AS_PATH is 2-byte-safe: oversized
-    ASNs appear as {!as_trans} while the true 4-byte path rides in the
-    extras attribute (the AS4_PATH role). *)
-
-val reconstruct_path :
-  Dbgp_bgp.Message.update -> Dbgp_types.Asn.t list option
-(** The true path of a two-byte update: from the extras attribute when
-    present, else the legacy AS_PATH itself.  [None] for updates without
-    a path. *)
+    ASNs appear as AS_TRANS (ASN 23456) while the true 4-byte path rides
+    in the extras attribute (the AS4_PATH role). *)

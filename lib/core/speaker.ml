@@ -246,7 +246,6 @@ let add_neighbor t n =
 let neighbors t = List.map (fun (_, e) -> e.nbr) (Peer.Map.bindings t.nbrs)
 let has_neighbor t peer = Peer.Map.mem peer t.nbrs
 let export_group_of t peer = Adj_rib_out.group_of t.rib_out ~peer
-let export_group_count t = Adj_rib_out.group_count t.rib_out
 
 let module_for t proto =
   match Hashtbl.find_opt t.modules (Protocol_id.to_int proto) with
@@ -332,11 +331,6 @@ let withdraw_penalty t =
 
 let attr_change_penalty t =
   match t.damping with Some p -> p.Damping.attr_change_penalty | None -> 0.
-
-let flap_penalty t ~now peer prefix =
-  match (t.damping, flap_state_of t peer prefix) with
-  | Some p, Some st -> Damping.penalty p st ~now
-  | _ -> 0.
 
 (* ------------------------- graceful restart ------------------------- *)
 
@@ -808,15 +802,7 @@ let withdraw_origin ?(now = 0.) t prefix =
     flush ~now t
   | None -> []
 
-(* Unconditionally re-derive the advertisements for [prefix] from the
-   current Loc-RIB best.  Unlike {!reevaluate} (a no-op when the best
-   route is unchanged) this re-runs the per-neighbor export decision, so
-   it picks up an export-rule change: newly eligible peers get an
-   announce, newly ineligible previously-announced peers get a
-   withdraw. *)
-let readvertise ?now:_ t prefix = distribute t prefix
-
-let readvertise_all ?now:_ t =
+let readvertise_all t =
   Loc_rib.fold (fun prefix _ acc -> distribute t prefix @ acc) t.loc []
 
 (* ---------------- wire-level receive (RFC 7606 ladder) ---------------- *)
@@ -1000,7 +986,6 @@ let candidates_for t prefix =
   List.map
     (fun (p, e) -> (p, Attr_table.route e prefix))
     (Adj_rib_in.candidates t.rib_in prefix)
-let ia_db_size t = Adj_rib_in.size t.rib_in
 
 let iter_attr_refs t f =
   Adj_rib_in.iter t.rib_in (fun _ _ e -> f e);
@@ -1010,3 +995,12 @@ let iter_attr_refs t f =
       f r.cand;
       f r.out)
     t.loc ()
+
+module For_tests = struct
+  let active_for = active_for
+
+  let flap_penalty t ~now peer prefix =
+    match (t.damping, flap_state_of t peer prefix) with
+    | Some p, Some st -> Damping.penalty p st ~now
+    | _ -> 0.
+end

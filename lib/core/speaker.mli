@@ -93,10 +93,6 @@ val set_active : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t -> unit
     Default for everything is BGP.
     @raise Invalid_argument if no module for the protocol is registered. *)
 
-val active_for : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t
-(** The protocol of the most-specific active range that covers the
-    whole prefix; a narrower range inside the prefix does not count. *)
-
 val add_neighbor : t -> neighbor -> unit
 (** Also places the neighbor in the peer group matching its egress
     identity (relationship, capability, island class, export filter) and
@@ -127,22 +123,19 @@ val withdraw_origin : ?now:float -> t -> Dbgp_types.Prefix.t -> (Peer.t * msg) l
 val set_export_rule : t -> Dbgp_bgp.Policy.export_rule -> unit
 (** Replace the relationship-keyed export gate (default
     {!Dbgp_bgp.Policy.valley_free}).  Takes effect on subsequent
-    emissions only; call {!readvertise} / {!readvertise_all} to re-derive
-    what has already been advertised.  [Policy.export_all] here is
+    emissions only; call {!readvertise_all} to re-derive what has
+    already been advertised.  [Policy.export_all] here is
     exactly a route leak. *)
 
 val export_rule : t -> Dbgp_bgp.Policy.export_rule
 (** The currently installed export gate. *)
 
-val readvertise : ?now:float -> t -> Dbgp_types.Prefix.t -> (Peer.t * msg) list
-(** Unconditionally re-derive the advertisements for [prefix] from the
-    current Loc-RIB best — unlike {!reevaluate}, this re-runs the
-    per-neighbor export decision even when the best route is unchanged,
-    so it picks up an export-rule change: newly eligible peers get the
-    announce, newly ineligible previously-announced peers a withdraw. *)
-
-val readvertise_all : ?now:float -> t -> (Peer.t * msg) list
-(** {!readvertise} for every Loc-RIB prefix. *)
+val readvertise_all : t -> (Peer.t * msg) list
+(** Unconditionally re-derive the advertisements for every Loc-RIB
+    prefix.  Unlike {!reevaluate}, this re-runs the per-neighbor export
+    decision even when the best route is unchanged, so it picks up an
+    export-rule change: newly eligible peers get the announce, newly
+    ineligible previously-announced peers a withdraw. *)
 
 val receive : ?now:float -> t -> from:Peer.t -> msg -> (Peer.t * msg) list
 (** Never raises: an exception thrown anywhere in the pipeline (a filter,
@@ -287,7 +280,6 @@ val reevaluate : ?now:float -> t -> Dbgp_types.Prefix.t -> (Peer.t * msg) list
     route's penalty has decayed below the reuse threshold). *)
 
 val suppressed : t -> now:float -> Peer.t -> Dbgp_types.Prefix.t -> bool
-val flap_penalty : t -> now:float -> Peer.t -> Dbgp_types.Prefix.t -> float
 val has_flap_state : t -> Peer.t -> bool
 
 (** {1 Peer groups}
@@ -301,7 +293,6 @@ val has_flap_state : t -> Peer.t -> bool
     evaluation.  No result is kept across fan-outs. *)
 
 val export_group_of : t -> Peer.t -> int option
-val export_group_count : t -> int
 
 (** {1 Introspection} *)
 
@@ -353,13 +344,22 @@ val candidates_for : t -> Dbgp_types.Prefix.t -> (Peer.t * Ia.t) list
     (Section 3.3: borders translate the IAs they receive, not only the
     selected best). *)
 
-val ia_db_size : t -> int
-
 val iter_attr_refs : t -> (Attr_table.entry -> unit) -> unit
 (** Every attribute-set reference the speaker holds: one per Adj-RIB-In
     route, one per local origination and two per Loc-RIB route (the
     selected set and the re-advertised one) — the references
     {!Attr_table.audit} balances against refcounts. *)
+
+(** Probes of internal speaker state, for the tests that pin it. *)
+module For_tests : sig
+  val active_for : t -> Dbgp_types.Prefix.t -> Dbgp_types.Protocol_id.t
+  (** The protocol of the most-specific active range that covers the
+      whole prefix; a narrower range inside the prefix does not count. *)
+
+  val flap_penalty : t -> now:float -> Peer.t -> Dbgp_types.Prefix.t -> float
+  (** The neighbor's current damping penalty for the prefix (0 without
+      damping state). *)
+end
 
 (** {1 Observability} *)
 

@@ -13,7 +13,6 @@ type t =
   | Pair of t * t
 
 let int n = Int n
-let str s = Str s
 let bytes s = Bytes s
 let addr a = Addr a
 let pair a b = Pair (a, b)
@@ -21,10 +20,7 @@ let list l = List l
 
 let as_int = function Int n -> Some n | _ -> None
 let as_str = function Str s -> Some s | _ -> None
-let as_bytes = function Bytes s -> Some s | _ -> None
 let as_addr = function Addr a -> Some a | _ -> None
-let as_list = function List l -> Some l | _ -> None
-let as_pair = function Pair (a, b) -> Some (a, b) | _ -> None
 let as_asn = function Asn a -> Some a | _ -> None
 
 let rec compare a b =

@@ -16,7 +16,6 @@ type t =
   | Pair of t * t
 
 val int : int -> t
-val str : string -> t
 val bytes : string -> t
 val addr : Dbgp_types.Ipv4.t -> t
 val pair : t -> t -> t
@@ -24,10 +23,7 @@ val list : t list -> t
 
 val as_int : t -> int option
 val as_str : t -> string option
-val as_bytes : t -> string option
 val as_addr : t -> Dbgp_types.Ipv4.t option
-val as_list : t -> t list option
-val as_pair : t -> (t * t) option
 val as_asn : t -> Dbgp_types.Asn.t option
 
 val equal : t -> t -> bool

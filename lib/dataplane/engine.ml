@@ -10,11 +10,6 @@ let create () = { forwarders = Hashtbl.create 32 }
 
 let add t f = Hashtbl.replace t.forwarders (Asn.to_int (Forwarder.me f)) f
 
-let forwarder t a =
-  match Hashtbl.find_opt t.forwarders (Asn.to_int a) with
-  | Some f -> f
-  | None -> raise Not_found
-
 (* One forwarding decision at AS [at]: either the packet moves to another
    AS (with a possibly rewritten header stack), terminates here, or is
    dropped. *)

@@ -16,8 +16,6 @@ type outcome =
 
 val create : unit -> t
 val add : t -> Forwarder.t -> unit
-val forwarder : t -> Dbgp_types.Asn.t -> Forwarder.t
-(** @raise Not_found for an unknown AS. *)
 
 val route : t -> from:Dbgp_types.Asn.t -> Packet.t -> outcome
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -126,12 +126,7 @@ let build cfg topo arm =
   done;
   Graph.fold_edges
     (fun a b view () ->
-      let rel =
-        match view with
-        | Graph.Customer_of_me -> Policy.To_customer
-        | Graph.Provider_of_me -> Policy.To_provider
-        | Graph.Peer_of_me -> Policy.To_peer
-      in
+      let rel = Harness.relationship view in
       Network.link net ~a_dbgp:dbgp ~b_dbgp:dbgp ~a:(Asn.of_int (a + 1))
         ~b:(Asn.of_int (b + 1)) ~b_is:rel ())
     g ();

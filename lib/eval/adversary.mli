@@ -22,12 +22,8 @@
 type arm = Legacy | Dbgp | Dbgp_bgpsec
 
 val arms : arm list
-val arm_name : arm -> string
 
 type topo = Brite | Caida
-
-val topos : topo list
-val topo_name : topo -> string
 
 type config = {
   seed : int;
@@ -82,10 +78,6 @@ type report = { config : config; outcomes : outcome list; healthy : bool }
 
 val run : config -> report
 (** The full suite: every topology × attack × arm. *)
-
-val run_scenario :
-  config -> topo -> arm -> Dbgp_adversary.Attack.kind -> outcome
-(** One scenario on a fresh network (deterministic in [config.seed]). *)
 
 val to_snapshot : report -> Dbgp_obs.Snapshot.t
 (** JSON-ready; byte-identical across runs with the same config. *)

@@ -99,12 +99,7 @@ let build cfg =
   let edges =
     Graph.fold_edges
       (fun a b view acc ->
-        let rel =
-          match view with
-          | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-          | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-          | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-        in
+        let rel = Harness.relationship view in
         Network.link net ~a:(Asn.of_int (a + 1)) ~b:(Asn.of_int (b + 1))
           ~b_is:rel ();
         (a + 1, b + 1) :: acc)

@@ -17,12 +17,7 @@ let network_of_graph g =
   done;
   Graph.fold_edges
     (fun a b view_of_b_from_a () ->
-      let rel =
-        match view_of_b_from_a with
-        | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-        | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-        | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-      in
+      let rel = Harness.relationship view_of_b_from_a in
       Network.link net ~a:(Asn.of_int (a + 1)) ~b:(Asn.of_int (b + 1)) ~b_is:rel ())
     g ();
   net

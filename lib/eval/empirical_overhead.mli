@@ -17,14 +17,6 @@ type comparison = {
   ratio : float;         (** measured / modeled *)
 }
 
-val build_ia : Overhead.params -> Dbgp_core.Ia.t
-(** An IA realizing the parameter point: [cf_per_path] critical fixes
-    (one shared descriptor carrying the common [1 - cf_unique_frac]
-    fraction, plus per-fix unique descriptors), and [cr_per_path] island
-    descriptors of [ci_per_cr] bytes each. *)
-
-val compare_at : label:string -> Overhead.params -> comparison
-
 val run : unit -> comparison list
 (** The model's lo and hi corners plus a mid point. *)
 

@@ -53,10 +53,6 @@ val run : config -> report
 
 val cases_per_sec : report -> float
 
-val deterministic_fields : report -> (string * int) list
-(** Every seed-determined field by name, for pinning and comparison —
-    excludes [elapsed]. *)
-
 val to_snapshot : report -> Dbgp_obs.Snapshot.t
 (** JSON-ready report including [cases_per_sec]; everything except
     [elapsed]/[cases_per_sec] is reproducible from the seed. *)

@@ -13,6 +13,11 @@ let add_as net ?island ?(passthrough = true) asn_int =
   Network.add_speaker net s;
   s
 
+let relationship = function
+  | Dbgp_topology.As_graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
+  | Provider_of_me -> Dbgp_bgp.Policy.To_provider
+  | Peer_of_me -> Dbgp_bgp.Policy.To_peer
+
 let cust net a b =
   Network.link net ~a:(Asn.of_int a) ~b:(Asn.of_int b)
     ~b_is:Dbgp_bgp.Policy.To_provider ()

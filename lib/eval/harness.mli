@@ -8,6 +8,11 @@ val add_as :
   Dbgp_core.Speaker.t
 (** Create a speaker for the AS number, register it, return it. *)
 
+val relationship :
+  Dbgp_topology.As_graph.view -> Dbgp_bgp.Policy.relationship
+(** The session relationship toward a neighbor that a graph edge shows
+    from this side. *)
+
 val cust : Dbgp_netsim.Network.t -> int -> int -> unit
 (** [cust net a b]: [a] is the customer of [b], so advertisements flow
     [a] -> [b]. *)

@@ -14,9 +14,6 @@ type entry = {
   paper_loc : string;    (** what the paper reported *)
 }
 
-val count_file : string -> int
-(** Non-blank, non-comment-only lines of one file; 0 if unreadable. *)
-
 val report : ?root:string -> unit -> entry list
 (** [root] defaults to the current directory; pass the repository root
     when running from elsewhere. *)

@@ -41,9 +41,7 @@ type row = {
 }
 
 val basic : params -> row
-val plus_path_lengths : params -> row
 val plus_sharing : params -> row
-val single_protocol : params -> row
 
 val table3 : params -> row list
 (** The four rows in Table 3 order. *)

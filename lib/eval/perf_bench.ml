@@ -63,25 +63,9 @@ type headline = {
 let baseline_updates_per_s = 57_572.
 let baseline_minor_words_per_update = 1487.3
 
-let build ~seed ~ases =
-  let rng = Prng.create seed in
-  let g = Brite.generate rng { Brite.default with Brite.n = ases } in
-  let net = Network.create () in
-  for i = 0 to Graph.size g - 1 do
-    ignore (Harness.add_as net (i + 1))
-  done;
-  Graph.fold_edges
-    (fun a b view () ->
-      let rel =
-        match view with
-        | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-        | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-        | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-      in
-      Network.link net ~a:(Asn.of_int (a + 1)) ~b:(Asn.of_int (b + 1))
-        ~b_is:rel ())
-    g ();
-  net
+let build ~ases =
+  Convergence.network_of_graph
+    (Brite.generate (Prng.create 42) { Brite.default with Brite.n = ases })
 
 let wire_count name =
   Metrics.count (Metrics.counter (Dbgp_core.Codec.wire_metrics ()) name)
@@ -90,9 +74,9 @@ let rate hits misses =
   if hits + misses = 0 then 0.
   else float_of_int hits /. float_of_int (hits + misses)
 
-let run ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ~ases () =
-  let net = build ~seed ~ases in
-  Network.set_mrai net mrai;
+let run ?(prefixes = 64) ~ases () =
+  let net = build ~ases in
+  Network.set_mrai net 2.0;
   for i = 0 to prefixes - 1 do
     let prefix = Prefix.of_string (Printf.sprintf "99.%d.0.0/24" i) in
     let origin = Asn.of_int (1 + (i mod ases)) in
@@ -176,11 +160,11 @@ type sharded_row = {
   s_transcript_match : bool;
 }
 
-let build_sharded ~seed ~ases ~regions ~mrai =
-  let rng = Prng.create seed in
+let build_sharded ~ases ~regions =
+  let rng = Prng.create 42 in
   let g = Brite.generate rng { Brite.default with Brite.n = ases } in
   let sh =
-    Shard.create ~mrai ~regions
+    Shard.create ~mrai:2.0 ~regions
       ~make_speaker:(fun a ->
         let asn = Asn.of_int a in
         Dbgp_core.Speaker.create
@@ -192,21 +176,15 @@ let build_sharded ~seed ~ases ~regions ~mrai =
   done;
   Graph.fold_edges
     (fun a b view () ->
-      let rel =
-        match view with
-        | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-        | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-        | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-      in
+      let rel = Harness.relationship view in
       Shard.link sh ~a:(a + 1) ~b:(b + 1) ~b_is:rel ())
     g ();
   Shard.enable_transcript sh;
   Shard.build sh;
   sh
 
-let run_sharded ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(regions = 8)
-    ~ases ~domains () =
-  let sh = build_sharded ~seed ~ases ~regions ~mrai in
+let run_sharded ~prefixes ~regions ~ases ~domains =
+  let sh = build_sharded ~ases ~regions in
   for i = 0 to prefixes - 1 do
     let prefix = Prefix.of_string (Printf.sprintf "99.%d.0.0/24" i) in
     let origin = Asn.of_int (1 + (i mod ases)) in
@@ -244,11 +222,11 @@ let run_sharded ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(regions = 8)
     s_transcript_md5 = Shard.transcript_digest sh;
     s_transcript_match = true }
 
-let domains_suite ?(seed = 42) ?(prefixes = 64) ?(mrai = 2.0) ?(regions = 8)
-    ?(domains = [ 1; 2; 4; 8 ]) ~ases () =
+let domains_suite ?(prefixes = 64) ?(regions = 8) ?(domains = [ 1; 2; 4; 8 ])
+    ~ases () =
   let rows =
     List.map
-      (fun d -> run_sharded ~seed ~prefixes ~mrai ~regions ~ases ~domains:d ())
+      (fun d -> run_sharded ~prefixes ~regions ~ases ~domains:d)
       domains
   in
   match rows with
@@ -292,8 +270,7 @@ let pp_sharded ppf r =
     r.s_epochs r.s_updates r.s_updates_per_s r.s_speedup_vs_1
     (if r.s_transcript_match then "match" else "DIVERGED")
 
-let suite ?(sizes = [ 100; 500; 1000 ]) ?(prefixes = 64) () =
-  List.map (fun ases -> run ~ases ~prefixes ()) sizes
+let suite () = List.map (fun ases -> run ~ases ()) [ 100; 500; 1000 ]
 
 let headline rows =
   let pick =

@@ -44,13 +44,13 @@ type headline = {
   minor_words_reduction : float;  (** 1 - current/baseline *)
 }
 
-val run :
-  ?seed:int -> ?prefixes:int -> ?mrai:float -> ases:int -> unit -> row
-(** Defaults: seed 42, 64 prefixes, MRAI 2.0 s. *)
+val run : ?prefixes:int -> ases:int -> unit -> row
+(** Converges a seed-42 BRITE topology of [ases] ASes, [prefixes]
+    (default 64) originated prefixes, MRAI 2.0 s. *)
 
-val suite : ?sizes:int list -> ?prefixes:int -> unit -> row list
-(** One {!run} per topology size; default sizes 100, 500 and 1000 ASes
-    at 64 prefixes. *)
+val suite : unit -> row list
+(** One {!run} per topology size: 100, 500 and 1000 ASes at 64
+    prefixes. *)
 
 val headline : row list -> headline option
 (** The largest row compared against the recorded pre-change baseline
@@ -86,18 +86,11 @@ type sharded_row = {
   s_transcript_match : bool;  (** digest equals the 1-domain digest *)
 }
 
-val run_sharded :
-  ?seed:int -> ?prefixes:int -> ?mrai:float -> ?regions:int -> ases:int ->
-  domains:int -> unit -> sharded_row
-(** One sharded convergence run.  Defaults: seed 42, 64 prefixes,
-    MRAI 2.0 s, 8 regions.  [s_speedup_vs_1] and [s_transcript_match]
-    are filled against the run itself; use {!domains_suite} for the
-    cross-domain comparison. *)
-
 val domains_suite :
-  ?seed:int -> ?prefixes:int -> ?mrai:float -> ?regions:int ->
-  ?domains:int list -> ases:int -> unit -> sharded_row list
-(** One {!run_sharded} per domain count (default [1; 2; 4; 8]), with
+  ?prefixes:int -> ?regions:int -> ?domains:int list -> ases:int -> unit ->
+  sharded_row list
+(** One sharded convergence run (seed 42, MRAI 2.0 s; defaults: 64
+    prefixes, 8 regions) per domain count (default [1; 2; 4; 8]), with
     speedups and transcript matches computed against the first row. *)
 
 val sharded_to_snapshot : sharded_row -> Dbgp_obs.Snapshot.t

@@ -29,29 +29,14 @@ type row = {
   updates_per_s : float;
 }
 
-let build ~seed ~ases =
-  let rng = Prng.create seed in
-  let g = Brite.generate rng { Brite.default with Brite.n = ases } in
-  let net = Network.create () in
-  for i = 0 to Graph.size g - 1 do
-    ignore (Harness.add_as net (i + 1))
-  done;
-  Graph.fold_edges
-    (fun a b view () ->
-      let rel =
-        match view with
-        | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-        | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-        | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-      in
-      Network.link net ~a:(Asn.of_int (a + 1)) ~b:(Asn.of_int (b + 1))
-        ~b_is:rel ())
-    g ();
-  net
+let build ~ases =
+  Convergence.network_of_graph
+    (Brite.generate (Prng.create 42) { Brite.default with Brite.n = ases })
 
-let run ?(seed = 42) ?(prefixes = 4) ?(mrai = 2.0) ~ases () =
-  let net = build ~seed ~ases in
-  Network.set_mrai net mrai;
+let run ~ases () =
+  let prefixes = 4 in
+  let net = build ~ases in
+  Network.set_mrai net 2.0;
   (* One prefix per origin AS, spread over the low ASNs so origins sit in
      different parts of the hierarchy. *)
   for i = 0 to prefixes - 1 do
@@ -90,8 +75,7 @@ let run ?(seed = 42) ?(prefixes = 4) ?(mrai = 2.0) ~ases () =
     updates_per_s =
       (if elapsed > 0. then float_of_int updates /. elapsed else 0.) }
 
-let suite ?(sizes = [ 100; 500; 1000 ]) () =
-  List.map (fun ases -> run ~ases ()) sizes
+let suite () = List.map (fun ases -> run ~ases ()) [ 100; 500; 1000 ]
 
 let to_snapshot r =
   Snapshot.Obj

@@ -31,12 +31,12 @@ type row = {
   updates_per_s : float;
 }
 
-val run : ?seed:int -> ?prefixes:int -> ?mrai:float -> ases:int -> unit -> row
-(** Defaults: seed 42, 4 prefixes (originated from distinct low ASNs),
-    MRAI 2.0 s. *)
+val run : ases:int -> unit -> row
+(** Converges a seed-42 BRITE topology of [ases] ASes with 4 prefixes
+    (originated from distinct low ASNs) under MRAI 2.0 s. *)
 
-val suite : ?sizes:int list -> unit -> row list
-(** One {!run} per topology size; default sizes 100, 500 and 1000 ASes. *)
+val suite : unit -> row list
+(** One {!run} per topology size: 100, 500 and 1000 ASes. *)
 
 val to_snapshot : row -> Dbgp_obs.Snapshot.t
 val pp : Format.formatter -> row -> unit

@@ -46,7 +46,6 @@ type row = {
   load_updates_per_s : float;
   words_per_route : float;
   attr_sets : int;          (* resident shared attribute sets after load *)
-  attr_overflow : int;
   string_clears : int;
   value_clears : int;
   descriptor_clears : int;
@@ -93,12 +92,7 @@ let build ~seed ~ases =
   done;
   Graph.fold_edges
     (fun a b view () ->
-      let rel =
-        match view with
-        | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-        | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-        | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-      in
+      let rel = Harness.relationship view in
       let pa = Asn.of_int (a + 1) and pb = Asn.of_int (b + 1) in
       (* The collector keeps the feed's table to itself: exporting
          nothing bounds propagation to one hop, so the table's cost is
@@ -117,26 +111,20 @@ let build ~seed ~ases =
    every word reachable from it, counting shared blocks once. *)
 let net_words net = Obj.reachable_words (Obj.repr net)
 
-let count_of m name =
-  match Metrics.find_counter m name with Some c -> Metrics.count c | None -> 0
-
 let caps () =
-  [ ("attr_table.overflow",
-     count_of (Dbgp_core.Attr_table.metrics ()) "attr_table.overflow");
-    ("intern.string.clears", (Dbgp_types.Intern.string_stats ()).clears);
+  [ ("intern.string.clears", (Dbgp_types.Intern.string_stats ()).clears);
     ("intern.value.clears", (Dbgp_core.Codec.value_intern_stats ()).clears);
     ("attr_table.descriptors.clears",
      (Dbgp_core.Attr_table.descriptor_stats ()).clears) ]
 
-let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
-    ~prefixes () =
+let run ?(seed = 42) ?(bg = 32) ~ases ~prefixes () =
   (* Rows must be independent: a previous cell's speakers were dropped
      without teardown, so their attribute sets would otherwise stay
      resident and pollute this row's [attr_sets]. *)
   Dbgp_core.Attr_table.reset ();
   let caps0 = caps () in
   let net, g, feed_asn, prov_asn, feed, provider = build ~seed ~ases in
-  Network.set_mrai net mrai;
+  Network.set_mrai net 0.5;
   let c = Network.counter_total net in
   let msgs () = Metrics.count (Metrics.counter (Network.metrics net) "net.messages") in
   let updates () = c "updates.received" + c "withdrawals.received" in
@@ -248,8 +236,9 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
   (* Arm 3 — churn under the outage: a slice of the table re-originates
      while the session is down (the sends die on the cut link and demote
      their Adj-RIB-Out records), so the sync must re-send exactly that
-     slice.  The recover is scheduled after the churn events fire. *)
-  let churn_routes = max 1 (int_of_float (churn_frac *. float_of_int prefixes)) in
+     slice, 5% of the table.  The recover is scheduled after the churn
+     events fire. *)
+  let churn_routes = max 1 (int_of_float (0.05 *. float_of_int prefixes)) in
   let q = Network.queue net in
   Network.fail_link net feed_asn prov_asn;
   for i = prefixes to prefixes + churn_routes - 1 do
@@ -279,7 +268,6 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
        else 0.);
     words_per_route;
     attr_sets;
-    attr_overflow = cap "attr_table.overflow";
     string_clears = cap "intern.string.clears";
     value_clears = cap "intern.value.clears";
     descriptor_clears = cap "attr_table.descriptors.clears";
@@ -294,8 +282,6 @@ let run ?(seed = 42) ?(bg = 32) ?(mrai = 0.5) ?(churn_frac = 0.05) ~ases
     clean_skipped;
     churn_routes;
     churn_transfer_msgs }
-
-let smoke ?(seed = 42) () = run ~seed ~bg:16 ~ases:100 ~prefixes:1_000 ()
 
 let suite ?(seed = 42)
     ?(grid =
@@ -330,7 +316,6 @@ let to_snapshot r =
       ("load_updates_per_s", Snapshot.Float r.load_updates_per_s);
       ("words_per_route", Snapshot.Float r.words_per_route);
       ("attr_sets", Snapshot.Int r.attr_sets);
-      ("attr_overflow", Snapshot.Int r.attr_overflow);
       ("string_clears", Snapshot.Int r.string_clears);
       ("value_clears", Snapshot.Int r.value_clears);
       ("descriptor_clears", Snapshot.Int r.descriptor_clears);
@@ -349,12 +334,12 @@ let to_snapshot r =
 let pp ppf r =
   Format.fprintf ppf
     "%5d ASes %7d pfx  %7.0f bg-up/s  %7.0f load-up/s  %5.1f words/route  \
-     (%d attr sets, %d overflowed, %d+%d+%d intern clears, %.1fM live \
+     (%d attr sets, %d+%d+%d intern clears, %.1fM live \
      words)  transfer full %d msgs/%d B, batched \
      %d msgs/%d B in %d frames / clean %d (skipped %d) / churn %d (of %d \
      changed)"
     r.ases r.prefixes r.bg_updates_per_s r.load_updates_per_s r.words_per_route
-    r.attr_sets r.attr_overflow r.string_clears r.value_clears
+    r.attr_sets r.string_clears r.value_clears
     r.descriptor_clears
     (float_of_int r.live_words /. 1e6)
     r.full_transfer_msgs r.full_transfer_bytes r.batched_transfer_msgs

@@ -29,9 +29,8 @@
     once) divided by the table size: the combined sender + receiver
     resident footprint of one route.  [attr_sets] is the compact route
     store's resident shared attribute-set count after the load, and the
-    store's caps are reported, not silent: [attr_overflow] counts sets
-    left unshared because the attribute table was full, and
-    [string_clears]/[value_clears]/[descriptor_clears] the wholesale
+    intern tables' caps are reported, not silent:
+    [string_clears]/[value_clears]/[descriptor_clears] count the wholesale
     resets of the string, descriptor-value and descriptor-list intern
     tables during the cell;
     [peak_heap_words]/[live_words] are the process major-heap
@@ -52,7 +51,6 @@ type row = {
   load_updates_per_s : float;
   words_per_route : float;
   attr_sets : int;
-  attr_overflow : int;
   string_clears : int;
   value_clears : int;
   descriptor_clears : int;
@@ -71,8 +69,8 @@ type row = {
 
 val caps : unit -> (string * int) list
 (** The route store's capacity counters in the calling domain, by name:
-    [attr_table.overflow] and the [clears] of the string, descriptor-value
-    and descriptor-list intern tables (cumulative; rows report their
+    the [clears] of the string, descriptor-value and descriptor-list
+    intern tables (cumulative; rows report their
     deltas). *)
 
 val feed_prefix : int -> Dbgp_types.Prefix.t
@@ -82,18 +80,13 @@ val feed_prefix : int -> Dbgp_types.Prefix.t
 val run :
   ?seed:int ->
   ?bg:int ->
-  ?mrai:float ->
-  ?churn_frac:float ->
   ases:int ->
   prefixes:int ->
   unit ->
   row
 (** One cell: build, converge background, load the table, bounce the
-    feed link three ways.  Defaults: [seed 42], [bg 32], [mrai 0.5],
-    [churn_frac 0.05]. *)
-
-val smoke : ?seed:int -> unit -> row
-(** The [@scale] runtest cell: 100 ASes, 1k prefixes, 16 background. *)
+    feed link three ways, under MRAI 0.5 s, re-originating 5% of the
+    table during the outage.  Defaults: [seed 42], [bg 32]. *)
 
 val suite : ?seed:int -> ?grid:(int * int) list -> unit -> row list
 (** Default grid: {1k, 10k} ASes x {1k, 100k} prefixes, plus the two

@@ -60,47 +60,32 @@ val scion_multipath : unit -> scion_result
 
 (** {1 The divergence lab: known-divergent gadget topologies}
 
-    Reusable builders for the {!Stability} report.  Every gadget
-    advertises {!gadget_prefix}. *)
-
-val gadget_prefix : Dbgp_types.Prefix.t
-
-val bad_gadget : unit -> Dbgp_netsim.Network.t
-(** Griffin/Shepherd/Wilfong's BAD GADGET: a 3-ring around the origin
-    where each AS prefers the route through its clockwise neighbor.  No
-    stable path assignment exists; the simulation can never quiesce. *)
-
-val good_gadget : unit -> Dbgp_netsim.Network.t
-(** The same topology with every preference flipped — wheel-free, hence
-    provably safe; the converged control. *)
+    The cases of the {!Stability} report.  Every case advertises the
+    same gadget prefix:
+    - ["bad-gadget"]: Griffin/Shepherd/Wilfong's BAD GADGET, a 3-ring
+      around the origin where each AS prefers the route through its
+      clockwise neighbor.  No stable path assignment exists; the
+      simulation can never quiesce.
+    - ["med-oscillation"]: RFC 3345 Type-I churn, a two-router cluster
+      with partial visibility, MED steering from a multihomed neighbor,
+      and a non-monotone IGP tie-break.  No joint state is a fixed point.
+    - ["wiser-feedback"]: a Wiser cost-feedback loop across gossip
+      islands: load-sensitive egress costs chase the demand they
+      attract, through the out-of-band portal gossip rather than through
+      BGP messages.  Its network carries a self-rescheduling gossip
+      tick, so it only runs under an event budget.
+    - ["good-gadget"]: BAD GADGET with every preference flipped —
+      wheel-free, hence provably safe; the converged control.
+    - ["relay-line"]: a converged control mirroring the relay-line
+      golden workload.
+    - ["brite-30"]: a converged control mirroring the chaos BRITE
+      topology (no faults). *)
 
 val bad_gadget_spec : Stability.pref_spec
 val good_gadget_spec : Stability.pref_spec
 
-val med_oscillation : unit -> Dbgp_netsim.Network.t
-(** RFC 3345 Type-I churn: a two-router cluster with partial visibility,
-    MED steering from a multihomed neighbor, and a non-monotone IGP
-    tie-break.  No joint state is a fixed point. *)
-
-val med_oscillation_spec : Stability.pref_spec
-
-val wiser_feedback : unit -> Dbgp_netsim.Network.t
-(** Wiser cost-feedback loop across gossip islands: load-sensitive
-    egress costs chase the demand they attract, through the out-of-band
-    portal gossip rather than through BGP messages.  The returned
-    network carries a self-rescheduling gossip tick, so it only runs
-    under an event budget. *)
-
-val wiser_feedback_period : float
-(** Simulated seconds between gossip ticks. *)
-
-val relay_line : unit -> Dbgp_netsim.Network.t
-(** Converged control mirroring the relay-line golden workload. *)
-
-val brite_control : seed:int -> ases:int -> unit -> Dbgp_netsim.Network.t
-(** Converged control mirroring the chaos BRITE topology (no faults). *)
-
 val divergence_cases :
   ?seed:int -> ?control_ases:int -> unit -> Stability.case list
 (** The full case pack: the three divergent gadgets plus the three
-    converged controls, in report order. *)
+    converged controls, in report order.  [seed] (default 42) and
+    [control_ases] (default 30) shape the BRITE control. *)

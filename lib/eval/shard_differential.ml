@@ -29,12 +29,6 @@ module Damping = Dbgp_bgp.Flap_damping
 let scenarios =
   [ "sharded-relay-line"; "sharded-hub-policy"; "sharded-chaos-30" ]
 
-let regions_of = function
-  | "sharded-relay-line" -> 2
-  | "sharded-hub-policy" -> 2
-  | "sharded-chaos-30" -> 4
-  | name -> invalid_arg ("Shard_differential.regions_of: " ^ name)
-
 let mk_speaker ?(damping = None) a =
   let asn = Asn.of_int a in
   let s =
@@ -181,12 +175,7 @@ let run_chaos ~seed ~domains =
     List.rev
       (Graph.fold_edges
          (fun a b view acc ->
-           let rel =
-             match view with
-             | Graph.Customer_of_me -> Dbgp_bgp.Policy.To_customer
-             | Graph.Provider_of_me -> Dbgp_bgp.Policy.To_provider
-             | Graph.Peer_of_me -> Dbgp_bgp.Policy.To_peer
-           in
+           let rel = Harness.relationship view in
            (a + 1, b + 1, rel) :: acc)
          g [])
   in
@@ -250,9 +239,9 @@ let run ?(seed = 42) ?(domains = 1) name =
   | "sharded-chaos-30" -> run_chaos ~seed ~domains
   | _ -> invalid_arg ("Shard_differential.run: unknown scenario " ^ name)
 
-let run_all ?seed ?domains () = List.map (fun n -> run ?seed ?domains n) scenarios
+let run_all ?domains () = List.map (fun n -> run ?domains n) scenarios
 
-let verify ?seed ?(domains = 2) name =
-  let sequential = run ?seed ~domains:1 name in
-  let sharded = run ?seed ~domains name in
+let verify ?(domains = 2) name =
+  let sequential = run ~domains:1 name in
+  let sharded = run ~domains name in
   (sequential, sharded, Differential.equal sequential sharded)

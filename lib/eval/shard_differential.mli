@@ -22,22 +22,17 @@
 
 val scenarios : string list
 
-val regions_of : string -> int
-(** Region count baked into a scenario (it fixes the partitioned
-    schedule).  @raise Invalid_argument on an unknown name. *)
-
 val run : ?seed:int -> ?domains:int -> string -> Differential.digest
 (** Run one scenario (default seed 42, 1 domain).
     @raise Invalid_argument on an unknown scenario name. *)
 
-val run_all : ?seed:int -> ?domains:int -> unit -> Differential.digest list
-(** Every scenario, in {!scenarios} order. *)
+val run_all : ?domains:int -> unit -> Differential.digest list
+(** Every scenario at seed 42, in {!scenarios} order. *)
 
 val verify :
-  ?seed:int ->
   ?domains:int ->
   string ->
   Differential.digest * Differential.digest * bool
-(** [(sequential, sharded, equal)]: the scenario at 1 domain, at
+(** [(sequential, sharded, equal)]: the scenario (seed 42) at 1 domain, at
     [domains] (default 2), and whether the digests match — the
     determinism oracle as a single call. *)

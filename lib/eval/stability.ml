@@ -412,13 +412,13 @@ let run_case ~budget ~damping case =
     suppressed_at_end = suppressed_at_end net case.prefix;
     wheel = Option.bind case.spec dispute_wheel }
 
-let run_cases ?(budget = default_budget) ?(damping = gadget_damping) cases =
+let run_cases ?(budget = default_budget) cases =
   { budget;
     rows =
       List.concat_map
         (fun c ->
           [ run_case ~budget ~damping:None c;
-            run_case ~budget ~damping:(Some damping) c ])
+            run_case ~budget ~damping:(Some gadget_damping) c ])
         cases }
 
 (* ------------------------------------------------------------------ *)

@@ -132,19 +132,13 @@ val gadget_damping : Dbgp_bgp.Flap_damping.params
 (** Damping parameters under which policy churn a few simulated seconds
     apart can reach the suppression threshold within a typical budget. *)
 
-val run_case :
-  budget:int -> damping:Dbgp_bgp.Flap_damping.params option -> case -> row
+val run_cases : ?budget:int -> case list -> report
+(** Each case runs twice — damping off and with {!gadget_damping} —
+    answering "does flap damping mask or amplify policy oscillation?"
+    per scenario. *)
 
-val run_cases :
-  ?budget:int -> ?damping:Dbgp_bgp.Flap_damping.params -> case list -> report
-(** Each case runs twice — damping off and on — answering "does flap
-    damping mask or amplify policy oscillation?" per scenario. *)
-
-val verdict_label : verdict -> string
 val censored : verdict -> bool
 val to_snapshot : report -> Dbgp_obs.Snapshot.t
 (** The [BENCH_stability.json] schema. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-val pp_row : Format.formatter -> row -> unit
 val pp_report : Format.formatter -> report -> unit

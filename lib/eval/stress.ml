@@ -18,7 +18,15 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-let mk_result label ~advertisements ~peers ~total_bytes elapsed_s =
+(* Every arm spreads its advertisements over the same six peers. *)
+let peers = 6
+
+let peer_of i =
+  Peer.make
+    ~asn:(Asn.of_int (65001 + (i mod peers)))
+    ~addr:(Ipv4.of_octets 192 168 0 (1 + (i mod peers)))
+
+let mk_result label ~advertisements ~total_bytes elapsed_s =
   { label;
     advertisements;
     peers;
@@ -27,7 +35,7 @@ let mk_result label ~advertisements ~peers ~total_bytes elapsed_s =
     prefixes_per_s =
       (if elapsed_s > 0. then float_of_int advertisements /. elapsed_s else 0.) }
 
-let run_quagga_equivalent ?(peers = 6) ~advertisements () =
+let run_quagga_equivalent ~advertisements () =
   let s = Workload.spec ~advertisements () in
   let wire =
     Workload.generate_updates s
@@ -41,11 +49,6 @@ let run_quagga_equivalent ?(peers = 6) ~advertisements () =
     Dbgp_core.Loc_rib.create
       ~next_hop:(fun b -> Some b.Dbgp_bgp.Decision.from_peer)
       ()
-  in
-  let peer_of i =
-    Peer.make
-      ~asn:(Asn.of_int (65001 + (i mod peers)))
-      ~addr:(Ipv4.of_octets 192 168 0 (1 + (i mod peers)))
   in
   let (), elapsed =
     time (fun () ->
@@ -77,10 +80,15 @@ let run_quagga_equivalent ?(peers = 6) ~advertisements () =
             | _ -> ())
           wire)
   in
-  mk_result "Quagga-equivalent (BGP-only)" ~advertisements ~peers ~total_bytes
+  mk_result "Quagga-equivalent (BGP-only)" ~advertisements ~total_bytes
     elapsed
 
-let run_beagle ?(peers = 6) ?(payload_bytes = 0) ~advertisements () =
+(* A Beagle arm: replays the encoded trace into a speaker with [peers]
+   neighbors.  [step] takes arrival [i] and returns what the speaker
+   disseminates, [finish] drains what is left; both outboxes are
+   re-serialized, the cost the paper attributes Beagle's decay with IA
+   size to. *)
+let beagle_arm label ~payload_bytes ~advertisements ~step ~finish =
   let s = Workload.spec ~payload_bytes ~advertisements () in
   let wire = List.map Dbgp_core.Codec.encode (Workload.generate s) in
   let total_bytes = List.fold_left (fun a m -> a + String.length m) 0 wire in
@@ -89,59 +97,11 @@ let run_beagle ?(peers = 6) ?(payload_bytes = 0) ~advertisements () =
       (Speaker.config ~asn:(Asn.of_int 64512)
          ~addr:(Ipv4.of_octets 192 168 1 1) ())
   in
-  let peer_of i =
-    Peer.make
-      ~asn:(Asn.of_int (65001 + (i mod peers)))
-      ~addr:(Ipv4.of_octets 192 168 0 (1 + (i mod peers)))
-  in
   for i = 0 to peers - 1 do
     Speaker.add_neighbor speaker
       (Speaker.neighbor ~relationship:Dbgp_bgp.Policy.To_peer (peer_of i))
   done;
-  let label =
-    if payload_bytes = 0 then "Beagle (BGP-only IAs)"
-    else Printf.sprintf "Beagle (%d KB IAs)" (payload_bytes / 1024)
-  in
-  let (), elapsed =
-    time (fun () ->
-        List.iteri
-          (fun i msg ->
-            let ia = Dbgp_core.Codec.decode msg in
-            let outbox =
-              Speaker.receive speaker ~from:(peer_of i) (Speaker.Announce ia)
-            in
-            (* Re-serialize what the router disseminates — the cost the
-               paper attributes Beagle's decay with IA size to. *)
-            List.iter
-              (fun (_, out) ->
-                match out with
-                | Speaker.Announce ia -> ignore (Dbgp_core.Codec.encode ia)
-                | Speaker.Withdraw _ -> ())
-              outbox)
-          wire)
-  in
-  mk_result label ~advertisements ~peers ~total_bytes elapsed
-
-let run_beagle_batched ?(peers = 6) ?(payload_bytes = 0) ?(batch = 32)
-    ~advertisements () =
-  let s = Workload.spec ~payload_bytes ~advertisements () in
-  let wire = List.map Dbgp_core.Codec.encode (Workload.generate s) in
-  let total_bytes = List.fold_left (fun a m -> a + String.length m) 0 wire in
-  let speaker =
-    Speaker.create
-      (Speaker.config ~asn:(Asn.of_int 64512)
-         ~addr:(Ipv4.of_octets 192 168 1 1) ())
-  in
-  let peer_of i =
-    Peer.make
-      ~asn:(Asn.of_int (65001 + (i mod peers)))
-      ~addr:(Ipv4.of_octets 192 168 0 (1 + (i mod peers)))
-  in
-  for i = 0 to peers - 1 do
-    Speaker.add_neighbor speaker
-      (Speaker.neighbor ~relationship:Dbgp_bgp.Policy.To_peer (peer_of i))
-  done;
-  let emit_outbox outbox =
+  let emit outbox =
     List.iter
       (fun (_, out) ->
         match out with
@@ -154,20 +114,30 @@ let run_beagle_batched ?(peers = 6) ?(payload_bytes = 0) ?(batch = 32)
         List.iteri
           (fun i msg ->
             let ia = Dbgp_core.Codec.decode msg in
-            Speaker.ingest speaker ~from:(peer_of i) (Speaker.Announce ia);
-            (* Drain once per [batch] arrivals — the MRAI-style receive
-               path, where colliding prefixes share one decision run. *)
-            if (i + 1) mod batch = 0 then emit_outbox (Speaker.flush speaker))
+            emit (step speaker i ~from:(peer_of i) (Speaker.Announce ia)))
           wire;
-        emit_outbox (Speaker.flush speaker))
+        emit (finish speaker))
   in
+  mk_result label ~advertisements ~total_bytes elapsed
+
+let run_beagle ?(payload_bytes = 0) ~advertisements () =
   let label =
-    if payload_bytes = 0 then
-      Printf.sprintf "Beagle batched/%d (BGP-only)" batch
-    else
-      Printf.sprintf "Beagle batched/%d (%d KB IAs)" batch (payload_bytes / 1024)
+    if payload_bytes = 0 then "Beagle (BGP-only IAs)"
+    else Printf.sprintf "Beagle (%d KB IAs)" (payload_bytes / 1024)
   in
-  mk_result label ~advertisements ~peers ~total_bytes elapsed
+  beagle_arm label ~payload_bytes ~advertisements
+    ~step:(fun s _ ~from m -> Speaker.receive s ~from m)
+    ~finish:(fun _ -> [])
+
+(* The MRAI-style receive path: arrivals are only ingested into the
+   speaker's dirty-prefix pipeline and a drain runs once per 32, so
+   colliding prefixes share one decision run. *)
+let run_beagle_batched ~advertisements () =
+  beagle_arm "Beagle batched/32 (BGP-only)" ~payload_bytes:0 ~advertisements
+    ~step:(fun s i ~from m ->
+      Speaker.ingest s ~from m;
+      if (i + 1) mod 32 = 0 then Speaker.flush s else [])
+    ~finish:Speaker.flush
 
 (* ------------------- event-budget probe ------------------- *)
 

@@ -23,16 +23,8 @@ type result = {
   prefixes_per_s : float;
 }
 
-val run_quagga_equivalent : ?peers:int -> advertisements:int -> unit -> result
-val run_beagle : ?peers:int -> ?payload_bytes:int -> advertisements:int -> unit -> result
-
-val run_beagle_batched :
-  ?peers:int -> ?payload_bytes:int -> ?batch:int -> advertisements:int ->
-  unit -> result
-(** The MRAI-style receive path: updates are only ingested into the
-    speaker's dirty-prefix pipeline and a drain runs once per [batch]
-    arrivals (default 32), so colliding prefixes share one decision
-    run. *)
+val run_quagga_equivalent : advertisements:int -> unit -> result
+val run_beagle : ?payload_bytes:int -> advertisements:int -> unit -> result
 
 type budget_probe = {
   ases : int;

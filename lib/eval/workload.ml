@@ -2,22 +2,15 @@ open Dbgp_types
 module Ia = Dbgp_core.Ia
 module Value = Dbgp_core.Value
 
-type spec = {
-  advertisements : int;
-  path_len_lo : int;
-  path_len_hi : int;
-  payload_bytes : int;
-  n_extra_protocols : int;
-  seed : int;
-}
+type spec = { advertisements : int; payload_bytes : int; seed : int }
 
-let spec ?(path_len_lo = 3) ?(path_len_hi = 5) ?(payload_bytes = 0)
-    ?(n_extra_protocols = 3) ?(seed = 7) ~advertisements () =
+let spec ?(payload_bytes = 0) ?(seed = 7) ~advertisements () =
   if advertisements < 0 then invalid_arg "Workload.spec: negative count";
-  if path_len_lo < 1 || path_len_hi < path_len_lo then
-    invalid_arg "Workload.spec: bad path length range";
-  { advertisements; path_len_lo; path_len_hi; payload_bytes;
-    n_extra_protocols; seed }
+  { advertisements; payload_bytes; seed }
+
+(* AS-path lengths, typical of tier-1 tables. *)
+let path_len_lo = 3
+let path_len_hi = 5
 
 let nth_prefix i =
   (* Spread prefixes across 24-bit networks deterministically. *)
@@ -41,13 +34,13 @@ let payload_protocols k =
 
 let generate s =
   let rng = Prng.create s.seed in
-  let protos = payload_protocols s.n_extra_protocols in
+  let protos = payload_protocols 3 in
   let payload =
     if s.payload_bytes > 0 then Some (String.make s.payload_bytes 'x') else None
   in
   List.init s.advertisements (fun i ->
       let prefix = nth_prefix i in
-      let path = random_path rng ~lo:s.path_len_lo ~hi:s.path_len_hi in
+      let path = random_path rng ~lo:path_len_lo ~hi:path_len_hi in
       let origin_asn =
         match List.rev path with
         | Path_elem.As a :: _ -> a
@@ -70,7 +63,7 @@ let generate_updates s =
   List.init s.advertisements (fun i ->
       let prefix = nth_prefix i in
       let path =
-        random_path rng ~lo:s.path_len_lo ~hi:s.path_len_hi
+        random_path rng ~lo:path_len_lo ~hi:path_len_hi
         |> List.filter_map (function
              | Path_elem.As a -> Some a
              | Path_elem.Island _ | Path_elem.As_set _ -> None)

@@ -8,27 +8,13 @@
     optional payload of extra per-protocol control information to sweep
     IA sizes (the 32 KB / 256 KB points of the paper's experiment). *)
 
-type spec = {
-  advertisements : int;
-  path_len_lo : int;
-  path_len_hi : int;
-  payload_bytes : int;
-  (** extra critical-fix control information attached to each IA;
-      0 = BGP-only advertisements *)
-  n_extra_protocols : int;
-  (** how many critical fixes share that payload *)
-  seed : int;
-}
+type spec
 
-val spec :
-  ?path_len_lo:int ->
-  ?path_len_hi:int ->
-  ?payload_bytes:int ->
-  ?n_extra_protocols:int ->
-  ?seed:int ->
-  advertisements:int ->
-  unit ->
-  spec
+val spec : ?payload_bytes:int -> ?seed:int -> advertisements:int -> unit -> spec
+(** [advertisements] IAs with AS paths of 3 to 5 hops.  [payload_bytes]
+    (default 0 = BGP-only advertisements) is extra critical-fix control
+    information attached to each IA, shared by three critical fixes.
+    @raise Invalid_argument on a negative count. *)
 
 val generate : spec -> Dbgp_core.Ia.t list
 (** Deterministic in [seed].  Every IA has a distinct prefix, a

@@ -5,20 +5,16 @@ type endpoint = int * string (* portal address, service name *)
 type t = {
   store : (endpoint * string, Dbgp_core.Value.t) Hashtbl.t;
   handlers : (endpoint, Dbgp_core.Value.t -> Dbgp_core.Value.t option) Hashtbl.t;
-  mutable accesses : int;
 }
 
-let create () =
-  { store = Hashtbl.create 64; handlers = Hashtbl.create 16; accesses = 0 }
+let create () = { store = Hashtbl.create 64; handlers = Hashtbl.create 16 }
 
 let ep ~portal ~service = (Ipv4.to_int portal, service)
 
 let post t ~portal ~service ~key v =
-  t.accesses <- t.accesses + 1;
   Hashtbl.replace t.store (ep ~portal ~service, key) v
 
 let fetch t ~portal ~service ~key =
-  t.accesses <- t.accesses + 1;
   Hashtbl.find_opt t.store (ep ~portal ~service, key)
 
 let keys t ~portal ~service =
@@ -32,10 +28,6 @@ let register_handler t ~portal ~service f =
   Hashtbl.replace t.handlers (ep ~portal ~service) f
 
 let rpc t ~portal ~service req =
-  t.accesses <- t.accesses + 1;
   match Hashtbl.find_opt t.handlers (ep ~portal ~service) with
   | None -> None
   | Some f -> f req
-
-let accesses t = t.accesses
-let reset_accesses t = t.accesses <- 0

@@ -35,12 +35,3 @@ val rpc :
   t -> portal:Dbgp_types.Ipv4.t -> service:string ->
   Dbgp_core.Value.t -> Dbgp_core.Value.t option
 (** [None] if no handler is registered or the handler declines. *)
-
-(** {1 Accounting} *)
-
-val accesses : t -> int
-(** Total posts + fetches + rpcs so far — the "external accesses on the
-    critical path" cost the paper's CF-R2 discussion attributes to
-    out-of-band dissemination. *)
-
-val reset_accesses : t -> unit

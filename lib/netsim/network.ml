@@ -22,9 +22,7 @@ type link_cfg = {
   c_latency : float;
   c_a : Asn.t;
   c_b : Asn.t;
-  c_a_import : Dbgp_core.Filters.t;
   c_a_export : Dbgp_core.Filters.t;
-  c_b_import : Dbgp_core.Filters.t;
   c_b_export : Dbgp_core.Filters.t;
   c_a_dbgp : bool;
   c_b_dbgp : bool;
@@ -38,7 +36,6 @@ type half_cfg = {
   hc_latency : float;
   hc_local : Asn.t;
   hc_remote : Asn.t;
-  hc_import : Dbgp_core.Filters.t;
   hc_export : Dbgp_core.Filters.t;
   hc_remote_dbgp : bool;
   hc_remote_is : Dbgp_bgp.Policy.relationship;
@@ -73,7 +70,6 @@ type t = {
      re-establishes with an incremental sync (both sides kept state);
      past it — or with no entry — only a full refresh is sound. *)
   restart_deadline : (int, float) Hashtbl.t;
-  mutable sync_chunk : int;  (* prefixes examined per sync event *)
   (* Per (src, dst) directed pair: the latest pending message per prefix
      plus whether a flush is already scheduled. *)
   pending : (int, (Prefix.t, Speaker.msg) Hashtbl.t * bool ref) Hashtbl.t;
@@ -111,7 +107,6 @@ let create () =
     graceful_window = None;
     restart_gen = Hashtbl.create 16;
     restart_deadline = Hashtbl.create 16;
-    sync_chunk = 512;
     pending = Hashtbl.create 64;
     drain_scheduled = Hashtbl.create 64;
     peer_memo = Hashtbl.create 64;
@@ -193,7 +188,6 @@ let latency t a b =
 let link_up t a b = Hashtbl.mem t.latencies (lat_key a b)
 
 let set_fault_model t f = t.fault <- Some f
-let fault_model t = t.fault
 
 let set_graceful_restart t w =
   ( match w with
@@ -558,17 +552,15 @@ let connect_link t cfg =
     | _ -> false
   in
   Speaker.add_neighbor sa
-    (Speaker.neighbor ~import:cfg.c_a_import ~export:cfg.c_a_export
+    (Speaker.neighbor ~export:cfg.c_a_export
        ~dbgp_capable:cfg.c_b_dbgp ~same_island ~relationship:cfg.c_b_is
        (peer_of t b));
   Speaker.add_neighbor sb
-    (Speaker.neighbor ~import:cfg.c_b_import ~export:cfg.c_b_export
+    (Speaker.neighbor ~export:cfg.c_b_export
        ~dbgp_capable:cfg.c_a_dbgp ~same_island
        ~relationship:(inverse cfg.c_b_is) (peer_of t a))
 
-let link t ?(latency = 1.0) ?(a_import = Dbgp_core.Filters.accept)
-    ?(a_export = Dbgp_core.Filters.accept)
-    ?(b_import = Dbgp_core.Filters.accept)
+let link t ?(latency = 1.0) ?(a_export = Dbgp_core.Filters.accept)
     ?(b_export = Dbgp_core.Filters.accept) ?(a_dbgp = true) ?(b_dbgp = true)
     ~a ~b ~b_is () =
   if Asn.equal a b then invalid_arg "Network.link: cannot link an AS to itself";
@@ -576,9 +568,7 @@ let link t ?(latency = 1.0) ?(a_import = Dbgp_core.Filters.accept)
     { c_latency = latency;
       c_a = a;
       c_b = b;
-      c_a_import = a_import;
       c_a_export = a_export;
-      c_b_import = b_import;
       c_b_export = b_export;
       c_a_dbgp = a_dbgp;
       c_b_dbgp = b_dbgp;
@@ -621,12 +611,11 @@ let connect_half t cfg =
   add_remote_peer t cfg.hc_remote;
   Hashtbl.replace t.latencies (lat_key cfg.hc_local cfg.hc_remote) cfg.hc_latency;
   Speaker.add_neighbor s
-    (Speaker.neighbor ~import:cfg.hc_import ~export:cfg.hc_export
+    (Speaker.neighbor ~export:cfg.hc_export
        ~dbgp_capable:cfg.hc_remote_dbgp ~same_island:cfg.hc_same_island
        ~relationship:cfg.hc_remote_is (peer_of t cfg.hc_remote))
 
-let half_link t ?(latency = 1.0) ?(import = Dbgp_core.Filters.accept)
-    ?(export = Dbgp_core.Filters.accept) ?(remote_dbgp = true)
+let half_link t ?(latency = 1.0) ?(export = Dbgp_core.Filters.accept) ?(remote_dbgp = true)
     ?(same_island = false) ~local ~remote ~remote_is () =
   if Asn.equal local remote then
     invalid_arg "Network.half_link: cannot link an AS to itself";
@@ -634,7 +623,6 @@ let half_link t ?(latency = 1.0) ?(import = Dbgp_core.Filters.accept)
     { hc_latency = latency;
       hc_local = local;
       hc_remote = remote;
-      hc_import = import;
       hc_export = export;
       hc_remote_dbgp = remote_dbgp;
       hc_remote_is = remote_is;
@@ -743,9 +731,9 @@ let refresh_link t a b =
   Event_queue.schedule t.q ~delay:0. (fun () ->
       dispatch t ~from:b (Speaker.refresh_peer sb (peer_of t a)))
 
-let set_sync_chunk t n =
-  if n <= 0 then invalid_arg "Network.set_sync_chunk: chunk must be positive"
-  else t.sync_chunk <- n
+(* Loc-RIB routes examined per streaming-transfer event: bounds per-event
+   work so a million-prefix sync interleaves with normal traffic. *)
+let sync_chunk = 512
 
 (* One direction of an incremental table transfer: chunked,
    self-rescheduling events walking the sender's Loc-RIB cursor.  Every
@@ -761,7 +749,7 @@ let sync_dir t ~gen src dst =
         if live () then begin
           let s = speaker t src in
           let out, next =
-            Speaker.sync_peer ~limit:t.sync_chunk ?cursor s (peer_of t dst)
+            Speaker.sync_peer ~limit:sync_chunk ?cursor s (peer_of t dst)
           in
           dispatch t ~from:src out;
           match next with
@@ -877,7 +865,7 @@ let withdraw_origin t a prefix =
 let readvertise_all t a =
   Event_queue.schedule t.q ~delay:0. (fun () ->
       let s = speaker t a in
-      let outbox = Speaker.readvertise_all ~now:(Event_queue.now t.q) s in
+      let outbox = Speaker.readvertise_all s in
       dispatch t ~from:a outbox)
 
 let set_interposer t f = t.interposer <- f

@@ -52,9 +52,7 @@ val asn_of_addr : t -> Dbgp_types.Ipv4.t -> Dbgp_types.Asn.t option
 val link :
   t ->
   ?latency:float ->
-  ?a_import:Dbgp_core.Filters.t ->
   ?a_export:Dbgp_core.Filters.t ->
-  ?b_import:Dbgp_core.Filters.t ->
   ?b_export:Dbgp_core.Filters.t ->
   ?a_dbgp:bool ->
   ?b_dbgp:bool ->
@@ -84,27 +82,15 @@ val recover_link : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
 (** Brings a failed link back with its original configuration.  When the
     session re-establishes inside a still-open graceful-restart window,
     the pending stale flush is cancelled (RFC 4724's restart-timer stop)
-    and both directions stream an incremental table transfer
-    ({!sync_link}) — only routes whose advertised state differs from the
+    and both directions stream an incremental table transfer: chunked
+    walks over each sender's Loc-RIB (512 routes per event) batched
+    through the normal MRAI/dispatch path, ending in an End-of-RIB that
+    clears the receiver's remaining stale marks — only routes whose advertised state differs from the
     peer's confirmed Adj-RIB-Out record travel.  Outside a window (no
     graceful mode, or the window expired and the stale routes were
     already flushed) it falls back to a full route refresh.  No-op if
     the link is already up.
     @raise Invalid_argument if the pair was never linked. *)
-
-val sync_link : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
-(** Schedules an incremental/streaming table transfer in both directions
-    of an up link: chunked cursor walks over each sender's Loc-RIB
-    (see {!set_sync_chunk}) batched through the normal MRAI/dispatch
-    path, sending only routes whose advertised state differs from the
-    confirmed Adj-RIB-Out record, followed by an End-of-RIB that clears
-    the receiver's remaining stale marks without dropping routes.  A
-    link failure mid-transfer aborts the remaining chunks. *)
-
-val set_sync_chunk : t -> int -> unit
-(** Loc-RIB routes examined per streaming-transfer event (default 512) —
-    bounds per-event work so a million-prefix sync interleaves with
-    normal traffic.  @raise Invalid_argument on a non-positive chunk. *)
 
 val unlink : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
 (** Permanent administrative teardown, as opposed to {!fail_link}'s
@@ -134,8 +120,6 @@ val set_fault_model : t -> Fault_model.t -> unit
     before {!Dbgp_core.Speaker.receive_wire} decodes them under the
     RFC 7606 ladder; a duplicated frame is handed to the receiving
     speaker twice; a reordered message picks up extra delivery delay. *)
-
-val fault_model : t -> Fault_model.t option
 
 val set_graceful_restart : t -> float option -> unit
 (** Set the graceful-restart window (RFC 4724 style) used by
@@ -282,16 +266,9 @@ val set_remote_hook :
     interval if any + link latency), always at least one lookahead
     ahead of the sending region's clock. *)
 
-val add_remote_peer : t -> Dbgp_types.Asn.t -> unit
-(** Register an AS simulated by another region: creates the shared
-    {!Dbgp_core.Peer.t} stub (at {!speaker_addr}) and the reverse
-    mapping that routes egress through the remote hook.  Idempotent.
-    Implied by {!half_link}. *)
-
 val half_link :
   t ->
   ?latency:float ->
-  ?import:Dbgp_core.Filters.t ->
   ?export:Dbgp_core.Filters.t ->
   ?remote_dbgp:bool ->
   ?same_island:bool ->
@@ -300,8 +277,8 @@ val half_link :
   remote_is:Dbgp_bgp.Policy.relationship ->
   unit ->
   unit
-(** Install the local half of a cut edge: [import]/[export] are the
-    local speaker's filters, [remote_is] the remote AS's relationship
+(** Install the local half of a cut edge: [export] is the local
+    speaker's egress filter, [remote_is] the remote AS's relationship
     as seen locally.  The remote region must install the mirror half
     with the inverse relationship and identical latency.
     @raise Invalid_argument on a self-loop. *)

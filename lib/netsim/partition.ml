@@ -47,10 +47,6 @@ let members t r =
 let cut_edges t = t.cut
 let lookahead t = t.lookahead
 
-let cut_fraction t =
-  if t.total_edges = 0 then 0.
-  else float_of_int (Array.length t.cut) /. float_of_int t.total_edges
-
 (* --- union-find over dense indices, for pinned-edge contraction --- *)
 
 let rec uf_find parent i =

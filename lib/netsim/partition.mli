@@ -47,6 +47,3 @@ val cut_edges : t -> (int * int * float) array
 val lookahead : t -> float
 (** Minimum latency over {!cut_edges}; [infinity] when nothing is cut
     (single region, or regions are unions of whole islands). *)
-
-val cut_fraction : t -> float
-(** Cut edges over total (deduplicated) edges; 0 for an empty graph. *)

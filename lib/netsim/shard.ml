@@ -40,9 +40,7 @@ type link_decl = {
   l_a : int;
   l_b : int;
   l_latency : float;
-  l_a_import : Dbgp_core.Filters.t;
   l_a_export : Dbgp_core.Filters.t;
-  l_b_import : Dbgp_core.Filters.t;
   l_b_export : Dbgp_core.Filters.t;
   l_a_dbgp : bool;
   l_b_dbgp : bool;
@@ -114,17 +112,15 @@ let add_as t asn =
   t.decl_nodes <- asn :: t.decl_nodes
 
 let link t ?(latency = 1.0) ?(pinned = false)
-    ?(a_import = Dbgp_core.Filters.accept)
     ?(a_export = Dbgp_core.Filters.accept)
-    ?(b_import = Dbgp_core.Filters.accept)
     ?(b_export = Dbgp_core.Filters.accept) ?(a_dbgp = true) ?(b_dbgp = true)
     ~a ~b ~b_is () =
   check_declaring t "link";
   if latency <= 0. then invalid_arg "Shard.link: latency must be positive";
   if pinned then t.decl_pinned <- (a, b) :: t.decl_pinned;
   t.decl_links <-
-    { l_a = a; l_b = b; l_latency = latency; l_a_import = a_import;
-      l_a_export = a_export; l_b_import = b_import; l_b_export = b_export;
+    { l_a = a; l_b = b; l_latency = latency; l_a_export = a_export;
+      l_b_export = b_export;
       l_a_dbgp = a_dbgp; l_b_dbgp = b_dbgp; l_b_is = b_is }
     :: t.decl_links
 
@@ -190,8 +186,7 @@ let build t =
       and rb = Partition.region_of part l.l_b in
       let a = Asn.of_int l.l_a and b = Asn.of_int l.l_b in
       if ra = rb then
-        Network.link nets.(ra) ~latency:l.l_latency ~a_import:l.l_a_import
-          ~a_export:l.l_a_export ~b_import:l.l_b_import
+        Network.link nets.(ra) ~latency:l.l_latency ~a_export:l.l_a_export
           ~b_export:l.l_b_export ~a_dbgp:l.l_a_dbgp ~b_dbgp:l.l_b_dbgp ~a ~b
           ~b_is:l.l_b_is ()
       else begin
@@ -203,10 +198,10 @@ let build t =
           | _ -> false
         in
         Network.half_link nets.(ra) ~latency:l.l_latency
-          ~import:l.l_a_import ~export:l.l_a_export ~remote_dbgp:l.l_b_dbgp
+          ~export:l.l_a_export ~remote_dbgp:l.l_b_dbgp
           ~same_island ~local:a ~remote:b ~remote_is:l.l_b_is ();
         Network.half_link nets.(rb) ~latency:l.l_latency
-          ~import:l.l_b_import ~export:l.l_b_export ~remote_dbgp:l.l_a_dbgp
+          ~export:l.l_b_export ~remote_dbgp:l.l_a_dbgp
           ~same_island ~local:b ~remote:a ~remote_is:(inverse l.l_b_is) ()
       end)
     links;
@@ -358,10 +353,6 @@ let transcript_digest t =
       Buffer.add_char buf '\n')
     (transcript_lines t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let transcript_length t =
-  let b = require_built t "transcript_length" in
-  Array.fold_left (fun acc log -> acc + List.length !log) 0 b.logs
 
 (* ------------------------------ execution ---------------------------- *)
 

@@ -54,9 +54,7 @@ val link :
   t ->
   ?latency:float ->
   ?pinned:bool ->
-  ?a_import:Dbgp_core.Filters.t ->
   ?a_export:Dbgp_core.Filters.t ->
-  ?b_import:Dbgp_core.Filters.t ->
   ?b_export:Dbgp_core.Filters.t ->
   ?a_dbgp:bool ->
   ?b_dbgp:bool ->
@@ -123,19 +121,10 @@ val enable_transcript : t -> unit
     change feed), every cross-partition delivery ([X]) and NACK ([N]).
     Callable before or after {!build}. *)
 
-val transcript_lines : t -> string list
-(** The merged transcript, ordered by (time, region, per-region
-    sequence), one ["%.6f region payload"] line per entry.  For
-    diagnosing oracle divergence; {!transcript_digest} hashes exactly
-    these lines. *)
-
 val transcript_digest : t -> string
 (** MD5 over the merged transcript, ordered by (time, region,
     per-region sequence) — the byte-identity oracle: equal digests
     between a 1-domain and an N-domain run of the same schedule. *)
-
-val transcript_length : t -> int
-(** Total recorded transcript entries. *)
 
 (** {1 Execution} *)
 

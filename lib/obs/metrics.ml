@@ -131,3 +131,9 @@ let gauges t = sorted_bindings t.gs (fun g -> g.v)
 let histograms t = sorted_bindings t.hs Fun.id
 let find_counter t name = Hashtbl.find_opt t.cs name
 let find_gauge t name = Hashtbl.find_opt t.gs name
+
+module For_tests = struct
+  let nbuckets = nbuckets
+  let bucket_of = bucket_of
+  let bucket_upper = bucket_upper
+end

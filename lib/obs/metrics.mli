@@ -38,20 +38,11 @@ val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
 val value : gauge -> float
 
-(** {1 Histograms} *)
+(** {1 Histograms}
 
-val nbuckets : int
-(** Fixed bucket count; the last bucket absorbs everything above
-    [2^(nbuckets - 2)]. *)
-
-val bucket_of : float -> int
-(** The bucket index a value falls into: 0 for values below 1 (and NaN),
-    otherwise the [i] with [2^(i-1) <= v < 2^i], capped at
-    [nbuckets - 1]. *)
-
-val bucket_upper : int -> float
-(** Exclusive upper bound of a bucket: 1 for bucket 0, [2^i] for bucket
-    [i], [infinity] for the last. *)
+    Log buckets: bucket 0 holds values below 1 (and NaN), bucket [i]
+    the values in [\[2^(i-1), 2^i)], and the last of the fixed buckets
+    everything above. *)
 
 val histogram : t -> string -> histogram
 val observe : histogram -> float -> unit
@@ -93,3 +84,17 @@ val gauges : t -> (string * float) list
 val histograms : t -> (string * histogram) list
 val find_counter : t -> string -> counter option
 val find_gauge : t -> string -> gauge option
+
+(** The histogram bucket layout, for the tests that pin it. *)
+module For_tests : sig
+  val nbuckets : int
+  (** Fixed bucket count; the last bucket absorbs everything above
+      [2^(nbuckets - 2)]. *)
+
+  val bucket_of : float -> int
+  (** The bucket index a value falls into, capped at [nbuckets - 1]. *)
+
+  val bucket_upper : int -> float
+  (** Exclusive upper bound of a bucket: 1 for bucket 0, [2^i] for
+      bucket [i], [infinity] for the last. *)
+end

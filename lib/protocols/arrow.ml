@@ -68,12 +68,3 @@ let buy ~io ~portal ~min_bandwidth =
   | Some (Value.Pair (Value.Pair (Value.Addr ingress, Value.Addr egress), Value.Int bandwidth)) ->
     Some { ingress; egress; bandwidth }
   | _ -> None
-
-let stitch ~segments ~dst ~src =
-  List.map (fun s -> Header.Tunnel_hdr { endpoint = s.ingress }) segments
-  @ [ Header.Ipv4_hdr { src; dst } ]
-
-let effective_bandwidth = function
-  | [] -> None
-  | segments ->
-    Some (List.fold_left (fun acc s -> min acc s.bandwidth) max_int segments)

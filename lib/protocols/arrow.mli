@@ -13,8 +13,6 @@
 val protocol : Dbgp_types.Protocol_id.t
 
 val field_portal : string
-val field_guarantee : string
-(** Island descriptor: the bandwidth the island will guarantee. *)
 
 val service : string
 
@@ -59,16 +57,3 @@ val buy :
   portal:Dbgp_types.Ipv4.t ->
   min_bandwidth:int ->
   segment option
-
-val stitch :
-  segments:segment list ->
-  dst:Dbgp_types.Ipv4.t ->
-  src:Dbgp_types.Ipv4.t ->
-  Dbgp_dataplane.Header.stack
-(** Nested tunnel headers entering each purchased segment in order,
-    with the plain IPv4 header innermost.  The effective end-to-end
-    guarantee is the minimum over the segments (see
-    {!effective_bandwidth}). *)
-
-val effective_bandwidth : segment list -> int option
-(** [None] on the empty list. *)

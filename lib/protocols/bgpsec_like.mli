@@ -15,20 +15,10 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_attest : string
-(** Path descriptor: the attestation chain, origin's first. *)
-
 type attestation = { signer : Dbgp_types.Asn.t; mac : string }
 
 type pki = Dbgp_types.Asn.t -> string option
 (** Key lookup — the stand-in for the RPKI. *)
-
-val mac :
-  secret:string ->
-  prefix:Dbgp_types.Prefix.t ->
-  signer:Dbgp_types.Asn.t ->
-  path:Dbgp_types.Asn.t list ->
-  string
 
 val sign_origin :
   secret:string -> me:Dbgp_types.Asn.t -> Dbgp_core.Ia.t -> Dbgp_core.Ia.t

@@ -10,10 +10,6 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_bandwidth : string
-(** Path descriptor: bottleneck bandwidth of the path so far (only
-    upgraded ASes contribute theirs). *)
-
 val bandwidth_of : Dbgp_core.Ia.t -> int option
 
 type config = { ingress_bandwidth : int }

@@ -2,6 +2,8 @@ open Dbgp_types
 module Ia = Dbgp_core.Ia
 module Header = Dbgp_dataplane.Header
 
+(* One island on the path: its protocol-specific header, if any, and
+   the ingress to tunnel to when a gulf precedes it. *)
 type island_plan = {
   island : Island_id.t;
   header : Header.t option;

@@ -15,31 +15,17 @@
       header to their ingress address (routing compliance, Section 2.1 —
       optional in general, required here to reach the island's entry). *)
 
-type island_plan = {
-  island : Dbgp_types.Island_id.t;
-  header : Dbgp_dataplane.Header.t option;
-      (** the protocol-specific header for this island, if any *)
-  tunnel : Dbgp_types.Ipv4.t option;
-      (** ingress to tunnel to when a gulf precedes the island *)
-}
-
-val plan :
-  ia:Dbgp_core.Ia.t ->
-  ingress_of:(Dbgp_types.Island_id.t -> Dbgp_types.Ipv4.t option) ->
-  island_plan list
-(** One entry per island on the path, in travel order (nearest the
-    source first).  SCION islands get the shortest advertised path;
-    pathlet islands get the FID sequence of the first composable route
-    to the destination prefix (none if their pathlets do not reach it).
-    The first island needs no tunnel (the source reaches it by plain
-    forwarding); later islands are tunneled to when [ingress_of] knows
-    their ingress. *)
-
 val build :
   ia:Dbgp_core.Ia.t ->
   src:Dbgp_types.Ipv4.t ->
   dst:Dbgp_types.Ipv4.t ->
   ingress_of:(Dbgp_types.Island_id.t -> Dbgp_types.Ipv4.t option) ->
   Dbgp_dataplane.Header.stack
-(** The full stack: plans flattened outermost-first plus the innermost
-    IPv4 header. *)
+(** The full stack, outermost first: for each island on the path, in
+    travel order (nearest the source first), a tunnel header to its
+    ingress when a gulf precedes it and [ingress_of] knows that ingress
+    (the first island needs none: the source reaches it by plain
+    forwarding), then the island's header if it has one — SCION islands
+    get the shortest advertised path, pathlet islands the FID sequence of
+    the first composable route to the destination prefix (none if their
+    pathlets do not reach it); then the innermost IPv4 header. *)

@@ -32,8 +32,3 @@ val decision_module : config -> Dbgp_core.Decision_module.t
     path vector.  Contribute: cost += Dijkstra(ingress, egress) +
     peering cost; drops the route if the island interior is partitioned
     (no ingress->egress path). *)
-
-val within_island_route :
-  config -> (string list * int) option
-(** The ingress->egress link-state route the module charges for —
-    exposed so data planes and tests can see the actual interior path. *)

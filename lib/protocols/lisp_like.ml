@@ -26,10 +26,3 @@ let resolve ~io ~map_server ~eid =
   match io.Portal_io.fetch ~portal:map_server ~service ~key:(Prefix.to_string eid) with
   | Some (Value.Addr rloc) -> Some rloc
   | _ -> None
-
-let discover_map_server ia =
-  Ia.find_island_descriptors ~proto:protocol ia
-  |> List.filter_map (fun (d : Ia.island_descriptor) ->
-         if d.Ia.ifield = field_map_server then
-           Option.map (fun a -> (d.Ia.island, a)) (Value.as_addr d.Ia.ivalue)
-         else None)

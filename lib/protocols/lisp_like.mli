@@ -11,9 +11,6 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_map_server : string
-(** Island descriptor: the mapping-service portal address. *)
-
 val service : string
 
 type config = {
@@ -41,6 +38,3 @@ val resolve :
   Dbgp_types.Ipv4.t option
 (** A source resolves an EID to the current RLOC; traffic is then
     tunneled to the RLOC (see {!Dbgp_dataplane.Header.Tunnel_hdr}). *)
-
-val discover_map_server :
-  Dbgp_core.Ia.t -> (Dbgp_types.Island_id.t * Dbgp_types.Ipv4.t) list

@@ -10,7 +10,6 @@
 val protocol : Dbgp_types.Protocol_id.t
 
 val field_portal : string
-val field_paths_offered : string
 val service : string
 
 type offer = {

@@ -14,9 +14,6 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_pathlets : string
-(** Island descriptor listing an island's exported pathlets. *)
-
 type hop =
   | Router of string                 (** a (border) router identifier *)
   | Deliver of Dbgp_types.Prefix.t   (** terminal delivery to a prefix *)
@@ -29,15 +26,11 @@ val make : fid:int -> hop list -> pathlet
     [Deliver]. *)
 
 val entry : pathlet -> hop
-val exit_hop : pathlet -> hop
-val delivers_to : pathlet -> Dbgp_types.Prefix.t option
 
 val compose : fid:int -> pathlet -> pathlet -> pathlet
 (** [compose ~fid a b] joins [a] and [b] where [a] exits at [b]'s entry
     router.  @raise Invalid_argument if they do not connect. *)
 
-val to_value : pathlet -> Dbgp_core.Value.t
-val of_value : Dbgp_core.Value.t -> pathlet option
 val pp : Format.formatter -> pathlet -> unit
 val equal : pathlet -> pathlet -> bool
 

@@ -12,9 +12,6 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_backup : string
-(** Path descriptor: the advertised failover path (a path vector). *)
-
 val backup_of : Dbgp_core.Ia.t -> Dbgp_types.Path_elem.t list option
 
 val set_backup :

@@ -59,9 +59,3 @@ let discover ia =
          if d.Ia.ifield = field_node then
            Option.map (fun a -> (d.Ia.island, a)) (Value.as_addr d.Ia.ivalue)
          else None)
-
-let headers_for route ~src ~dst =
-  match route with
-  | Direct _ -> [ Header.Ipv4_hdr { src; dst } ]
-  | Via (relay, _) ->
-    [ Header.Tunnel_hdr { endpoint = relay }; Header.Ipv4_hdr { src; dst } ]

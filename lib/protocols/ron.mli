@@ -10,14 +10,9 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_node : string
-(** Island descriptor: the island's overlay node address. *)
-
 type t
 
 val create : unit -> t
-
-val add_node : t -> Dbgp_types.Ipv4.t -> unit
 
 val observe :
   t -> Dbgp_types.Ipv4.t -> Dbgp_types.Ipv4.t -> latency_ms:float -> unit
@@ -40,8 +35,3 @@ val advertise :
   Dbgp_core.Ia.t -> Dbgp_core.Ia.t
 
 val discover : Dbgp_core.Ia.t -> (Dbgp_types.Island_id.t * Dbgp_types.Ipv4.t) list
-
-val headers_for :
-  route -> src:Dbgp_types.Ipv4.t -> dst:Dbgp_types.Ipv4.t ->
-  Dbgp_dataplane.Header.stack
-(** A detour becomes a tunnel to the relay; direct is plain IPv4. *)

@@ -10,10 +10,6 @@
 
 val protocol : Dbgp_types.Protocol_id.t
 
-val field_paths : string
-(** Island descriptor: the list of within-island paths, each a list of
-    border-router identifiers. *)
-
 type path = string list
 (** Border-router hops, ingress first. *)
 
@@ -23,9 +19,6 @@ val attach :
 val extract :
   island:Dbgp_types.Island_id.t -> Dbgp_core.Ia.t -> path list
 (** The within-island paths advertised by one island ([[]] if none). *)
-
-val extract_all :
-  Dbgp_core.Ia.t -> (Dbgp_types.Island_id.t * path list) list
 
 val choose_path : path list -> path option
 (** Source-side selection: the shortest advertised path (deterministic

@@ -62,10 +62,6 @@ let upstream_portal ~my_island ia =
 let scaling_factor t ~portal =
   Option.value (Hashtbl.find_opt t.factors (Ipv4.to_int portal)) ~default:1.0
 
-let observed_portals t =
-  Hashtbl.fold (fun p _ acc -> Ipv4.of_int p :: acc) t.received []
-  |> List.sort Ipv4.compare
-
 let record_received t portal cost =
   let key = Ipv4.to_int portal in
   let sum, count = Option.value (Hashtbl.find_opt t.received key) ~default:(0, 0) in

@@ -56,9 +56,6 @@ val exchange_costs : t -> unit
     (average cost I see locally) / (average cost they report), clamped
     to a sane range. *)
 
-val scaling_factor : t -> portal:Dbgp_types.Ipv4.t -> float
-(** Current factor for a neighbor portal (1.0 when unknown). *)
-
 (** {1 Load feedback}
 
     The divergence-lab gadget ({!Dbgp_eval.Stability}): downstream
@@ -85,5 +82,3 @@ val poll_demand : t -> bool
     the adopted value changes the cost this instance would advertise
     (i.e. the caller should re-run the decision process and
     re-advertise). *)
-
-val observed_portals : t -> Dbgp_types.Ipv4.t list

@@ -228,9 +228,3 @@ let parse_serial1 text =
   let asns = Array.make !count 0 in
   List.iteri (fun i asn -> asns.(!count - 1 - i) <- asn) !order;
   (g, asns)
-
-let load_serial1 path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_serial1 (really_input_string ic (in_channel_length ic)))

@@ -12,7 +12,7 @@
       configurable fraction of ASes multi-home, and extra peering links
       are sprinkled degree-proportionally.  Scales to ~10k ASes in-tree
       benchmarks comfortably.
-    - {!parse_serial1} / {!load_serial1}: the real thing — CAIDA's
+    - {!parse_serial1}: the real thing — CAIDA's
       serial-1 format ([provider|customer|-1], [peer|peer|0], [#]
       comments), for 70k+-AS offline snapshots. *)
 
@@ -41,6 +41,3 @@ val parse_serial1 : string -> As_graph.t * int array
     Returns the graph over dense indices plus the index -> original AS
     number mapping (first-appearance order).
     @raise Invalid_argument on malformed lines. *)
-
-val load_serial1 : string -> As_graph.t * int array
-(** {!parse_serial1} applied to a file path. *)

@@ -28,9 +28,6 @@ val install : t -> lsa -> [ `Installed | `Stale ]
     sequence number is strictly newer. *)
 
 val routers : t -> string list
-val links_of : t -> string -> (string * int) list
-(** Bidirectional view: a link is usable only if both endpoints
-    advertise it (the standard two-way connectivity check). *)
 
 val shortest_path : t -> src:string -> dst:string -> (string list * int) option
 (** Dijkstra over the two-way-checked topology: the router sequence

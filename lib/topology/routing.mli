@@ -4,9 +4,11 @@
     to a destination flow outward exactly as path advertisements do,
     subject to the Gao-Rexford valley-free export rule, with each AS
     selecting its best candidate under a caller-supplied preference.
-    The Section 6.3 benefit simulations instantiate this engine once per
-    archetype and baseline; the netsim integration tests use it as a
-    reference model to validate the full D-BGP speaker pipeline. *)
+
+    Only tests call it: it is their reference model of policy-compliant
+    propagation (and of the valley-free check).  The Section 6.3 benefit
+    simulations do not use it: [Dbgp_eval.Benefits.propagate] is their
+    own engine. *)
 
 (** How a route was learned, which governs who it may be exported to. *)
 type klass =

@@ -10,13 +10,6 @@ let of_int n =
   | None -> invalid_arg (Printf.sprintf "Asn.of_int: %d out of range" n)
 
 let to_int a = a
-let zero = 0
-
-let is_private a =
-  (a >= 64512 && a <= 65534) || (a >= 4_200_000_000 && a <= 4_294_967_294)
-
-let is_reserved a =
-  a = 0 || a = 23456 || a = 65535 || a = max_asn || is_private a
 
 let compare = Int.compare
 let equal = Int.equal

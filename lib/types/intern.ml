@@ -29,7 +29,7 @@ module type S = sig
   type value
   type t
 
-  val create : ?max_size:int -> int -> t
+  val create : int -> t
   val intern : t -> value -> value
   val length : t -> int
   val clear : t -> unit
@@ -43,14 +43,15 @@ module Make (H : HashedType) : S with type value = H.t = struct
 
   type t = {
     tbl : H.t T.t;
-    max_size : int;
     mutable hits : int;
     mutable misses : int;
     mutable clears : int;
   }
 
-  let create ?(max_size = 65_536) n =
-    { tbl = T.create n; max_size; hits = 0; misses = 0; clears = 0 }
+  (* Entries at which a table is reset wholesale. *)
+  let max_size = 65_536
+
+  let create n = { tbl = T.create n; hits = 0; misses = 0; clears = 0 }
 
   let intern t x =
     match T.find_opt t.tbl x with
@@ -58,7 +59,7 @@ module Make (H : HashedType) : S with type value = H.t = struct
       t.hits <- t.hits + 1;
       y
     | None ->
-      if T.length t.tbl >= t.max_size then begin
+      if T.length t.tbl >= max_size then begin
         T.reset t.tbl;
         t.clears <- t.clears + 1
       end;

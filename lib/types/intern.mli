@@ -36,10 +36,9 @@ module type S = sig
   type value
   type t
 
-  val create : ?max_size:int -> int -> t
-  (** [create ?max_size n] makes a table with initial capacity [n];
-      when [max_size] (default 65536) entries are reached the table is
-      reset wholesale. *)
+  val create : int -> t
+  (** [create n] makes a table with initial capacity [n]; when 65536
+      entries are reached the table is reset wholesale. *)
 
   val intern : t -> value -> value
   (** Canonical representative: two structurally equal arguments return

@@ -8,8 +8,6 @@ let of_int n =
   else n
 
 let to_int a = a
-let of_int32 i = Int32.to_int i land max_addr
-let to_int32 a = Int32.of_int a
 
 let of_octets a b c d =
   let ok o = o >= 0 && o <= 255 in
@@ -45,6 +43,4 @@ let to_string a =
 let pp ppf a = Format.pp_print_string ppf (to_string a)
 let compare = Int.compare
 let equal = Int.equal
-let succ a = (a + 1) land max_addr
 let any = 0
-let localhost = of_octets 127 0 0 1

@@ -7,9 +7,6 @@
 
 type t = private int
 
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
-
 val of_int : int -> t
 (** @raise Invalid_argument if outside [\[0, 2^32-1\]]. *)
 
@@ -18,8 +15,6 @@ val to_int : t -> int
 val of_octets : int -> int -> int -> int -> t
 (** [of_octets a b c d] is the address [a.b.c.d].
     @raise Invalid_argument if any octet is outside [\[0, 255\]]. *)
-
-val to_octets : t -> int * int * int * int
 
 val of_string : string -> t
 (** Parses dotted-quad notation: four fields of one to three ASCII
@@ -30,11 +25,6 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val succ : t -> t
-(** Next address, wrapping at the top of the space. *)
 
 val any : t
 (** 0.0.0.0 *)
-
-val localhost : t
-(** 127.0.0.1 *)

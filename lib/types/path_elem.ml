@@ -1,6 +1,5 @@
 type t = As of Asn.t | Island of Island_id.t | As_set of Asn.t list
 
-let as_ a = As a
 let island i = Island i
 let as_set asns = As_set (List.sort_uniq Asn.compare asns)
 
@@ -8,10 +7,6 @@ let mentions_asn a = function
   | As b -> Asn.equal a b
   | Island _ -> false
   | As_set s -> List.exists (Asn.equal a) s
-
-let mentions_island i = function
-  | Island j -> Island_id.equal i j
-  | As _ | As_set _ -> false
 
 let compare x y =
   match (x, y) with

@@ -11,7 +11,6 @@ type t =
   | Island of Island_id.t
   | As_set of Asn.t list  (** Sorted, duplicate-free; counts as length 1. *)
 
-val as_ : Asn.t -> t
 val island : Island_id.t -> t
 
 val as_set : Asn.t list -> t
@@ -20,7 +19,6 @@ val as_set : Asn.t list -> t
 val mentions_asn : Asn.t -> t -> bool
 (** Does this element contain the given AS number (directly or in a set)? *)
 
-val mentions_island : Island_id.t -> t -> bool
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

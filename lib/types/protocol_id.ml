@@ -42,12 +42,6 @@ let equal a b = String.equal a.name b.name
 let hash t = Hashtbl.hash t.name
 let pp ppf t = Format.pp_print_string ppf t.name
 
-let pp_kind ppf = function
-  | Baseline -> Format.pp_print_string ppf "baseline"
-  | Critical_fix -> Format.pp_print_string ppf "critical-fix"
-  | Custom -> Format.pp_print_string ppf "custom"
-  | Replacement -> Format.pp_print_string ppf "replacement"
-
 let all () =
   Hashtbl.fold (fun _ t acc -> t :: acc) registry []
   |> List.sort compare

@@ -37,7 +37,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
-val pp_kind : Format.formatter -> kind -> unit
 val all : unit -> t list
 (** Every protocol registered so far, in name order. *)
 

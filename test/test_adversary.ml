@@ -127,6 +127,15 @@ let test_hijack_rejected_at_first_validator () =
   check_int "no selected route is hijacked" 0
     (List.length (Invariants.origin_mismatches net ~prefix ~owner:(asn 1)))
 
+(* One scenario's outcome, read from the default full-suite report. *)
+let default_report = lazy (E.Adversary.run E.Adversary.default)
+
+let scenario topo arm kind =
+  List.find
+    (fun (o : E.Adversary.outcome) ->
+      o.topo = topo && o.arm = arm && o.attack.Attack.kind = kind)
+    (Lazy.force default_report).E.Adversary.outcomes
+
 (* The harness-level containment claim on a real topology: every hijack
    variant in the BGPSec-like arm converges with zero blast radius,
    clean control and recovery phases, and detection still firing (the
@@ -135,10 +144,7 @@ let test_hijack_rejected_at_first_validator () =
 let test_containment_blast_radius_zero () =
   List.iter
     (fun kind ->
-      let o =
-        E.Adversary.run_scenario E.Adversary.default E.Adversary.Brite
-          E.Adversary.Dbgp_bgpsec kind
-      in
+      let o = scenario E.Adversary.Brite E.Adversary.Dbgp_bgpsec kind in
       let name = Attack.name kind in
       check (name ^ ": control clean") true o.E.Adversary.control_clean;
       check (name ^ ": contained") true o.E.Adversary.contained;
@@ -152,9 +158,7 @@ let test_containment_blast_radius_zero () =
    containment the critical fix buys. *)
 let test_legacy_hijacks_escape () =
   let blast kind =
-    (E.Adversary.run_scenario E.Adversary.default E.Adversary.Brite
-       E.Adversary.Legacy kind)
-      .E.Adversary.blast_radius
+    (scenario E.Adversary.Brite E.Adversary.Legacy kind).E.Adversary.blast_radius
   in
   check "origin hijack poisons someone on legacy" true
     (blast Attack.Origin_hijack > 0.);
@@ -165,10 +169,7 @@ let test_legacy_hijacks_escape () =
    Valley_export violations at the leaking AS, and restoring the rule
    heals them. *)
 let test_route_leak_detected_and_healed () =
-  let o =
-    E.Adversary.run_scenario E.Adversary.default E.Adversary.Caida
-      E.Adversary.Dbgp Attack.Route_leak
-  in
+  let o = scenario E.Adversary.Caida E.Adversary.Dbgp Attack.Route_leak in
   check "control clean" true o.E.Adversary.control_clean;
   check "leak detected" true (o.E.Adversary.detections > 0);
   check "leak healed" true o.E.Adversary.recovered_clean
@@ -180,9 +181,7 @@ let test_route_leak_detected_and_healed () =
 let test_island_attacks_detection () =
   List.iter
     (fun kind ->
-      let run arm =
-        E.Adversary.run_scenario E.Adversary.default E.Adversary.Caida arm kind
-      in
+      let run arm = scenario E.Adversary.Caida arm kind in
       let legacy = run E.Adversary.Legacy in
       check "legacy cannot see the attack" false
         legacy.E.Adversary.detection_applicable;

@@ -246,7 +246,7 @@ let test_network_damping_suppresses_flapping_link () =
   ignore (Network.run net);
   let c = Network.speaker net (asn 3) in
   check "penalty was charged at C" true
-    (Speaker.flap_penalty c ~now:(Eq.now (Network.queue net))
+    (Speaker.For_tests.flap_penalty c ~now:(Eq.now (Network.queue net))
        (Network.peer_of net (asn 2)) prefix > 0.);
   check "route recovered once damping released" true
     (best_at net 2 <> None && best_at net 3 <> None);
@@ -296,12 +296,12 @@ let test_corrupted_update_charges_damping () =
   let ia = valid_ia () in
   ignore (Speaker.receive ~now:0. sp ~from (Speaker.Announce ia));
   check "no penalty after clean announce" true
-    (Speaker.flap_penalty sp ~now:0. from prefix = 0.);
+    (Speaker.For_tests.flap_penalty sp ~now:0. from prefix = 0.);
   let wire = Dbgp_core.Codec.encode ia ^ "\x00" in
   let outcome, _ = Speaker.receive_wire ~now:0.1 sp ~from Dbgp_core.Codec.Announce wire in
   check "treated as withdraw" true (outcome = Speaker.Rx_withdrawn);
   check "penalty clock started" true
-    (Speaker.flap_penalty sp ~now:0.1 from prefix > 0.);
+    (Speaker.For_tests.flap_penalty sp ~now:0.1 from prefix > 0.);
   (* Two more corrupted cycles push the route over the suppress line. *)
   ignore (Speaker.receive ~now:0.2 sp ~from (Speaker.Announce ia));
   ignore (Speaker.receive_wire ~now:0.3 sp ~from Dbgp_core.Codec.Announce wire);

@@ -54,7 +54,7 @@ let test_forwarder_tables () =
 (* ------------------------- engine: ipv4 ------------------------- *)
 
 (* Chain 1 -> 2 -> 3 where 3 hosts 99.0.0.0/24. *)
-let ip_chain () =
+let ip_chain_forwarders () =
   let e = Engine.create () in
   let f1 = Forwarder.create ~me:(asn 1) () in
   let f2 = Forwarder.create ~me:(asn 2) () in
@@ -63,6 +63,10 @@ let ip_chain () =
   Forwarder.set_ip_route f2 (pfx "99.0.0.0/24") (Forwarder.To_as (asn 3));
   Forwarder.set_ip_route f3 (pfx "99.0.0.0/24") Forwarder.Local;
   List.iter (Engine.add e) [ f1; f2; f3 ];
+  (e, f1, f2)
+
+let ip_chain () =
+  let e, _, _ = ip_chain_forwarders () in
   e
 
 let test_engine_ipv4_delivery () =
@@ -100,11 +104,9 @@ let test_engine_ttl_loop () =
 (* ------------------------- engine: tunnels ------------------------- *)
 
 let test_engine_tunnel_decap () =
-  let e = ip_chain () in
-  let f2 = Engine.forwarder e (asn 2) in
+  let e, f1, f2 = ip_chain_forwarders () in
   Forwarder.add_local_addr f2 (ip "2.2.2.2");
   (* route toward the endpoint *)
-  let f1 = Engine.forwarder e (asn 1) in
   Forwarder.set_ip_route f1 (pfx "2.2.2.2/32") (Forwarder.To_as (asn 2));
   let p =
     Packet.make

@@ -15,9 +15,13 @@ let test_overhead_basic_row () =
   check "max ~36,000 GB" true
     (hi.Overhead.total_bytes /. gib > 30_000. && hi.Overhead.total_bytes /. gib < 40_000.)
 
+(* Table 3's rows, in order: basic, + path lengths, + sharing, single
+   protocol. *)
+let table3_row i p = List.nth (Overhead.table3 p) i
+
 let test_overhead_path_lengths_row () =
-  let lo = Overhead.plus_path_lengths Overhead.lo in
-  let hi = Overhead.plus_path_lengths Overhead.hi in
+  let lo = table3_row 1 Overhead.lo in
+  let hi = table3_row 1 Overhead.hi in
   (* Paper: 7 GB - 1,300 GB *)
   check "min ~7 GB" true (lo.Overhead.total_bytes /. gib > 6. && lo.Overhead.total_bytes /. gib < 9.);
   check "max ~1,300 GB" true
@@ -32,8 +36,8 @@ let test_overhead_sharing_row () =
     (hi.Overhead.total_bytes /. gib > 550. && hi.Overhead.total_bytes /. gib < 680.)
 
 let test_overhead_single_row () =
-  let lo = Overhead.single_protocol Overhead.lo in
-  let hi = Overhead.single_protocol Overhead.hi in
+  let lo = table3_row 3 Overhead.lo in
+  let hi = table3_row 3 Overhead.hi in
   (* Paper: 2.3 GB - 240 GB *)
   check "min ~2.3 GB" true (abs_float ((lo.Overhead.total_bytes /. gib) -. 2.3) < 0.2);
   check "max ~240 GB" true (abs_float ((hi.Overhead.total_bytes /. gib) -. 244.) < 10.)

@@ -46,20 +46,20 @@ let test_gauges () =
   check "last write wins" true (Metrics.value g = 17.25)
 
 let test_histogram_bucketing () =
-  check_int "below 1 -> bucket 0" 0 (Metrics.bucket_of 0.5);
-  check_int "nan -> bucket 0" 0 (Metrics.bucket_of Float.nan);
-  check_int "negative -> bucket 0" 0 (Metrics.bucket_of (-3.));
-  check_int "1 -> bucket 1" 1 (Metrics.bucket_of 1.0);
-  check_int "1.99 -> bucket 1" 1 (Metrics.bucket_of 1.99);
-  check_int "2 -> bucket 2" 2 (Metrics.bucket_of 2.0);
-  check_int "3.99 -> bucket 2" 2 (Metrics.bucket_of 3.99);
-  check_int "4 -> bucket 3" 3 (Metrics.bucket_of 4.0);
-  check_int "huge -> last bucket" (Metrics.nbuckets - 1)
-    (Metrics.bucket_of 1e30);
-  check "upper of 0 is 1" true (Metrics.bucket_upper 0 = 1.);
-  check "upper of 3 is 8" true (Metrics.bucket_upper 3 = 8.);
+  check_int "below 1 -> bucket 0" 0 (Metrics.For_tests.bucket_of 0.5);
+  check_int "nan -> bucket 0" 0 (Metrics.For_tests.bucket_of Float.nan);
+  check_int "negative -> bucket 0" 0 (Metrics.For_tests.bucket_of (-3.));
+  check_int "1 -> bucket 1" 1 (Metrics.For_tests.bucket_of 1.0);
+  check_int "1.99 -> bucket 1" 1 (Metrics.For_tests.bucket_of 1.99);
+  check_int "2 -> bucket 2" 2 (Metrics.For_tests.bucket_of 2.0);
+  check_int "3.99 -> bucket 2" 2 (Metrics.For_tests.bucket_of 3.99);
+  check_int "4 -> bucket 3" 3 (Metrics.For_tests.bucket_of 4.0);
+  check_int "huge -> last bucket" (Metrics.For_tests.nbuckets - 1)
+    (Metrics.For_tests.bucket_of 1e30);
+  check "upper of 0 is 1" true (Metrics.For_tests.bucket_upper 0 = 1.);
+  check "upper of 3 is 8" true (Metrics.For_tests.bucket_upper 3 = 8.);
   check "last upper is inf" true
-    (Metrics.bucket_upper (Metrics.nbuckets - 1) = Float.infinity)
+    (Metrics.For_tests.bucket_upper (Metrics.For_tests.nbuckets - 1) = Float.infinity)
 
 let test_histogram_observe () =
   let m = Metrics.create () in
@@ -591,8 +591,7 @@ let test_batch_attr_counter_names () =
   List.iter
     (fun name ->
       check (name ^ " registered") true (Metrics.find_counter at name <> None))
-    [ "attr_table.hits"; "attr_table.misses"; "attr_table.evictions";
-      "attr_table.overflow" ];
+    [ "attr_table.hits"; "attr_table.misses"; "attr_table.evictions" ];
   check "attr sets resident" true (Dbgp_core.Attr_table.occupancy () > 0);
   (* Frames decode back into per-prefix routes at the receiver. *)
   check "batched routes delivered" true
@@ -697,7 +696,7 @@ let test_scale_bench_schema () =
   let s = E.Scale_bench.to_snapshot r in
   let int_fields =
     [ "ases"; "prefixes"; "bg_prefixes"; "edges"; "bg_updates";
-      "load_updates"; "attr_sets"; "attr_overflow"; "string_clears";
+      "load_updates"; "attr_sets"; "string_clears";
       "value_clears"; "descriptor_clears"; "peak_heap_words"; "live_words";
       "full_transfer_msgs"; "full_transfer_bytes";
       "batched_transfer_msgs"; "batched_transfer_bytes"; "batch_frames";

@@ -382,9 +382,9 @@ let test_intern_survives_remove_neighbor () =
 (* --------------------------- decode memo ----------------------------- *)
 
 let test_decode_memo_bounded_under_fuzz () =
-  Codec.decode_memo_reset ();
+  Codec.wire_metrics_reset ();
   let rand = prng 77 in
-  let distinct = 4 * Codec.decode_memo_capacity in
+  let distinct = 4 * Codec.For_tests.decode_memo_capacity in
   for i = 0 to distinct - 1 do
     let ia =
       Ia.originate
@@ -409,10 +409,10 @@ let test_decode_memo_bounded_under_fuzz () =
     ignore (Codec.decode_robust wire)
   done;
   check "memo residency bounded by capacity" true
-    (Codec.decode_memo_residency () <= Codec.decode_memo_capacity)
+    (Codec.For_tests.decode_memo_residency () <= Codec.For_tests.decode_memo_capacity)
 
 let test_decode_memo_never_caches_damage () =
-  Codec.decode_memo_reset ();
+  Codec.wire_metrics_reset ();
   let ia =
     Ia.originate ~prefix:(Prefix.of_string "99.3.0.0/24")
       ~origin_asn:(Asn.of_int 3) ~next_hop:(Ipv4.of_octets 10 0 0 3) ()

@@ -11,7 +11,7 @@ module E = Dbgp_eval
 let check = Alcotest.(check bool)
 
 let test_smoke () =
-  let r = E.Scale_bench.smoke () in
+  let r = E.Scale_bench.run ~bg:16 ~ases:100 ~prefixes:1_000 () in
   Format.printf "%a@." E.Scale_bench.pp r;
   let n = r.E.Scale_bench.prefixes in
   check "table loaded" true (r.E.Scale_bench.load_updates >= n);
@@ -38,14 +38,12 @@ let test_smoke () =
      <= r.E.Scale_bench.churn_routes + 1
     && r.E.Scale_bench.churn_transfer_msgs >= r.E.Scale_bench.churn_routes)
 
-(* The route store's caps are loud: every cell reports its attribute
-   table overflows and intern-table clears, and on a grid well inside
-   the caps all of them read zero. *)
+(* The route store's caps are loud: every cell reports its intern-table
+   clears, and on a grid well inside the caps all of them read zero. *)
 let test_caps_silent () =
   List.iter
     (fun (r : E.Scale_bench.row) ->
       let what = Printf.sprintf "%d ASes / %d prefixes" r.ases r.prefixes in
-      Alcotest.(check int) (what ^ ": attribute table overflow") 0 r.attr_overflow;
       Alcotest.(check int) (what ^ ": string table clears") 0 r.string_clears;
       Alcotest.(check int) (what ^ ": value table clears") 0 r.value_clears;
       Alcotest.(check int)
@@ -53,7 +51,7 @@ let test_caps_silent () =
     (E.Scale_bench.suite ~grid:[ (30, 200); (100, 2_000) ] ());
   check "caps named" true
     (List.map fst (E.Scale_bench.caps ())
-    = [ "attr_table.overflow"; "intern.string.clears"; "intern.value.clears";
+    = [ "intern.string.clears"; "intern.value.clears";
         "attr_table.descriptors.clears" ])
 
 let () =

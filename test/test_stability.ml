@@ -18,6 +18,14 @@ let check_int = Alcotest.(check int)
    keep the suite fast. *)
 let budget = 8_000
 
+(* A case of the lab's pack, by name. *)
+let case name =
+  List.find
+    (fun (c : Stability.case) -> c.Stability.name = name)
+    (Scenarios.divergence_cases ())
+
+let build name = (case name).Stability.build
+
 (* ------------------------- dispute wheels ------------------------- *)
 
 let test_wheel_bad_gadget () =
@@ -35,7 +43,8 @@ let test_wheel_good_gadget () =
 
 let test_wheel_med () =
   check "MED cluster spec contains a wheel" true
-    (Stability.dispute_wheel Scenarios.med_oscillation_spec <> None)
+    (Option.bind (case "med-oscillation").Stability.spec Stability.dispute_wheel
+    <> None)
 
 (* ------------------------- classification ------------------------- *)
 
@@ -50,33 +59,27 @@ let classify ?damping build =
 
 let test_gadgets_oscillate () =
   List.iter
-    (fun (name, build) ->
-      let verdict, _ = classify build in
+    (fun name ->
+      let verdict, _ = classify (build name) in
       match verdict with
       | Stability.Oscillating { period; time_period; prefixes } ->
         check (name ^ ": positive period") true (period > 0);
         check (name ^ ": positive time period") true (time_period > 0.);
         check (name ^ ": gadget prefix affected") true
-          (List.exists (Prefix.equal Scenarios.gadget_prefix) prefixes)
-      | v ->
-        Alcotest.failf "%s must oscillate, got %s" name
-          (Stability.verdict_label v))
-    [ ("bad-gadget", Scenarios.bad_gadget);
-      ("med-oscillation", Scenarios.med_oscillation);
-      ("wiser-feedback", Scenarios.wiser_feedback) ]
+          (List.exists (Prefix.equal (case name).Stability.prefix) prefixes)
+      | _ -> Alcotest.failf "%s must oscillate" name)
+    [ "bad-gadget"; "med-oscillation"; "wiser-feedback" ]
 
 let test_controls_converge () =
   List.iter
-    (fun (name, build) ->
-      let verdict, stats = classify build in
+    (fun name ->
+      let verdict, stats = classify (build name) in
       check (name ^ ": converged") true (converged verdict);
       check (name ^ ": queue actually drained") false stats.Network.exhausted)
-    [ ("good-gadget", Scenarios.good_gadget);
-      ("relay-line", Scenarios.relay_line);
-      ("brite-30", Scenarios.brite_control ~seed:42 ~ases:30) ]
+    [ "good-gadget"; "relay-line"; "brite-30" ]
 
 let test_classification_deterministic () =
-  let run () = fst (classify Scenarios.bad_gadget) in
+  let run () = fst (classify (build "bad-gadget")) in
   let v1 = run () and v2 = run () in
   ( match (v1, v2) with
     | ( Stability.Oscillating { period = p1; time_period = t1; _ },
@@ -84,8 +87,8 @@ let test_classification_deterministic () =
       check_int "same period" p1 p2;
       check "same time period" true (t1 = t2)
     | _ -> Alcotest.fail "bad-gadget must oscillate on both runs" );
-  let m1 = fst (classify Scenarios.med_oscillation)
-  and m2 = fst (classify Scenarios.med_oscillation) in
+  let m1 = fst (classify (build "med-oscillation"))
+  and m2 = fst (classify (build "med-oscillation")) in
   check "MED verdict reproducible" true (m1 = m2)
 
 let test_report_matches_expectations () =
@@ -118,20 +121,17 @@ let test_damping_suppresses_policy_churn () =
   (* No link ever flaps in the gadget: every withdrawal is policy-driven.
      Damping must still engage (suppressions), recover via reuse timers
      (reuses), and the oscillation must survive — slower, not cured. *)
-  let case =
-    List.find
-      (fun (c : Stability.case) -> c.Stability.name = "bad-gadget")
-      (Scenarios.divergence_cases ())
+  let undamped, row =
+    match (Stability.run_cases ~budget [ case "bad-gadget" ]).Stability.rows with
+    | [ off; on ] -> (off, on)
+    | _ -> Alcotest.fail "one row per damping arm"
   in
-  let row =
-    Stability.run_case ~budget ~damping:(Some Stability.gadget_damping) case
-  in
+  check "second row damped" true row.Stability.damping;
   check "policy churn reached suppression" true (row.Stability.suppressions > 0);
   check "reuse timers recovered suppressed routes" true
     (row.Stability.reuses > 0);
   check "damping does not cure the gadget" false
     (converged row.Stability.verdict);
-  let undamped = Stability.run_case ~budget ~damping:None case in
   ( match (undamped.Stability.verdict, row.Stability.verdict) with
     | ( Stability.Oscillating { time_period = fast; _ },
         Stability.Oscillating { time_period = slow; _ } ) ->
@@ -144,7 +144,7 @@ let test_damped_gadget_clock_advances () =
      state, and the decayed penalty landing a few ulps above the reuse
      threshold so time-to-reuse underflowed the float clock — both froze
      this exact run at a constant simulated time. *)
-  let net = Scenarios.bad_gadget () in
+  let net = build "bad-gadget" () in
   Network.set_damping net (Some Stability.gadget_damping);
   let stats = Network.run ~max_events:3_000 net in
   check "budget exhausted (gadget still live)" true stats.Network.exhausted;
@@ -196,23 +196,23 @@ let test_treat_as_withdraw_shares_damping_clock () =
   let outcome, _ = Speaker.receive_wire ~now:1. sp_c ~from:from_c Dbgp_core.Codec.Announce wire in
   check "corrupted update treated as withdraw" true
     (outcome = Speaker.Rx_withdrawn);
-  let pen_w = Speaker.flap_penalty sp_w ~now:1. from_w prefix in
-  let pen_c = Speaker.flap_penalty sp_c ~now:1. from_c prefix in
+  let pen_w = Speaker.For_tests.flap_penalty sp_w ~now:1. from_w prefix in
+  let pen_c = Speaker.For_tests.flap_penalty sp_c ~now:1. from_c prefix in
   check "same charge on both paths" true (pen_w = pen_c && pen_w > 0.);
   (* One half-life later both clocks have decayed identically. *)
   let later = 1. +. Damping.default.Damping.half_life in
-  let dec_w = Speaker.flap_penalty sp_w ~now:later from_w prefix in
+  let dec_w = Speaker.For_tests.flap_penalty sp_w ~now:later from_w prefix in
   check "half-life halves the penalty" true
     (Float.abs (dec_w -. (pen_w /. 2.)) < 1e-6);
   check "decay identical across paths" true
-    (dec_w = Speaker.flap_penalty sp_c ~now:later from_c prefix)
+    (dec_w = Speaker.For_tests.flap_penalty sp_c ~now:later from_c prefix)
 
 (* ------------------------- detector ------------------------- *)
 
 let test_detector_quiet_on_convergence () =
   (* A converged control must produce no cycles even though the detector
      saw every Loc-RIB change of the dissemination. *)
-  let net = Scenarios.relay_line () in
+  let net = build "relay-line" () in
   let d = Stability.attach net in
   ignore (Network.run ~max_events:budget net) |> ignore;
   let cs = Stability.cycles d ~end_time:(Eq.now (Network.queue net)) in
@@ -220,7 +220,7 @@ let test_detector_quiet_on_convergence () =
   check_int "no cycles on a converged run" 0 (List.length cs)
 
 let test_detector_detach_unsubscribes () =
-  let net = Scenarios.bad_gadget () in
+  let net = build "bad-gadget" () in
   let d = Stability.attach net in
   Stability.detach d;
   ignore (Network.run ~max_events:2_000 net);
