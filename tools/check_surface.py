@@ -14,9 +14,7 @@ as passed when [~arg] or [?arg] follows a call of the function within
 qualified by its module or an alias of it, or sit in a file that opens
 the module.
 
-  python3 tools/check_surface.py            # check; exit 1 on offenders
-  python3 tools/check_surface.py --report   # also list the exports that
-                                            # only tests name
+  python3 tools/check_surface.py    # exit 1 on offenders
 """
 
 import os
@@ -92,7 +90,7 @@ def main():
     files = dict(sources(top))
     words = {p: set(re.findall(r"[A-Za-z_][A-Za-z0-9_']*", t))
              for p, t in files.items()}
-    dead, test_only, knobs = [], [], []
+    dead, knobs = [], []
     for path in sorted(files):
         if not (path.startswith("lib/") and path.endswith(".mli")):
             continue
@@ -103,16 +101,10 @@ def main():
             label = "%s.%s (%s)" % (module, name, path)
             if not users:
                 dead.append(label)
-            elif all(p.startswith("test/") for p in users):
-                test_only.append(label)
             for arg in opts:
                 if not any(passes(files[p], module, name, arg, p in own)
                            for p in files if p != path):
                     knobs.append("%s ?%s" % (label, arg))
-    if "--report" in sys.argv:
-        print("exports only tests name (%d):" % len(test_only))
-        for x in test_only:
-            print("  " + x)
     for title, xs in (("exports no other file names", dead),
                       ("optional arguments no caller passes", knobs)):
         if xs:
