@@ -595,8 +595,11 @@ let grid_arg =
     value & flag
     & info [ "grid" ]
         ~doc:
-          "Run the full {1k, 10k} ASes x {1k, 100k} prefixes grid (as \
-           committed in BENCH_scale.json) instead of one cell")
+          "Run the full six-cell grid instead of one cell: the {1k, 10k} \
+           ASes x {1k, 100k} prefixes cells, 70k ASes x 10k prefixes and \
+           1k ASes x 1M prefixes.  The 1M-prefix cell last peaked at about \
+           4.2 GB of major heap; run the grid only on a machine with that \
+           much memory to spare")
 
 let scale_json_arg =
   Arg.(

@@ -153,17 +153,30 @@ let entries h =
     Hashtbl.fold (fun p out acc -> (p, out, not (is_lost h p)) :: acc) m []
     |> List.sort (fun (a, _, _) (b, _, _) -> Prefix.compare a b)
 
+let lost_marks h =
+  match h.lost with
+  | Some l -> l
+  | None ->
+    let l = Hashtbl.create 16 in
+    h.lost <- Some l;
+    l
+
 let note_failed t ~peer prefix =
   match Peer.Map.find_opt peer t.handles with
   | None -> ()
   | Some h ->
-    if Option.is_none h.lost then h.lost <- Some (Hashtbl.create 16);
-    Option.iter (fun l -> Hashtbl.replace l prefix ()) h.lost;
+    Hashtbl.replace (lost_marks h) prefix ();
     let m = writable h in
     (* A dropped withdraw: the entry was optimistically removed by
        {!record}, but the peer may still hold the route.  Leave a
        tombstone so the next sync re-sends the withdraw. *)
     if not (Hashtbl.mem m prefix) then Hashtbl.replace m prefix None
+
+let unconfirm t ~peer =
+  match Peer.Map.find_opt peer t.handles with
+  | Some ({ table = Some m; _ } as h) ->
+    Hashtbl.iter (fun p _ -> Hashtbl.replace (lost_marks h) p ()) m
+  | _ -> ()
 
 let bindings t ~peer =
   match Option.bind (Peer.Map.find_opt peer t.handles) (fun h -> h.table) with

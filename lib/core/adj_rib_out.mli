@@ -93,6 +93,12 @@ val note_failed : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
     advertise.  A drop reported after the peer {!leave}s is ignored: a
     torn-down session leaves the peer holding nothing from us. *)
 
+val unconfirm : t -> peer:Peer.t -> unit
+(** Mark every entry recorded toward [peer] lost, as if each last
+    message had been dropped: the peer is treated as holding nothing we
+    can confirm, so the next incremental sync re-sends every route and
+    withdraws every entry no longer backed — a route refresh. *)
+
 val bindings : t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t) list
 val peers : t -> Peer.t list
 (** Peers with at least one recorded entry, ascending. *)

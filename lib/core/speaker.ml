@@ -390,8 +390,7 @@ let emission t ~learned ~from (outgoing : Ia.t) e =
     in
     if is_sender || on_path then None else out
 
-(* A fan-out toward a single neighbor (refresh, sync) is a round of its
-   own. *)
+(* A fan-out toward a single neighbor (a sync) is a round of its own. *)
 let emission_alone t prefix r e =
   Adj_rib_out.next_round t.rib_out;
   emission t ~learned:(learned_relationship t r.via) ~from:r.via
@@ -430,18 +429,6 @@ let distribute t prefix =
         t.nbrs [] )
   |> List.rev
 
-(* Re-advertise the full current state to one neighbor (route refresh):
-   used when a failed link recovers, so the returning peer resynchronizes
-   without a manual full-table reset.  Idempotent at the receiver. *)
-let refresh_peer t peer =
-  match Peer.Map.find_opt peer t.nbrs with
-  | None -> []
-  | Some e ->
-    Loc_rib.fold
-      (fun prefix r acc -> send e prefix (emission_alone t prefix r e) acc)
-      t.loc []
-    |> List.rev
-
 (* ---------------- incremental table transfer ---------------- *)
 
 (* The transport failed to deliver the last message for [prefix] toward
@@ -451,6 +438,10 @@ let refresh_peer t peer =
    delivery failure plays for a real speaker. *)
 let note_undelivered t peer prefix =
   Adj_rib_out.note_failed t.rib_out ~peer prefix
+
+(* Route refresh: forget which of the peer's records are confirmed, so
+   the next {!sync_peer} re-sends the whole table. *)
+let unconfirm_peer t peer = Adj_rib_out.unconfirm t.rib_out ~peer
 
 (* Incremental/streaming table transfer on session (re)establish: walk
    the Loc-RIB in cursor order and re-send only routes whose current
@@ -742,6 +733,11 @@ let ingest_msg t ~now ~from msg =
         Pipeline.mark t.sched prefix );
       false )
 
+(* The pipeline must never let an exception escape back into the session
+   layer: a malformed or adversarial message can at worst damage its own
+   route (RFC 7606's least-destructive-action principle), not tear down
+   the speaker.  Anything a filter, decision module or factory throws is
+   absorbed here and accounted as an internal error. *)
 let absorb t ~now ~from exn =
   bump t "errors.internal";
   Trace.emit t.trace ~at:now
@@ -764,22 +760,6 @@ let ingest ?(now = 0.) t ~from msg = ignore (admit t ~now ~from msg)
 let pending t = Pipeline.pending t.sched
 
 let flush ?(now = 0.) t = Pipeline.drain t.sched ~f:(process t ~now)
-
-(* The pipeline must never let an exception escape back into the session
-   layer: a malformed or adversarial message can at worst damage its own
-   route (RFC 7606's least-destructive-action principle), not tear down
-   the speaker.  Anything a filter, decision module or factory throws is
-   absorbed here and accounted as an internal error. *)
-let receive ?(now = 0.) t ~from msg =
-  match ingest_msg t ~now ~from msg with
-  | _ -> (
-    try flush ~now t
-    with exn ->
-      absorb t ~now ~from exn;
-      [] )
-  | exception exn ->
-    absorb t ~now ~from exn;
-    []
 
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
@@ -857,6 +837,16 @@ let receive_wire ?(now = 0.) ?(defer = false) t ~from layout bytes =
     | _ -> Rx_accepted (List.length d.Codec.errors)
   in
   (outcome, out)
+
+let frame = function
+  | Announce ia -> Codec.Routes [ ia ]
+  | Withdraw p -> Codec.Withdraws [ p ]
+
+(* One message crosses the codec like any delivery: encoded as a
+   one-prefix frame and received from the bytes. *)
+let receive ?now t ~from msg =
+  let f = frame msg in
+  snd (receive_wire ?now t ~from (Codec.layout f) (Codec.encode_frame f))
 
 (* ---------------- session teardown ---------------- *)
 

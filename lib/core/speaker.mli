@@ -20,10 +20,11 @@
     ({!Pipeline}).
     The netsim session layer delivers every message as a frame of bytes
     through the one wire receive, {!receive_wire}, which decodes,
-    ingests and (unless deferred) drains.  {!receive} hands over one
-    in-memory message and drains immediately; {!ingest} + {!flush}
-    split the two so a caller can batch many updates into one decision
-    run per prefix.
+    ingests and (unless deferred) drains.  {!receive} is the same
+    receive for a caller holding one message: it encodes the message's
+    frame first, so every receive crosses the decoder.  {!ingest} +
+    {!flush} split ingestion from the drain so a caller can batch many
+    decoded updates into one decision run per prefix.
 
     Speakers are pure with respect to I/O: {!receive_wire},
     {!originate} and {!peer_down} return the messages to transmit; the
@@ -137,14 +138,6 @@ val readvertise_all : t -> (Peer.t * msg) list
     export-rule change: newly eligible peers get the announce, newly
     ineligible previously-announced peers a withdraw. *)
 
-val receive : ?now:float -> t -> from:Peer.t -> msg -> (Peer.t * msg) list
-(** Never raises: an exception thrown anywhere in the pipeline (a filter,
-    a decision module, the factory) is absorbed, counted as
-    [errors.internal] and traced, and the message is dropped — a hostile
-    update cannot tear down the speaker.  Byte-identical duplicate
-    announcements are absorbed without re-running the decision process
-    (counted as [updates.duplicate]). *)
-
 val peer_down : ?now:float -> t -> Peer.t -> (Peer.t * msg) list
 (** Session loss: drops the peer's pipeline state but — deliberately —
     retains its flap-damping memory, so a flapping link cannot reset its
@@ -152,16 +145,16 @@ val peer_down : ?now:float -> t -> Peer.t -> (Peer.t * msg) list
 
 (** {1 Batched ingestion: the dirty-prefix pipeline}
 
-    {!receive} = {!ingest} + {!flush}.  The batched network path defers
-    the flush to MRAI boundaries: every update between two flushes only
-    marks its prefix dirty, and {!flush} runs the decision process once
-    per dirty prefix — coalescing redundant runs (counted as
-    [pipeline.runs_saved]). *)
+    {!receive_wire} = decode + {!ingest} + {!flush}.  The batched
+    network path defers the flush to MRAI boundaries: every update
+    between two flushes only marks its prefix dirty, and {!flush} runs
+    the decision process once per dirty prefix — coalescing redundant
+    runs (counted as [pipeline.runs_saved]). *)
 
 val ingest : ?now:float -> t -> from:Peer.t -> msg -> unit
 (** Absorb one update into the Adj-RIB-In and mark its prefix dirty,
     without running the decision process.  Never raises (same absorption
-    contract as {!receive}).  All arrival-time accounting — received /
+    contract as {!receive_wire}).  All arrival-time accounting — received /
     duplicate / rejected counters, stale-mark clearing, flap penalties —
     happens here. *)
 
@@ -213,6 +206,20 @@ val receive_wire :
     emission list is then always empty and the frame takes effect at
     the next {!flush}. *)
 
+val frame : msg -> Codec.frame
+(** The one-prefix frame a message crosses the wire as. *)
+
+val receive : ?now:float -> t -> from:Peer.t -> msg -> (Peer.t * msg) list
+(** {!receive_wire} of the message's one-prefix {!frame}: encoded, then
+    decoded, ingested and drained like any delivery, so a caller that
+    holds a message rather than bytes still crosses the codec.  Never
+    raises: an exception thrown anywhere in the pipeline (a filter, a
+    decision module, the factory) is absorbed, counted as
+    [errors.internal] and traced, and the message is dropped — a hostile
+    update cannot tear down the speaker.  Byte-identical duplicate
+    announcements are absorbed without re-running the decision process
+    (counted as [updates.duplicate]). *)
+
 (** {1 Resilience: graceful restart (RFC 4724) and flap damping (RFC 2439)} *)
 
 val peer_down_graceful : ?now:float -> t -> Peer.t -> unit
@@ -223,10 +230,6 @@ val peer_down_graceful : ?now:float -> t -> Peer.t -> unit
 val flush_stale : ?now:float -> t -> Peer.t -> (Peer.t * msg) list
 (** Close the restart window: drop the peer's still-stale routes and
     return the resulting withdrawals/announcements. *)
-
-val refresh_peer : t -> Peer.t -> (Peer.t * msg) list
-(** Re-advertise the current best routes to one (re-connected) neighbor,
-    route-refresh style.  Idempotent at the receiver. *)
 
 val sync_peer :
   ?limit:int ->
@@ -251,6 +254,12 @@ val note_undelivered : t -> Peer.t -> Dbgp_types.Prefix.t -> unit
     was dropped.  Demotes the Adj-RIB-Out record to unconfirmed (a
     dropped withdrawal leaves a tombstone) so {!sync_peer} re-sends
     it. *)
+
+val unconfirm_peer : t -> Peer.t -> unit
+(** Route refresh: treat the peer as holding nothing we can confirm.
+    Every Adj-RIB-Out record toward it becomes unconfirmed, so the next
+    {!sync_peer} re-sends every route and withdraws every record no
+    longer backed by a Loc-RIB route. *)
 
 val end_of_rib : ?now:float -> t -> Peer.t -> int
 (** End-of-RIB marker for a completed incremental transfer (RFC 4724
@@ -367,10 +376,13 @@ val metrics : t -> Dbgp_obs.Metrics.t
 (** The speaker's own metrics registry.  Counters: [decision.runs],
     [decision.changes], [updates.received], [updates.duplicate],
     [withdrawals.received], [import.rejected], [damping.suppressed],
-    [damping.reused], [restart.stale_marked], [restart.flushed], and the
-    error-class counters [errors.discard_attribute],
-    [errors.treat_as_withdraw], [errors.session_reset],
-    [errors.internal].  Pipeline counters: [pipeline.dirty_marks],
+    [damping.reused], [restart.stale_marked], [restart.flushed],
+    [restart.retained], and the error-class counters
+    [errors.discard_attribute], [errors.treat_as_withdraw],
+    [errors.session_reset], [errors.internal].  Table transfers count
+    under [sync.sent], [sync.skipped] and [sync.withdrawn] — a route
+    refresh too, since it is a {!sync_peer} after {!unconfirm_peer}.
+    Pipeline counters: [pipeline.dirty_marks],
     [pipeline.runs_saved], [pipeline.drains],
     [pipeline.export_cache.hits], [pipeline.export_cache.misses].
     Gauge: [decision.last_change_at] (simulation time of the last

@@ -11,7 +11,17 @@
 
    The transcript digest covers the *ordered* message sequence, which is
    strictly stronger than the message-multiset equivalence the
-   acceptance criteria ask for. *)
+   acceptance criteria ask for.
+
+   The sharded rows run the same kind of workload on a partitioned
+   topology ({!Dbgp_netsim.Shard}).  Their transcript is the shard's
+   merged per-region transcript — every Loc-RIB change, cross-partition
+   delivery and NACK, totally ordered by (time, region, sequence).  For
+   a fixed seed the digest is byte-identical for every domain count: the
+   region count is part of the scenario (it fixes the partitioned
+   schedule), the domain count only changes which OS thread executes
+   which region.  Their 1-domain digests live in
+   test/golden_sharded.txt. *)
 
 open Dbgp_types
 module Speaker = Dbgp_core.Speaker
@@ -20,6 +30,12 @@ module Codec = Dbgp_core.Codec
 module Ia = Dbgp_core.Ia
 module Filters = Dbgp_core.Filters
 module Damping = Dbgp_bgp.Flap_damping
+module Network = Dbgp_netsim.Network
+module Shard = Dbgp_netsim.Shard
+module Fault_model = Dbgp_netsim.Fault_model
+module Graph = Dbgp_topology.As_graph
+module Brite = Dbgp_topology.Brite
+module P = Dbgp_bgp.Policy
 
 type digest = {
   scenario : string;
@@ -28,8 +44,6 @@ type digest = {
   transcript_md5 : string;
   state_md5 : string;
 }
-
-let scenarios = [ "relay-line"; "hub-policy"; "chaos-30" ]
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprinting                                                      *)
@@ -161,31 +175,87 @@ let drain_reuse m =
       go ())
     m.speakers
 
-let mk_speaker ?(damping = None) a =
-  let s =
-    Speaker.create
-      (Speaker.config ~asn:(Asn.of_int a) ~addr:(addr_of a) ())
-  in
+let mk_speaker ?damping ~addr a =
+  let s = Speaker.create (Speaker.config ~asn:(Asn.of_int a) ~addr ()) in
   Speaker.set_damping s damping;
   s
 
+(* What the sequential and sharded rows of one workload share. *)
+let damping = { Damping.default with Damping.half_life = 5. }
+let strip_membership ia = Some { ia with Ia.membership = [] }
+
+(* The relay line's links: a, b, b's relationship as seen from a, a's
+   export filter toward b and whether b speaks D-BGP. *)
+let relay_links =
+  [ (1, 2, P.To_provider, Filters.accept, true);
+    (2, 3, P.To_provider, strip_membership, true);
+    (3, 4, P.To_peer, Filters.accept, true);
+    (4, 5, P.To_customer, Filters.accept, true);
+    (5, 6, P.To_customer, Filters.accept, false) ]
+
+let relay_originations =
+  List.map (fun i -> (1, Printf.sprintf "10.1.%d.0/24" i)) [ 0; 1; 2; 3 ]
+  @ List.map (fun i -> (6, Printf.sprintf "10.6.%d.0/24" i)) [ 0; 1 ]
+
+let hub = 100
+
+let hub_pool =
+  Array.init 12 (fun i -> Prefix.of_string (Printf.sprintf "20.0.%d.0/24" i))
+
+(* The hub's spokes: the spoke's relationship as seen from the hub,
+   whether it speaks D-BGP, and the hub's export filter toward it. *)
+let hub_spokes () =
+  let drop_big = Filters.max_size 90 in
+  [ (11, P.To_customer, true, Filters.accept);
+    (12, P.To_customer, true, Filters.accept);
+    (13, P.To_provider, true, Filters.accept);
+    (14, P.To_peer, true, Filters.accept);
+    (15, P.To_customer, false, Filters.accept);
+    (16, P.To_customer, true, drop_big) ]
+
+(* A spoke's announcement for the hub: a seeded path length (selection
+   pressure), with [loops] sometimes a path through the hub itself
+   (import rejection), sometimes a Wiser cost. *)
+let hub_ia rng ~loops ~next_hop from prefix =
+  let ia =
+    ref
+      (Ia.originate ~prefix ~origin_asn:(Asn.of_int from)
+         ~next_hop:(next_hop from) ())
+  in
+  for h = 1 to Prng.int rng 3 do
+    ia := Ia.prepend_as (Asn.of_int (200 + (10 * from) + h)) !ia
+  done;
+  if loops && Prng.int rng 10 = 0 then ia := Ia.prepend_as (Asn.of_int hub) !ia;
+  if Prng.int rng 4 = 0 then
+    ia :=
+      Ia.set_path_descriptor ~owners:[ Protocol_id.wiser ] ~field:"cost"
+        (Dbgp_core.Value.Int (Prng.int rng 100))
+        !ia;
+  !ia
+
+let spoke_ids () =
+  Array.of_list (List.map (fun (a, _, _, _) -> a) (hub_spokes ()))
+
 (* Install both neighbor entries for an AS pair.  [rel_of_b] is b's
    relationship as seen from a (To_customer = b is a's customer). *)
-let connect m ?(a_export = Filters.accept) ?(b_export = Filters.accept)
-    ?(b_dbgp = true) a b rel_of_b =
-  let inv : Dbgp_bgp.Policy.relationship -> Dbgp_bgp.Policy.relationship =
-    function
-    | Dbgp_bgp.Policy.To_customer -> Dbgp_bgp.Policy.To_provider
-    | Dbgp_bgp.Policy.To_provider -> Dbgp_bgp.Policy.To_customer
-    | Dbgp_bgp.Policy.To_peer -> Dbgp_bgp.Policy.To_peer
+let connect m ?(a_export = Filters.accept) ?(b_dbgp = true) a b rel_of_b =
+  let inv : P.relationship -> P.relationship = function
+    | P.To_customer -> P.To_provider
+    | P.To_provider -> P.To_customer
+    | P.To_peer -> P.To_peer
   in
   Speaker.add_neighbor (speaker_of m a)
     (Speaker.neighbor ~export:a_export ~dbgp_capable:b_dbgp
        ~relationship:rel_of_b (peer_of b));
   Speaker.add_neighbor (speaker_of m b)
-    (Speaker.neighbor ~export:b_export ~relationship:(inv rel_of_b)
-       (peer_of a));
+    (Speaker.neighbor ~relationship:(inv rel_of_b) (peer_of a));
   m.links <- norm a b :: m.links
+
+(* A route refresh toward [peer]: the whole table, as one sync that
+   trusts nothing the peer was sent. *)
+let refresh s peer =
+  Speaker.unconfirm_peer s peer;
+  fst (Speaker.sync_peer s peer)
 
 let disconnect m a b =
   m.links <- List.filter (fun l -> l <> norm a b) m.links
@@ -208,23 +278,16 @@ let run_relay_line seed =
   let ases = [ 1; 2; 3; 4; 5; 6 ] in
   let m =
     { clock = 0.;
-      speakers = List.map (fun a -> (a, mk_speaker a)) ases;
+      speakers = List.map (fun a -> (a, mk_speaker ~addr:(addr_of a) a)) ases;
       links = [];
       q = Queue.create ();
       buf = Buffer.create 4096;
       messages = 0 }
   in
-  let strip_membership ia = Some { ia with Ia.membership = [] } in
-  connect m 1 2 Dbgp_bgp.Policy.To_provider;
-  connect m 2 3 Dbgp_bgp.Policy.To_provider ~a_export:strip_membership;
-  connect m 3 4 Dbgp_bgp.Policy.To_peer;
-  connect m 4 5 Dbgp_bgp.Policy.To_customer;
-  connect m 5 6 Dbgp_bgp.Policy.To_customer ~b_dbgp:false;
-  let originations =
-    List.map (fun i -> (1, Printf.sprintf "10.1.%d.0/24" i)) [ 0; 1; 2; 3 ]
-    @ List.map (fun i -> (6, Printf.sprintf "10.6.%d.0/24" i)) [ 0; 1 ]
-  in
-  let order = Array.of_list originations in
+  List.iter
+    (fun (a, b, rel, a_export, b_dbgp) -> connect m ~a_export ~b_dbgp a b rel)
+    relay_links;
+  let order = Array.of_list relay_originations in
   Prng.shuffle rng order;
   let steps = ref 0 in
   Array.iter
@@ -255,12 +318,12 @@ let run_relay_line seed =
   incr steps;
   m.clock <- m.clock +. 1.;
   Buffer.add_string m.buf "recover 3-4\n";
-  connect m 3 4 Dbgp_bgp.Policy.To_peer;
-  enqueue m ~from:3 (Speaker.refresh_peer (speaker_of m 3) (peer_of 4));
-  enqueue m ~from:4 (Speaker.refresh_peer (speaker_of m 4) (peer_of 3));
+  connect m 3 4 P.To_peer;
+  enqueue m ~from:3 (refresh (speaker_of m 3) (peer_of 4));
+  enqueue m ~from:4 (refresh (speaker_of m 4) (peer_of 3));
   relay m;
   finish "relay-line" ~steps:!steps
-    ~prefixes:(List.map (fun (_, p) -> Prefix.of_string p) originations)
+    ~prefixes:(List.map (fun (_, p) -> Prefix.of_string p) relay_originations)
     m
 
 (* ------------------------------------------------------------------ *)
@@ -272,59 +335,28 @@ let run_relay_line seed =
 
 let run_hub_policy seed =
   let rng = Prng.create (seed + 1) in
-  let hub = 100 in
-  let damping = Some { Damping.default with Damping.half_life = 5. } in
   let m =
     { clock = 0.;
-      speakers = [ (hub, mk_speaker ~damping hub) ];
+      speakers = [ (hub, mk_speaker ~damping ~addr:(addr_of hub) hub) ];
       links = [];
       q = Queue.create ();
       buf = Buffer.create 4096;
       messages = 0 }
   in
   let s = speaker_of m hub in
-  let nbr ?import ?export ?dbgp_capable rel a =
-    m.links <- norm hub a :: m.links;
-    Speaker.add_neighbor s
-      (Speaker.neighbor ?import ?export ?dbgp_capable ~relationship:rel
-         (peer_of a))
-  in
-  let drop_big = Filters.max_size 90 in
-  nbr Dbgp_bgp.Policy.To_customer 11;
-  nbr Dbgp_bgp.Policy.To_customer 12;
-  nbr Dbgp_bgp.Policy.To_provider 13;
-  nbr Dbgp_bgp.Policy.To_peer 14;
-  nbr Dbgp_bgp.Policy.To_customer ~dbgp_capable:false 15;
-  nbr Dbgp_bgp.Policy.To_customer ~export:drop_big 16;
-  let peers = [| 11; 12; 13; 14; 15; 16 |] in
-  let pool =
-    Array.init 12 (fun i -> Prefix.of_string (Printf.sprintf "20.0.%d.0/24" i))
-  in
-  let mk_ia from prefix =
-    let ia =
-      Ia.originate ~prefix ~origin_asn:(Asn.of_int from)
-        ~next_hop:(addr_of from) ()
-    in
-    (* Vary the path length (selection pressure) and occasionally make
-       the path loop through the hub (import rejection). *)
-    let hops = Prng.int rng 3 in
-    let ia = ref ia in
-    for h = 1 to hops do
-      ia := Ia.prepend_as (Asn.of_int (200 + (10 * from) + h)) !ia
-    done;
-    if Prng.int rng 10 = 0 then ia := Ia.prepend_as (Asn.of_int hub) !ia;
-    if Prng.int rng 4 = 0 then
-      ia :=
-        Ia.set_path_descriptor ~owners:[ Protocol_id.wiser ] ~field:"cost"
-          (Dbgp_core.Value.Int (Prng.int rng 100))
-          !ia;
-    !ia
-  in
+  List.iter
+    (fun (a, relationship, dbgp_capable, export) ->
+      m.links <- norm hub a :: m.links;
+      Speaker.add_neighbor s
+        (Speaker.neighbor ~export ~dbgp_capable ~relationship (peer_of a)))
+    (hub_spokes ());
+  let peers = spoke_ids () in
+  let mk_ia = hub_ia rng ~loops:true ~next_hop:addr_of in
   let steps = 400 in
   for _ = 1 to steps do
     m.clock <- m.clock +. 1.;
     let from = peers.(Prng.int rng (Array.length peers)) in
-    let prefix = pool.(Prng.int rng (Array.length pool)) in
+    let prefix = hub_pool.(Prng.int rng (Array.length hub_pool)) in
     let msg =
       if Prng.int rng 4 = 0 then Speaker.Withdraw prefix
       else Speaker.Announce (mk_ia from prefix)
@@ -338,7 +370,7 @@ let run_hub_policy seed =
   Buffer.add_string m.buf "graceful 11\n";
   Speaker.peer_down_graceful ~now:m.clock s (peer_of 11);
   m.clock <- m.clock +. 1.;
-  let refresh_msg = Speaker.Announce (mk_ia 11 pool.(0)) in
+  let refresh_msg = Speaker.Announce (mk_ia 11 hub_pool.(0)) in
   log_msg m "inject" ~from:11 ~to_:hub refresh_msg;
   enqueue m ~from:hub (Speaker.receive ~now:m.clock s ~from:(peer_of 11) refresh_msg);
   m.clock <- m.clock +. 10.;
@@ -346,10 +378,10 @@ let run_hub_policy seed =
   enqueue m ~from:hub (Speaker.flush_stale ~now:m.clock s (peer_of 11));
   (* Route refresh toward another customer. *)
   Buffer.add_string m.buf "refresh 12\n";
-  enqueue m ~from:hub (Speaker.refresh_peer s (peer_of 12));
+  enqueue m ~from:hub (refresh s (peer_of 12));
   m.clock <- m.clock +. 100.;
   drain_reuse m;
-  finish "hub-policy" ~steps:(steps + 4) ~prefixes:(Array.to_list pool) m
+  finish "hub-policy" ~steps:(steps + 4) ~prefixes:(Array.to_list hub_pool) m
 
 (* ------------------------------------------------------------------ *)
 (* Scenario 3: a full seeded chaos run (faults, flaps, graceful restart *)
@@ -363,11 +395,11 @@ let run_chaos seed =
   let cfg = { Chaos.default with Chaos.seed; ases = 30; flaps = 3 } in
   let r, net = Chaos.run_with_net cfg in
   let b = Buffer.create 1024 in
-  let stats tag (s : Dbgp_netsim.Network.stats) =
+  let stats tag (s : Network.stats) =
     Buffer.add_string b
-      (Printf.sprintf "%s %d %d %d %d %.6f\n" tag s.Dbgp_netsim.Network.messages
-         s.Dbgp_netsim.Network.withdrawals s.Dbgp_netsim.Network.dropped
-         s.Dbgp_netsim.Network.events s.Dbgp_netsim.Network.converged_at)
+      (Printf.sprintf "%s %d %d %d %d %.6f\n" tag s.Network.messages
+         s.Network.withdrawals s.Network.dropped
+         s.Network.events s.Network.converged_at)
   in
   stats "initial" r.Chaos.initial;
   stats "final" r.Chaos.final;
@@ -382,23 +414,201 @@ let run_chaos seed =
        r.Chaos.forwarding_loops (Chaos.healthy r));
   let speakers =
     List.map
-      (fun a -> (Asn.to_int a, Dbgp_netsim.Network.speaker net a))
-      (Dbgp_netsim.Network.asns net)
+      (fun a -> (Asn.to_int a, Network.speaker net a))
+      (Network.asns net)
   in
   { scenario = "chaos-30";
     steps = cfg.Chaos.flaps;
-    messages = r.Chaos.final.Dbgp_netsim.Network.messages;
+    messages = r.Chaos.final.Network.messages;
     transcript_md5 = Digest.to_hex (Digest.string (Buffer.contents b));
     state_md5 = state_digest speakers [ chaos_prefix ] }
 
-let run ?(seed = 42) name =
-  match name with
-  | "relay-line" -> run_relay_line seed
-  | "hub-policy" -> run_hub_policy seed
-  | "chaos-30" -> run_chaos seed
-  | _ -> invalid_arg ("Differential.run: unknown scenario " ^ name)
+(* ------------------------------------------------------------------ *)
+(* The sharded rows.  Speakers sit at {!Network.speaker_addr}, as the   *)
+(* shard engine requires.                                              *)
+(* ------------------------------------------------------------------ *)
 
-let run_all ?seed () = List.map (fun n -> run ?seed n) scenarios
+let shard_addr a = Network.speaker_addr (Asn.of_int a)
+let shard_speaker ?damping a = mk_speaker ?damping ~addr:(shard_addr a) a
+
+let shard_digest name sh ~steps ~prefixes (stats : Shard.stats) =
+  { scenario = name;
+    steps;
+    messages = stats.Shard.net.Network.messages;
+    transcript_md5 = Shard.transcript_digest sh;
+    state_md5 = state_digest (Shard.speakers sh) prefixes }
+
+(* ------------------------------------------------------------------ *)
+(* Sharded 1: the 6-AS line, split across two regions.  The mid-line   *)
+(* peer edge becomes the cut; its fail/recover exercises the lockstep  *)
+(* half-link teardown and the cross-partition route refresh.           *)
+(* ------------------------------------------------------------------ *)
+
+let run_sharded_relay_line ~seed ~domains =
+  let rng = Prng.create seed in
+  let sh = Shard.create ~regions:2 ~make_speaker:shard_speaker () in
+  List.iter (Shard.add_as sh) [ 1; 2; 3; 4; 5; 6 ];
+  List.iter
+    (fun (a, b, b_is, a_export, b_dbgp) ->
+      Shard.link sh ~a ~b ~b_is ~a_export ~b_dbgp ())
+    relay_links;
+  Shard.enable_transcript sh;
+  Shard.build sh;
+  let order = Array.of_list relay_originations in
+  Prng.shuffle rng order;
+  let steps = ref 0 in
+  Array.iteri
+    (fun i (origin, p) ->
+      incr steps;
+      let prefix = Prefix.of_string p in
+      Shard.originate sh
+        ~at:(float_of_int (i + 1))
+        origin
+        (Ia.originate ~prefix ~origin_asn:(Asn.of_int origin)
+           ~next_hop:(shard_addr origin) ()))
+    order;
+  incr steps;
+  Shard.schedule_fail sh ~at:40. 3 4;
+  incr steps;
+  Shard.schedule_recover sh ~at:60. 3 4;
+  let stats = Shard.run ~domains sh in
+  shard_digest "sharded-relay-line" sh ~steps:!steps
+    ~prefixes:(List.map (fun (_, p) -> Prefix.of_string p) relay_originations)
+    stats
+
+(* ------------------------------------------------------------------ *)
+(* Sharded 2: the policy-rich hub, with real spoke speakers this time  *)
+(* so the partitioner has something to split.  MRAI 2.0 exercises the  *)
+(* uncoalesced cross-partition send path; damping, a cut-link flap and *)
+(* shared-pool churn from every spoke exercise suppression, NACKs and  *)
+(* best-path competition across the cut.                               *)
+(* ------------------------------------------------------------------ *)
+
+let run_sharded_hub_policy ~seed ~domains =
+  let rng = Prng.create (seed + 1) in
+  let sh =
+    Shard.create ~mrai:2.0 ~regions:2
+      ~make_speaker:(shard_speaker ~damping)
+      ()
+  in
+  let spokes = spoke_ids () in
+  Shard.add_as sh hub;
+  Array.iter (Shard.add_as sh) spokes;
+  List.iter
+    (fun (b, b_is, b_dbgp, a_export) ->
+      Shard.link sh ~a:hub ~b ~b_is ~b_dbgp ~a_export ())
+    (hub_spokes ());
+  Shard.enable_transcript sh;
+  Shard.build sh;
+  let mk_ia = hub_ia rng ~loops:false ~next_hop:shard_addr in
+  let steps = 120 in
+  for step = 1 to steps do
+    let at = float_of_int step in
+    let from = spokes.(Prng.int rng (Array.length spokes)) in
+    let prefix = hub_pool.(Prng.int rng (Array.length hub_pool)) in
+    if Prng.int rng 4 = 0 then Shard.withdraw_origin sh ~at from prefix
+    else Shard.originate sh ~at from (mk_ia from prefix)
+  done;
+  (* One flap on a hub spoke — whichever side of the cut 14 landed on,
+     the schedule is part of the partitioned workload and identical for
+     every domain count. *)
+  Shard.schedule_fail sh ~at:140. hub 14;
+  Shard.schedule_recover sh ~at:155. hub 14;
+  let stats = Shard.run ~domains sh in
+  shard_digest "sharded-hub-policy" sh ~steps:(steps + 2)
+    ~prefixes:(Array.to_list hub_pool) stats
+
+(* ------------------------------------------------------------------ *)
+(* Sharded 3: seeded chaos over a 30-AS BRITE graph in four regions.   *)
+(* Flap links are pinned intra-region (fault state must stay region-   *)
+(* private); per-link loss/jitter/corruption apply only to intra-      *)
+(* region links, drawn from per-region split PRNG streams.  Every      *)
+(* delivery crosses the codec, so the per-domain encode/decode caches  *)
+(* earn their keep.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let run_sharded_chaos ~seed ~domains =
+  let rng = Prng.create (seed + 2) in
+  let g = Brite.generate rng { Brite.default with Brite.n = 30 } in
+  let edges =
+    List.rev
+      (Graph.fold_edges
+         (fun a b view acc ->
+           let rel = Harness.relationship view in
+           (a + 1, b + 1, rel) :: acc)
+         g [])
+  in
+  let flapped =
+    Array.to_list
+      (Prng.sample rng 3
+         (Array.of_list (List.map (fun (a, b, _) -> (a, b)) edges)))
+  in
+  let is_flap a b = List.mem (a, b) flapped || List.mem (b, a) flapped in
+  let sh =
+    Shard.create ~regions:4
+      ~make_speaker:(shard_speaker ~damping)
+      ()
+  in
+  for a = 1 to Graph.size g do
+    Shard.add_as sh a
+  done;
+  List.iter
+    (fun (a, b, rel) -> Shard.link sh ~pinned:(is_flap a b) ~a ~b ~b_is:rel ())
+    edges;
+  Shard.enable_transcript sh;
+  Shard.build sh;
+  (* Region-private fault streams; per-link faults only where both
+     endpoints share a region (cut links are fault-free by contract). *)
+  let fms = Shard.fault_models sh ~seed:(seed + 3) in
+  List.iter
+    (fun (a, b, _) ->
+      let ra = Shard.region_of sh a in
+      if ra = Shard.region_of sh b then
+        Fault_model.set_link fms.(ra) ~a ~b ~loss:0.03 ~jitter:0.2
+          ~corrupt:0.01 ~duplicate:0.01 ())
+    edges;
+  let prefixes =
+    List.init 6 (fun i -> Prefix.of_string (Printf.sprintf "99.%d.0.0/24" i))
+  in
+  List.iteri
+    (fun i prefix ->
+      let origin = 1 + (5 * i mod Graph.size g) in
+      Shard.originate sh
+        ~at:(float_of_int (i + 1))
+        origin
+        (Ia.originate ~prefix ~origin_asn:(Asn.of_int origin)
+           ~next_hop:(shard_addr origin) ()))
+    prefixes;
+  List.iteri
+    (fun i (a, b) ->
+      let down_at = 30. +. (20. *. float_of_int i) in
+      Shard.schedule_fail sh ~at:down_at a b;
+      Shard.schedule_recover sh ~at:(down_at +. 8.) a b)
+    flapped;
+  let stats = Shard.run ~domains sh in
+  shard_digest "sharded-chaos-30" sh
+    ~steps:(List.length prefixes + List.length flapped)
+    ~prefixes stats
+
+(* ------------------------------------------------------------------ *)
+(* The scenario table: the sharded rows take the domain count, which   *)
+(* the sequential rows have no use for.                                *)
+(* ------------------------------------------------------------------ *)
+
+let table =
+  [ ("relay-line", fun ~seed ~domains:_ -> run_relay_line seed);
+    ("hub-policy", fun ~seed ~domains:_ -> run_hub_policy seed);
+    ("chaos-30", fun ~seed ~domains:_ -> run_chaos seed);
+    ("sharded-relay-line", run_sharded_relay_line);
+    ("sharded-hub-policy", run_sharded_hub_policy);
+    ("sharded-chaos-30", run_sharded_chaos) ]
+
+let scenarios = List.map fst table
+
+let run ?(seed = 42) ?(domains = 1) name =
+  match List.assoc_opt name table with
+  | Some f -> f ~seed ~domains
+  | None -> invalid_arg ("Differential.run: unknown scenario " ^ name)
 
 (* ------------------------------------------------------------------ *)
 (* Golden-file format: one tab-separated line per digest.               *)
@@ -424,6 +634,7 @@ let equal a b =
   && a.transcript_md5 = b.transcript_md5
   && a.state_md5 = b.state_md5
 
-let pp ppf d =
-  Format.fprintf ppf "%-12s steps=%d msgs=%d transcript=%s state=%s" d.scenario
-    d.steps d.messages d.transcript_md5 d.state_md5
+let verify ?(domains = 2) name =
+  let sequential = run ~domains:1 name in
+  let sharded = run ~domains name in
+  (sequential, sharded, equal sequential sharded)

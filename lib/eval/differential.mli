@@ -10,11 +10,26 @@
     change-equivalent — identical best paths and an identical (ordered,
     hence multiset-) message sequence.
 
-    Scenarios: ["relay-line"] (6-AS line, mid-line cut + recovery,
-    legacy edge, membership-stripping export), ["hub-policy"] (policy-
-    rich hub under 400 steps of seeded churn with damping, graceful
-    restart, refresh), ["chaos-30"] (full seeded chaos run over a BRITE
-    topology). *)
+    Sequential scenarios: ["relay-line"] (6-AS line, mid-line cut +
+    recovery, legacy edge, membership-stripping export), ["hub-policy"]
+    (policy-rich hub under 400 steps of seeded churn with damping,
+    graceful restart, refresh), ["chaos-30"] (full seeded chaos run over
+    a BRITE topology).
+
+    Sharded scenarios run on a partitioned topology
+    ({!Dbgp_netsim.Shard}); their transcript MD5 covers the shard's
+    merged per-region transcript (Loc-RIB changes, cross-partition
+    deliveries, NACKs — totally ordered by (time, region, sequence)).
+    The oracle property: for a fixed seed and scenario, the digest is
+    byte-identical for every domain count — the region count is part of
+    the scenario, the domain count is pure execution policy.
+    ["sharded-relay-line"] (the 6-AS line in 2 regions, mid-line cut +
+    recovery over the partition boundary), ["sharded-hub-policy"]
+    (policy hub with six real spokes in 2 regions, MRAI 2.0, damping,
+    120 churn steps, a cut-link flap), ["sharded-chaos-30"] (30-AS BRITE
+    graph in 4 regions, region-private fault streams on intra-region
+    links, 3 pinned link flaps).  Their 1-domain digests live in
+    [test/golden_sharded.txt]. *)
 
 type digest = {
   scenario : string;
@@ -25,21 +40,18 @@ type digest = {
 }
 
 val scenarios : string list
+(** The sequential scenarios, then the sharded ones (named
+    ["sharded-*"]). *)
 
-val run : ?seed:int -> string -> digest
-(** Run one scenario (default seed 42).
+val run : ?seed:int -> ?domains:int -> string -> digest
+(** Run one scenario (default seed 42) — a sharded one on [domains]
+    worker domains (default 1); the sequential ones ignore [domains].
     @raise Invalid_argument on an unknown scenario name. *)
 
-val state_digest :
-  (int * Dbgp_core.Speaker.t) list -> Dbgp_types.Prefix.t list -> string
-(** MD5 over final speaker state — best routes (candidate and outgoing
-    IAs, byte-encoded), FIB next hops for the given prefixes, and every
-    per-neighbor Adj-RIB-Out — for speakers listed by ascending ASN.
-    Shared with the sharded differential ({!Shard_differential}) so
-    sequential and sharded runs fingerprint state identically. *)
-
-val run_all : ?seed:int -> unit -> digest list
-(** Every scenario, in {!scenarios} order. *)
+val verify : ?domains:int -> string -> digest * digest * bool
+(** [(one, many, equal)]: the scenario (seed 42) at 1 domain, at
+    [domains] (default 2), and whether the digests match — the
+    determinism oracle as a single call. *)
 
 val equal : digest -> digest -> bool
 
@@ -48,5 +60,3 @@ val to_line : digest -> string
 
 val of_line : string -> digest option
 (** Parse a golden-file line ([None] on malformed input). *)
-
-val pp : Format.formatter -> digest -> unit

@@ -84,10 +84,10 @@ let run_quagga_equivalent ~advertisements () =
     elapsed
 
 (* A Beagle arm: replays the encoded trace into a speaker with [peers]
-   neighbors.  [step] takes arrival [i] and returns what the speaker
-   disseminates, [finish] drains what is left; both outboxes are
-   re-serialized, the cost the paper attributes Beagle's decay with IA
-   size to. *)
+   neighbors.  [step] takes arrival [i] and its bytes and returns what
+   the speaker disseminates, [finish] drains what is left; both outboxes
+   are re-serialized, the cost the paper attributes Beagle's decay with
+   IA size to. *)
 let beagle_arm label ~payload_bytes ~advertisements ~step ~finish =
   let s = Workload.spec ~payload_bytes ~advertisements () in
   let wire = List.map Dbgp_core.Codec.encode (Workload.generate s) in
@@ -112,9 +112,7 @@ let beagle_arm label ~payload_bytes ~advertisements ~step ~finish =
   let (), elapsed =
     time (fun () ->
         List.iteri
-          (fun i msg ->
-            let ia = Dbgp_core.Codec.decode msg in
-            emit (step speaker i ~from:(peer_of i) (Speaker.Announce ia)))
+          (fun i msg -> emit (step speaker i ~from:(peer_of i) msg))
           wire;
         emit (finish speaker))
   in
@@ -126,7 +124,8 @@ let run_beagle ?(payload_bytes = 0) ~advertisements () =
     else Printf.sprintf "Beagle (%d KB IAs)" (payload_bytes / 1024)
   in
   beagle_arm label ~payload_bytes ~advertisements
-    ~step:(fun s _ ~from m -> Speaker.receive s ~from m)
+    ~step:(fun s _ ~from m ->
+      snd (Speaker.receive_wire s ~from Dbgp_core.Codec.Announce m))
     ~finish:(fun _ -> [])
 
 (* The MRAI-style receive path: arrivals are only ingested into the
@@ -135,7 +134,8 @@ let run_beagle ?(payload_bytes = 0) ~advertisements () =
 let run_beagle_batched ~advertisements () =
   beagle_arm "Beagle batched/32 (BGP-only)" ~payload_bytes:0 ~advertisements
     ~step:(fun s i ~from m ->
-      Speaker.ingest s ~from m;
+      ignore
+        (Speaker.receive_wire ~defer:true s ~from Dbgp_core.Codec.Announce m);
       if (i + 1) mod 32 = 0 then Speaker.flush s else [])
     ~finish:Speaker.flush
 

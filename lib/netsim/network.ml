@@ -235,10 +235,6 @@ let is_withdraw = function
    ({!Dbgp_core.Ia.same_attrs}) so each bucket ships one attribute block
    plus an NLRI list, and the flush's withdraws ship as one frame. *)
 
-let frame_of_msg = function
-  | Speaker.Announce ia -> Codec.Routes [ ia ]
-  | Speaker.Withdraw p -> Codec.Withdraws [ p ]
-
 let frame_prefixes = function
   | Codec.Routes ias -> List.map (fun (ia : Dbgp_core.Ia.t) -> ia.Dbgp_core.Ia.prefix) ias
   | Codec.Withdraws ps -> ps
@@ -370,7 +366,7 @@ and send t ~from ~to_ msg =
   let delay = latency t from to_ +. jitter +. reorder in
   if t.mrai <= 0. then
     Event_queue.schedule t.q ~delay (fun () ->
-        deliver t ~from ~to_ (frame_of_msg msg))
+        deliver t ~from ~to_ (Speaker.frame msg))
   else begin
     (* MRAI batching: keep only the latest state per prefix and flush
        the whole batch once per interval. *)
@@ -601,6 +597,55 @@ let clear_pending t a b =
   clear a b;
   clear b a
 
+(* Loc-RIB routes examined per streaming-transfer event: bounds per-event
+   work so a million-prefix sync interleaves with normal traffic. *)
+let sync_chunk = 512
+
+(* One direction of a table transfer: chunked, self-rescheduling events
+   walking the sender's Loc-RIB cursor.  [full] makes it a route
+   refresh: the first step marks every record toward the receiver
+   unconfirmed, so the whole table travels and every record no longer
+   backed is withdrawn.  Every step (and the trailing End-of-RIB) is
+   guarded by the link's restart generation — 0 until the link first
+   fails — so a new failure mid-transfer aborts it cleanly. *)
+let sync_dir t ~full src dst =
+  let key = lat_key src dst in
+  let gen () = Option.value (Hashtbl.find_opt t.restart_gen key) ~default:0 in
+  let started = gen () in
+  let live () = gen () = started && Hashtbl.mem t.latencies key in
+  let rec step cursor =
+    Event_queue.schedule t.q ~delay:0. (fun () ->
+        if live () then begin
+          let s = speaker t src and peer = peer_of t dst in
+          if full && Option.is_none cursor then Speaker.unconfirm_peer s peer;
+          let out, next = Speaker.sync_peer ~limit:sync_chunk ?cursor s peer in
+          dispatch t ~from:src out;
+          match (next, Hashtbl.find_opt t.speakers (Asn.to_int dst)) with
+          | (Some _ as next), _ -> step next
+          | None, Some receiver when Speaker.has_stale receiver (peer_of t src)
+            ->
+            (* End-of-RIB: once everything in flight has had time to
+               land (link latency plus an MRAI flush), the receiver
+               retains whatever is still stale — exactly the routes the
+               transfer skipped as already delivered.  {!Speaker.end_of_rib}
+               never drops routes, so a late (jittered) straggler is
+               harmless.  A receiver holding nothing stale from the
+               sender needs no marker. *)
+            Event_queue.schedule t.q ~delay:(latency t src dst +. t.mrai)
+              (fun () ->
+                if live () then
+                  ignore
+                    (Speaker.end_of_rib ~now:(Event_queue.now t.q) receiver
+                       (peer_of t src)))
+          | None, _ -> ()
+        end)
+  in
+  step None
+
+let sync_link t ~full a b =
+  sync_dir t ~full a b;
+  sync_dir t ~full b a
+
 (* ------------------- cross-partition half links ------------------- *)
 
 (* The local side of a cut edge: install latency, the remote peer and
@@ -653,9 +698,7 @@ let recover_half t local remote =
       (* Cross-partition recovery resynchronizes with a full route
          refresh (incremental sync would need the peer's restart
          window, which lives in another region). *)
-      Event_queue.schedule t.q ~delay:0. (fun () ->
-          dispatch t ~from:local
-            (Speaker.refresh_peer (speaker t local) (peer_of t remote)))
+      sync_dir t ~full:true local remote
     end
 
 (* Ingest one cross-partition arrival, drained from a mailbox at an
@@ -673,7 +716,7 @@ let deliver_remote t ~from ~to_ msg =
     Some (prefix_of_msg msg)
   end
   else begin
-    receive t ~now ~from ~to_ (frame_of_msg msg);
+    receive t ~now ~from ~to_ (Speaker.frame msg);
     None
   end
 
@@ -722,62 +765,6 @@ let fail_link t a b =
     Event_queue.schedule t.q ~delay:0. (fun () -> dispatch t ~from:a out_a);
     Event_queue.schedule t.q ~delay:0. (fun () -> dispatch t ~from:b out_b)
 
-(* Route-refresh both directions of a link (computed at execution time so
-   it reflects the speakers' state when the event fires). *)
-let refresh_link t a b =
-  let sa = speaker t a and sb = speaker t b in
-  Event_queue.schedule t.q ~delay:0. (fun () ->
-      dispatch t ~from:a (Speaker.refresh_peer sa (peer_of t b)));
-  Event_queue.schedule t.q ~delay:0. (fun () ->
-      dispatch t ~from:b (Speaker.refresh_peer sb (peer_of t a)))
-
-(* Loc-RIB routes examined per streaming-transfer event: bounds per-event
-   work so a million-prefix sync interleaves with normal traffic. *)
-let sync_chunk = 512
-
-(* One direction of an incremental table transfer: chunked,
-   self-rescheduling events walking the sender's Loc-RIB cursor.  Every
-   step (and the trailing End-of-RIB) is guarded by the link's restart
-   generation, so a new failure mid-transfer aborts it cleanly. *)
-let sync_dir t ~gen src dst =
-  let key = lat_key src dst in
-  let live () =
-    Hashtbl.find_opt t.restart_gen key = Some gen && Hashtbl.mem t.latencies key
-  in
-  let rec step cursor =
-    Event_queue.schedule t.q ~delay:0. (fun () ->
-        if live () then begin
-          let s = speaker t src in
-          let out, next =
-            Speaker.sync_peer ~limit:sync_chunk ?cursor s (peer_of t dst)
-          in
-          dispatch t ~from:src out;
-          match next with
-          | Some _ as next -> step next
-          | None ->
-            (* End-of-RIB: once everything in flight has had time to
-               land (link latency plus an MRAI flush), the receiver
-               retains whatever is still stale — exactly the routes the
-               transfer skipped as already delivered.  {!Speaker.end_of_rib}
-               never drops routes, so a late (jittered) straggler is
-               harmless. *)
-            Event_queue.schedule t.q ~delay:(latency t src dst +. t.mrai)
-              (fun () ->
-                if live () then
-                  ignore
-                    (Speaker.end_of_rib ~now:(Event_queue.now t.q)
-                       (speaker t dst) (peer_of t src)))
-        end)
-  in
-  step None
-
-let sync_link t a b =
-  let gen =
-    Option.value (Hashtbl.find_opt t.restart_gen (lat_key a b)) ~default:0
-  in
-  sync_dir t ~gen a b;
-  sync_dir t ~gen b a
-
 let recover_link t a b =
   match Hashtbl.find_opt t.links (lat_key a b) with
   | None -> invalid_arg "Network.recover_link: link was never configured"
@@ -789,8 +776,8 @@ let recover_link t a b =
          re-establishment) and streams an incremental sync — both sides
          kept state, so only the delta travels.  Outside a window the
          peers' views may have diverged arbitrarily (stale state already
-         flushed, or no graceful mode at all): fall back to a full
-         route refresh. *)
+         flushed, or no graceful mode at all): the same transfer runs as
+         a full route refresh. *)
       let within_window =
         match Hashtbl.find_opt t.restart_deadline (lat_key a b) with
         | Some deadline -> Event_queue.now t.q < deadline
@@ -798,7 +785,7 @@ let recover_link t a b =
       in
       ignore (bump_restart_gen t (lat_key a b));
       Hashtbl.remove t.restart_deadline (lat_key a b);
-      if within_window then sync_link t a b else refresh_link t a b
+      sync_link t ~full:(not within_window) a b
     end
 
 (* Permanent administrative teardown, as opposed to [fail_link]'s
@@ -824,7 +811,8 @@ let unlink t a b =
 let refresh_all t =
   Hashtbl.iter
     (fun key _ ->
-      refresh_link t (Asn.of_int (key lsr 31)) (Asn.of_int (key land 0x7FFF_FFFF)))
+      sync_link t ~full:true (Asn.of_int (key lsr 31))
+        (Asn.of_int (key land 0x7FFF_FFFF)))
     t.latencies
 
 let schedule_flap t ~down_at ~up_at a b =

@@ -85,11 +85,15 @@ val recover_link : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
     and both directions stream an incremental table transfer: chunked
     walks over each sender's Loc-RIB (512 routes per event) batched
     through the normal MRAI/dispatch path, ending in an End-of-RIB that
-    clears the receiver's remaining stale marks — only routes whose advertised state differs from the
-    peer's confirmed Adj-RIB-Out record travel.  Outside a window (no
-    graceful mode, or the window expired and the stale routes were
-    already flushed) it falls back to a full route refresh.  No-op if
-    the link is already up.
+    clears the receiver's remaining stale marks (scheduled only while
+    the receiver still holds stale routes from the sender) — only routes
+    whose advertised state differs from the peer's confirmed Adj-RIB-Out
+    record travel.  Outside a window (no graceful mode, or the window
+    expired and the stale routes were already flushed) the same transfer
+    runs as a full route refresh: each sender first marks every record
+    toward the peer unconfirmed ({!Dbgp_core.Speaker.unconfirm_peer}),
+    so its whole table travels and every record no longer backed by a
+    route is withdrawn.  No-op if the link is already up.
     @raise Invalid_argument if the pair was never linked. *)
 
 val unlink : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
@@ -109,8 +113,10 @@ val schedule_flap :
     @raise Invalid_argument unless [down_at < up_at]. *)
 
 val refresh_all : t -> unit
-(** Schedules a route refresh in both directions of every up link —
-    a recovery sweep after a lossy phase. *)
+(** Schedules a route refresh in both directions of every up link — a
+    recovery sweep after a lossy phase.  Each is the table transfer of
+    {!recover_link} run as a full refresh: every route is re-sent, and
+    a withdraw the lossy phase dropped is sent again. *)
 
 val set_fault_model : t -> Fault_model.t -> unit
 (** Attach a fault model; its loss/jitter/corruption/duplicate/reorder
@@ -220,9 +226,9 @@ val inject : t -> from:Dbgp_core.Peer.t -> to_:Dbgp_types.Asn.t ->
   Dbgp_core.Speaker.msg -> unit
 (** Hand an arbitrary message to the speaker as if [from] had sent it
     (attack and fault-injection tests).  It models a compromised
-    speaker's own message, not a delivery: it goes straight to
-    {!Dbgp_core.Speaker.receive}, bypassing the wire and the fault
-    model. *)
+    speaker's own message, not a delivery: it skips the link, the MRAI
+    batch and the fault model, but still crosses the codec — encoded
+    and decoded by {!Dbgp_core.Speaker.receive} like every receive. *)
 
 val run : ?max_events:int -> t -> stats
 (** Run to quiescence. *)
@@ -292,7 +298,8 @@ val fail_half : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
 
 val recover_half : t -> Dbgp_types.Asn.t -> Dbgp_types.Asn.t -> unit
 (** Bring a failed half link back and schedule a full route refresh
-    toward the remote peer.  No-op if already up.
+    toward the remote peer — {!recover_link}'s table transfer, in one
+    direction.  No-op if already up.
     @raise Invalid_argument if the pair was never half-linked. *)
 
 val deliver_remote :

@@ -11,10 +11,12 @@
    an *intentional* behaviour change has been reviewed and the new
    fingerprints accepted. *)
 
+module Differential = Dbgp_eval.Differential
+
 let () =
-  let digests =
-    if Array.length Sys.argv > 1 && Sys.argv.(1) = "sharded" then
-      Dbgp_eval.Shard_differential.run_all ~domains:1 ()
-    else Dbgp_eval.Differential.run_all ()
-  in
-  List.iter (fun d -> print_endline (Dbgp_eval.Differential.to_line d)) digests
+  let sharded = Array.length Sys.argv > 1 && Sys.argv.(1) = "sharded" in
+  List.iter
+    (fun name ->
+      if String.starts_with ~prefix:"sharded-" name = sharded then
+        print_endline (Differential.to_line (Differential.run name)))
+    Differential.scenarios

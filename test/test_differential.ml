@@ -11,36 +11,14 @@ module Differential = Dbgp_eval.Differential
 module Chaos = Dbgp_eval.Chaos
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
-
-let goldens () =
-  let ic = open_in "golden_differential.txt" in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      (match Differential.of_line line with
-      | Some d -> go (d :: acc)
-      | None -> Alcotest.fail ("malformed golden line: " ^ line))
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
 
 let test_goldens_match () =
-  let golden = goldens () in
-  check_int "one golden per scenario"
-    (List.length Differential.scenarios)
-    (List.length golden);
-  let fresh = Differential.run_all () in
-  List.iter2
-    (fun g f ->
-      check_str "scenario order" g.Differential.scenario
-        f.Differential.scenario;
-      check (g.Differential.scenario ^ ": golden fingerprint") true
-        (Differential.equal g f))
-    golden fresh
+  Alcotest.(check (list string))
+    "one golden per scenario, sequential then sharded" Differential.scenarios
+    (List.map
+       (fun d -> d.Differential.scenario)
+       (Golden.load "golden_differential.txt" @ Golden.load "golden_sharded.txt"));
+  Golden.check_file ~domains:1 "golden_differential.txt"
 
 let test_digest_line_roundtrip () =
   let d = Differential.run "relay-line" in

@@ -416,6 +416,66 @@ let test_network_sync_withdraw_sweep () =
   done;
   check_int "no stale routes left" 0 (Network.stale_total net)
 
+(* AS 1 originates [n] prefixes toward its provider AS 2, which has no
+   one to pass them on to: a refresh of the link re-sends exactly those
+   [n] routes, all in the 1 -> 2 direction. *)
+let refreshed_pair n =
+  let net = mk_net [ 1; 2 ] in
+  for i = 0 to n - 1 do
+    Network.originate net (asn 1) (origin_ia 1 (Printf.sprintf "99.%d.0.0/24" i))
+  done;
+  ignore (Network.run net);
+  net
+
+let test_network_refresh_unflapped_link () =
+  (* A link that never failed has no restart generation; the transfer's
+     liveness guard must read that as generation 0, not as a superseded
+     transfer, or a refresh sends nothing there. *)
+  let n = 3 in
+  let net = refreshed_pair n in
+  let before = (Network.run net).Network.messages in
+  let dup0 = Network.counter_total net "updates.duplicate" in
+  Network.refresh_all net;
+  let after = Network.run net in
+  check_int "every route re-sent" n (after.Network.messages - before);
+  check_int "re-sent routes absorbed as duplicates" n
+    (Network.counter_total net "updates.duplicate" - dup0)
+
+let test_network_refresh_no_end_of_rib () =
+  (* End-of-RIB only matters to a receiver that still holds stale routes
+     from the sender; without any, the transfer ends without scheduling
+     one.  A refresh is then one step event per direction plus one
+     delivery per route. *)
+  let n = 3 in
+  let net = refreshed_pair n in
+  Network.refresh_all net;
+  let stats = Network.run net in
+  check_int "two steps and n deliveries, no End-of-RIB" (2 + n)
+    stats.Network.events
+
+let test_network_refresh_withdraws_lost_withdraw () =
+  (* AS 2 stops originating a prefix while its link to customer AS 1
+     loses everything: the withdraw dies, the sender's Adj-RIB-Out
+     keeps a tombstone, and AS 1 keeps the route.  A later route refresh
+     must re-send the withdraw even though the prefix has left AS 2's
+     Loc-RIB. *)
+  let net = mk_net [ 1; 2 ] in
+  let p = pfx "88.0.0.0/24" in
+  Network.originate net (asn 2) (origin_ia 2 "88.0.0.0/24");
+  ignore (Network.run net);
+  let holds () = Speaker.best (Network.speaker net (asn 1)) p <> None in
+  check "customer learned the route" true (holds ());
+  let now = Eq.now (Network.queue net) in
+  let f = Dbgp_netsim.Fault_model.create ~seed:1 () in
+  Dbgp_netsim.Fault_model.set_loss ~from:now ~until:(now +. 5.) f 1.0;
+  Network.set_fault_model net f;
+  Network.withdraw_origin net (asn 2) p;
+  ignore (Network.run net);
+  check "withdraw lost: customer still holds the route" true (holds ());
+  Eq.schedule (Network.queue net) ~delay:10. (fun () -> Network.refresh_all net);
+  ignore (Network.run net);
+  check "refresh withdrew the route" false (holds ())
+
 let test_network_duplicate_delivery () =
   (* Session-layer retransmits: every message delivered twice.  The
      duplicate copies must be absorbed by the speakers (no decision
@@ -533,6 +593,12 @@ let () =
            test_network_default_delivers_bytes;
          Alcotest.test_case "sampled-hash collisions" `Quick test_sampled_hash_collisions;
          Alcotest.test_case "sync withdraw sweep" `Quick test_network_sync_withdraw_sweep;
+         Alcotest.test_case "refresh on a never-failed link" `Quick
+           test_network_refresh_unflapped_link;
+         Alcotest.test_case "refresh without stale routes: no End-of-RIB" `Quick
+           test_network_refresh_no_end_of_rib;
+         Alcotest.test_case "refresh re-sends a lost withdraw" `Quick
+           test_network_refresh_withdraws_lost_withdraw;
          Alcotest.test_case "duplicate delivery absorbed" `Quick
            test_network_duplicate_delivery ]);
       ("properties", [ QCheck_alcotest.to_alcotest qcheck_merge ]) ]

@@ -16,7 +16,6 @@ module Mailbox = Dbgp_netsim.Mailbox
 module Domain_pool = Dbgp_netsim.Domain_pool
 module Shard = Dbgp_netsim.Shard
 module Differential = Dbgp_eval.Differential
-module Shard_differential = Dbgp_eval.Shard_differential
 module Perf_bench = Dbgp_eval.Perf_bench
 
 let check = Alcotest.(check bool)
@@ -138,52 +137,30 @@ let test_pool_exception () =
 
 (* ------------------------- determinism oracle ------------------------- *)
 
-let goldens () =
-  let ic = open_in "golden_sharded.txt" in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      (match Differential.of_line line with
-      | Some d -> go (d :: acc)
-      | None -> Alcotest.fail ("malformed golden line: " ^ line))
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+let sharded_scenarios () =
+  List.map (fun d -> d.Differential.scenario) (Golden.load "golden_sharded.txt")
 
+(* Goldens were recorded at 1 domain; reproduce them at 2. *)
 let test_goldens_match_sharded () =
-  let golden = goldens () in
-  check_int "one golden per scenario"
-    (List.length Shard_differential.scenarios)
-    (List.length golden);
-  (* Goldens were recorded at 1 domain; reproduce them at 2. *)
-  let fresh = Shard_differential.run_all ~domains:2 () in
-  List.iter2
-    (fun g f ->
-      check_str "scenario order" g.Differential.scenario
-        f.Differential.scenario;
-      check (g.Differential.scenario ^ ": golden fingerprint") true
-        (Differential.equal g f))
-    golden fresh
+  Golden.check_file ~domains:2 "golden_sharded.txt"
 
 let test_oracle_domain_counts () =
   List.iter
     (fun name ->
-      let one = Shard_differential.run ~domains:1 name in
-      let two = Shard_differential.run ~domains:2 name in
-      let four = Shard_differential.run ~domains:4 name in
+      let one = Differential.run ~domains:1 name in
+      let two = Differential.run ~domains:2 name in
+      let four = Differential.run ~domains:4 name in
       check (name ^ ": 1 = 2 domains") true (Differential.equal one two);
       check (name ^ ": 1 = 4 domains") true (Differential.equal one four))
-    Shard_differential.scenarios
+    (sharded_scenarios ())
 
 let test_oracle_seed_sensitivity () =
-  let a = Shard_differential.run ~seed:42 "sharded-hub-policy" in
-  let b = Shard_differential.run ~seed:43 "sharded-hub-policy" in
+  let a = Differential.run ~seed:42 "sharded-hub-policy" in
+  let b = Differential.run ~seed:43 "sharded-hub-policy" in
   check "digests depend on the workload" false (Differential.equal a b)
 
 let test_verify_helper () =
-  let _, _, ok = Shard_differential.verify ~domains:4 "sharded-relay-line" in
+  let _, _, ok = Differential.verify ~domains:4 "sharded-relay-line" in
   check "verify agrees" true ok
 
 (* --------------------------- smoke benchmark -------------------------- *)
