@@ -122,7 +122,7 @@ let stress advertisements =
   Format.fprintf out
     "@.(paper: 40,700 vs 40,900 prefixes/s BGP-only; 7,073 at 32 KB; 926 at 256 KB)@."
 
-(* ---------- perf (hot-path throughput / allocation / wire caches) ---------- *)
+(* ---------- perf (pipeline and wire-cache counters) ---------- *)
 
 (* "--domains 1,2,4" -> [1; 2; 4]; None on anything malformed. *)
 let parse_domains spec =
@@ -139,7 +139,7 @@ let parse_domains spec =
 (* Sharded rows for one comma-separated --domains spec.  The first
    count is the sequential reference; any later row whose transcript
    diverges from it is a determinism violation, reported by a non-zero
-   exit so bench runs enforce the oracle, not just the test suite. *)
+   exit so the sweep enforces the oracle, not just the test suite. *)
 let run_domains_axis ~ases spec =
   match parse_domains spec with
   | None ->
@@ -153,67 +153,43 @@ let run_domains_axis ~ases spec =
       "@.Sharded execution: 8-region partition, conservative barrier \
        epochs (%d cores)@.@."
       (Domain.recommended_domain_count ());
-    let rows = E.Perf_bench.domains_suite ~ases ~domains () in
-    List.iter (fun r -> Format.fprintf out "%a@." E.Perf_bench.pp_sharded r) rows;
-    rows
-
-let exit_on_divergence sharded =
-  let diverged =
-    List.filter (fun r -> not r.E.Perf_bench.s_transcript_match) sharded
-  in
-  if diverged <> [] then begin
-    List.iter
-      (fun r ->
-        Format.eprintf
-          "dbgp-sim: %d-domain transcript diverged from the sequential run \
-           (%s)@."
-          r.E.Perf_bench.s_domains r.E.Perf_bench.s_transcript_md5)
-      diverged;
-    exit 1
-  end
+    let rows = E.Perf_report.domains_suite ~ases ~domains () in
+    List.iter (fun r -> Format.fprintf out "%a@." E.Perf_report.pp_sharded r) rows;
+    let diverged =
+      List.filter (fun r -> not r.E.Perf_report.s_transcript_match) rows
+    in
+    if diverged <> [] then begin
+      List.iter
+        (fun r ->
+          Format.eprintf
+            "dbgp-sim: %d-domain transcript diverged from the sequential run \
+             (%s)@."
+            r.E.Perf_report.s_domains r.E.Perf_report.s_transcript_md5)
+        diverged;
+      exit 1
+    end
 
 let perf domains ases json =
   if ases < 20 then (
     Format.eprintf "dbgp-sim: --perf-ases must be at least 20@.";
     exit 2 );
   Format.fprintf out
-    "Hot-path benchmark (updates/s, GC words/update, wire cache hit rates)@.@.";
-  let rows = E.Perf_bench.suite () in
-  List.iter (fun r -> Format.fprintf out "%a@." E.Perf_bench.pp r) rows;
-  let headline = E.Perf_bench.headline rows in
-  ( match headline with
-    | Some h -> Format.fprintf out "@.%a@." E.Perf_bench.pp_headline h
-    | None -> () );
-  let sharded =
-    match domains with None -> [] | Some spec -> run_domains_axis ~ases spec
-  in
+    "Convergence report (decision runs, group export, wire caches)@.@.";
+  let rows = E.Perf_report.suite () in
+  List.iter (fun r -> Format.fprintf out "%a@." E.Perf_report.pp r) rows;
   ( match json with
     | None -> ()
     | Some path ->
-      (* Same document shape as bench/main.exe's BENCH_perf.json. *)
       let oc = open_out path in
       output_string oc
-        (Dbgp_obs.Snapshot.to_json_pretty
-           (Dbgp_obs.Snapshot.Obj
-              [ ("seed", Dbgp_obs.Snapshot.Int 42);
-                ("mrai", Dbgp_obs.Snapshot.Float 2.0);
-                ( "rows",
-                  Dbgp_obs.Snapshot.List
-                    (List.map E.Perf_bench.to_snapshot rows) );
-                ( "sharded",
-                  Dbgp_obs.Snapshot.List
-                    (List.map E.Perf_bench.sharded_to_snapshot sharded) );
-                ( "headline",
-                  match headline with
-                  | Some h -> E.Perf_bench.headline_to_snapshot h
-                  | None -> Dbgp_obs.Snapshot.Null ) ]));
+        (Dbgp_obs.Snapshot.to_json_pretty (E.Perf_report.to_snapshot rows));
       close_out oc;
       Format.fprintf out "wrote %s@." path );
-  exit_on_divergence sharded
+  Option.iter (run_domains_axis ~ases) domains
 
 (* ---------- scale (Internet-scale table transfer / RIB footprint) ---------- *)
 
-let scale ases prefixes bg seed grid domains json =
+let scale ases prefixes bg seed grid json =
   if ases < 20 then (
     Format.eprintf "dbgp-sim: --ases must be at least 20@.";
     exit 2 );
@@ -232,27 +208,20 @@ let scale ases prefixes bg seed grid domains json =
     else [ E.Scale_bench.run ~seed ~bg ~ases ~prefixes () ]
   in
   List.iter (fun r -> Format.fprintf out "%a@." E.Scale_bench.pp r) rows;
-  let sharded =
-    match domains with None -> [] | Some spec -> run_domains_axis ~ases spec
-  in
-  ( match json with
-    | None -> ()
-    | Some path ->
-      let oc = open_out path in
-      output_string oc
-        (Dbgp_obs.Snapshot.to_json_pretty
-           (Dbgp_obs.Snapshot.Obj
-              [ ("seed", Dbgp_obs.Snapshot.Int seed);
-                ("mrai", Dbgp_obs.Snapshot.Float 0.5);
-                ( "rows",
-                  Dbgp_obs.Snapshot.List
-                    (List.map E.Scale_bench.to_snapshot rows) );
-                ( "sharded",
-                  Dbgp_obs.Snapshot.List
-                    (List.map E.Perf_bench.sharded_to_snapshot sharded) ) ]));
-      close_out oc;
-      Format.fprintf out "wrote %s@." path );
-  exit_on_divergence sharded
+  match json with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    output_string oc
+      (Dbgp_obs.Snapshot.to_json_pretty
+         (Dbgp_obs.Snapshot.Obj
+            [ ("seed", Dbgp_obs.Snapshot.Int seed);
+              ("mrai", Dbgp_obs.Snapshot.Float 0.5);
+              ( "rows",
+                Dbgp_obs.Snapshot.List (List.map E.Scale_bench.to_snapshot rows)
+              ) ]));
+    close_out oc;
+    Format.fprintf out "wrote %s@." path
 
 (* ---------- deploy (Figure 8 + motivating scenarios) ---------- *)
 
@@ -614,15 +583,16 @@ let domains_arg =
     & opt (some string) None
     & info [ "domains" ]
         ~doc:
-          "Also run the sharded-execution benchmark at these domain counts \
-           (comma-separated, e.g. 1,2,4,8).  Every count must reproduce the \
-           sequential transcript byte-for-byte; a divergence exits 1."
+          "Also run the sharded sweep at these domain counts \
+           (comma-separated, e.g. 1,2,4,8) and print its wall-clock rows.  \
+           Every count must reproduce the sequential transcript \
+           byte-for-byte; a divergence exits 1."
         ~docv:"COUNTS")
 
 let perf_ases_arg =
   Arg.(
     value & opt int 1_000
-    & info [ "perf-ases" ] ~doc:"Topology size for the sharded perf runs")
+    & info [ "perf-ases" ] ~doc:"Topology size for the sharded sweep")
 
 let perf_json_arg =
   Arg.(
@@ -649,9 +619,10 @@ let cmds =
     Cmd.v
       (Cmd.info "perf"
          ~doc:
-           "Hot-path benchmark: throughput, allocation and wire caches; \
-            with --domains, the sharded-execution scaling axis guarded by \
-            the determinism oracle")
+           "Convergence report: decision runs, group export and wire-cache \
+            hit rates at 100/500/1000 BRITE ASes (deterministic; --json \
+            writes BENCH_perf.json); with --domains, the sharded sweep \
+            guarded by the determinism oracle")
       Term.(const perf $ domains_arg $ perf_ases_arg $ perf_json_arg);
     Cmd.v
       (Cmd.info "scale"
@@ -662,7 +633,7 @@ let cmds =
             sync), with words/route and updates/s")
       Term.(
         const scale $ scale_ases_arg $ prefixes_arg $ bg_arg $ seed_arg
-        $ grid_arg $ domains_arg $ scale_json_arg);
+        $ grid_arg $ scale_json_arg);
     unit_cmd "deploy" "Figure 8 deployment experiments" deploy;
     unit_cmd "motivate" "Figures 1-3 motivating scenarios" motivate;
     unit_cmd "fig7" "Figures 6-7 rich-world IA" fig7;

@@ -35,10 +35,6 @@ type series = {
   points : point list;
 }
 
-let baseline_name = function
-  | Bgp_baseline -> "BGP baseline"
-  | Dbgp_baseline -> "D-BGP baseline"
-
 (* Route classes, by preference-free export semantics only:
    0 = origin, 1 = learned from customer, 2 = from peer, 3 = from provider. *)
 let k_origin = 0
@@ -525,14 +521,3 @@ let crossover s =
       else scan rest
   in
   scan s.points
-
-let pp_series ppf s =
-  Format.fprintf ppf "@[<v>%s (%s)@," s.archetype (baseline_name s.baseline);
-  Format.fprintf ppf "status quo: %.1f   best case: %.1f@," s.status_quo
-    s.best_case;
-  List.iter
-    (fun p ->
-      Format.fprintf ppf "%3d%%  %10.1f  +/- %.1f@," p.adoption_pct p.mean
-        p.ci95)
-    s.points;
-  Format.fprintf ppf "@]"

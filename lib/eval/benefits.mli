@@ -85,5 +85,3 @@ val crossover : series -> int option
     status quo — the "minimum participation" threshold discussed around
     Figure 10. *)
 
-val pp_series : Format.formatter -> series -> unit
-val baseline_name : baseline -> string

@@ -3,24 +3,42 @@ module Speaker = Dbgp_core.Speaker
 module Ia = Dbgp_core.Ia
 module Value = Dbgp_core.Value
 module Network = Dbgp_netsim.Network
+module Shard = Dbgp_netsim.Shard
 module Session = Dbgp_netsim.Session
 module Graph = Dbgp_topology.As_graph
 module Brite = Dbgp_topology.Brite
 
-(* Build a simulated network mirroring an As_graph: node i becomes
-   AS (i+1), relationships preserved. *)
-let network_of_graph g =
-  let net = Network.create () in
-  let n = Graph.size g in
-  for i = 0 to n - 1 do
-    ignore (Harness.add_as net (i + 1))
+(* Declare an As_graph's ASes, then its links: node i becomes AS (i+1),
+   relationships preserved.  The one walk behind both builders below. *)
+let declare_graph g ~add_as ~link =
+  for i = 1 to Graph.size g do
+    add_as i
   done;
   Graph.fold_edges
     (fun a b view_of_b_from_a () ->
-      let rel = Harness.relationship view_of_b_from_a in
-      Network.link net ~a:(Asn.of_int (a + 1)) ~b:(Asn.of_int (b + 1)) ~b_is:rel ())
-    g ();
+      link (a + 1) (b + 1) (Harness.relationship view_of_b_from_a))
+    g ()
+
+let network_of_graph g =
+  let net = Network.create () in
+  declare_graph g
+    ~add_as:(fun a -> ignore (Harness.add_as net a))
+    ~link:(fun a b b_is ->
+      Network.link net ~a:(Asn.of_int a) ~b:(Asn.of_int b) ~b_is ());
   net
+
+let shard_of_graph ~mrai ~regions g =
+  let sh =
+    Shard.create ~mrai ~regions
+      ~make_speaker:(fun a ->
+        let asn = Asn.of_int a in
+        Speaker.create
+          (Speaker.config ~asn ~addr:(Network.speaker_addr asn) ()))
+      ()
+  in
+  declare_graph g ~add_as:(Shard.add_as sh) ~link:(fun a b b_is ->
+      Shard.link sh ~a ~b ~b_is ());
+  sh
 
 let payload_proto =
   Protocol_id.register ~kind:Protocol_id.Critical_fix "convergence-fix"
@@ -188,14 +206,6 @@ let pp_dissemination ppf (d : dissemination) =
   Format.fprintf ppf
     "%4d ASes, %5d B payload: %6d msgs, %9d bytes, converged at t=%.1f"
     d.ases d.payload_bytes d.messages d.bytes d.converged_at
-
-let pp_observed ppf o =
-  Format.fprintf ppf
-    "%4d ASes: %6d msgs, %9d bytes, %d runs / %d changes, \
-     convergence p50=%.1f p90=%.1f p99=%.1f%s"
-    o.ases o.messages o.announce_bytes o.decision_runs o.decision_changes
-    o.p50 o.p90 o.p99
-    (if o.censored then " [censored: event budget exhausted]" else "")
 
 let pp_failure ppf f =
   Format.fprintf ppf

@@ -18,7 +18,13 @@
 val network_of_graph : Dbgp_topology.As_graph.t -> Dbgp_netsim.Network.t
 (** Build a simulated network mirroring an As_graph: node [i] becomes
     AS [i+1], relationships preserved.  Shared with the stability
-    controls. *)
+    controls and {!Perf_report}. *)
+
+val shard_of_graph :
+  mrai:float -> regions:int -> Dbgp_topology.As_graph.t -> Dbgp_netsim.Shard.t
+(** The same topology declared on an unbuilt {!Dbgp_netsim.Shard} of
+    [regions] regions: the caller may enable the transcript, then
+    {!Dbgp_netsim.Shard.build}s it. *)
 
 type dissemination = {
   ases : int;
@@ -77,6 +83,5 @@ val session_reset :
   ?prefixes:int -> ?payload_bytes:int -> unit -> reset
 
 val pp_dissemination : Format.formatter -> dissemination -> unit
-val pp_observed : Format.formatter -> observed -> unit
 val pp_failure : Format.formatter -> failure -> unit
 val pp_reset : Format.formatter -> reset -> unit

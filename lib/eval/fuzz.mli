@@ -51,8 +51,6 @@ type report = {
 
 val run : config -> report
 
-val cases_per_sec : report -> float
-
 val to_snapshot : report -> Dbgp_obs.Snapshot.t
 (** JSON-ready report including [cases_per_sec]; everything except
     [elapsed]/[cases_per_sec] is reproducible from the seed. *)

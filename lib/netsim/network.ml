@@ -808,11 +808,18 @@ let unlink t a b =
     Event_queue.schedule t.q ~delay:0. (fun () -> dispatch t ~from:a out_a);
     Event_queue.schedule t.q ~delay:0. (fun () -> dispatch t ~from:b out_b)
 
+(* In a shard region, [latencies] also holds the local half of every
+   cut edge; its far speaker lives in another region, which refreshes
+   the mirror direction itself, so only the local direction runs here
+   (as in [recover_half]). *)
 let refresh_all t =
   Hashtbl.iter
     (fun key _ ->
-      sync_link t ~full:true (Asn.of_int (key lsr 31))
-        (Asn.of_int (key land 0x7FFF_FFFF)))
+      match Hashtbl.find_opt t.half_links key with
+      | Some cfg -> sync_dir t ~full:true cfg.hc_local cfg.hc_remote
+      | None ->
+        sync_link t ~full:true (Asn.of_int (key lsr 31))
+          (Asn.of_int (key land 0x7FFF_FFFF)))
     t.latencies
 
 let schedule_flap t ~down_at ~up_at a b =

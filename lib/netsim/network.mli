@@ -116,7 +116,9 @@ val refresh_all : t -> unit
 (** Schedules a route refresh in both directions of every up link — a
     recovery sweep after a lossy phase.  Each is the table transfer of
     {!recover_link} run as a full refresh: every route is re-sent, and
-    a withdraw the lossy phase dropped is sent again. *)
+    a withdraw the lossy phase dropped is sent again.  On a shard
+    region's cut edge only the local direction runs (as in
+    {!recover_half}); the other region refreshes the mirror direction. *)
 
 val set_fault_model : t -> Fault_model.t -> unit
 (** Attach a fault model; its loss/jitter/corruption/duplicate/reorder

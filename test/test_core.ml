@@ -100,6 +100,26 @@ let test_ia_island_abstraction () =
   let partial = Ia.abstract_island ~island:isl ~members:[ asn 2 ] ia in
   check_int "non-leading member untouched" 3 (Ia.path_length partial)
 
+(* The island-ID ablation EXPERIMENTS.md cites: a 12-AS island listed AS
+   by AS, then abstracted to its ID, shrinks the IA and collapses the
+   path vector to the island plus the origin. *)
+let test_ia_island_ablation () =
+  let isl = Island_id.named "big-island" in
+  let members = List.init 12 (fun i -> asn (64600 + i)) in
+  let listed =
+    List.fold_left
+      (fun ia a -> Ia.prepend_as a ia)
+      (Ia.originate ~prefix:(pfx "198.51.100.0/24") ~origin_asn:(asn 64501)
+         ~next_hop:(ip "10.0.0.1") ())
+      members
+    |> Ia.declare_membership ~island:isl ~members
+  in
+  let abstracted = Ia.abstract_island ~island:isl ~members listed in
+  check_int "listed bytes" 169 (Codec.size listed);
+  check_int "abstracted bytes" 122 (Codec.size abstracted);
+  check_int "listed path entries" 13 (Ia.path_length listed);
+  check_int "abstracted path entries" 2 (Ia.path_length abstracted)
+
 let test_ia_membership () =
   let isl = Island_id.named "M" in
   let ia =
@@ -1077,6 +1097,7 @@ let () =
          Alcotest.test_case "shared descriptors" `Quick test_ia_descriptors_shared;
          Alcotest.test_case "remove protocol" `Quick test_ia_remove_protocol;
          Alcotest.test_case "island abstraction" `Quick test_ia_island_abstraction;
+         Alcotest.test_case "island-ID ablation" `Quick test_ia_island_ablation;
          Alcotest.test_case "membership" `Quick test_ia_membership;
          Alcotest.test_case "island descriptors" `Quick test_ia_island_descriptors ]);
       ("codec",

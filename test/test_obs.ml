@@ -599,19 +599,37 @@ let test_batch_attr_counter_names () =
        (Prefix.of_string "99.0.3.0/24")
      <> None)
 
-(* BENCH_pipeline.json schema: the row shape emitted by the pipeline
-   benchmark is consumed downstream, so every field name and JSON type is
-   pinned here against a small (fast) run. *)
-let test_pipeline_bench_schema () =
-  let r = E.Pipeline_bench.run ~ases:25 () in
-  let s = E.Pipeline_bench.to_snapshot r in
+(* BENCH_perf.json is [Perf_report.to_snapshot]'s document; pin a
+   row's exact field set and JSON types against a small run, so
+   the committed file cannot drift silently or regain a machine-dependent
+   (wall-clock, CPU, GC or heap) field.  The report's claims are pinned
+   here too: coalescing beats run-per-message, peer groups serve their
+   members, and every delivery crosses the wire, so both wire caches see
+   the convergence traffic. *)
+let test_perf_report_schema () =
+  let r = E.Perf_report.run ~ases:25 ~prefixes:8 () in
+  let s =
+    match Snapshot.member "rows" (E.Perf_report.to_snapshot [ r ]) with
+    | Some (Snapshot.List [ row ]) -> row
+    | _ -> Alcotest.fail "rows: expected a one-row list"
+  in
   let int_fields =
-    [ "ases"; "prefixes"; "messages"; "updates"; "decision_runs";
-      "dirty_marks"; "runs_saved"; "drains"; "export_hits"; "export_misses" ]
+    [ "ases"; "prefixes"; "messages"; "updates"; "events"; "decision_runs";
+      "dirty_marks"; "runs_saved"; "drains"; "export_hits"; "export_misses";
+      "encode_cache_hits"; "encode_cache_misses"; "decode_memo_hits";
+      "decode_memo_misses" ]
   in
   let float_fields =
-    [ "runs_per_update"; "export_hit_rate"; "elapsed_s"; "updates_per_s" ]
+    [ "runs_per_update"; "export_hit_rate"; "encode_cache_hit_rate";
+      "decode_memo_hit_rate" ]
   in
+  ( match s with
+    | Snapshot.Obj fields ->
+      Alcotest.(check (list string))
+        "exactly the counter fields"
+        (List.sort compare (int_fields @ float_fields))
+        (List.sort compare (List.map fst fields))
+    | _ -> Alcotest.fail "row must render as an object" );
   List.iter
     (fun f ->
       match Snapshot.member f s with
@@ -627,62 +645,12 @@ let test_pipeline_bench_schema () =
   ( match Snapshot.member "ases" s with
     | Some (Snapshot.Int 25) -> ()
     | _ -> Alcotest.fail "ases must echo the topology size" );
-  (* The two headline claims, pinned where the schema is: coalescing
-     beats run-per-message and the export cache is doing work. *)
-  check "runs per update < 1.0" true (r.E.Pipeline_bench.runs_per_update < 1.0);
-  check "export cache hits > 0" true (r.E.Pipeline_bench.export_hits > 0);
-  check "marks = runs + saved" true
-    (r.E.Pipeline_bench.dirty_marks
-     >= r.E.Pipeline_bench.runs_saved);
-  check "json renders" true
-    (String.length (Snapshot.to_json_pretty s) > 0)
-
-(* BENCH_perf.json rows come straight from [Perf_bench.to_snapshot]; pin
-   the schema here so the bench artifact cannot drift silently.  A small
-   run doubles as an end-to-end check that the decode memo sees real
-   receive-side traffic. *)
-let test_perf_bench_schema () =
-  let r = E.Perf_bench.run ~ases:25 ~prefixes:8 () in
-  let s = E.Perf_bench.to_snapshot r in
-  let int_fields =
-    [ "ases"; "prefixes"; "messages"; "updates"; "events";
-      "peak_heap_words"; "live_words";
-      "encode_cache_hits"; "encode_cache_misses"; "decode_memo_hits";
-      "decode_memo_misses" ]
-  in
-  let float_fields =
-    [ "elapsed_s"; "cpu_s"; "updates_per_s"; "updates_per_cpu_s";
-      "minor_words_per_update"; "major_words_per_update";
-      "encode_cache_hit_rate"; "decode_memo_hit_rate" ]
-  in
-  List.iter
-    (fun f ->
-      match Snapshot.member f s with
-      | Some (Snapshot.Int _) -> ()
-      | _ -> Alcotest.fail (f ^ ": expected Int field"))
-    int_fields;
-  List.iter
-    (fun f ->
-      match Snapshot.member f s with
-      | Some (Snapshot.Float _) | Some (Snapshot.Int _) -> ()
-      | _ -> Alcotest.fail (f ^ ": expected numeric field"))
-    float_fields;
-  (* Every delivery crosses the wire, so both caches saw the
-     convergence traffic. *)
-  check "encode cache hits > 0" true (r.E.Perf_bench.enc_hits > 0);
-  check "decode memo hits > 0" true (r.E.Perf_bench.dec_hits > 0);
-  ( match E.Perf_bench.headline [ r ] with
-    | Some h ->
-      let hs = E.Perf_bench.headline_to_snapshot h in
-      List.iter
-        (fun f ->
-          match Snapshot.member f hs with
-          | Some (Snapshot.Float _) -> ()
-          | _ -> Alcotest.fail (f ^ ": expected Float headline field"))
-        [ "updates_per_s"; "baseline_updates_per_s"; "speedup";
-          "minor_words_per_update"; "baseline_minor_words_per_update";
-          "minor_words_reduction" ]
-    | None -> Alcotest.fail "headline must pick the row" );
+  check "runs per update < 1.0" true (r.E.Perf_report.runs_per_update < 1.0);
+  check "export cache hits > 0" true (r.E.Perf_report.export_hits > 0);
+  check "marks >= runs saved" true
+    (r.E.Perf_report.dirty_marks >= r.E.Perf_report.runs_saved);
+  check "encode cache hits > 0" true (r.E.Perf_report.enc_hits > 0);
+  check "decode memo hits > 0" true (r.E.Perf_report.dec_hits > 0);
   check "json renders" true
     (String.length (Snapshot.to_json_pretty s) > 0)
 
@@ -921,57 +889,6 @@ let test_wire_registry_bleed () =
   check "post-reset counts reflect only new traffic" true
     (List.for_all (fun (_, n) -> n <= 2) (Metrics.counters m))
 
-(* BENCH_perf.json gains a sharded section (the [--domains] axis); pin
-   its row shape so the artifact cannot drift silently.  A tiny
-   two-domain run doubles as an end-to-end check that the determinism
-   oracle feeds the bench: both rows must carry the same transcript. *)
-let test_sharded_bench_schema () =
-  let rows =
-    E.Perf_bench.domains_suite ~ases:40 ~prefixes:6 ~regions:2
-      ~domains:[ 1; 2 ] ()
-  in
-  check_int "one row per domain count" 2 (List.length rows);
-  List.iter
-    (fun r ->
-      let s = E.Perf_bench.sharded_to_snapshot r in
-      let int_fields =
-        [ "ases"; "prefixes"; "domains"; "regions"; "cut_edges"; "epochs";
-          "cores"; "messages"; "updates"; "events" ]
-      in
-      let float_fields =
-        [ "lookahead"; "elapsed_s"; "cpu_s"; "updates_per_s";
-          "speedup_vs_1_domain" ]
-      in
-      List.iter
-        (fun f ->
-          match Snapshot.member f s with
-          | Some (Snapshot.Int _) -> ()
-          | _ -> Alcotest.fail (f ^ ": expected Int field"))
-        int_fields;
-      List.iter
-        (fun f ->
-          match Snapshot.member f s with
-          | Some (Snapshot.Float _) | Some (Snapshot.Int _) -> ()
-          | _ -> Alcotest.fail (f ^ ": expected numeric field"))
-        float_fields;
-      ( match Snapshot.member "transcript_md5" s with
-        | Some (Snapshot.String md5) ->
-          check_int "md5 length" 32 (String.length md5)
-        | _ -> Alcotest.fail "transcript_md5: expected String" );
-      ( match Snapshot.member "transcript_match" s with
-        | Some (Snapshot.Bool true) -> ()
-        | _ -> Alcotest.fail "transcript_match must hold on a deterministic run" );
-      check "json renders" true
-        (String.length (Snapshot.to_json_pretty s) > 0))
-    rows;
-  match rows with
-  | r1 :: r2 :: _ ->
-    check "domain counts recorded" true
-      (r1.E.Perf_bench.s_domains = 1 && r2.E.Perf_bench.s_domains = 2);
-    check_str "identical transcripts across domain counts"
-      r1.E.Perf_bench.s_transcript_md5 r2.E.Perf_bench.s_transcript_md5
-  | _ -> ()
-
 let () =
   Alcotest.run "obs"
     [ ("metrics",
@@ -1000,15 +917,11 @@ let () =
            test_batch_attr_counter_names;
          Alcotest.test_case "chaos snapshot names" `Quick
            test_chaos_snapshot_names;
-         Alcotest.test_case "pipeline bench schema" `Quick
-           test_pipeline_bench_schema;
          Alcotest.test_case "perf bench schema" `Quick
-           test_perf_bench_schema;
+           test_perf_report_schema;
          Alcotest.test_case "scale bench schema" `Quick
            test_scale_bench_schema;
          Alcotest.test_case "stability bench schema" `Quick
            test_stability_bench_schema;
          Alcotest.test_case "adversary bench schema" `Quick
-           test_adversary_bench_schema;
-         Alcotest.test_case "sharded bench schema" `Quick
-           test_sharded_bench_schema ]) ]
+           test_adversary_bench_schema ]) ]

@@ -15,8 +15,13 @@ module Partition = Dbgp_netsim.Partition
 module Mailbox = Dbgp_netsim.Mailbox
 module Domain_pool = Dbgp_netsim.Domain_pool
 module Shard = Dbgp_netsim.Shard
+module Network = Dbgp_netsim.Network
+module Event_queue = Dbgp_netsim.Event_queue
+module Speaker = Dbgp_core.Speaker
+module Asn = Dbgp_types.Asn
+module Prefix = Dbgp_types.Prefix
 module Differential = Dbgp_eval.Differential
-module Perf_bench = Dbgp_eval.Perf_bench
+module Perf_report = Dbgp_eval.Perf_report
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -163,26 +168,78 @@ let test_verify_helper () =
   let _, _, ok = Differential.verify ~domains:4 "sharded-relay-line" in
   check "verify agrees" true ok
 
+(* ---------------------------- route refresh --------------------------- *)
+
+(* [Network.refresh_all] on each region of a shard.  A region's link
+   table also holds the local half of every cut edge, whose far speaker
+   lives in the other region: each region refreshes only its own
+   direction of a cut edge, as [Network.recover_half] does, and the
+   other region sends the mirror direction. *)
+let test_refresh_all_sharded () =
+  let addr a = Network.speaker_addr (Asn.of_int a) in
+  let sh =
+    Shard.create ~regions:2
+      ~make_speaker:(fun a ->
+        Speaker.create (Speaker.config ~asn:(Asn.of_int a) ~addr:(addr a) ()))
+      ()
+  in
+  List.iter (Shard.add_as sh) [ 1; 2; 3; 4 ];
+  (* A customer chain 1 < 2 < 3 < 4: AS 1's route climbs the line and
+     AS 4's descends it, so every link carries one route each way. *)
+  List.iter
+    (fun (a, b) -> Shard.link sh ~a ~b ~b_is:Dbgp_bgp.Policy.To_provider ())
+    [ (1, 2); (2, 3); (3, 4) ];
+  Shard.build sh;
+  check_int "one cut edge" 1
+    (Array.length (Partition.cut_edges (Shard.partition sh)));
+  let ia a p =
+    Dbgp_core.Ia.originate ~prefix:(Prefix.of_string p)
+      ~origin_asn:(Asn.of_int a) ~next_hop:(addr a) ()
+  in
+  Shard.originate sh 1 (ia 1 "99.1.0.0/24");
+  Shard.originate sh 4 (ia 4 "99.4.0.0/24");
+  for r = 0 to Shard.regions sh - 1 do
+    let net = Shard.network sh r in
+    Event_queue.schedule_at (Network.queue net) ~time:10. (fun () ->
+        Network.refresh_all net)
+  done;
+  ignore (Shard.run sh);
+  check_int "each direction of each link re-sent its one route once" 6
+    (Shard.counter_total sh "updates.duplicate");
+  List.iter
+    (fun a ->
+      List.iter
+        (fun p ->
+          check
+            (Printf.sprintf "AS %d holds %s" a p)
+            true
+            (Speaker.best (Shard.speaker sh a) (Prefix.of_string p) <> None))
+        [ "99.1.0.0/24"; "99.4.0.0/24" ])
+    [ 1; 2; 3; 4 ]
+
 (* --------------------------- smoke benchmark -------------------------- *)
 
 let test_smoke_bench () =
   let rows =
-    Perf_bench.domains_suite ~ases:60 ~prefixes:8 ~regions:4 ~domains:[ 1; 4 ]
+    Perf_report.domains_suite ~ases:60 ~prefixes:8 ~regions:4 ~domains:[ 1; 4 ]
       ()
   in
   check_int "two rows" 2 (List.length rows);
   List.iter
-    (fun (r : Perf_bench.sharded_row) ->
-      check "transcript matches 1-domain run" true r.Perf_bench.s_transcript_match;
-      check "updates delivered" true (r.Perf_bench.s_updates > 0);
-      check "barriers ran" true (r.Perf_bench.s_epochs > 0))
+    (fun (r : Perf_report.sharded_row) ->
+      check "transcript matches 1-domain run" true
+        r.Perf_report.s_transcript_match;
+      check_int "md5 length" 32 (String.length r.Perf_report.s_transcript_md5);
+      check_int "regions recorded" 4 r.Perf_report.s_regions;
+      check "updates delivered" true (r.Perf_report.s_updates > 0);
+      check "barriers ran" true (r.Perf_report.s_epochs > 0))
     rows;
   match rows with
   | [ one; four ] ->
-    check_int "first row is 1 domain" 1 one.Perf_bench.s_domains;
-    check_int "second row capped at 4 regions" 4 four.Perf_bench.s_domains;
-    check_str "same schedule, same transcript" one.Perf_bench.s_transcript_md5
-      four.Perf_bench.s_transcript_md5
+    check_int "first row is 1 domain" 1 one.Perf_report.s_domains;
+    check_int "second row capped at 4 regions" 4 four.Perf_report.s_domains;
+    check_str "same schedule, same transcript" one.Perf_report.s_transcript_md5
+      four.Perf_report.s_transcript_md5
   | _ -> Alcotest.fail "unexpected row count"
 
 let () =
@@ -210,6 +267,9 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick
             test_oracle_seed_sensitivity;
           Alcotest.test_case "verify helper" `Quick test_verify_helper ] );
+      ( "refresh",
+        [ Alcotest.test_case "refresh_all on both regions" `Quick
+            test_refresh_all_sharded ] );
       ( "smoke-bench",
         [ Alcotest.test_case "4-domain convergence" `Slow test_smoke_bench ] )
     ]

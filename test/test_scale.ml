@@ -2,9 +2,8 @@
    (CAIDA topology, background convergence, full-table feed load, and
    the three-way session-bounce table-transfer comparison) at 100 ASes
    and 1k prefixes, with the tentpole's headline claims asserted on the
-   real counters.  The committed BENCH_scale.json runs the same code at
-   {1k, 10k} ASes x {1k, 100k} prefixes via `dune exec bench/main.exe`
-   or `dbgp-sim scale`. *)
+   real counters.  The committed BENCH_scale.json runs the same code over
+   the six-cell grid via `dbgp-sim scale --grid --json BENCH_scale.json`. *)
 
 module E = Dbgp_eval
 

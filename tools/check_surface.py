@@ -3,7 +3,7 @@
 
 Fails (exit 1) and lists the offenders when
   - a `val` exported by a lib/**/*.mli is named by no file other than its
-    own .ml/.mli under lib, bin, bench, perfbench, examples and test;
+    own .ml/.mli under lib, bin, perfbench, examples and test;
   - an optional argument of an exported function is passed by no caller.
 
 An export counts as named when the word appears in another file, so
@@ -21,7 +21,7 @@ import os
 import re
 import sys
 
-ROOTS = ["lib", "bin", "bench", "perfbench", "examples", "test"]
+ROOTS = ["lib", "bin", "perfbench", "examples", "test"]
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
 OPT = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
 COMMENT = re.compile(r"\(\*.*?\*\)", re.S)
