@@ -599,15 +599,16 @@ let test_batch_attr_counter_names () =
        (Prefix.of_string "99.0.3.0/24")
      <> None)
 
+(* One small convergence row shared by the two BENCH_perf.json tests. *)
+let small_perf_row = lazy (E.Perf_report.run ~ases:25 ~prefixes:8 ())
+
 (* BENCH_perf.json is [Perf_report.to_snapshot]'s document; pin a
    row's exact field set and JSON types against a small run, so
    the committed file cannot drift silently or regain a machine-dependent
-   (wall-clock, CPU, GC or heap) field.  The report's claims are pinned
-   here too: coalescing beats run-per-message, peer groups serve their
-   members, and every delivery crosses the wire, so both wire caches see
-   the convergence traffic. *)
+   (wall-clock, CPU, GC or heap) field.  Every delivery crosses the
+   wire, so both wire caches see the convergence traffic. *)
 let test_perf_report_schema () =
-  let r = E.Perf_report.run ~ases:25 ~prefixes:8 () in
+  let r = Lazy.force small_perf_row in
   let s =
     match Snapshot.member "rows" (E.Perf_report.to_snapshot [ r ]) with
     | Some (Snapshot.List [ row ]) -> row
@@ -645,14 +646,61 @@ let test_perf_report_schema () =
   ( match Snapshot.member "ases" s with
     | Some (Snapshot.Int 25) -> ()
     | _ -> Alcotest.fail "ases must echo the topology size" );
-  check "runs per update < 1.0" true (r.E.Perf_report.runs_per_update < 1.0);
-  check "export cache hits > 0" true (r.E.Perf_report.export_hits > 0);
-  check "marks >= runs saved" true
-    (r.E.Perf_report.dirty_marks >= r.E.Perf_report.runs_saved);
   check "encode cache hits > 0" true (r.E.Perf_report.enc_hits > 0);
   check "decode memo hits > 0" true (r.E.Perf_report.dec_hits > 0);
   check "json renders" true
     (String.length (Snapshot.to_json_pretty s) > 0)
+
+(* The staged-pipeline columns of the same row: coalescing beats
+   run-per-message, peer groups serve their members, and the two rates
+   are the ratios of the counters printed beside them. *)
+let test_pipeline_columns () =
+  let r = Lazy.force small_perf_row in
+  let open E.Perf_report in
+  check "runs per update < 1.0" true (r.runs_per_update < 1.0);
+  check "export cache hits > 0" true (r.export_hits > 0);
+  check "marks >= runs saved" true (r.dirty_marks >= r.runs_saved);
+  check "decision ran" true (r.decision_runs > 0 && r.drains > 0);
+  Alcotest.(check (float 1e-9))
+    "runs per update = runs / updates"
+    (float_of_int r.decision_runs /. float_of_int r.updates)
+    r.runs_per_update;
+  Alcotest.(check (float 1e-9))
+    "export hit rate = hits / lookups"
+    (float_of_int r.export_hits
+     /. float_of_int (r.export_hits + r.export_misses))
+    r.export_hit_rate
+
+(* The sharded sweep behind [perf --domains] prints one row per domain
+   count to the terminal (no committed file); pin what a row records
+   against a tiny two-domain run.  The run doubles as an end-to-end check
+   that the determinism oracle feeds the sweep: both rows carry the same
+   transcript. *)
+let test_sharded_rows () =
+  let rows =
+    E.Perf_report.domains_suite ~ases:40 ~prefixes:6 ~regions:2
+      ~domains:[ 1; 2 ] ()
+  in
+  check_int "one row per domain count" 2 (List.length rows);
+  List.iter
+    (fun (r : E.Perf_report.sharded_row) ->
+      check_int "md5 length" 32 (String.length r.E.Perf_report.s_transcript_md5);
+      check "transcript matches the 1-domain run" true
+        r.E.Perf_report.s_transcript_match;
+      check_int "regions recorded" 2 r.E.Perf_report.s_regions;
+      check "cut edges recorded" true (r.E.Perf_report.s_cut_edges > 0);
+      check "lookahead positive" true (r.E.Perf_report.s_lookahead > 0.);
+      let line = Format.asprintf "%a" E.Perf_report.pp_sharded r in
+      check "row prints its transcript verdict" true
+        (String.ends_with ~suffix:"transcript match" line))
+    rows;
+  match rows with
+  | [ r1; r2 ] ->
+    check "domain counts recorded" true
+      (r1.E.Perf_report.s_domains = 1 && r2.E.Perf_report.s_domains = 2);
+    check_str "same transcript" r1.E.Perf_report.s_transcript_md5
+      r2.E.Perf_report.s_transcript_md5
+  | _ -> Alcotest.fail "unexpected row count"
 
 (* BENCH_scale.json rows come straight from [Scale_bench.to_snapshot];
    pin the schema plus the headline claims, in per-prefix messages: a
@@ -917,6 +965,8 @@ let () =
            test_batch_attr_counter_names;
          Alcotest.test_case "chaos snapshot names" `Quick
            test_chaos_snapshot_names;
+         Alcotest.test_case "pipeline bench schema" `Quick
+           test_pipeline_columns;
          Alcotest.test_case "perf bench schema" `Quick
            test_perf_report_schema;
          Alcotest.test_case "scale bench schema" `Quick
@@ -924,4 +974,6 @@ let () =
          Alcotest.test_case "stability bench schema" `Quick
            test_stability_bench_schema;
          Alcotest.test_case "adversary bench schema" `Quick
-           test_adversary_bench_schema ]) ]
+           test_adversary_bench_schema;
+         Alcotest.test_case "sharded bench schema" `Quick
+           test_sharded_rows ]) ]
