@@ -166,6 +166,13 @@ let take_stale t ~peer =
     Prefix.Tbl.fold (fun p () acc -> p :: acc) marks []
     |> List.sort Prefix.compare
 
+let unmark_stale t ~peer =
+  match Peer.Map.find_opt peer t.stale with
+  | None -> 0
+  | Some marks ->
+    t.stale <- Peer.Map.remove peer t.stale;
+    Prefix.Tbl.length marks
+
 let drop_peer t ~peer =
   let affected = prefixes_of t ~peer in
   List.iter (fun p -> remove t ~peer p) affected;

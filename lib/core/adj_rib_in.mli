@@ -52,5 +52,10 @@ val take_stale : 'r t -> peer:Peer.t -> Dbgp_types.Prefix.t list
     (empty if none) — closing a restart window.  The list's length is
     the number of marks closed. *)
 
+val unmark_stale : 'r t -> peer:Peer.t -> int
+(** Remove the peer's stale marks, keeping its routes, and return how
+    many there were — an End-of-RIB, which needs only the count.  Costs
+    no pass over the marks. *)
+
 val stale_count : 'r t -> int
 (** Stale marks across all peers. *)

@@ -9,11 +9,15 @@ type group_key = {
 
 (* [round]/[egress] are the group's evaluation slot: [egress] is the
    result of round [round] and means nothing in any other round, so no
-   result is ever served across fan-outs. *)
+   result is ever served across fan-outs.  [holders] counts the members
+   whose [table] is non-empty, kept by every write that empties or
+   fills one, so "nothing is recorded toward anyone" costs one read per
+   group. *)
 type group = {
   id : int;
   key : group_key;
   mutable members : int;
+  mutable holders : int;
   mutable round : int;
   mutable egress : Ia.t option;
 }
@@ -65,12 +69,17 @@ let depart t g =
   g.members <- g.members - 1;
   if g.members <= 0 then t.groups <- List.filter (fun g' -> g' != g) t.groups
 
+let holds h =
+  match h.table with Some m -> Hashtbl.length m > 0 | None -> false
+
 let join t ~peer key =
   let target =
     match List.find_opt (fun g -> same_key g.key key) t.groups with
     | Some g -> g
     | None ->
-      let g = { id = t.next_id; key; members = 0; round = -1; egress = None } in
+      let g =
+        { id = t.next_id; key; members = 0; holders = 0; round = -1; egress = None }
+      in
       t.next_id <- t.next_id + 1;
       t.groups <- g :: t.groups;
       g
@@ -82,6 +91,10 @@ let join t ~peer key =
          capability) moves the handle; what was advertised stays. *)
       depart t h.group;
       target.members <- target.members + 1;
+      if holds h then begin
+        h.group.holders <- h.group.holders - 1;
+        target.holders <- target.holders + 1
+      end;
       h.group <- target
     end;
     h
@@ -96,10 +109,13 @@ let leave t ~peer =
   | None -> ()
   | Some h ->
     t.handles <- Peer.Map.remove peer t.handles;
+    if holds h then h.group.holders <- h.group.holders - 1;
     depart t h.group
 
+let group_id h = h.group.id
+
 let group_of t ~peer =
-  Option.map (fun h -> h.group.id) (Peer.Map.find_opt peer t.handles)
+  Option.map group_id (Peer.Map.find_opt peer t.handles)
 
 (* --------------------- group-major evaluation --------------------- *)
 
@@ -128,12 +144,18 @@ let record h prefix out =
   (match h.lost with Some l -> Hashtbl.remove l prefix | None -> ());
   match out with
   | None -> (
-    match h.table with Some m -> Hashtbl.remove m prefix | None -> () )
+    match h.table with
+    | Some m when Hashtbl.length m > 0 ->
+      Hashtbl.remove m prefix;
+      if Hashtbl.length m = 0 then h.group.holders <- h.group.holders - 1
+    | _ -> () )
   | Some _ ->
     (* Store the caller's option value as-is: it is the same box the
        group's evaluation produced, so a recorded advertisement costs no
        per-route [Some] of its own. *)
-    Hashtbl.replace (writable h) prefix out
+    let m = writable h in
+    if Hashtbl.length m = 0 then h.group.holders <- h.group.holders + 1;
+    Hashtbl.replace m prefix out
 
 let find h prefix =
   match h.table with
@@ -146,12 +168,12 @@ let find h prefix =
 let advertised h prefix =
   match h.table with Some m -> Hashtbl.mem m prefix | None -> false
 
-let entries h =
+let unbacked h ~backed =
   match h.table with
   | None -> []
   | Some m ->
-    Hashtbl.fold (fun p out acc -> (p, out, not (is_lost h p)) :: acc) m []
-    |> List.sort (fun (a, _, _) (b, _, _) -> Prefix.compare a b)
+    Hashtbl.fold (fun p _ acc -> if backed p then acc else p :: acc) m []
+    |> List.sort Prefix.compare
 
 let lost_marks h =
   match h.lost with
@@ -170,7 +192,10 @@ let note_failed t ~peer prefix =
     (* A dropped withdraw: the entry was optimistically removed by
        {!record}, but the peer may still hold the route.  Leave a
        tombstone so the next sync re-sends the withdraw. *)
-    if not (Hashtbl.mem m prefix) then Hashtbl.replace m prefix None
+    if not (Hashtbl.mem m prefix) then begin
+      if Hashtbl.length m = 0 then h.group.holders <- h.group.holders + 1;
+      Hashtbl.replace m prefix None
+    end
 
 let unconfirm t ~peer =
   match Peer.Map.find_opt peer t.handles with
@@ -195,6 +220,8 @@ let peers t =
       | _ -> acc)
     t.handles []
   |> List.rev
+
+let holders t = List.fold_left (fun n g -> n + g.holders) 0 t.groups
 
 module For_tests = struct
   let group_count t = List.length t.groups

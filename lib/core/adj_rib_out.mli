@@ -46,6 +46,9 @@ val leave : t -> peer:Peer.t -> unit
 
 val group_of : t -> peer:Peer.t -> int option
 
+val group_id : handle -> int
+(** The handle's current group, as {!group_of} names it. *)
+
 (** {1 Group-major evaluation}
 
     One fan-out is a {e round}.  The first member of a group served in a
@@ -80,9 +83,12 @@ val find : handle -> Dbgp_types.Prefix.t -> (Ia.t option * bool) option
 val advertised : handle -> Dbgp_types.Prefix.t -> bool
 (** Whether any entry (tombstones included) is recorded for [prefix]. *)
 
-val entries : handle -> (Dbgp_types.Prefix.t * Ia.t option * bool) list
-(** All recorded [(prefix, out, confirmed)] entries — tombstones
-    included — in ascending prefix order. *)
+val unbacked :
+  handle -> backed:(Dbgp_types.Prefix.t -> bool) -> Dbgp_types.Prefix.t list
+(** The prefixes of the recorded entries — tombstones included — for
+    which [backed] is false, in ascending prefix order.  Only those are
+    sorted, so a sync tail that finds every record still backed costs
+    one unordered pass. *)
 
 val note_failed : t -> peer:Peer.t -> Dbgp_types.Prefix.t -> unit
 (** The transport dropped the last message for [prefix] toward [peer]:
@@ -102,6 +108,12 @@ val unconfirm : t -> peer:Peer.t -> unit
 val bindings : t -> peer:Peer.t -> (Dbgp_types.Prefix.t * Ia.t) list
 val peers : t -> Peer.t list
 (** Peers with at least one recorded entry, ascending. *)
+
+val holders : t -> int
+(** The number of peers with at least one recorded entry (tombstones
+    included): [0] means a withdraw toward any member is a no-op.  Each
+    group keeps its own count up to date on every write, so this costs
+    O(groups). *)
 
 (** Probes of the group table, for the tests that pin its life cycle. *)
 module For_tests : sig

@@ -18,10 +18,8 @@ val create : Dbgp_obs.Metrics.t -> t
 val mark : t -> Dbgp_types.Prefix.t -> unit
 val pending : t -> int
 
-val dirty : t -> Dbgp_types.Prefix.t list
-(** The dirty set, ascending, without draining it. *)
-
 val drain : t -> f:(Dbgp_types.Prefix.t -> 'a list) -> 'a list
 (** Clear the dirty set and run [f] once per prefix in ascending order,
     concatenating the results.  Prefixes marked dirty *by* [f] land in
-    the next drain. *)
+    the next drain.  Costs O(k log k) for the k prefixes marked, however
+    large earlier batches were. *)

@@ -52,12 +52,16 @@ type route = {
    when the neighbor is added — the config is immutable, so the chain
    never needs rebuilding.  [from] is the neighbor's [Some peer], made
    once here and shared by every candidate learned from it, so a
-   decision run allocates no option box per candidate. *)
+   decision run allocates no option box per candidate.  [rep] holds when
+   the neighbor is its group's first member in ascending peer order —
+   the one whose service evaluates the group in a fan-out (see
+   {!group_reps}). *)
 type egress = {
   nbr : neighbor;
   out : Adj_rib_out.handle;
   chain : Filters.t;
   from : Peer.t option;
+  mutable rep : bool;
 }
 
 module Damping = Dbgp_bgp.Flap_damping
@@ -66,7 +70,11 @@ type t = {
   cfg : config;
   modules : (int, Decision_module.t) Hashtbl.t; (* by Protocol_id.to_int *)
   mutable active : Protocol_id.t Trie.t;
-  mutable nbrs : egress Peer.Map.t;
+  (* The neighbors, ascending by peer; [reps] the first member of each
+     peer group among them, ascending, or empty after the neighbor set
+     changed. *)
+  mutable nbrs : egress array;
+  mutable reps : egress array;
   (* The three-stage RIB pipeline of Figure 5.  [rib_in]: per-(prefix,
      peer) post-global-import attribute sets plus graceful-restart stale
      marks.
@@ -131,7 +139,8 @@ let create cfg =
   { cfg;
     modules;
     active = Trie.empty;
-    nbrs = Peer.Map.empty;
+    nbrs = [||];
+    reps = [||];
     rib_in = Adj_rib_in.create ();
     loc =
       Loc_rib.create
@@ -236,15 +245,40 @@ let egress_chain cfg (n : neighbor) : Filters.t =
   | [] -> Filters.accept
   | f :: rest -> List.fold_left Filters.compose f rest
 
+(* The index of [peer] in [t.nbrs], or [-(i + 1)] when it is absent and
+   belongs at index [i]. *)
+let locate t peer =
+  let a = t.nbrs in
+  let rec go lo hi =
+    if lo >= hi then -(lo + 1)
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Peer.compare a.(mid).nbr.peer peer in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length a)
+
+let find_nbr t peer =
+  let i = locate t peer in
+  if i >= 0 then Some t.nbrs.(i) else None
+
 let add_neighbor t n =
   let out = Adj_rib_out.join t.rib_out ~peer:n.peer (group_key_of n) in
-  t.nbrs <-
-    Peer.Map.add n.peer
-      { nbr = n; out; chain = egress_chain t.cfg n; from = Some n.peer }
-      t.nbrs
+  let e =
+    { nbr = n; out; chain = egress_chain t.cfg n; from = Some n.peer; rep = false }
+  in
+  let i = locate t n.peer and a = t.nbrs in
+  if i >= 0 then a.(i) <- e
+  else begin
+    let i = -(i + 1) in
+    t.nbrs <-
+      Array.init (Array.length a + 1) (fun j ->
+          if j < i then a.(j) else if j = i then e else a.(j - 1))
+  end;
+  t.reps <- [||]
 
-let neighbors t = List.map (fun (_, e) -> e.nbr) (Peer.Map.bindings t.nbrs)
-let has_neighbor t peer = Peer.Map.mem peer t.nbrs
+let neighbors t = Array.fold_right (fun e acc -> e.nbr :: acc) t.nbrs []
+let has_neighbor t peer = locate t peer >= 0
 let export_group_of t peer = Adj_rib_out.group_of t.rib_out ~peer
 
 let module_for t proto =
@@ -261,7 +295,7 @@ let learned_relationship t from =
   match from with
   | None -> None
   | Some p ->
-    Option.map (fun e -> e.nbr.relationship) (Peer.Map.find_opt p t.nbrs)
+    Option.map (fun e -> e.nbr.relationship) (find_nbr t p)
 
 (* ------------------------- flap damping ------------------------- *)
 
@@ -354,28 +388,31 @@ let peer_down_graceful ?(now = 0.) t peer =
            routes })
   end
 
+(* The group-wide half of an emission: the relationship export rule and
+   the egress chain, evaluated once per group per round (a miss) and
+   stored as the group's result. *)
+let evaluate t ~learned (outgoing : Ia.t) e =
+  Metrics.incr t.c_export_misses;
+  let out =
+    if t.export_rule ~learned ~to_:e.nbr.relationship then e.chain outgoing
+    else None
+  in
+  Adj_rib_out.set_result t.rib_out e.out out;
+  out
+
 (* The IA (if any) toward one neighbor for a route learned [from] and
-   re-advertised as [outgoing], in the current Adj-RIB-Out round.  The relationship export rule and the
-   egress chain are group-wide, so they run for the first member of each
-   group served in the round (a miss) and every later member reuses the
-   result (a hit).  Split-horizon and the on-path check are per neighbor
-   and run only when the group exports something. *)
+   re-advertised as [outgoing], in the current Adj-RIB-Out round.  The
+   first member of each group served in the round evaluates the group,
+   unless {!quiet} already did on its behalf, and every later member
+   reuses the result (a hit).  Split-horizon and the on-path check are
+   per neighbor and run only when the group exports something. *)
 let emission t ~learned ~from (outgoing : Ia.t) e =
   let out =
     if Adj_rib_out.evaluated t.rib_out e.out then begin
-      Metrics.incr t.c_export_hits;
+      if not e.rep then Metrics.incr t.c_export_hits;
       Adj_rib_out.result e.out
     end
-    else begin
-      Metrics.incr t.c_export_misses;
-      let out =
-        if t.export_rule ~learned ~to_:e.nbr.relationship then
-          e.chain outgoing
-        else None
-      in
-      Adj_rib_out.set_result t.rib_out e.out out;
-      out
-    end
+    else evaluate t ~learned outgoing e
   in
   match out with
   | None -> None
@@ -412,22 +449,57 @@ let send e prefix o acc =
     end
     else acc
 
+(* The first member of each group, ascending, recomputed after the
+   neighbor set changed; it also refreshes every [rep] flag.  A speaker
+   with neighbors has at least one group, so an empty [reps] beside a
+   non-empty [nbrs] means "stale". *)
+let group_reps t =
+  if Array.length t.reps = 0 && Array.length t.nbrs > 0 then begin
+    let seen = Hashtbl.create 8 in
+    Array.iter
+      (fun e ->
+        let g = Adj_rib_out.group_id e.out in
+        e.rep <- not (Hashtbl.mem seen g);
+        if e.rep then Hashtbl.replace seen g ())
+      t.nbrs;
+    t.reps <- Array.of_list (List.filter (fun e -> e.rep) (Array.to_list t.nbrs))
+  end;
+  t.reps
+
+(* Whether a fan-out of [outgoing] sends nothing because no neighbor
+   holds a record and every group rejects the route: O(groups) instead
+   of O(neighbors) at a speaker that exports nothing.  The groups are
+   evaluated in the order the fan-out would reach them, so the counters
+   and, should a filter raise, the Adj-RIB-Out end as the plain fan-out
+   leaves them.  The check stops at the first group that exports;
+   {!distribute} then serves every member, reusing the evaluations made
+   here. *)
+let quiet t ~learned outgoing =
+  let reps = group_reps t in
+  Adj_rib_out.holders t.rib_out = 0
+  && Array.for_all (fun e -> evaluate t ~learned outgoing e = None) reps
+
 (* Announce / withdraw the current best for [prefix] to all neighbors,
    in ascending peer order: one round, so one evaluation per group. *)
 let distribute t prefix =
-  ( match Loc_rib.find t.loc prefix with
-    | None -> Peer.Map.fold (fun _ e acc -> send e prefix None acc) t.nbrs []
-    | Some r ->
-      Adj_rib_out.next_round t.rib_out;
-      let learned = learned_relationship t r.via in
-      (* One IA for every neighbor: the group result and the encode
-         cache key on it physically. *)
-      let outgoing = Attr_table.route r.out prefix in
-      Peer.Map.fold
-        (fun _ e acc ->
-          send e prefix (emission t ~learned ~from:r.via outgoing e) acc)
-        t.nbrs [] )
-  |> List.rev
+  match Loc_rib.find t.loc prefix with
+  | None ->
+    if Adj_rib_out.holders t.rib_out = 0 then []
+    else
+      List.rev (Array.fold_left (fun acc e -> send e prefix None acc) [] t.nbrs)
+  | Some r ->
+    Adj_rib_out.next_round t.rib_out;
+    let learned = learned_relationship t r.via in
+    (* One IA for every neighbor: the group result and the encode cache
+       key on it physically. *)
+    let outgoing = Attr_table.route r.out prefix in
+    if quiet t ~learned outgoing then []
+    else
+      List.rev
+        (Array.fold_left
+           (fun acc e ->
+             send e prefix (emission t ~learned ~from:r.via outgoing e) acc)
+           [] t.nbrs)
 
 (* ---------------- incremental table transfer ---------------- *)
 
@@ -453,7 +525,7 @@ let unconfirm_peer t peer = Adj_rib_out.unconfirm t.rib_out ~peer
    non-graceful teardown dropped them), which is exactly when the peer
    kept nothing either. *)
 let sync_peer ?(limit = max_int) ?cursor t peer =
-  match Peer.Map.find_opt peer t.nbrs with
+  match find_nbr t peer with
   | None -> ([], None)
   | Some e ->
     let out = ref [] in
@@ -478,13 +550,11 @@ let sync_peer ?(limit = max_int) ?cursor t peer =
     in
     if next = None then
       List.iter
-        (fun (prefix, _, _) ->
-          if not (Loc_rib.mem t.loc prefix) then begin
-            Adj_rib_out.record e.out prefix None;
-            out := (peer, Withdraw prefix) :: !out;
-            incr withdrawn
-          end)
-        (Adj_rib_out.entries e.out);
+        (fun prefix ->
+          Adj_rib_out.record e.out prefix None;
+          out := (peer, Withdraw prefix) :: !out;
+          incr withdrawn)
+        (Adj_rib_out.unbacked e.out ~backed:(Loc_rib.mem t.loc));
     if !sent > 0 then
       Metrics.incr ~by:!sent (Metrics.counter t.obs "sync.sent");
     if !skipped > 0 then
@@ -499,7 +569,7 @@ let sync_peer ?(limit = max_int) ?cursor t peer =
    Contrast {!flush_stale}, which closes an expired restart window by
    dropping what was never refreshed. *)
 let end_of_rib ?(now = 0.) t peer =
-  let routes = List.length (Adj_rib_in.take_stale t.rib_in ~peer) in
+  let routes = Adj_rib_in.unmark_stale t.rib_in ~peer in
   if routes > 0 then begin
     Metrics.incr ~by:routes (Metrics.counter t.obs "restart.retained");
     Trace.emit t.trace ~at:now
@@ -536,7 +606,7 @@ let process t ~now prefix =
             (* Per-neighbor then protocol-specific import filters,
                applied directly — [Filters.compose] would allocate a
                closure per candidate per run. *)
-            let nbr = Peer.Map.find_opt peer t.nbrs in
+            let nbr = find_nbr t peer in
             let nbr_import =
               match nbr with Some e -> e.nbr.import | None -> Filters.accept
             in
@@ -863,7 +933,13 @@ let teardown ~forget_flaps ~now t peer =
     (Adj_rib_in.prefixes_of t.rib_in ~peer);
   let affected = Adj_rib_in.drop_peer t.rib_in ~peer in
   Adj_rib_out.leave t.rib_out ~peer;
-  t.nbrs <- Peer.Map.remove peer t.nbrs;
+  ( match locate t peer with
+    | i when i >= 0 ->
+      let a = t.nbrs in
+      t.nbrs <-
+        Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1));
+      t.reps <- [||]
+    | _ -> () );
   if forget_flaps then t.flap_state <- Peer.Map.remove peer t.flap_state;
   List.iter (Pipeline.mark t.sched) affected;
   flush ~now t

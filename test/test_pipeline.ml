@@ -526,23 +526,11 @@ let scenario_speaker sc =
   List.iter (Speaker.add_neighbor s) nbrs;
   (s, cfg, nbrs)
 
-(* The per-neighbor export decision, evaluated directly: split-horizon,
-   on-path, valley-free, then the full stage-7 chain built afresh. *)
-let reference_emission (cfg : Speaker.config) (chosen : Speaker.chosen) ~learned
-    (n : Speaker.neighbor) =
-  let is_sender =
-    match chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer with
-    | Some p -> Peer.equal p n.peer
-    | None -> false
-  in
-  let on_path =
-    List.exists
-      (Path_elem.mentions_asn n.peer.Peer.asn)
-      chosen.Speaker.outgoing.Ia.path_vector
-    && not (Asn.equal n.peer.Peer.asn cfg.Speaker.asn)
-  in
-  if is_sender || on_path || not (Policy.valley_free ~learned ~to_:n.relationship)
-  then None
+(* The group-wide half of the export decision, evaluated directly:
+   valley-free, then the full stage-7 chain built afresh. *)
+let reference_group_emission (cfg : Speaker.config) (chosen : Speaker.chosen)
+    ~learned (n : Speaker.neighbor) =
+  if not (Policy.valley_free ~learned ~to_:n.relationship) then None
   else
     let island_egress =
       match cfg.Speaker.island with
@@ -562,6 +550,24 @@ let reference_emission (cfg : Speaker.config) (chosen : Speaker.chosen) ~learned
     Filters.chain
       [ island_egress; cfg.Speaker.global_export; n.export; downgrade ]
       chosen.Speaker.outgoing
+
+(* The per-neighbor export decision: split-horizon and on-path, then the
+   group-wide half. *)
+let reference_emission (cfg : Speaker.config) (chosen : Speaker.chosen) ~learned
+    (n : Speaker.neighbor) =
+  let is_sender =
+    match chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer with
+    | Some p -> Peer.equal p n.peer
+    | None -> false
+  in
+  let on_path =
+    List.exists
+      (Path_elem.mentions_asn n.peer.Peer.asn)
+      chosen.Speaker.outgoing.Ia.path_vector
+    && not (Asn.equal n.peer.Peer.asn cfg.Speaker.asn)
+  in
+  if is_sender || on_path then None
+  else reference_group_emission cfg chosen ~learned n
 
 let same_msg (p, m) (p', m') =
   Peer.equal p p'
@@ -597,27 +603,32 @@ let prop_group_major sc =
       let changes = counter_of s "decision.changes" in
       let hits = counter_of s "pipeline.export_cache.hits" in
       let misses = counter_of s "pipeline.export_cache.misses" in
+      (* Nothing recorded toward anyone before this event: if every
+         group then rejects the route, the fan-out serves no member. *)
+      let none_held = Hashtbl.length announced = 0 in
       let out = Speaker.receive s ~from msg in
       let dhits = counter_of s "pipeline.export_cache.hits" - hits in
       let dmisses = counter_of s "pipeline.export_cache.misses" - misses in
       if counter_of s "decision.changes" = changes then out = [] && dmisses = 0
       else
         let best = Speaker.best s prefix in
+        let learned =
+          match best with
+          | None -> None
+          | Some chosen ->
+            Option.map
+              (fun p ->
+                (List.find (fun (m : Speaker.neighbor) -> Peer.equal m.peer p) nbrs)
+                  .relationship)
+              chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer
+        in
         let expected =
           List.filter_map
             (fun (n : Speaker.neighbor) ->
               let o =
                 match best with
                 | None -> None
-                | Some chosen ->
-                  let learned =
-                    Option.map
-                      (fun p ->
-                        (List.find (fun (m : Speaker.neighbor) -> Peer.equal m.peer p) nbrs)
-                          .relationship)
-                      chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer
-                  in
-                  reference_emission cfg chosen ~learned n
+                | Some chosen -> reference_emission cfg chosen ~learned n
               in
               match o with
               | Some ia ->
@@ -631,11 +642,20 @@ let prop_group_major sc =
                 else None)
             nbrs
         in
+        let quiet =
+          match best with
+          | None -> true
+          | Some chosen ->
+            none_held
+            && List.for_all
+                 (fun n -> reference_group_emission cfg chosen ~learned n = None)
+                 nbrs
+        in
         let evaluations = if best = None then 0 else List.length groups in
         List.compare_lengths out expected = 0
         && List.for_all2 same_msg out expected
         && dmisses = evaluations
-        && dhits = (if best = None then 0 else k - evaluations))
+        && dhits = (if quiet then 0 else k - evaluations))
     sc.events
 
 let qcheck_group_major =
@@ -687,11 +707,13 @@ let adj_rib_out_agrees ops =
               (Adj_rib_out.find h q) (Prefix.Map.find_opt q m)
             && Adj_rib_out.advertised h q = Prefix.Map.mem q m)
           out_prefixes
-        && List.compare_lengths (Adj_rib_out.entries h) entries = 0
-        && List.for_all2
-             (fun (q, o, c) (q', (o', c')) ->
-               Prefix.equal q q' && same_out o o' && c = c')
-             (Adj_rib_out.entries h) entries
+        && List.for_all
+             (fun backed ->
+               List.equal Prefix.equal
+                 (Adj_rib_out.unbacked h ~backed)
+                 (List.filter (fun q -> not (backed q)) (List.map fst entries)))
+             [ (fun _ -> false); (fun _ -> true);
+               Prefix.equal (List.nth out_prefixes 1) ]
         && List.equal
              (fun (q, ia) (q', ia') -> Prefix.equal q q' && Ia.equal ia ia')
              (Adj_rib_out.bindings rib ~peer:p)
@@ -1346,6 +1368,221 @@ let test_restart_under_churn () =
      after simulated time passes the original window. *)
   check_int "no stale routes left" 0 (Network.stale_total net)
 
+(* ----------- costs that follow the change, not the table ----------- *)
+
+(* The [i]-th /24 above 0.0.0.0. *)
+let nth_prefix i = Prefix.make (Ipv4.of_int ((i + 1) lsl 8)) 24
+
+(* [sender]'s announcement of [prefix], originated by [origin]. *)
+let relayed ?(origin = 500) sender prefix =
+  Speaker.Announce
+    ( Ia.originate ~prefix ~origin_asn:(asn origin)
+        ~next_hop:(Ipv4.of_octets 10 0 0 sender) ()
+    |> Ia.prepend_as (asn sender) )
+
+(* A speaker whose nine neighbors, in three groups, all export nothing
+   pays one evaluation per group per route and serves no member.  Once
+   a neighbor holds a record the fan-out must reach it again: a changed
+   route and a withdrawal each take back what it holds, from it alone. *)
+let test_quiet_speaker_costs_groups () =
+  let s =
+    Speaker.create
+      (Speaker.config ~asn:(asn 100) ~addr:(Ipv4.of_octets 10 0 0 100) ())
+  in
+  let rel n =
+    if n <= 3 then Policy.To_customer
+    else if n <= 6 then Policy.To_peer
+    else Policy.To_provider
+  in
+  let quiet n =
+    Speaker.neighbor ~export:Filters.reject ~relationship:(rel n) (peer n)
+  in
+  let members = List.init 9 (fun i -> i + 1) in
+  List.iter (fun n -> Speaker.add_neighbor s (quiet n)) members;
+  check_int "three groups" 3
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun n -> Speaker.export_group_of s (peer n)) members)));
+  let hits () = counter_of s "pipeline.export_cache.hits"
+  and misses () = counter_of s "pipeline.export_cache.misses" in
+  let k = 40 in
+  let out =
+    List.concat_map
+      (fun i -> Speaker.receive s ~from:(peer 1) (relayed 1 (nth_prefix i)))
+      (List.init k Fun.id)
+  in
+  check "nothing sent" true (out = []);
+  check_int "one evaluation per group per route" (3 * k) (misses ());
+  check_int "no member served" 0 (hits ());
+  (* Peer 5 starts exporting: it alone is announced to, and the fan-out
+     counts as before — one evaluation per group, the other members
+     served by it. *)
+  let p = nth_prefix k and q = nth_prefix (k + 1) in
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_peer (peer 5));
+  let m0 = misses () and h0 = hits () in
+  let out_p = Speaker.receive s ~from:(peer 1) (relayed 1 p) in
+  check_int "four groups evaluated" 4 (misses () - m0);
+  check_int "five members served by them" 5 (hits () - h0);
+  let out = out_p @ Speaker.receive s ~from:(peer 1) (relayed 1 q) in
+  check "peer 5 alone announced to" true
+    ( match out with
+      | [ (a, Speaker.Announce x); (b, Speaker.Announce y) ] ->
+        Peer.equal a (peer 5) && Peer.equal b (peer 5)
+        && Prefix.equal x.Ia.prefix p && Prefix.equal y.Ia.prefix q
+      | _ -> false );
+  (* Back to rejecting, peer 5 still holds [p] and [q]. *)
+  Speaker.add_neighbor s (quiet 5);
+  check "changed route withdrawn from peer 5 alone" true
+    (Speaker.receive s ~from:(peer 1) (relayed ~origin:501 1 p)
+    = [ (peer 5, Speaker.Withdraw p) ]);
+  check "withdrawal reaches peer 5 alone" true
+    (Speaker.receive s ~from:(peer 1) (Speaker.Withdraw q)
+    = [ (peer 5, Speaker.Withdraw q) ]);
+  (* Nothing is held any more: quiet again. *)
+  let m0 = misses () and h0 = hits () in
+  check "quiet again" true
+    (Speaker.receive s ~from:(peer 1) (relayed 1 (nth_prefix (k + 2))) = []);
+  check_int "quiet again: one evaluation per group" 3 (misses () - m0);
+  check_int "quiet again: no member served" 0 (hits () - h0)
+
+(* A sync toward a peer holding confirmed records (skipped), an
+   unconfirmed record (re-sent), a tombstone for a prefix the Loc-RIB
+   still routes (withdrawn by the walk) and tombstones for prefixes it
+   no longer routes (withdrawn by the tail, ascending, though they were
+   recorded descending). *)
+let test_sync_tail_withdraws_unbacked () =
+  let s =
+    Speaker.create
+      (Speaker.config ~asn:(asn 100) ~addr:(Ipv4.of_octets 10 0 0 100) ())
+  in
+  let f = peer 1 and t = peer 2 and up = peer 3 in
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer f);
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_peer t);
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_provider up);
+  let a = nth_prefix 0 and b = nth_prefix 1 and c = nth_prefix 2
+  and x = nth_prefix 3 in
+  let unbacked = List.init 20 (fun i -> nth_prefix (10 + i)) in
+  let rx from m = ignore (Speaker.receive s ~from m) in
+  List.iter (fun q -> rx f (relayed 1 q)) ([ a; b; c; x ] @ unbacked);
+  (* [b] changes and the announcement is lost: unconfirmed. *)
+  rx f (relayed ~origin:501 1 b);
+  Speaker.note_undelivered s t b;
+  (* The withdrawals of the unbacked prefixes are lost: tombstones. *)
+  List.iter
+    (fun q ->
+      rx f (Speaker.Withdraw q);
+      Speaker.note_undelivered s t q)
+    (List.rev unbacked);
+  (* [x] moves to a provider route, which is not exported to a peer;
+     both withdrawals toward [t] are lost. *)
+  rx f (Speaker.Withdraw x);
+  Speaker.note_undelivered s t x;
+  rx up (relayed 3 x);
+  Speaker.note_undelivered s t x;
+  let w0 = counter_of s "sync.withdrawn" in
+  let out, next = Speaker.sync_peer s t in
+  check "complete" true (next = None);
+  let shape =
+    List.map
+      (function
+        | p, Speaker.Announce ia when Peer.equal p t -> `A ia.Ia.prefix
+        | p, Speaker.Withdraw q when Peer.equal p t -> `W q
+        | _ -> `Other)
+      out
+  in
+  check "re-send, walk withdraw, then the tail ascending" true
+    (shape = (`A b :: `W x :: List.map (fun q -> `W q) unbacked));
+  check_int "sync.withdrawn" 21 (counter_of s "sync.withdrawn" - w0);
+  check_int "sync.skipped" 2 (counter_of s "sync.skipped");
+  check "nothing left to send" true (fst (Speaker.sync_peer s t) = [])
+
+(* End-of-RIB keeps the routes, returns the number of marks left and
+   counts them under restart.retained; no mark survives it. *)
+let test_end_of_rib_counts_marks () =
+  let s =
+    Speaker.create
+      (Speaker.config ~asn:(asn 100) ~addr:(Ipv4.of_octets 10 0 0 100) ())
+  in
+  let f = peer 1 in
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer f);
+  let n = 40 in
+  let ps = List.init n nth_prefix in
+  List.iter (fun q -> ignore (Speaker.receive s ~from:f (relayed 1 q))) ps;
+  Speaker.peer_down_graceful s f;
+  check_int "all marked" n (Speaker.stale_count s);
+  (* A refreshed route is no longer stale. *)
+  ignore (Speaker.receive s ~from:f (relayed 1 (List.hd ps)));
+  check_int "end_of_rib returns the marks left" (n - 1) (Speaker.end_of_rib s f);
+  check_int "restart.retained" (n - 1) (counter_of s "restart.retained");
+  check "no marks behind" true (Speaker.stale_count s = 0 && not (Speaker.has_stale s f));
+  check "routes kept" true (List.for_all (fun q -> Speaker.best s q <> None) ps);
+  check_int "a second end_of_rib finds none" 0 (Speaker.end_of_rib s f);
+  check_int "restart.retained unchanged" (n - 1) (counter_of s "restart.retained")
+
+(* A drain after a 50,000-mark drain processes only what was marked
+   since, and marks made inside [f] land in the next drain. *)
+let test_pipeline_drain_after_full_table () =
+  let obs = Metrics.create () in
+  let sched = Pipeline.create obs in
+  let n = 50_000 in
+  for i = 0 to n - 1 do
+    let j = i * 7919 mod n in
+    Pipeline.mark sched (nth_prefix j);
+    if j mod 10 = 0 then Pipeline.mark sched (nth_prefix j)
+  done;
+  check_int "coalesced" n (Pipeline.pending sched);
+  let remark = nth_prefix 3 in
+  let seen = ref 0 and last = ref (-1) and ascending = ref true in
+  let out =
+    Pipeline.drain sched ~f:(fun p ->
+        if Prefix.to_int p <= !last then ascending := false;
+        last := Prefix.to_int p;
+        incr seen;
+        if Prefix.equal p remark then Pipeline.mark sched remark;
+        [])
+  in
+  check "each prefix once, ascending" true (out = [] && !seen = n && !ascending);
+  check_int "the mark made inside f is pending" 1 (Pipeline.pending sched);
+  check "next drain: that mark alone" true
+    (Pipeline.drain sched ~f:(fun p -> [ p ]) = [ remark ]);
+  Pipeline.mark sched (nth_prefix 42);
+  check "a 1-mark drain processes only its prefix" true
+    (Pipeline.drain sched ~f:(fun p -> [ p ]) = [ nth_prefix 42 ]);
+  check_int "three drains" 3 (Metrics.count (Metrics.counter obs "pipeline.drains"))
+
+(* A Loc-RIB large enough for the radix rebuild of its key view walks in
+   ascending order, prefixes of every length and the extremes included,
+   before and after removals and a second wholesale rebuild. *)
+let test_loc_rib_full_rebuild_order () =
+  let rib = Loc_rib.create () in
+  let rng = Random.State.make [| 7 |] in
+  let random_prefix () =
+    let a = (Random.State.bits rng lsl 2) lxor Random.State.bits rng in
+    Prefix.make (Ipv4.of_int (a land 0xFFFF_FFFF)) (Random.State.int rng 33)
+  in
+  let model = ref Prefix.Set.empty in
+  let add p =
+    Loc_rib.set rib p ();
+    model := Prefix.Set.add p !model
+  in
+  add (pfx "0.0.0.0/0");
+  add (pfx "255.255.255.255/32");
+  for _ = 1 to 20_000 do add (random_prefix ()) done;
+  let agrees () =
+    List.map fst (Loc_rib.bindings rib) = Prefix.Set.elements !model
+  in
+  check "first rebuild ascending" true (agrees ());
+  Prefix.Set.iter
+    (fun p ->
+      if Random.State.int rng 3 = 0 then begin
+        Loc_rib.remove rib p;
+        model := Prefix.Set.remove p !model
+      end)
+    !model;
+  check "after removals" true (agrees ());
+  for _ = 1 to 30_000 do add (random_prefix ()) done;
+  check "second rebuild ascending" true (agrees ())
+
 let () =
   Alcotest.run "pipeline"
     [ ( "adj-rib-in",
@@ -1355,20 +1592,26 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_adj_rib_in_model ] );
       ( "loc-rib",
         [ Alcotest.test_case "lpm + fib" `Quick test_loc_rib_lpm_fib;
-          QCheck_alcotest.to_alcotest qcheck_loc_rib_fib ] );
+          QCheck_alcotest.to_alcotest qcheck_loc_rib_fib;
+          Alcotest.test_case "full rebuild = sorted keys" `Quick
+            test_loc_rib_full_rebuild_order ] );
       ( "active-range",
         [ Alcotest.test_case "nested ranges" `Quick test_active_for_nested ] );
       ( "scheduler",
         [ Alcotest.test_case "coalescing" `Quick test_pipeline_coalescing;
           Alcotest.test_case "re-mark during drain" `Quick
-            test_pipeline_remark_during_drain ] );
+            test_pipeline_remark_during_drain;
+          Alcotest.test_case "drain after a full-table drain" `Quick
+            test_pipeline_drain_after_full_table ] );
       ( "peer-groups",
         [ Alcotest.test_case "membership" `Quick test_groups_membership;
           Alcotest.test_case "move keeps survivors' group" `Quick
             test_join_move_keeps_survivors_group;
           Alcotest.test_case "speaker fanout" `Quick
             test_speaker_export_fanout;
-          QCheck_alcotest.to_alcotest qcheck_group_major ] );
+          QCheck_alcotest.to_alcotest qcheck_group_major;
+          Alcotest.test_case "quiet speaker: one evaluation per group" `Quick
+            test_quiet_speaker_costs_groups ] );
       ( "adj-rib-out-handles",
         [ Alcotest.test_case "re-add follows the new filter" `Quick
             test_readd_follows_new_filter;
@@ -1391,7 +1634,11 @@ let () =
         [ Alcotest.test_case "incremental sync, not a storm" `Quick
             test_reestablish_incremental;
           Alcotest.test_case "restart under churn" `Quick
-            test_restart_under_churn ] );
+            test_restart_under_churn;
+          Alcotest.test_case "sync tail withdraws unbacked records" `Quick
+            test_sync_tail_withdraws_unbacked;
+          Alcotest.test_case "end-of-rib counts and clears marks" `Quick
+            test_end_of_rib_counts_marks ] );
       ( "batching",
         [ Alcotest.test_case "ingest/flush coalesces" `Quick
             test_ingest_flush_coalesces;
