@@ -16,9 +16,9 @@ module Tbl = Prefix.Tbl
    prefix of the array, [nfresh] long), so the rebuild is a sort of the
    new keys and one linear merge that also drops removed keys.  Once
    more keys are added than [order] holds, [nfresh] becomes -1 and the
-   buffer is given up: the whole key set is then sorted afresh, by a
-   linear-time radix pass over the packed keys once the table is
-   large, and the buffer stays no larger than the view.
+   buffer is given up: the whole key set is then sorted afresh, in
+   linear time ({!Prefix.sort}) once it is large, and the buffer stays
+   no larger than the view.
 
    The FIB is a flat hash index over the hop-bearing routes, used only
    by data-plane queries ({!next_hop}), which run after convergence,
@@ -82,7 +82,7 @@ let cardinal t = Tbl.length t.best
    [fresh]. *)
 let merged t =
   let fresh = Array.sub t.fresh 0 t.nfresh in
-  Array.sort Prefix.compare fresh;
+  Prefix.sort fresh;
   let old = t.order and out = Array.make (Tbl.length t.best) Prefix.default in
   let k = ref 0 in
   let emit p =
@@ -106,45 +106,6 @@ let merged t =
   go 0 0;
   out
 
-(* [a] in ascending order by a least-significant-digit radix sort of
-   the packed prefixes ([network lsl 6 lor length]: 38 bits, ordered as
-   {!Prefix.compare} orders them): three counting passes of 13 bits
-   that ping-pong between [a] and a scratch array.  Linear in the
-   table, where a comparison sort is not; but each pass also clears and
-   sums 2^13 counters, so {!sorted_all} sorts a smaller table by
-   comparison. *)
-let digit = 13
-let prefix_bits = 38
-
-let radix_sort a =
-  let mask = (1 lsl digit) - 1 in
-  let count = Array.make (mask + 1) 0 in
-  let rec pass sh src dst =
-    if sh >= prefix_bits then src
-    else begin
-      Array.fill count 0 (mask + 1) 0;
-      Array.iter
-        (fun p ->
-          let d = (Prefix.to_int p lsr sh) land mask in
-          count.(d) <- count.(d) + 1)
-        src;
-      let sum = ref 0 in
-      for d = 0 to mask do
-        let c = count.(d) in
-        count.(d) <- !sum;
-        sum := !sum + c
-      done;
-      Array.iter
-        (fun p ->
-          let d = (Prefix.to_int p lsr sh) land mask in
-          dst.(count.(d)) <- p;
-          count.(d) <- count.(d) + 1)
-        src;
-      pass (sh + digit) dst src
-    end
-  in
-  pass 0 a (Array.make (Array.length a) Prefix.default)
-
 let sorted_all t =
   let a = Array.make (Tbl.length t.best) Prefix.default and k = ref 0 in
   Tbl.iter
@@ -152,11 +113,8 @@ let sorted_all t =
       a.(!k) <- p;
       incr k)
     t.best;
-  if Array.length a >= 1 lsl digit then radix_sort a
-  else begin
-    Array.sort Prefix.compare a;
-    a
-  end
+  Prefix.sort a;
+  a
 
 let keys t =
   if t.nfresh <> 0 || t.dropped then begin

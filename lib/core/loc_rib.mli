@@ -13,8 +13,8 @@
     sorted and merged with the old array in one linear pass, so a
     chunked transfer that interleaves with route changes never
     re-sorts the table; only when the new keys outnumber the sorted
-    ones is the whole key set sorted afresh, by a linear-time radix
-    pass over the packed keys once the table is large.
+    ones is the whole key set sorted afresh, in linear time once it is
+    large ({!Dbgp_types.Prefix.sort}).
 
     {!next_hop} answers from a flat {!Dbgp_trie.Fib_index} over the
     routes whose projection yields a next hop.  The index is built

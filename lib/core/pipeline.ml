@@ -5,9 +5,10 @@ module Metrics = Dbgp_obs.Metrics
    first [Prefix.Tbl.length marked] cells used, plus the table [marked]
    that answers membership: {!mark} runs once per delivered update and
    costs one probe and, for a new prefix, one append.  {!drain} sorts
-   just the buffer, so processing order stays ascending and
-   deterministic, removes exactly its keys from the table and frees the
-   buffer: a drain costs O(marked), never a walk over the table.  After
+   just the buffer ({!Prefix.sort}: linear in a large batch), so
+   processing order stays ascending and deterministic, removes exactly
+   its keys from the table and frees the buffer: a drain costs
+   O(marked), never a walk over the table.  After
    a batch large enough to have grown the table, the table is reset to
    its initial size instead, which is also O(marked), so a speaker that
    once drained a full table keeps nothing full-sized behind. *)
@@ -61,7 +62,7 @@ let drain t ~f =
        runs. *)
     let batch = if n = Array.length t.buf then t.buf else Array.sub t.buf 0 n in
     t.buf <- [||];
-    Array.sort Prefix.compare batch;
+    Prefix.sort batch;
     (* A table that held more than twice its initial size has grown. *)
     if n > 2 * initial then Prefix.Tbl.reset t.marked
     else Array.iter (Prefix.Tbl.remove t.marked) batch;

@@ -21,5 +21,5 @@ val pending : t -> int
 val drain : t -> f:(Dbgp_types.Prefix.t -> 'a list) -> 'a list
 (** Clear the dirty set and run [f] once per prefix in ascending order,
     concatenating the results.  Prefixes marked dirty *by* [f] land in
-    the next drain.  Costs O(k log k) for the k prefixes marked, however
-    large earlier batches were. *)
+    the next drain.  Costs O(k) for the k prefixes marked (O(k log k)
+    below 1,024 of them), however large earlier batches were. *)

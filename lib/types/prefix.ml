@@ -56,6 +56,46 @@ let equal : t -> t -> bool = Int.equal
 let hash (p : t) = Hashtbl.hash p
 let default = 0
 
+(* A least-significant-digit radix sort of the packed keys: four
+   counting passes of 10 bits cover the 38-bit key, ping-ponging
+   between [a] and a scratch array so the fourth pass ends back in [a].
+   Linear where a comparison sort is not, but each pass also clears and
+   sums 1,024 counters, so a small array is sorted by comparison. *)
+let digit = 10
+
+let sort a =
+  let n = Array.length a in
+  if n < 1 lsl digit then Array.sort compare a
+  else begin
+    let mask = (1 lsl digit) - 1 in
+    let count = Array.make (mask + 1) 0 in
+    let pass sh src dst =
+      Array.fill count 0 (mask + 1) 0;
+      Array.iter
+        (fun p ->
+          let d = (p lsr sh) land mask in
+          count.(d) <- count.(d) + 1)
+        src;
+      let sum = ref 0 in
+      for d = 0 to mask do
+        let c = count.(d) in
+        count.(d) <- !sum;
+        sum := !sum + c
+      done;
+      Array.iter
+        (fun p ->
+          let d = (p lsr sh) land mask in
+          dst.(count.(d)) <- p;
+          count.(d) <- count.(d) + 1)
+        src
+    in
+    let scratch = Array.make n default in
+    pass 0 a scratch;
+    pass digit scratch a;
+    pass (2 * digit) a scratch;
+    pass (3 * digit) scratch a
+  end
+
 let split p =
   let len = p land 0x3F in
   if len >= 32 then None

@@ -49,6 +49,10 @@ val hash : t -> int
 val default : t
 (** 0.0.0.0/0 *)
 
+val sort : t array -> unit
+(** Sort in place, ascending by {!compare}: in linear time (a radix sort
+    of the packed keys) from 1,024 prefixes up, by comparison below. *)
+
 val split : t -> (t * t) option
 (** [split p] is the two /\(len+1\) halves of [p], or [None] if [p] is a
     /32. *)

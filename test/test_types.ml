@@ -94,6 +94,29 @@ let test_prefix_to_string () =
 
 (* Every field is plain decimal: [int_of_string_opt] would also take
    signs, underscores and radix prefixes. *)
+(* [Prefix.sort] against a comparison sort, on both sides of its
+   radix threshold: prefixes of every length, the extremes and
+   duplicates included. *)
+let test_prefix_sort () =
+  let rng = Random.State.make [| 11 |] in
+  let random_prefix () =
+    let a = (Random.State.bits rng lsl 2) lxor Random.State.bits rng in
+    Prefix.make (Ipv4.of_int (a land 0xFFFF_FFFF)) (Random.State.int rng 33)
+  in
+  List.iter
+    (fun n ->
+      let a = Array.init n (fun _ -> random_prefix ()) in
+      if n > 2 then begin
+        a.(0) <- Prefix.of_string "255.255.255.255/32";
+        a.(1) <- Prefix.of_string "0.0.0.0/0";
+        a.(2) <- a.(n - 1)
+      end;
+      let expected = Array.copy a in
+      Array.sort Prefix.compare expected;
+      Prefix.sort a;
+      check (Printf.sprintf "%d prefixes" n) true (a = expected))
+    [ 0; 1; 2; 3; 1023; 1024; 1025; 5000; 70_000 ]
+
 let test_prefix_strict () =
   List.iter
     (fun s -> check ("reject " ^ s) true (Prefix.of_string_opt s = None))
@@ -358,7 +381,8 @@ let () =
          Alcotest.test_case "split" `Quick test_prefix_split;
          Alcotest.test_case "bit" `Quick test_prefix_bit;
          Alcotest.test_case "to_string" `Quick test_prefix_to_string;
-         Alcotest.test_case "strict decimal" `Quick test_prefix_strict ]);
+         Alcotest.test_case "strict decimal" `Quick test_prefix_strict;
+         Alcotest.test_case "sort = comparison sort" `Quick test_prefix_sort ]);
       ("island-id", [ Alcotest.test_case "identity" `Quick test_island_ids ]);
       ("protocol-id",
        [ Alcotest.test_case "registry" `Quick test_protocol_registry;
