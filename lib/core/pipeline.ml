@@ -1,56 +1,35 @@
 open Dbgp_types
 module Metrics = Dbgp_obs.Metrics
 
-(* The dirty set is a buffer of the marked prefixes in mark order, its
-   first [Prefix.Tbl.length marked] cells used, plus the table [marked]
-   that answers membership: {!mark} runs once per delivered update and
-   costs one probe and, for a new prefix, one append.  {!drain} sorts
-   just the buffer ({!Prefix.sort}: linear in a large batch), so
-   processing order stays ascending and deterministic, removes exactly
-   its keys from the table and frees the buffer: a drain costs
-   O(marked), never a walk over the table.  After
-   a batch large enough to have grown the table, the table is reset to
-   its initial size instead, which is also O(marked), so a speaker that
-   once drained a full table keeps nothing full-sized behind. *)
+(* The dirty set is a hashtable: {!mark} runs once per delivered update
+   and must not pay a functional-set rebuild; {!drain} folds it into an
+   array and sorts that with {!Prefix.sort} (linear in a large batch), so
+   processing order stays ascending and deterministic. *)
 type t = {
-  marked : unit Prefix.Tbl.t;
-  mutable buf : Prefix.t array;
+  dirty : unit Prefix.Tbl.t;
   c_marks : Metrics.counter;
   c_saved : Metrics.counter;
   c_drains : Metrics.counter;
 }
 
-let initial = 64
-
 let create obs =
-  { marked = Prefix.Tbl.create initial;
-    buf = [||];
+  { dirty = Prefix.Tbl.create 64;
     c_marks = Metrics.counter obs "pipeline.dirty_marks";
     c_saved = Metrics.counter obs "pipeline.runs_saved";
     c_drains = Metrics.counter obs "pipeline.drains" }
 
 let mark t prefix =
   Metrics.incr t.c_marks;
-  if Prefix.Tbl.mem t.marked prefix then
+  if Prefix.Tbl.mem t.dirty prefix then
     (* Coalesced: this update will share the prefix's next decision run
        with the mark already queued — one run saved. *)
     Metrics.incr t.c_saved
-  else begin
-    let n = Prefix.Tbl.length t.marked in
-    if n = Array.length t.buf then begin
-      let b = Array.make (max 8 (2 * n)) prefix in
-      Array.blit t.buf 0 b 0 n;
-      t.buf <- b
-    end;
-    t.buf.(n) <- prefix;
-    Prefix.Tbl.replace t.marked prefix ()
-  end
+  else Prefix.Tbl.replace t.dirty prefix ()
 
-let pending t = Prefix.Tbl.length t.marked
+let pending t = Prefix.Tbl.length t.dirty
 
 let drain t ~f =
-  let n = Prefix.Tbl.length t.marked in
-  if n = 0 then []
+  if Prefix.Tbl.length t.dirty = 0 then []
   else begin
     Metrics.incr t.c_drains;
     (* Ascending prefix order: deterministic, and identical to the
@@ -58,14 +37,17 @@ let drain t ~f =
        collected and concatenated once — folding with [acc @ f p]
        re-copied the accumulator per prefix (quadratic in drain
        output).  Prefixes marked dirty *by* [f] land in the next
-       drain: the batch is taken and the set emptied before [f]
-       runs. *)
-    let batch = if n = Array.length t.buf then t.buf else Array.sub t.buf 0 n in
-    t.buf <- [||];
+       drain: the batch is snapshotted and cleared before [f] runs.
+       [reset] shrinks the table back to its initial size, so the next
+       drain's fold costs O(marked) however large this batch was. *)
+    let batch = Array.make (Prefix.Tbl.length t.dirty) Prefix.default and i = ref 0 in
+    Prefix.Tbl.iter
+      (fun p () ->
+        batch.(!i) <- p;
+        incr i)
+      t.dirty;
     Prefix.sort batch;
-    (* A table that held more than twice its initial size has grown. *)
-    if n > 2 * initial then Prefix.Tbl.reset t.marked
-    else Array.iter (Prefix.Tbl.remove t.marked) batch;
+    Prefix.Tbl.reset t.dirty;
     let chunks = Array.map f batch in
     Array.fold_right ( @ ) chunks []
   end

@@ -94,6 +94,22 @@ let test_prefix_to_string () =
 
 (* Every field is plain decimal: [int_of_string_opt] would also take
    signs, underscores and radix prefixes. *)
+let test_prefix_strict () =
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Prefix.of_string_opt s = None))
+    [ "0x0a.0.0.0/8"; "10.0.0.0/1_6"; "10.0.0.0/+8"; "10.0.0.0/0x10";
+      "-0.0.0.0/8"; "10.0.0.0/-0"; "10.0.0.0/"; "10.0.0.0/008"; "0o12.0.0.0/8";
+      "10.0.0.0/0b1"; "1_0.0.0.0/8"; "10.0.0.0 /8"; "10.0.0.0/8 "; "0010.0.0.0/8" ];
+  List.iter
+    (fun s -> check ("reject " ^ s) true (Ipv4.of_string_opt s = None))
+    [ "+1.2.3.4"; "1.2.3.0x4"; "1.2.3.-0"; "1.2.3.4_" ];
+  (* Leading zeros within a field's width are still decimal. *)
+  check "leading zeros" true
+    (Prefix.of_string_opt "010.001.0.0/08"
+    = Some (Prefix.make (Ipv4.of_octets 10 1 0 0) 8));
+  check "bare address" true
+    (Prefix.of_string_opt "010.0.0.1" = Some (Prefix.make (Ipv4.of_octets 10 0 0 1) 32))
+
 (* [Prefix.sort] against a comparison sort, on both sides of its
    radix threshold: prefixes of every length, the extremes and
    duplicates included. *)
@@ -116,22 +132,6 @@ let test_prefix_sort () =
       Prefix.sort a;
       check (Printf.sprintf "%d prefixes" n) true (a = expected))
     [ 0; 1; 2; 3; 1023; 1024; 1025; 5000; 70_000 ]
-
-let test_prefix_strict () =
-  List.iter
-    (fun s -> check ("reject " ^ s) true (Prefix.of_string_opt s = None))
-    [ "0x0a.0.0.0/8"; "10.0.0.0/1_6"; "10.0.0.0/+8"; "10.0.0.0/0x10";
-      "-0.0.0.0/8"; "10.0.0.0/-0"; "10.0.0.0/"; "10.0.0.0/008"; "0o12.0.0.0/8";
-      "10.0.0.0/0b1"; "1_0.0.0.0/8"; "10.0.0.0 /8"; "10.0.0.0/8 "; "0010.0.0.0/8" ];
-  List.iter
-    (fun s -> check ("reject " ^ s) true (Ipv4.of_string_opt s = None))
-    [ "+1.2.3.4"; "1.2.3.0x4"; "1.2.3.-0"; "1.2.3.4_" ];
-  (* Leading zeros within a field's width are still decimal. *)
-  check "leading zeros" true
-    (Prefix.of_string_opt "010.001.0.0/08"
-    = Some (Prefix.make (Ipv4.of_octets 10 1 0 0) 8));
-  check "bare address" true
-    (Prefix.of_string_opt "010.0.0.1" = Some (Prefix.make (Ipv4.of_octets 10 0 0 1) 32))
 
 let test_asn_strict () =
   List.iter
