@@ -246,17 +246,17 @@ let egress_chain cfg (n : neighbor) : Filters.t =
   | f :: rest -> List.fold_left Filters.compose f rest
 
 (* The index of [peer] in [t.nbrs], or [-(i + 1)] when it is absent and
-   belongs at index [i]. *)
-let locate t peer =
-  let a = t.nbrs in
-  let rec go lo hi =
-    if lo >= hi then -(lo + 1)
-    else
-      let mid = (lo + hi) / 2 in
-      let c = Peer.compare a.(mid).nbr.peer peer in
-      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length a)
+   belongs at index [i].  The search is a top-level function so that a
+   lookup, made once per candidate in a decision run, allocates no
+   closure. *)
+let rec search a peer lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) / 2 in
+    let c = Peer.compare a.(mid).nbr.peer peer in
+    if c = 0 then mid else if c < 0 then search a peer (mid + 1) hi else search a peer lo mid
+
+let locate t peer = search t.nbrs peer 0 (Array.length t.nbrs)
 
 let find_nbr t peer =
   let i = locate t peer in
