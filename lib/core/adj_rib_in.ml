@@ -130,23 +130,23 @@ let stale_count t =
 let has_stale t ~peer = Peer.Map.mem peer t.stale
 
 (* Marks are inserted in the routes table's bucket order; nothing reads
-   them back in table order ({!take_stale} sorts). *)
+   them back in table order ({!take_stale} sorts).  A first pass counts
+   the peer's routes, so a new marks table is created at its final size
+   instead of rehashing its way up from one bucket. *)
 let mark_stale t ~peer =
-  let marks =
-    match Peer.Map.find_opt peer t.stale with
-    | Some marks -> marks
-    | None -> Prefix.Tbl.create 1
+  let held =
+    Prefix.Tbl.fold (fun _ s n -> if slot_mem peer s then n + 1 else n) t.routes 0
   in
-  let held = ref false in
-  Prefix.Tbl.iter
-    (fun p s ->
-      if slot_mem peer s then begin
-        held := true;
-        Prefix.Tbl.replace marks p ()
-      end)
-    t.routes;
-  if not !held then 0
+  if held = 0 then 0
   else begin
+    let marks =
+      match Peer.Map.find_opt peer t.stale with
+      | Some marks -> marks
+      | None -> Prefix.Tbl.create held
+    in
+    Prefix.Tbl.iter
+      (fun p s -> if slot_mem peer s then Prefix.Tbl.replace marks p ())
+      t.routes;
     t.stale <- Peer.Map.add peer marks t.stale;
     Prefix.Tbl.length marks
   end

@@ -198,19 +198,19 @@ let share ia =
 
 (* The set's own fields, physically: the candidate built from a stored
    route, when no import filter rewrote it. *)
-let fields_of (e : entry) (ia : Ia.t) =
-  let c = e.canon in
-  c.Ia.path_vector == ia.Ia.path_vector
-  && c.Ia.membership == ia.Ia.membership
-  && c.Ia.path_descriptors == ia.Ia.path_descriptors
-  && c.Ia.island_descriptors == ia.Ia.island_descriptors
-
 let share_like hint ia =
-  if fields_of hint ia then begin
+  if Ia.shares_fields hint.canon ia then begin
     if slot_of (state ()) hint >= 0 then hint.meta <- hint.meta + 1;
     hint
   end
   else share ia
+
+let acquire e =
+  slot_of (state ()) e >= 0
+  && begin
+    e.meta <- e.meta + 1;
+    true
+  end
 
 (* Backward-shift deletion: walk the run after the hole and move back
    every entry whose home slot does not lie cyclically in (hole, j]. *)

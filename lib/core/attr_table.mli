@@ -45,6 +45,12 @@ val share_like : entry -> Ia.t -> entry
     filter rewrote) — no hash, no structural compare — and {!share}
     otherwise. *)
 
+val acquire : entry -> bool
+(** Take one more reference to a resident entry — no hash, no compare —
+    and answer [true]; [false], taking nothing, when the entry is not
+    resident in the calling domain's table (the caller then shares the
+    set afresh). *)
+
 val release : entry -> unit
 (** Drop one reference.  At zero the entry leaves the table
     ([attr_table.evictions]).  A no-op for an entry that is not resident

@@ -132,6 +132,12 @@ val with_next_hop : Dbgp_types.Ipv4.t -> t -> t
 
 val equal : t -> t -> bool
 
+val shares_fields : t -> t -> bool
+(** Whether the two IAs hold the same attribute fields {e physically}
+    (IAs rebuilt from one set with {!with_prefix}, or decoded from one
+    batched attribute block): sufficient for {!same_attrs}, and a test
+    of four pointers. *)
+
 val same_attrs : t -> t -> bool
 (** Equality of everything {e except} the prefix — path vector,
     membership, descriptors.  Physical per-field fast paths first (routes

@@ -109,6 +109,7 @@ type t = {
   c_withdrawals_rx : Metrics.counter;
   c_duplicates : Metrics.counter;
   c_rejected : Metrics.counter;
+  c_reused : Metrics.counter;
   (* Stage-1 ingress chain (loop rejection then global import), fixed at
      construction — composing it per message allocated a closure on
      every announce. *)
@@ -129,6 +130,20 @@ type t = {
      adversary layer swaps in [Policy.export_all] to model a route
      leak. *)
   mutable export_rule : Dbgp_bgp.Policy.export_rule;
+  (* Decision reuse within one drain.  [stock] is the BGP module made
+     at construction; [reusable] holds while it is the only module and
+     every neighbor imports with [Filters.accept], so a run's result
+     depends on its prefix only through the prefix's Adj-RIB-In row —
+     kept current by {!add_neighbor}, {!add_module} and teardown.
+     [last_row] is the row the drain's previous run selected from ([]:
+     nothing to reuse), made under [last_gen] and [last_active], and
+     [last_route] its result. *)
+  stock : Decision_module.t;
+  mutable reusable : bool;
+  mutable last_row : (Peer.t * Attr_table.entry) list;
+  mutable last_gen : int;
+  mutable last_active : Protocol_id.t;
+  mutable last_route : route option;
 }
 
 let create cfg =
@@ -163,12 +178,19 @@ let create cfg =
     c_withdrawals_rx = Metrics.counter obs "withdrawals.received";
     c_duplicates = Metrics.counter obs "updates.duplicate";
     c_rejected = Metrics.counter obs "import.rejected";
+    c_reused = Metrics.counter obs "decision.reused";
     ingress = Filters.compose Filters.reject_loops cfg.global_import;
     gen = 0;
     contrib_cache = None;
     supported_cache = None;
     change_hook = None;
-    export_rule = Dbgp_bgp.Policy.valley_free }
+    export_rule = Dbgp_bgp.Policy.valley_free;
+    stock = m;
+    reusable = true;
+    last_row = [];
+    last_gen = 0;
+    last_active = Protocol_id.bgp;
+    last_route = None }
 
 let asn t = t.cfg.asn
 let addr t = t.cfg.addr
@@ -180,9 +202,19 @@ let bump t name = Metrics.incr (Metrics.counter t.obs name)
 
 let my_asn t = Asn.to_int t.cfg.asn
 
+(* Refresh [reusable] after the module set or the neighbor set changed. *)
+let stock_stages t =
+  t.reusable <-
+    Hashtbl.length t.modules = 1
+    && (match Hashtbl.find_opt t.modules (Protocol_id.to_int Protocol_id.bgp) with
+        | Some m -> m == t.stock
+        | None -> false)
+    && Array.for_all (fun e -> e.nbr.import == Filters.accept) t.nbrs
+
 let add_module t (m : Decision_module.t) =
   Hashtbl.replace t.modules (Protocol_id.to_int m.protocol) m;
-  t.gen <- t.gen + 1
+  t.gen <- t.gen + 1;
+  stock_stages t
 
 let supported t =
   match t.supported_cache with
@@ -275,7 +307,8 @@ let add_neighbor t n =
       Array.init (Array.length a + 1) (fun j ->
           if j < i then a.(j) else if j = i then e else a.(j - 1))
   end;
-  t.reps <- [||]
+  t.reps <- [||];
+  stock_stages t
 
 let neighbors t = Array.fold_right (fun e acc -> e.nbr :: acc) t.nbrs []
 let has_neighbor t peer = locate t peer >= 0
@@ -581,14 +614,11 @@ let end_of_rib ?(now = 0.) t peer =
   end;
   routes
 
-(* Recompute the best path for [prefix]: stages 2-6 of Figure 5.  [now] is
-   the simulation clock, needed only to evaluate flap-damping decay. *)
-let process t ~now prefix =
-  Metrics.incr t.c_runs;
-  let active = active_for t prefix in
-  let m = module_for t active in
-  let local = Prefix.Tbl.find_opt t.local prefix in
-  let learned = Adj_rib_in.candidates t.rib_in prefix in
+(* Stages 2-6 of Figure 5 for [prefix] from its local route and its
+   Adj-RIB-In row [learned]: the route to install, holding one reference
+   on each of its two sets, or [None].  [now] is the simulation clock,
+   needed only to evaluate flap-damping decay. *)
+let select_route t ~now ~active m prefix local learned =
   let raw_candidates =
     let local =
       match local with
@@ -622,74 +652,128 @@ let process t ~now prefix =
                   Some { Decision_module.from_peer; ia } ))
         learned
   in
-  let selected = m.Decision_module.select ~prefix raw_candidates in
+  match m.Decision_module.select ~prefix raw_candidates with
+  | None -> None
+  | Some candidate ->
+    (* Local origination advertises the IA as-is (the origin's own ASN is
+       already its path vector); learned routes go through the factory. *)
+    let outgoing =
+      match candidate.Decision_module.from_peer with
+      | None -> candidate.Decision_module.ia
+      | Some _ ->
+        let contributions =
+          match t.contrib_cache with
+          | Some (g, a, cs) when g = t.gen && Protocol_id.equal a active -> cs
+          | _ ->
+            let mods =
+              Hashtbl.fold (fun _ dm acc -> dm :: acc) t.modules []
+              |> List.sort (fun (a : Decision_module.t) b ->
+                     Protocol_id.compare a.protocol b.protocol)
+            in
+            (* Active module contributes first, then other supported
+               ones. *)
+            let actives, others =
+              List.partition
+                (fun (dm : Decision_module.t) ->
+                  Protocol_id.equal dm.protocol active)
+                mods
+            in
+            let cs =
+              List.map
+                (fun (dm : Decision_module.t) ia -> dm.contribute ~me:t.cfg.asn ia)
+                (actives @ others)
+            in
+            t.contrib_cache <- Some (t.gen, active, cs);
+            cs
+        in
+        Factory.build ~passthrough:t.cfg.passthrough ~supported:(supported t)
+          ~me:t.cfg.asn ~my_addr:t.cfg.addr ~contributions
+          candidate.Decision_module.ia
+    in
+    ( match m.Decision_module.export_filter outgoing with
+      | None -> None
+      | Some outgoing ->
+        (* The Loc-RIB route holds one reference on each of its two
+           sets.  The selected set is the stored route's own unless an
+           import filter rewrote it, so it is taken without hashing;
+           the outgoing set is new to the table only when its build
+           is — built IAs fan out to every neighbor, so collapsing
+           equal builds is the big sharing win on transit speakers. *)
+        let via = candidate.Decision_module.from_peer in
+        let stored =
+          match via with
+          | None -> local
+          | Some p ->
+            List.find_map
+              (fun (q, e) -> if Peer.equal p q then Some e else None)
+              learned
+        in
+        let ia = candidate.Decision_module.ia in
+        let cand =
+          match stored with
+          | Some e -> Attr_table.share_like e ia
+          | None -> Attr_table.share ia
+        in
+        Some { via; cand; out = Attr_table.share_like cand outgoing } )
+
+(* Whether two Adj-RIB-In rows are physically one: the same peers in
+   the same order, each with the same entry. *)
+let rec same_row a b =
+  match (a, b) with
+  | [], [] -> true
+  | (p, e) :: a, (q, f) :: b -> (p == q || Peer.equal p q) && e == f && same_row a b
+  | _ -> false
+
+(* The drain's previous result, when it is this run's too: with stock
+   stages, no damping, no local route and an unchanged module setup,
+   {!select_route} reads the prefix only to re-point sets at it, so a
+   physically identical row selects, builds and shares exactly what the
+   previous run did.  The reused route takes its own reference on each
+   set; [None] (run the full path) when either set has left the
+   table. *)
+let reused t ~active local learned =
+  if
+    t.reusable && learned != [] && Option.is_none local && Option.is_none t.damping
+    && t.last_gen = t.gen
+    && Protocol_id.equal t.last_active active
+    && same_row t.last_row learned
+  then
+    match t.last_route with
+    | None -> Some None
+    | Some r as next ->
+      if Attr_table.acquire r.cand then
+        if Attr_table.acquire r.out then Some next
+        else begin
+          Attr_table.release r.cand;
+          None
+        end
+      else None
+  else None
+
+(* Recompute the best path for [prefix] and install it, announcing any
+   change.  Within a drain ([reuse]) a run may take the previous run's
+   result (see {!reused}); it is counted, traced and distributed like
+   any other. *)
+let process ?(reuse = false) t ~now prefix =
+  Metrics.incr t.c_runs;
+  let active = active_for t prefix in
+  let local = Prefix.Tbl.find_opt t.local prefix in
+  let learned = Adj_rib_in.candidates t.rib_in prefix in
   let prev = Loc_rib.find t.loc prefix in
   let next =
-    match selected with
-    | None -> None
-    | Some candidate ->
-      (* Local origination advertises the IA as-is (the origin's own ASN is
-         already its path vector); learned routes go through the factory. *)
-      let outgoing =
-        match candidate.Decision_module.from_peer with
-        | None -> candidate.Decision_module.ia
-        | Some _ ->
-          let contributions =
-            match t.contrib_cache with
-            | Some (g, a, cs) when g = t.gen && Protocol_id.equal a active ->
-              cs
-            | _ ->
-              let mods =
-                Hashtbl.fold (fun _ dm acc -> dm :: acc) t.modules []
-                |> List.sort (fun (a : Decision_module.t) b ->
-                       Protocol_id.compare a.protocol b.protocol)
-              in
-              (* Active module contributes first, then other supported
-                 ones. *)
-              let actives, others =
-                List.partition
-                  (fun (dm : Decision_module.t) ->
-                    Protocol_id.equal dm.protocol active)
-                  mods
-              in
-              let cs =
-                List.map
-                  (fun (dm : Decision_module.t) ia ->
-                    dm.contribute ~me:t.cfg.asn ia)
-                  (actives @ others)
-              in
-              t.contrib_cache <- Some (t.gen, active, cs);
-              cs
-          in
-          Factory.build ~passthrough:t.cfg.passthrough
-            ~supported:(supported t) ~me:t.cfg.asn ~my_addr:t.cfg.addr
-            ~contributions candidate.Decision_module.ia
-      in
-      ( match m.Decision_module.export_filter outgoing with
-        | None -> None
-        | Some outgoing ->
-          (* The Loc-RIB route holds one reference on each of its two
-             sets.  The selected set is the stored route's own unless an
-             import filter rewrote it, so it is taken without hashing;
-             the outgoing set is new to the table only when its build
-             is — built IAs fan out to every neighbor, so collapsing
-             equal builds is the big sharing win on transit speakers. *)
-          let via = candidate.Decision_module.from_peer in
-          let stored =
-            match via with
-            | None -> local
-            | Some p ->
-              List.find_map
-                (fun (q, e) -> if Peer.equal p q then Some e else None)
-                learned
-          in
-          let ia = candidate.Decision_module.ia in
-          let cand =
-            match stored with
-            | Some e -> Attr_table.share_like e ia
-            | None -> Attr_table.share ia
-          in
-          Some { via; cand; out = Attr_table.share_like cand outgoing } )
+    match if reuse then reused t ~active local learned else None with
+    | Some next ->
+      Metrics.incr t.c_reused;
+      next
+    | None ->
+      let next = select_route t ~now ~active (module_for t active) prefix local learned in
+      if reuse then begin
+        t.last_row <- learned;
+        t.last_gen <- t.gen;
+        t.last_active <- active;
+        t.last_route <- next
+      end;
+      next
   in
   let changed =
     match (prev, next) with
@@ -734,6 +818,49 @@ let process t ~now prefix =
 
 (* --------------- stage 1: ingest, mark dirty, drain --------------- *)
 
+(* Stage 1 for one announce whose ingress verdict is known: [None] when
+   the chain rejected it, [Some e] when it accepted it as set [e], one
+   reference already taken.  Returns [true] for a rejection. *)
+let admit_route t ~now ~from prefix verdict =
+  match verdict with
+  | None ->
+    Metrics.incr t.c_rejected;
+    Trace.emit t.trace ~at:now
+      (Trace.Import_rejected
+         { asn = my_asn t; peer = Asn.to_int from.Peer.asn; prefix = Prefix.to_int prefix });
+    (* A rejected IA acts as an implicit withdrawal of any previous
+       route from this peer for the prefix. *)
+    ( match Adj_rib_in.find t.rib_in ~peer:from prefix with
+    | None -> ()
+    | Some prev ->
+      Attr_table.release prev;
+      Adj_rib_in.remove t.rib_in ~peer:from prefix;
+      Adj_rib_in.clear_stale t.rib_in ~peer:from prefix;
+      note_flap t ~now from prefix (withdraw_penalty t);
+      Pipeline.mark t.sched prefix );
+    true
+  | Some e ->
+    ( match Adj_rib_in.find t.rib_in ~peer:from prefix with
+    | Some prev when Attr_table.same prev e ->
+      (* Duplicate delivery (session retransmit, route refresh): the
+         stored route is byte-identical, so re-running the decision
+         process or charging a flap penalty would amplify the
+         duplicate.  Refreshing the stale mark is the only effect. *)
+      Attr_table.release e;
+      Metrics.incr t.c_duplicates;
+      Adj_rib_in.clear_stale t.rib_in ~peer:from prefix
+    | prev ->
+      ( match prev with
+        | Some p ->
+          (* Re-advertisement with changed attributes is a flap too. *)
+          Attr_table.release p;
+          note_flap t ~now from prefix (attr_change_penalty t)
+        | None -> () );
+      Adj_rib_in.set t.rib_in ~peer:from prefix e;
+      Adj_rib_in.clear_stale t.rib_in ~peer:from prefix;
+      Pipeline.mark t.sched prefix );
+    false
+
 (* Absorb an update into the Adj-RIB-In and mark its prefix dirty when
    selection could be affected.  Returns [true] when global import
    policy rejected an announce; the decision process runs at the next
@@ -754,54 +881,15 @@ let ingest_msg t ~now ~from msg =
       note_flap t ~now from prefix (withdraw_penalty t);
     Pipeline.mark t.sched prefix;
     false
-  | Announce ia -> (
+  | Announce ia ->
     Metrics.incr t.c_updates_rx;
-    (* Stage 1: global import filtering, loop rejection first. *)
-    match t.ingress ia with
-    | None ->
-      Metrics.incr t.c_rejected;
-      Trace.emit t.trace ~at:now
-        (Trace.Import_rejected
-           { asn = my_asn t;
-             peer = Asn.to_int from.Peer.asn;
-             prefix = Prefix.to_int ia.Ia.prefix });
-      (* A rejected IA acts as an implicit withdrawal of any previous
-         route from this peer for the prefix. *)
-      ( match Adj_rib_in.find t.rib_in ~peer:from ia.Ia.prefix with
-      | None -> ()
-      | Some prev ->
-        Attr_table.release prev;
-        Adj_rib_in.remove t.rib_in ~peer:from ia.Ia.prefix;
-        Adj_rib_in.clear_stale t.rib_in ~peer:from ia.Ia.prefix;
-        note_flap t ~now from ia.Ia.prefix (withdraw_penalty t);
-        Pipeline.mark t.sched ia.Ia.prefix );
-      true
-    | Some ia ->
-      let prefix = ia.Ia.prefix in
-      (* The set is identified here, once: the Adj-RIB-In stores its
-         entry (one reference), and equal sets across peers and prefixes
-         are one block. *)
-      let e = Attr_table.share ia in
-      ( match Adj_rib_in.find t.rib_in ~peer:from prefix with
-      | Some prev when Attr_table.same prev e ->
-        (* Duplicate delivery (session retransmit, route refresh): the
-           stored route is byte-identical, so re-running the decision
-           process or charging a flap penalty would amplify the
-           duplicate.  Refreshing the stale mark is the only effect. *)
-        Attr_table.release e;
-        Metrics.incr t.c_duplicates;
-        Adj_rib_in.clear_stale t.rib_in ~peer:from prefix
-      | prev ->
-        ( match prev with
-          | Some p ->
-            (* Re-advertisement with changed attributes is a flap too. *)
-            Attr_table.release p;
-            note_flap t ~now from prefix (attr_change_penalty t)
-          | None -> () );
-        Adj_rib_in.set t.rib_in ~peer:from prefix e;
-        Adj_rib_in.clear_stale t.rib_in ~peer:from prefix;
-        Pipeline.mark t.sched prefix );
-      false )
+    (* Stage 1: global import filtering, loop rejection first.  The set
+       is identified here, once: the Adj-RIB-In stores its entry (one
+       reference), and equal sets across peers and prefixes are one
+       block. *)
+    ( match t.ingress ia with
+      | None -> admit_route t ~now ~from ia.Ia.prefix None
+      | Some ia -> admit_route t ~now ~from ia.Ia.prefix (Some (Attr_table.share ia)) )
 
 (* The pipeline must never let an exception escape back into the session
    layer: a malformed or adversarial message can at worst damage its own
@@ -827,9 +915,61 @@ let admit t ~now ~from msg =
 
 let ingest ?(now = 0.) t ~from msg = ignore (admit t ~now ~from msg)
 
+(* Stage 1 for a frame's routes; returns how many were rejected.  With
+   the stock chain (loop rejection, then [Filters.accept]) a verdict
+   reads only the path vector, and a frame's routes share their
+   attribute fields physically: the chain runs and the set is shared
+   once per run of such routes, and each further route takes one more
+   reference.  A custom global import may read the prefix, so it sees
+   every route.  Accounting stays per route. *)
+let ingest_routes t ~now ~from routes =
+  if t.cfg.global_import != Filters.accept then
+    List.fold_left
+      (fun n ia -> if admit t ~now ~from (Announce ia) then n + 1 else n)
+      0 routes
+  else begin
+    let src = ref None and verdict = ref None in
+    List.fold_left
+      (fun n (ia : Ia.t) ->
+        let rejected =
+          try
+            Metrics.incr t.c_updates_rx;
+            let v =
+              match !src with
+              | Some s when Ia.shares_fields s ia -> (
+                match !verdict with
+                | Some e when not (Attr_table.acquire e) ->
+                  verdict := Some (Attr_table.share ia);
+                  !verdict
+                | v -> v )
+              | _ ->
+                let v = Option.map Attr_table.share (t.ingress ia) in
+                src := Some ia;
+                verdict := v;
+                v
+            in
+            admit_route t ~now ~from ia.Ia.prefix v
+          with exn ->
+            absorb t ~now ~from exn;
+            false
+        in
+        if rejected then n + 1 else n)
+      0 routes
+  end
+
 let pending t = Pipeline.pending t.sched
 
-let flush ?(now = 0.) t = Pipeline.drain t.sched ~f:(process t ~now)
+(* A drain starts and ends with nothing to reuse: between drains the
+   Adj-RIB-In and the module setup may change under the memo. *)
+let forget_last t =
+  t.last_row <- [];
+  t.last_route <- None
+
+let flush ?(now = 0.) t =
+  forget_last t;
+  let out = Pipeline.drain t.sched ~f:(fun p -> process ~reuse:true t ~now p) in
+  forget_last t;
+  out
 
 let originate ?(now = 0.) t (ia : Ia.t) =
   (* Local originations share attribute sets too: a speaker originating
@@ -883,11 +1023,7 @@ let record_error t ~now ~from (e : Errors.t) =
 let receive_wire ?(now = 0.) ?(defer = false) t ~from layout bytes =
   let d = Codec.decode_frame layout bytes in
   List.iter (record_error t ~now ~from) d.Codec.errors;
-  let rejected =
-    List.fold_left
-      (fun n ia -> if admit t ~now ~from (Announce ia) then n + 1 else n)
-      0 d.Codec.routes
-  in
+  let rejected = ingest_routes t ~now ~from d.Codec.routes in
   List.iter (fun p -> ingest ~now t ~from (Withdraw p)) d.Codec.withdrawn;
   let out =
     if defer then []
@@ -938,7 +1074,8 @@ let teardown ~forget_flaps ~now t peer =
       let a = t.nbrs in
       t.nbrs <-
         Array.init (Array.length a - 1) (fun j -> if j < i then a.(j) else a.(j + 1));
-      t.reps <- [||]
+      t.reps <- [||];
+      stock_stages t
     | _ -> () );
   if forget_flaps then t.flap_state <- Peer.Map.remove peer t.flap_state;
   List.iter (Pipeline.mark t.sched) affected;

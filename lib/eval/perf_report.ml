@@ -17,6 +17,7 @@ type row = {
   updates : int;
   events : int;
   decision_runs : int;
+  runs_reused : int;
   runs_per_update : float;
   dirty_marks : int;
   runs_saved : int;
@@ -79,6 +80,7 @@ let run ?(prefixes = 64) ~ases () =
     updates;
     events = stats.Network.events;
     decision_runs;
+    runs_reused = c "decision.reused";
     runs_per_update = ratio decision_runs updates;
     dirty_marks = c "pipeline.dirty_marks";
     runs_saved = c "pipeline.runs_saved";
@@ -103,6 +105,7 @@ let row_to_snapshot r =
       ("updates", Snapshot.Int r.updates);
       ("events", Snapshot.Int r.events);
       ("decision_runs", Snapshot.Int r.decision_runs);
+      ("runs_reused", Snapshot.Int r.runs_reused);
       ("runs_per_update", Snapshot.Float r.runs_per_update);
       ("dirty_marks", Snapshot.Int r.dirty_marks);
       ("runs_saved", Snapshot.Int r.runs_saved);
@@ -126,10 +129,10 @@ let to_snapshot rows =
 let pp ppf r =
   Format.fprintf ppf
     "%4d ASes %3d pfx %6d msgs %6d updates %6d events  %6d runs \
-     (%.3f/update, %d saved)  group-served %d/%d (%.0f%%)  enc %d/%d \
+     (%.3f/update, %d saved, %d reused)  group-served %d/%d (%.0f%%)  enc %d/%d \
      (%.0f%%)  dec %d/%d (%.0f%%)"
     r.ases r.prefixes r.messages r.updates r.events r.decision_runs
-    r.runs_per_update r.runs_saved r.export_hits
+    r.runs_per_update r.runs_saved r.runs_reused r.export_hits
     (r.export_hits + r.export_misses)
     (100. *. r.export_hit_rate) r.enc_hits
     (r.enc_hits + r.enc_misses)

@@ -14,6 +14,9 @@
     - the {e export hit rate}: each route change evaluates egress once
       per peer group ([export_misses]) and serves the other members
       from it ([export_hits]);
+    - the {e reused runs} ([decision.reused]): decision runs served by
+      the previous run of their drain, whose Adj-RIB-In row was
+      physically the same;
     - the encode-cache and decode-memo hit rates.
 
     Every field is deterministic for the default hash seed, so the
@@ -28,6 +31,7 @@ type row = {
   updates : int;           (** announcements + withdrawals handed to speakers *)
   events : int;            (** simulator events executed *)
   decision_runs : int;
+  runs_reused : int;       (** runs that took the drain's previous result *)
   runs_per_update : float; (** < 1.0 means coalescing beat run-per-message *)
   dirty_marks : int;
   runs_saved : int;

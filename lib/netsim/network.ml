@@ -42,11 +42,37 @@ type half_cfg = {
   hc_same_island : bool;
 }
 
+(* The tables probed once per message — by ASN, address or packed
+   ASN pair — hash their int keys arithmetically instead of through
+   the polymorphic hash.  The product's high half depends on every key
+   bit and is folded onto the low half the bucket index reads. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x1E37_79B9_7F4A_7C15 in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+(* One directed pair's MRAI batch: the latest message per prefix, kept
+   in order of each prefix's first insertion ([msgs.(slot)] for the
+   slot [slots] binds the prefix to), and whether a flush is
+   scheduled.  A flush reads the messages in that order, so the frames
+   it builds do not depend on hash layout. *)
+type batch = {
+  slots : int Prefix.Tbl.t;
+  mutable msgs : Speaker.msg array;
+  mutable size : int;
+  mutable scheduled : bool;
+}
+
 type t = {
   q : Event_queue.t;
   lookup : Lookup_service.t;
-  speakers : (int, Speaker.t) Hashtbl.t;     (* by ASN *)
-  by_addr : (int, int) Hashtbl.t;            (* speaker addr -> ASN *)
+  speakers : Speaker.t Itbl.t;               (* by ASN *)
+  by_addr : int Itbl.t;                      (* speaker addr -> ASN *)
   (* Cross-partition egress: messages to an ASN in [remote_addrs] are
      handed (with their computed arrival time) to the shard engine's
      hook instead of the local event queue. *)
@@ -70,14 +96,13 @@ type t = {
      re-establishes with an incremental sync (both sides kept state);
      past it — or with no entry — only a full refresh is sound. *)
   restart_deadline : (int, float) Hashtbl.t;
-  (* Per (src, dst) directed pair: the latest pending message per prefix
-     plus whether a flush is already scheduled. *)
-  pending : (int, (Prefix.t, Speaker.msg) Hashtbl.t * bool ref) Hashtbl.t;
+  (* Per (src, dst) directed pair: the MRAI batch. *)
+  pending : batch Itbl.t;
   (* Receive-side batching (MRAI mode): per-ASN flag marking an already
      scheduled pipeline drain, so a burst of arrivals buys one drain. *)
-  drain_scheduled : (int, bool ref) Hashtbl.t;
+  drain_scheduled : bool ref Itbl.t;
   (* ASN -> shared Peer.t handed to speakers on every delivery. *)
-  peer_memo : (int, Peer.t) Hashtbl.t;
+  peer_memo : Peer.t Itbl.t;
   (* Network-level observability: message accounting lives in a metrics
      registry (the hot-path counters are cached), wire-level events go to
      the trace ring. *)
@@ -88,14 +113,22 @@ type t = {
   c_withdrawals : Metrics.counter;
   c_dropped : Metrics.counter;
   h_msg_bytes : Metrics.histogram;
+  (* Batching instruments, registered on first use: a network that never
+     batches lists none of them. *)
+  c_mrai_flushes : Metrics.counter Lazy.t;
+  c_mrai_batched : Metrics.counter Lazy.t;
+  c_batch_frames : Metrics.counter Lazy.t;
+  c_batch_saved : Metrics.counter Lazy.t;
+  h_prefixes_per_frame : Metrics.histogram Lazy.t;
+  c_pipeline_drains : Metrics.counter Lazy.t;
 }
 
 let create () =
   let obs = Metrics.create () in
   { q = Event_queue.create ();
     lookup = Lookup_service.create ();
-    speakers = Hashtbl.create 64;
-    by_addr = Hashtbl.create 64;
+    speakers = Itbl.create 64;
+    by_addr = Itbl.create 64;
     remote = None;
     remote_addrs = Hashtbl.create 16;
     half_links = Hashtbl.create 16;
@@ -107,16 +140,22 @@ let create () =
     graceful_window = None;
     restart_gen = Hashtbl.create 16;
     restart_deadline = Hashtbl.create 16;
-    pending = Hashtbl.create 64;
-    drain_scheduled = Hashtbl.create 64;
-    peer_memo = Hashtbl.create 64;
+    pending = Itbl.create 64;
+    drain_scheduled = Itbl.create 64;
+    peer_memo = Itbl.create 64;
     obs;
     trace = Trace.create ();
     c_messages = Metrics.counter obs "net.messages";
     c_announce_bytes = Metrics.counter obs "net.announce_bytes";
     c_withdrawals = Metrics.counter obs "net.withdrawals";
     c_dropped = Metrics.counter obs "net.dropped";
-    h_msg_bytes = Metrics.histogram obs "net.msg_bytes" }
+    h_msg_bytes = Metrics.histogram obs "net.msg_bytes";
+    c_mrai_flushes = lazy (Metrics.counter obs "net.mrai_flushes");
+    c_mrai_batched = lazy (Metrics.counter obs "net.mrai_batched");
+    c_batch_frames = lazy (Metrics.counter obs "net.batch.frames");
+    c_batch_saved = lazy (Metrics.counter obs "net.batch.saved");
+    h_prefixes_per_frame = lazy (Metrics.histogram obs "net.batch.prefixes_per_frame");
+    c_pipeline_drains = lazy (Metrics.counter obs "net.pipeline_drains") }
 
 let lookup t = t.lookup
 let queue t = t.q
@@ -129,16 +168,16 @@ let speaker_addr a =
 
 let add_speaker t s =
   let addr = Ipv4.to_int (Speaker.addr s) in
-  if Hashtbl.mem t.by_addr addr then
+  if Itbl.mem t.by_addr addr then
     invalid_arg "Network.add_speaker: duplicate speaker address"
   else begin
-    Hashtbl.replace t.speakers (Asn.to_int (Speaker.asn s)) s;
-    Hashtbl.replace t.by_addr addr (Asn.to_int (Speaker.asn s));
-    Hashtbl.remove t.peer_memo (Asn.to_int (Speaker.asn s))
+    Itbl.replace t.speakers (Asn.to_int (Speaker.asn s)) s;
+    Itbl.replace t.by_addr addr (Asn.to_int (Speaker.asn s));
+    Itbl.remove t.peer_memo (Asn.to_int (Speaker.asn s))
   end
 
 let speaker t a =
-  match Hashtbl.find_opt t.speakers (Asn.to_int a) with
+  match Itbl.find_opt t.speakers (Asn.to_int a) with
   | Some s -> s
   | None -> raise Not_found
 
@@ -148,16 +187,16 @@ let speaker t a =
    when a speaker is (re-)registered under the ASN. *)
 let peer_of t a =
   let key = Asn.to_int a in
-  match Hashtbl.find_opt t.peer_memo key with
+  match Itbl.find_opt t.peer_memo key with
   | Some p -> p
   | None ->
     let s = speaker t a in
     let p = Peer.make ~asn:(Speaker.asn s) ~addr:(Speaker.addr s) in
-    Hashtbl.replace t.peer_memo key p;
+    Itbl.replace t.peer_memo key p;
     p
 
 let asn_of_addr t addr =
-  Option.map Asn.of_int (Hashtbl.find_opt t.by_addr (Ipv4.to_int addr))
+  Option.map Asn.of_int (Itbl.find_opt t.by_addr (Ipv4.to_int addr))
 
 let set_remote_hook t f = t.remote <- f
 
@@ -167,9 +206,9 @@ let set_remote_hook t f = t.remote <- f
    shard engine instead of dropping it. *)
 let add_remote_peer t a =
   let key = Asn.to_int a in
-  if not (Hashtbl.mem t.peer_memo key) then begin
+  if not (Itbl.mem t.peer_memo key) then begin
     let addr = speaker_addr a in
-    Hashtbl.replace t.peer_memo key (Peer.make ~asn:a ~addr);
+    Itbl.replace t.peer_memo key (Peer.make ~asn:a ~addr);
     Hashtbl.replace t.remote_addrs (Ipv4.to_int addr) key
   end
 
@@ -197,10 +236,10 @@ let set_graceful_restart t w =
   t.graceful_window <- w
 
 let set_damping t params =
-  Hashtbl.iter (fun _ s -> Speaker.set_damping s params) t.speakers
+  Itbl.iter (fun _ s -> Speaker.set_damping s params) t.speakers
 
 let set_change_feed t feed =
-  Hashtbl.iter
+  Itbl.iter
     (fun a s ->
       match feed with
       | None -> Speaker.set_change_hook s None
@@ -246,10 +285,19 @@ module Attr_buckets = Hashtbl.Make (struct
   let hash = Dbgp_core.Ia.attrs_hash
 end)
 
+(* Distinct attribute sets a flush tells apart by comparing each
+   announce with every bucket's head; past this many it hashes. *)
+let linear_buckets = 8
+
 (* Bucket one MRAI flush into frames: the withdraws first, then one
    frame per attribute set in order of first appearance.  Per-prefix
    latest-state semantics are the pending table's (each prefix appears
-   once). *)
+   once).  The announces of one flush mostly share their sets
+   physically (one Loc-RIB set fanned out with [Ia.with_prefix]), so a
+   bucket is looked up by pointer against each head first, then
+   structurally, and hashing starts only once the flush holds more than
+   [linear_buckets] sets.  [same_attrs] is an equivalence, so every
+   lookup finds the one bucket the hashed path finds. *)
 let frames_of_flush msgs =
   let withdraws, announces =
     List.partition_map
@@ -258,26 +306,76 @@ let frames_of_flush msgs =
         | Speaker.Announce ia -> Either.Right ia)
       msgs
   in
-  let tbl = Attr_buckets.create 16 in
-  let order = ref [] in
+  (* [order]: (head, cell) per bucket, newest first; [tbl] indexes them
+     once there are more than [linear_buckets]. *)
+  let order = ref [] and buckets = ref 0 in
+  let tbl = ref None in
+  let find (ia : Dbgp_core.Ia.t) =
+    match !tbl with
+    | Some tbl -> Attr_buckets.find_opt tbl ia
+    | None -> (
+      match List.find_opt (fun (h, _) -> Dbgp_core.Ia.shares_fields h ia) !order with
+      | Some (_, cell) -> Some cell
+      | None ->
+        Option.map snd
+          (List.find_opt (fun (h, _) -> Dbgp_core.Ia.same_attrs h ia) !order) )
+  in
   List.iter
     (fun (ia : Dbgp_core.Ia.t) ->
-      match Attr_buckets.find_opt tbl ia with
+      match find ia with
       | Some cell -> cell := ia :: !cell
       | None ->
         let cell = ref [ ia ] in
-        Attr_buckets.add tbl ia cell;
-        order := cell :: !order)
+        order := (ia, cell) :: !order;
+        incr buckets;
+        ( match !tbl with
+          | Some tbl -> Attr_buckets.add tbl ia cell
+          | None when !buckets > linear_buckets ->
+            let h = Attr_buckets.create 16 in
+            List.iter (fun (head, cell) -> Attr_buckets.add h head cell) !order;
+            tbl := Some h
+          | None -> () ))
     announces;
-  let routes = List.rev_map (fun cell -> Codec.Routes (List.rev !cell)) !order in
+  let routes = List.rev_map (fun (_, cell) -> Codec.Routes (List.rev !cell)) !order in
   if withdraws = [] then routes else Codec.Withdraws withdraws :: routes
+
+let no_msg = Speaker.Withdraw Prefix.default
+
+let new_batch () =
+  { slots = Prefix.Tbl.create 8; msgs = Array.make 8 no_msg; size = 0; scheduled = false }
+
+(* The latest message for its prefix: it takes the prefix's slot, or
+   the next one when the prefix is new to the batch. *)
+let batch_add b msg =
+  let p = prefix_of_msg msg in
+  match Prefix.Tbl.find_opt b.slots p with
+  | Some i -> b.msgs.(i) <- msg
+  | None ->
+    if b.size = Array.length b.msgs then begin
+      let msgs = Array.make (2 * b.size) no_msg in
+      Array.blit b.msgs 0 msgs 0 b.size;
+      b.msgs <- msgs
+    end;
+    b.msgs.(b.size) <- msg;
+    Prefix.Tbl.replace b.slots p b.size;
+    b.size <- b.size + 1
+
+(* The batch's messages in first-insertion order, leaving it empty and
+   back at its initial size. *)
+let batch_take b =
+  let msgs = List.init b.size (fun i -> b.msgs.(i)) in
+  Prefix.Tbl.reset b.slots;
+  if Array.length b.msgs > 8 then b.msgs <- Array.make 8 no_msg
+  else Array.fill b.msgs 0 b.size no_msg;
+  b.size <- 0;
+  msgs
 
 (* Where a message to [peer] goes: the destination ASN, with the shard
    engine's hook when another partition simulates it; [None] when it is
    simulated nowhere. *)
 let destination t (peer : Peer.t) =
   let addr = Ipv4.to_int peer.Peer.addr in
-  match Hashtbl.find_opt t.by_addr addr with
+  match Itbl.find_opt t.by_addr addr with
   | Some asn -> Some (asn, None)
   | None -> (
     match (t.remote, Hashtbl.find_opt t.remote_addrs addr) with
@@ -304,7 +402,7 @@ let interpose t ~from ~to_ msg =
    it the confirmed bits would claim the peer holds state it never
    received and an incremental sync would wrongly skip it. *)
 let note_lost t ~from ~to_ prefixes =
-  match Hashtbl.find_opt t.speakers (Asn.to_int from) with
+  match Itbl.find_opt t.speakers (Asn.to_int from) with
   | Some s ->
     let peer = peer_of t to_ in
     List.iter (Speaker.note_undelivered s peer) prefixes
@@ -371,31 +469,28 @@ and send t ~from ~to_ msg =
     (* MRAI batching: keep only the latest state per prefix and flush
        the whole batch once per interval. *)
     let key = pack_pair (Asn.to_int from) (Asn.to_int to_) in
-    let batch, scheduled =
-      match Hashtbl.find_opt t.pending key with
-      | Some entry -> entry
+    let b =
+      match Itbl.find_opt t.pending key with
+      | Some b -> b
       | None ->
-        let entry = (Hashtbl.create 8, ref false) in
-        Hashtbl.replace t.pending key entry;
-        entry
+        let b = new_batch () in
+        Itbl.replace t.pending key b;
+        b
     in
-    Hashtbl.replace batch (prefix_of_msg msg) msg;
-    if not !scheduled then begin
-      scheduled := true;
+    batch_add b msg;
+    if not b.scheduled then begin
+      b.scheduled <- true;
       Event_queue.schedule t.q ~delay:(t.mrai +. delay) (fun () ->
-          scheduled := false;
+          b.scheduled <- false;
           (* A batch {!clear_pending} emptied has nothing to flush. *)
-          if Hashtbl.length batch > 0 then begin
-            let msgs = Hashtbl.fold (fun _ m acc -> m :: acc) batch [] in
-            Hashtbl.reset batch;
-            Metrics.incr (Metrics.counter t.obs "net.mrai_flushes");
-            Metrics.incr ~by:(List.length msgs)
-              (Metrics.counter t.obs "net.mrai_batched");
+          if b.size > 0 then begin
+            let n = b.size in
+            let msgs = batch_take b in
+            Metrics.incr (Lazy.force t.c_mrai_flushes);
+            Metrics.incr ~by:n (Lazy.force t.c_mrai_batched);
             Trace.emit t.trace ~at:(Event_queue.now t.q)
               (Trace.Mrai_flush
-                 { src = Asn.to_int from;
-                   dst = Asn.to_int to_;
-                   batched = List.length msgs });
+                 { src = Asn.to_int from; dst = Asn.to_int to_; batched = n });
             List.iter (deliver t ~from ~to_) (frames_of_flush msgs)
           end)
     end
@@ -451,11 +546,9 @@ and receive t ~now ~from ~to_ frame =
     | Codec.Routes _ -> Metrics.incr ~by:bytes t.c_announce_bytes
     | Codec.Withdraws _ -> Metrics.incr ~by:n t.c_withdrawals );
   if n > 1 then begin
-    Metrics.incr (Metrics.counter t.obs "net.batch.frames");
-    Metrics.incr ~by:(n - 1) (Metrics.counter t.obs "net.batch.saved");
-    Metrics.observe
-      (Metrics.histogram t.obs "net.batch.prefixes_per_frame")
-      (float_of_int n)
+    Metrics.incr (Lazy.force t.c_batch_frames);
+    Metrics.incr ~by:(n - 1) (Lazy.force t.c_batch_saved);
+    Metrics.observe (Lazy.force t.h_prefixes_per_frame) (float_of_int n)
   end;
   Trace.emit t.trace ~at:now
     (Trace.Update_received
@@ -494,11 +587,11 @@ and receive t ~now ~from ~to_ frame =
 and schedule_drain t asn s =
   if Speaker.pending s > 0 then begin
     let flag =
-      match Hashtbl.find_opt t.drain_scheduled (Asn.to_int asn) with
+      match Itbl.find_opt t.drain_scheduled (Asn.to_int asn) with
       | Some f -> f
       | None ->
         let f = ref false in
-        Hashtbl.replace t.drain_scheduled (Asn.to_int asn) f;
+        Itbl.replace t.drain_scheduled (Asn.to_int asn) f;
         f
     in
     if not !flag then begin
@@ -506,7 +599,7 @@ and schedule_drain t asn s =
       Event_queue.schedule t.q ~delay:t.mrai (fun () ->
           flag := false;
           let outbox = Speaker.flush ~now:(Event_queue.now t.q) s in
-          Metrics.incr (Metrics.counter t.obs "net.pipeline_drains");
+          Metrics.incr (Lazy.force t.c_pipeline_drains);
           drain_reuse t asn s;
           dispatch t ~from:asn outbox;
           (* A drain can dirty further prefixes (e.g. a decision change
@@ -579,19 +672,20 @@ let link t ?(latency = 1.0) ?(a_export = Dbgp_core.Filters.accept)
    delivers stale pre-failure state. *)
 let clear_pending t a b =
   let clear src dst =
-    match Hashtbl.find_opt t.pending (pack_pair (Asn.to_int src) (Asn.to_int dst)) with
-    | Some (batch, _scheduled) ->
+    let key = pack_pair (Asn.to_int src) (Asn.to_int dst) in
+    match Itbl.find_opt t.pending key with
+    | Some b ->
       (* Discarded batch contents were never delivered: tell the sender,
          so its Adj-RIB-Out confirmed bits stay truthful for the next
          incremental sync. *)
-      ( match Hashtbl.find_opt t.speakers (Asn.to_int src) with
+      let msgs = batch_take b in
+      ( match Itbl.find_opt t.speakers (Asn.to_int src) with
         | Some s ->
-          Hashtbl.iter
-            (fun prefix _ -> Speaker.note_undelivered s (peer_of t dst) prefix)
-            batch
+          List.iter
+            (fun m -> Speaker.note_undelivered s (peer_of t dst) (prefix_of_msg m))
+            msgs
         | None -> () );
-      Hashtbl.reset batch;
-      Hashtbl.remove t.pending (pack_pair (Asn.to_int src) (Asn.to_int dst))
+      Itbl.remove t.pending key
     | None -> ()
   in
   clear a b;
@@ -620,7 +714,7 @@ let sync_dir t ~full src dst =
           if full && Option.is_none cursor then Speaker.unconfirm_peer s peer;
           let out, next = Speaker.sync_peer ~limit:sync_chunk ?cursor s peer in
           dispatch t ~from:src out;
-          match (next, Hashtbl.find_opt t.speakers (Asn.to_int dst)) with
+          match (next, Itbl.find_opt t.speakers (Asn.to_int dst)) with
           | (Some _ as next), _ -> step next
           | None, Some receiver when Speaker.has_stale receiver (peer_of t src)
             ->
@@ -724,7 +818,7 @@ let deliver_remote t ~from ~to_ msg =
    [Speaker.note_undelivered] is time-independent, so it is sound to
    apply at mailbox-drain time, one epoch after the drop. *)
 let apply_nack t ~local ~remote prefix =
-  match Hashtbl.find_opt t.speakers (Asn.to_int local) with
+  match Itbl.find_opt t.speakers (Asn.to_int local) with
   | Some s -> Speaker.note_undelivered s (peer_of t remote) prefix
   | None -> ()
 
@@ -895,17 +989,17 @@ let run ?max_events t =
   stats_now t ~events ~exhausted:(Event_queue.budget_exhausted t.q)
 
 let asns t =
-  Hashtbl.fold (fun a _ acc -> Asn.of_int a :: acc) t.speakers []
+  Itbl.fold (fun a _ acc -> Asn.of_int a :: acc) t.speakers []
   |> List.sort Asn.compare
 
 let stale_total t =
-  Hashtbl.fold (fun _ s acc -> acc + Speaker.stale_count s) t.speakers 0
+  Itbl.fold (fun _ s acc -> acc + Speaker.stale_count s) t.speakers 0
 
 (* ------------------------- observability ------------------------- *)
 
 (* Sum one named counter across every speaker's registry. *)
 let counter_total t name =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ s acc ->
       match Metrics.find_counter (Speaker.metrics s) name with
       | Some c -> acc + Metrics.count c
@@ -916,7 +1010,7 @@ let counter_total t name =
    change, for every speaker whose decision process changed state at least
    once.  The distribution of these is the network's convergence profile. *)
 let convergence_times t =
-  Hashtbl.fold
+  Itbl.fold
     (fun _ s acc ->
       let m = Speaker.metrics s in
       let changed =
@@ -956,7 +1050,7 @@ let snapshot ?(recent_events = 0) t =
       ("network", Snapshot.of_metrics t.obs);
       ( "speakers",
         Snapshot.Obj
-          (("count", Snapshot.Int (Hashtbl.length t.speakers))
+          (("count", Snapshot.Int (Itbl.length t.speakers))
            :: speaker_totals) );
       ( "convergence",
         Snapshot.Obj (Snapshot.percentile_fields (convergence_times t)) ) ]

@@ -616,7 +616,7 @@ let test_perf_report_schema () =
   in
   let int_fields =
     [ "ases"; "prefixes"; "messages"; "updates"; "events"; "decision_runs";
-      "dirty_marks"; "runs_saved"; "drains"; "export_hits"; "export_misses";
+      "runs_reused"; "dirty_marks"; "runs_saved"; "drains"; "export_hits"; "export_misses";
       "encode_cache_hits"; "encode_cache_misses"; "decode_memo_hits";
       "decode_memo_misses" ]
   in
