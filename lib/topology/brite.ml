@@ -15,42 +15,52 @@ let generate rng p =
   let dist i j = sqrt (((xs.(i) -. xs.(j)) ** 2.) +. ((ys.(i) -. ys.(j)) ** 2.)) in
   let waxman i j = p.alpha *. exp (-.dist i j /. (p.beta *. l)) in
   (* Incremental growth: node v joins to [min v m] distinct earlier nodes,
-     drawn with probability proportional to the Waxman factor. *)
+     drawn with probability proportional to the Waxman factor.  [taken]
+     marks the nodes v has chosen so far and is cleared after each v;
+     the per-node table only replays today's edge order. *)
   let edges = ref [] in
+  let taken = Array.make p.n false and weights = Array.make p.n 0. in
   for v = 1 to p.n - 1 do
     let chosen = Hashtbl.create 4 in
-    let want = min v p.m in
-    let weights = Array.init v (fun u -> waxman v u) in
-    while Hashtbl.length chosen < want do
+    let want = min v p.m and count = ref 0 in
+    for u = 0 to v - 1 do
+      weights.(u) <- waxman v u
+    done;
+    let choose u =
+      taken.(u) <- true;
+      incr count;
+      Hashtbl.replace chosen u ()
+    in
+    while !count < want do
       let total =
         let t = ref 0. in
         for u = 0 to v - 1 do
-          if not (Hashtbl.mem chosen u) then t := !t +. weights.(u)
+          if not taken.(u) then t := !t +. weights.(u)
         done;
         !t
       in
       if total <= 0. then begin
         (* Degenerate weights: fall back to a uniform draw. *)
-        let remaining =
-          List.init v Fun.id |> List.filter (fun u -> not (Hashtbl.mem chosen u))
-        in
-        let u = List.nth remaining (Prng.int rng (List.length remaining)) in
-        Hashtbl.replace chosen u ()
+        let remaining = List.init v Fun.id |> List.filter (fun u -> not taken.(u)) in
+        choose (List.nth remaining (Prng.int rng (List.length remaining)))
       end
       else begin
         let target = Prng.float rng total in
         let acc = ref 0. and pick = ref (-1) in
         for u = 0 to v - 1 do
-          if !pick < 0 && not (Hashtbl.mem chosen u) then begin
+          if !pick < 0 && not taken.(u) then begin
             acc := !acc +. weights.(u);
             if !acc >= target then pick := u
           end
         done;
-        let u = if !pick < 0 then v - 1 else !pick in
-        Hashtbl.replace chosen u ()
+        choose (if !pick < 0 then v - 1 else !pick)
       end
     done;
-    Hashtbl.iter (fun u () -> edges := (v, u) :: !edges) chosen
+    Hashtbl.iter
+      (fun u () ->
+        taken.(u) <- false;
+        edges := (v, u) :: !edges)
+      chosen
   done;
   (* Orient links customer -> provider.  Rank by final degree (ties by
      lower id); the higher-ranked endpoint is the provider.  A total order

@@ -1583,6 +1583,174 @@ let test_loc_rib_full_rebuild_order () =
   for _ = 1 to 30_000 do add (random_prefix ()) done;
   check "second rebuild ascending" true (agrees ())
 
+(* ------------- set-major ingress and decision reuse ------------- *)
+
+module Codec = Dbgp_core.Codec
+
+(* A non-stock filter that changes nothing: installed as global and
+   neighbor import, it sends every route through the per-route ingress
+   and every decision run through the full path. *)
+let identity : Filters.t = fun ia -> Some ia
+
+let reuse_speaker ?(import = Filters.accept) () =
+  let s =
+    Speaker.create
+      (Speaker.config ~global_import:import ~asn:(asn 100)
+         ~addr:(Ipv4.of_octets 10 0 0 100) ())
+  in
+  List.iter
+    (fun n ->
+      Speaker.add_neighbor s (Speaker.neighbor ~import ~relationship:Policy.To_customer (peer n)))
+    [ 1; 2; 3; 4 ];
+  s
+
+(* [sender]'s routes to [prefixes], all carrying one set that [origin]
+   originated — or, [looped], a path that passes [sender] twice. *)
+let routes ?(looped = false) sender origin prefixes =
+  Codec.Routes
+    (List.map
+       (fun prefix ->
+         let ia =
+           Ia.originate ~prefix ~origin_asn:(asn (if looped then sender else origin))
+             ~next_hop:(Ipv4.of_octets 10 0 0 sender) ()
+         in
+         (if looped then Ia.prepend_as (asn 900) ia else ia) |> Ia.prepend_as (asn sender))
+       prefixes)
+
+let deliver ?(defer = false) s sender frame =
+  snd
+    (Speaker.receive_wire ~defer s ~from:(peer sender) (Codec.layout frame)
+       (Codec.encode_frame frame))
+
+let same_out a b =
+  List.equal
+    (fun (p, m) (q, n) ->
+      Peer.equal p q
+      &&
+      match (m, n) with
+      | Speaker.Announce x, Speaker.Announce y -> Ia.equal x y
+      | Speaker.Withdraw x, Speaker.Withdraw y -> Prefix.equal x y
+      | _ -> false)
+    a b
+
+let same_loc a b =
+  List.equal
+    (fun (p, (c : Speaker.chosen)) (q, (d : Speaker.chosen)) ->
+      Prefix.equal p q
+      && Option.equal Peer.equal c.Speaker.candidate.Dm.from_peer
+           d.Speaker.candidate.Dm.from_peer
+      && Ia.equal c.Speaker.candidate.Dm.ia d.Speaker.candidate.Dm.ia
+      && Ia.equal c.Speaker.outgoing d.Speaker.outgoing)
+    (Speaker.best_routes a) (Speaker.best_routes b)
+
+(* Every counter but the one that tells the two paths apart. *)
+let counters s =
+  List.filter (fun (n, _) -> n <> "decision.reused") (Metrics.counters (Speaker.metrics s))
+
+(* Identical frames into a stock speaker and one whose identity imports
+   force the full path: shared sets, rows that diverge mid-drain,
+   duplicates, a looped set rejecting whole frames and replacing routes,
+   withdraws.  Nothing observable may differ. *)
+let test_reuse_differential () =
+  Dbgp_core.Attr_table.reset ();
+  let fast = reuse_speaker () and full = reuse_speaker ~import:identity () in
+  let ps = List.init 8 nth_prefix in
+  let sub i j = List.filteri (fun k _ -> k >= i && k <= j) ps in
+  let steps =
+    [ ("shared set", true, 1, routes 1 500 ps);
+      ("second peer on a middle run", false, 2, routes 2 600 (sub 2 4));
+      ("duplicate frame", false, 1, routes 1 500 ps);
+      ("third peer", true, 3, routes 3 700 (sub 5 7));
+      ("looped frame", true, 3, routes ~looped:true 3 0 (sub 0 0 @ sub 6 7));
+      ("withdraws", true, 2, Codec.Withdraws (sub 3 4));
+      ("single prefix", true, 4, routes 4 800 (sub 1 1));
+      ("new set", false, 1, routes 1 501 ps) ]
+  in
+  List.iter
+    (fun (name, defer, sender, frame) ->
+      let a = deliver ~defer fast sender frame and b = deliver ~defer full sender frame in
+      let a, b = if defer then (a @ Speaker.flush fast, b @ Speaker.flush full) else (a, b) in
+      check (name ^ ": messages") true (same_out a b);
+      check (name ^ ": Loc-RIB") true (same_loc fast full);
+      List.iter
+        (fun n ->
+          check
+            (Printf.sprintf "%s: Adj-RIB-Out toward %d" name n)
+            true
+            (List.equal
+               (fun (p, x) (q, y) -> Prefix.equal p q && Ia.equal x y)
+               (Speaker.adj_out fast (peer n)) (Speaker.adj_out full (peer n))))
+        [ 1; 2; 3; 4 ];
+      check (name ^ ": counters") true (counters fast = counters full))
+    steps;
+  check "the stock speaker reused runs" true (counter_of fast "decision.reused" > 0);
+  check_int "the full path reused none" 0 (counter_of full "decision.reused");
+  check "duplicates seen" true (counter_of fast "updates.duplicate" = 8);
+  check "rejections seen" true (counter_of fast "import.rejected" = 3);
+  check "refcounts balanced" true (Invariants.refcounts [ fast; full ] = [])
+
+(* A global import that reads the prefix sees every route of a frame:
+   it rejects exactly the prefix it names. *)
+let test_prefix_dependent_import () =
+  let bad = nth_prefix 2 in
+  let import ia = if Prefix.equal ia.Ia.prefix bad then None else Some ia in
+  let s =
+    Speaker.create
+      (Speaker.config ~global_import:import ~asn:(asn 100)
+         ~addr:(Ipv4.of_octets 10 0 0 100) ())
+  in
+  Speaker.add_neighbor s (Speaker.neighbor ~relationship:Policy.To_customer (peer 1));
+  let ps = List.init 4 nth_prefix in
+  ignore (deliver s 1 (routes 1 500 ps));
+  check_int "one rejection" 1 (counter_of s "import.rejected");
+  List.iter
+    (fun p ->
+      check (Prefix.to_string p) (not (Prefix.equal p bad)) (Speaker.best s p <> None))
+    ps
+
+(* Damping makes selection depend on per-prefix penalties: no reuse. *)
+let test_damping_bypasses_reuse () =
+  let run damping =
+    let s = reuse_speaker () in
+    Speaker.set_damping s damping;
+    ignore (deliver s 1 (routes 1 500 (List.init 4 nth_prefix)));
+    (counter_of s "decision.runs", counter_of s "decision.reused")
+  in
+  check "undamped: all but the first run reused" true (run None = (4, 3));
+  check "damped: none reused" true (run (Some damp_params) = (4, 0))
+
+(* An MRAI flush whose announces carry structurally equal sets in
+   physically distinct fields ships one frame per set, through the
+   linear bucket scan and, past a handful of sets, the hashed one. *)
+let test_flush_buckets_by_set () =
+  let frames sets =
+    let net = Network.create () in
+    List.iter (fun i -> ignore (Harness.add_as net i)) [ 1; 2 ];
+    Network.link net ~a:(asn 1) ~b:(asn 2) ~b_is:Policy.To_provider ();
+    Network.set_mrai net 1.0;
+    (* Re-allocate every list of each announce on its way out. *)
+    Network.set_interposer net
+      (Some
+         (fun ~from:_ ~to_:_ -> function
+           | Speaker.Announce ia ->
+             Some
+               (Speaker.Announce
+                  { ia with
+                    Ia.path_vector = List.map Fun.id ia.Ia.path_vector;
+                    path_descriptors = List.map Fun.id ia.Ia.path_descriptors })
+           | m -> Some m));
+    for i = 0 to (2 * sets) - 1 do
+      Network.originate net (asn 1)
+        (Ia.originate ~prefix:(nth_prefix i) ~origin_asn:(asn 1)
+           ~next_hop:(Ipv4.of_octets 10 1 0 (i mod sets)) ())
+    done;
+    let stats = Network.run net in
+    ( stats.Network.messages,
+      List.length (Speaker.best_routes (Network.speaker net (asn 2))) )
+  in
+  check "one set: one frame" true (frames 1 = (1, 2));
+  check "twelve sets: twelve frames" true (frames 12 = (12, 24))
+
 let () =
   Alcotest.run "pipeline"
     [ ( "adj-rib-in",
@@ -1643,7 +1811,14 @@ let () =
         [ Alcotest.test_case "ingest/flush coalesces" `Quick
             test_ingest_flush_coalesces;
           Alcotest.test_case "network equivalence" `Quick
-            test_batched_network_equivalence ] );
+            test_batched_network_equivalence;
+          Alcotest.test_case "flush buckets by set" `Quick test_flush_buckets_by_set ] );
+      ( "set-major",
+        [ Alcotest.test_case "reuse = full path" `Quick test_reuse_differential;
+          Alcotest.test_case "prefix-dependent import" `Quick
+            test_prefix_dependent_import;
+          Alcotest.test_case "damping bypasses reuse" `Quick
+            test_damping_bypasses_reuse ] );
       ( "teardown",
         [ Alcotest.test_case "remove_neighbor clean" `Quick
             test_remove_neighbor_clean;

@@ -87,6 +87,36 @@ let test_brite_provider_acyclic () =
   done;
   check_int "provider DAG is acyclic" n !seen
 
+(* Every AS's neighbor list, in adjacency order, with the relationship:
+   the generator's edges, their orientation and their insertion order. *)
+let adjacency_digest g =
+  let b = Buffer.create 4096 in
+  let view = function G.Provider_of_me -> "p" | G.Customer_of_me -> "c" | G.Peer_of_me -> "=" in
+  for v = 0 to G.size g - 1 do
+    Buffer.add_string b (string_of_int v);
+    Buffer.add_char b ':';
+    List.iter
+      (fun (u, w) -> Buffer.add_string b (Printf.sprintf "%d%s," u (view w)))
+      (G.neighbors g v);
+    Buffer.add_char b ';'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned graphs: a faster generator must draw the same edges in the
+   same order. *)
+let test_brite_pinned () =
+  List.iter
+    (fun (seed, n, m, digest) ->
+      let g = Brite.generate (Prng.create seed) { Brite.default with Brite.n; m } in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d n %d m %d" seed n m)
+        digest (adjacency_digest g))
+    [ (1, 2, 1, "cafaf02e8b2b0e20d554d15e578c9b7d");
+      (1, 100, 2, "ac15ff4f4855a3fb4c784eaa611a8f1b");
+      (7, 300, 3, "28f83cfeac50577dd245ffbed0ce4c0b");
+      (42, 1000, 2, "a78359d7fc91007bd50697d443dcb012");
+      (5, 10, 3, "73177c5cc0521ca6dfecdc34549387fa") ]
+
 let test_brite_params_validated () =
   Alcotest.check_raises "n too small"
     (Invalid_argument "Brite.generate: need at least 2 ASes") (fun () ->
@@ -358,7 +388,8 @@ let () =
       ("brite",
        [ Alcotest.test_case "connected+deterministic" `Quick test_brite_connected_deterministic;
          Alcotest.test_case "provider DAG" `Quick test_brite_provider_acyclic;
-         Alcotest.test_case "validation" `Quick test_brite_params_validated ]);
+         Alcotest.test_case "validation" `Quick test_brite_params_validated;
+         Alcotest.test_case "pinned edge lists" `Quick test_brite_pinned ]);
       ("caida",
        [ Alcotest.test_case "connected+deterministic" `Quick
            test_caida_connected_deterministic;
