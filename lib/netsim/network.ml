@@ -56,15 +56,13 @@ module Itbl = Hashtbl.Make (struct
     (h lxor (h lsr 32)) land max_int
 end)
 
-(* One directed pair's MRAI batch: the latest message per prefix, kept
-   in order of each prefix's first insertion ([msgs.(slot)] for the
-   slot [slots] binds the prefix to), and whether a flush is
-   scheduled.  A flush reads the messages in that order, so the frames
-   it builds do not depend on hash layout. *)
+(* One directed pair's MRAI batch: the latest message per prefix, the
+   prefixes newest first by first insertion, and whether a flush is
+   scheduled.  A flush orders its frames by first insertion, so they do
+   not depend on hash layout. *)
 type batch = {
-  slots : int Prefix.Tbl.t;
-  mutable msgs : Speaker.msg array;
-  mutable size : int;
+  latest : Speaker.msg Prefix.Tbl.t;
+  mutable order : Prefix.t list;
   mutable scheduled : bool;
 }
 
@@ -289,86 +287,70 @@ end)
    announce with every bucket's head; past this many it hashes. *)
 let linear_buckets = 8
 
+let new_batch () = { latest = Prefix.Tbl.create 8; order = []; scheduled = false }
+
+let batch_add b msg =
+  let p = prefix_of_msg msg in
+  if not (Prefix.Tbl.mem b.latest p) then b.order <- p :: b.order;
+  Prefix.Tbl.replace b.latest p msg
+
+let batch_clear b =
+  Prefix.Tbl.reset b.latest;
+  b.order <- []
+
+(* One attribute set's announces in a flush, and the first-insertion
+   position of the oldest of them. *)
+type bucket = { head : Dbgp_core.Ia.t; mutable ias : Dbgp_core.Ia.t list; mutable first : int }
+
 (* Bucket one MRAI flush into frames: the withdraws first, then one
-   frame per attribute set in order of first appearance.  Per-prefix
-   latest-state semantics are the pending table's (each prefix appears
-   once).  The announces of one flush mostly share their sets
-   physically (one Loc-RIB set fanned out with [Ia.with_prefix]), so a
-   bucket is looked up by pointer against each head first, then
-   structurally, and hashing starts only once the flush holds more than
-   [linear_buckets] sets.  [same_attrs] is an equivalence, so every
-   lookup finds the one bucket the hashed path finds. *)
-let frames_of_flush msgs =
-  let withdraws, announces =
-    List.partition_map
-      (function
-        | Speaker.Withdraw p -> Either.Left p
-        | Speaker.Announce ia -> Either.Right ia)
-      msgs
-  in
-  (* [order]: (head, cell) per bucket, newest first; [tbl] indexes them
-     once there are more than [linear_buckets]. *)
-  let order = ref [] and buckets = ref 0 in
-  let tbl = ref None in
+   frame per attribute set in order of first appearance, each frame's
+   prefixes in first-insertion order (each prefix appears once).  The
+   walk goes newest first, so consing leaves every list oldest first.
+   The announces of one flush mostly share their sets physically (one
+   Loc-RIB set fanned out with [Ia.with_prefix]), so a bucket is looked
+   up by pointer against each head first, then structurally, and
+   hashing starts only once the flush holds more than [linear_buckets]
+   sets.  [same_attrs] is an equivalence, so every lookup finds the one
+   bucket the hashed path finds. *)
+let frames_of_flush b =
+  let withdraws = ref [] and buckets = ref [] and count = ref 0 and tbl = ref None in
   let find (ia : Dbgp_core.Ia.t) =
     match !tbl with
     | Some tbl -> Attr_buckets.find_opt tbl ia
     | None -> (
-      match List.find_opt (fun (h, _) -> Dbgp_core.Ia.shares_fields h ia) !order with
-      | Some (_, cell) -> Some cell
-      | None ->
-        Option.map snd
-          (List.find_opt (fun (h, _) -> Dbgp_core.Ia.same_attrs h ia) !order) )
+      match List.find_opt (fun k -> Dbgp_core.Ia.shares_fields k.head ia) !buckets with
+      | Some _ as k -> k
+      | None -> List.find_opt (fun k -> Dbgp_core.Ia.same_attrs k.head ia) !buckets )
   in
+  let pos = ref (Prefix.Tbl.length b.latest) in
   List.iter
-    (fun (ia : Dbgp_core.Ia.t) ->
-      match find ia with
-      | Some cell -> cell := ia :: !cell
-      | None ->
-        let cell = ref [ ia ] in
-        order := (ia, cell) :: !order;
-        incr buckets;
-        ( match !tbl with
-          | Some tbl -> Attr_buckets.add tbl ia cell
-          | None when !buckets > linear_buckets ->
+    (fun p ->
+      decr pos;
+      match Prefix.Tbl.find b.latest p with
+      | Speaker.Withdraw p -> withdraws := p :: !withdraws
+      | Speaker.Announce ia -> (
+        match find ia with
+        | Some k ->
+          k.ias <- ia :: k.ias;
+          k.first <- !pos
+        | None ->
+          let k = { head = ia; ias = [ ia ]; first = !pos } in
+          buckets := k :: !buckets;
+          incr count;
+          match !tbl with
+          | Some tbl -> Attr_buckets.add tbl ia k
+          | None when !count > linear_buckets ->
             let h = Attr_buckets.create 16 in
-            List.iter (fun (head, cell) -> Attr_buckets.add h head cell) !order;
+            List.iter (fun k -> Attr_buckets.add h k.head k) !buckets;
             tbl := Some h
           | None -> () ))
-    announces;
-  let routes = List.rev_map (fun (_, cell) -> Codec.Routes (List.rev !cell)) !order in
-  if withdraws = [] then routes else Codec.Withdraws withdraws :: routes
-
-let no_msg = Speaker.Withdraw Prefix.default
-
-let new_batch () =
-  { slots = Prefix.Tbl.create 8; msgs = Array.make 8 no_msg; size = 0; scheduled = false }
-
-(* The latest message for its prefix: it takes the prefix's slot, or
-   the next one when the prefix is new to the batch. *)
-let batch_add b msg =
-  let p = prefix_of_msg msg in
-  match Prefix.Tbl.find_opt b.slots p with
-  | Some i -> b.msgs.(i) <- msg
-  | None ->
-    if b.size = Array.length b.msgs then begin
-      let msgs = Array.make (2 * b.size) no_msg in
-      Array.blit b.msgs 0 msgs 0 b.size;
-      b.msgs <- msgs
-    end;
-    b.msgs.(b.size) <- msg;
-    Prefix.Tbl.replace b.slots p b.size;
-    b.size <- b.size + 1
-
-(* The batch's messages in first-insertion order, leaving it empty and
-   back at its initial size. *)
-let batch_take b =
-  let msgs = List.init b.size (fun i -> b.msgs.(i)) in
-  Prefix.Tbl.reset b.slots;
-  if Array.length b.msgs > 8 then b.msgs <- Array.make 8 no_msg
-  else Array.fill b.msgs 0 b.size no_msg;
-  b.size <- 0;
-  msgs
+    b.order;
+  let routes =
+    List.map
+      (fun k -> Codec.Routes k.ias)
+      (List.sort (fun k k' -> Int.compare k.first k'.first) !buckets)
+  in
+  if !withdraws = [] then routes else Codec.Withdraws !withdraws :: routes
 
 (* Where a message to [peer] goes: the destination ASN, with the shard
    engine's hook when another partition simulates it; [None] when it is
@@ -483,15 +465,16 @@ and send t ~from ~to_ msg =
       Event_queue.schedule t.q ~delay:(t.mrai +. delay) (fun () ->
           b.scheduled <- false;
           (* A batch {!clear_pending} emptied has nothing to flush. *)
-          if b.size > 0 then begin
-            let n = b.size in
-            let msgs = batch_take b in
+          if Prefix.Tbl.length b.latest > 0 then begin
+            let n = Prefix.Tbl.length b.latest in
+            let frames = frames_of_flush b in
+            batch_clear b;
             Metrics.incr (Lazy.force t.c_mrai_flushes);
             Metrics.incr ~by:n (Lazy.force t.c_mrai_batched);
             Trace.emit t.trace ~at:(Event_queue.now t.q)
               (Trace.Mrai_flush
                  { src = Asn.to_int from; dst = Asn.to_int to_; batched = n });
-            List.iter (deliver t ~from ~to_) (frames_of_flush msgs)
+            List.iter (deliver t ~from ~to_) frames
           end)
     end
   end
@@ -678,13 +661,10 @@ let clear_pending t a b =
       (* Discarded batch contents were never delivered: tell the sender,
          so its Adj-RIB-Out confirmed bits stay truthful for the next
          incremental sync. *)
-      let msgs = batch_take b in
       ( match Itbl.find_opt t.speakers (Asn.to_int src) with
-        | Some s ->
-          List.iter
-            (fun m -> Speaker.note_undelivered s (peer_of t dst) (prefix_of_msg m))
-            msgs
+        | Some s -> List.iter (Speaker.note_undelivered s (peer_of t dst)) b.order
         | None -> () );
+      batch_clear b;
       Itbl.remove t.pending key
     | None -> ()
   in
