@@ -196,6 +196,12 @@ let with_next_hop nh t =
   in
   set_path_descriptor ~owners ~field:field_next_hop (Value.Addr nh) t
 
+let shares_fields a b =
+  a.path_vector == b.path_vector
+  && a.membership == b.membership
+  && a.path_descriptors == b.path_descriptors
+  && a.island_descriptors == b.island_descriptors
+
 (* Attribute equality ignoring the prefix: the relation by which the
    attribute table identifies a set and the batching layer buckets
    routes.  Per-field pointer checks come first — every route the
@@ -203,12 +209,6 @@ let with_next_hop nh t =
    physical sharing is the common case — with a structural fallback per
    field so equal-but-unshared attributes (a freshly decoded or built
    set) still compare equal. *)
-let shares_fields a b =
-  a.path_vector == b.path_vector
-  && a.membership == b.membership
-  && a.path_descriptors == b.path_descriptors
-  && a.island_descriptors == b.island_descriptors
-
 let same_attrs a b =
   a == b
   || ((a.path_vector == b.path_vector || a.path_vector = b.path_vector)
