@@ -87,35 +87,45 @@ let test_brite_provider_acyclic () =
   done;
   check_int "provider DAG is acyclic" n !seen
 
-(* Every AS's neighbor list, in adjacency order, with the relationship:
-   the generator's edges, their orientation and their insertion order. *)
+(* Every AS's neighbors with their relationships: the generator's edges
+   and their orientation. *)
+let view_tag = function G.Provider_of_me -> "p" | G.Customer_of_me -> "c" | G.Peer_of_me -> "="
+
 let adjacency_digest g =
   let b = Buffer.create 4096 in
-  let view = function G.Provider_of_me -> "p" | G.Customer_of_me -> "c" | G.Peer_of_me -> "=" in
   for v = 0 to G.size g - 1 do
     Buffer.add_string b (string_of_int v);
     Buffer.add_char b ':';
     List.iter
-      (fun (u, w) -> Buffer.add_string b (Printf.sprintf "%d%s," u (view w)))
+      (fun (u, w) -> Buffer.add_string b (Printf.sprintf "%d%s," u (view_tag w)))
       (G.neighbors g v);
     Buffer.add_char b ';'
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Pinned graphs: a faster generator must draw the same edges in the
-   same order. *)
+(* The edges in [fold_edges] order, which follows the order the
+   generator inserted them in — and the hash seed. *)
+let edge_order_digest g =
+  let b = Buffer.create 4096 in
+  G.fold_edges (fun a c w () -> Buffer.add_string b (Printf.sprintf "%d-%d%s," a c (view_tag w))) g ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Pinned graphs: a faster generator must draw the same edges and
+   insert them in the same order (checked under the default hash seed
+   only). *)
 let test_brite_pinned () =
   List.iter
-    (fun (seed, n, m, digest) ->
+    (fun (seed, n, m, adjacency, order) ->
       let g = Brite.generate (Prng.create seed) { Brite.default with Brite.n; m } in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d n %d m %d" seed n m)
-        digest (adjacency_digest g))
-    [ (1, 2, 1, "cafaf02e8b2b0e20d554d15e578c9b7d");
-      (1, 100, 2, "ac15ff4f4855a3fb4c784eaa611a8f1b");
-      (7, 300, 3, "28f83cfeac50577dd245ffbed0ce4c0b");
-      (42, 1000, 2, "a78359d7fc91007bd50697d443dcb012");
-      (5, 10, 3, "73177c5cc0521ca6dfecdc34549387fa") ]
+      let case = Printf.sprintf "seed %d n %d m %d" seed n m in
+      Alcotest.(check string) (case ^ " edges") adjacency (adjacency_digest g);
+      if not (Hashtbl.is_randomized ()) then
+        Alcotest.(check string) (case ^ " edge order") order (edge_order_digest g))
+    [ (1, 2, 1, "cafaf02e8b2b0e20d554d15e578c9b7d", "2046c96cfc02723109b3759553b6d9c9");
+      (1, 100, 2, "ac15ff4f4855a3fb4c784eaa611a8f1b", "fb02479e377420f9bfa1c8a202d92bd4");
+      (7, 300, 3, "28f83cfeac50577dd245ffbed0ce4c0b", "20ecb556487363b7d87bdaf8e9ec402b");
+      (42, 1000, 2, "a78359d7fc91007bd50697d443dcb012", "49066083368ec2e050dde7337e2da274");
+      (5, 10, 3, "73177c5cc0521ca6dfecdc34549387fa", "344bb69672e40c446b2e94a0b8e146a8") ]
 
 let test_brite_params_validated () =
   Alcotest.check_raises "n too small"
