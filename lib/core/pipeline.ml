@@ -18,13 +18,16 @@ let create obs =
     c_saved = Metrics.counter obs "pipeline.runs_saved";
     c_drains = Metrics.counter obs "pipeline.drains" }
 
+(* One probe: a replace that leaves the size unchanged found the mark
+   already queued. *)
 let mark t prefix =
   Metrics.incr t.c_marks;
-  if Prefix.Tbl.mem t.dirty prefix then
+  let n = Prefix.Tbl.length t.dirty in
+  Prefix.Tbl.replace t.dirty prefix ();
+  if Prefix.Tbl.length t.dirty = n then
     (* Coalesced: this update will share the prefix's next decision run
        with the mark already queued — one run saved. *)
     Metrics.incr t.c_saved
-  else Prefix.Tbl.replace t.dirty prefix ()
 
 let pending t = Prefix.Tbl.length t.dirty
 

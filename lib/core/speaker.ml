@@ -512,10 +512,11 @@ let quiet t ~learned outgoing =
   Adj_rib_out.holders t.rib_out = 0
   && Array.for_all (fun e -> evaluate t ~learned outgoing e = None) reps
 
-(* Announce / withdraw the current best for [prefix] to all neighbors,
-   in ascending peer order: one round, so one evaluation per group. *)
-let distribute t prefix =
-  match Loc_rib.find t.loc prefix with
+(* Announce / withdraw [prefix]'s Loc-RIB route [best] to all
+   neighbors, in ascending peer order: one round, so one evaluation per
+   group. *)
+let distribute t prefix best =
+  match best with
   | None ->
     if Adj_rib_out.holders t.rib_out = 0 then []
     else
@@ -811,8 +812,11 @@ let process ?(reuse = false) t ~now prefix =
     ( match next with
       | None -> Loc_rib.remove t.loc prefix
       | Some r -> Loc_rib.set t.loc prefix r );
-    (match t.change_hook with Some f -> f ~now prefix | None -> ());
-    distribute t prefix
+    match t.change_hook with
+    | None -> distribute t prefix next
+    | Some f ->
+      f ~now prefix;
+      distribute t prefix (Loc_rib.find t.loc prefix)
   end
   else []
 
@@ -993,7 +997,7 @@ let withdraw_origin ?(now = 0.) t prefix =
   | None -> []
 
 let readvertise_all t =
-  Loc_rib.fold (fun prefix _ acc -> distribute t prefix @ acc) t.loc []
+  Loc_rib.fold (fun prefix r acc -> distribute t prefix (Some r) @ acc) t.loc []
 
 (* ---------------- wire-level receive (RFC 7606 ladder) ---------------- *)
 

@@ -290,9 +290,9 @@ let linear_buckets = 8
 let new_batch () = { latest = Prefix.Tbl.create 8; order = []; scheduled = false }
 
 let batch_add b msg =
-  let p = prefix_of_msg msg in
-  if not (Prefix.Tbl.mem b.latest p) then b.order <- p :: b.order;
-  Prefix.Tbl.replace b.latest p msg
+  let p = prefix_of_msg msg and n = Prefix.Tbl.length b.latest in
+  Prefix.Tbl.replace b.latest p msg;
+  if Prefix.Tbl.length b.latest > n then b.order <- p :: b.order
 
 let batch_clear b =
   Prefix.Tbl.reset b.latest;
@@ -397,13 +397,14 @@ let rec dispatch t ~from outbox =
       | None -> () (* neighbor not simulated anywhere; drop *)
       | Some (dst_asn, remote) -> (
         let dst = Asn.of_int dst_asn in
-        if not (Hashtbl.mem t.latencies (lat_key from dst)) then
+        match Hashtbl.find_opt t.latencies (lat_key from dst) with
+        | None ->
           (* Link already down at send time: the message dies here, and
              the sender's Adj-RIB-Out must know (routes that change
              while a session is down are exactly what an incremental
              re-establish has to re-send). *)
           note_lost t ~from ~to_:dst [ prefix_of_msg msg ]
-        else
+        | Some lat -> (
           match interpose t ~from ~to_:dst msg with
           | None -> () (* suppressed by the compromised sender *)
           | Some msg -> (
@@ -425,16 +426,14 @@ let rec dispatch t ~from outbox =
                  Receive-side batching at the destination still
                  coalesces decision runs. *)
               hook ~from ~to_:dst
-                ~at:
-                  (Event_queue.now t.q +. Float.max t.mrai 0.
-                 +. latency t from dst)
+                ~at:(Event_queue.now t.q +. Float.max t.mrai 0. +. lat)
                 msg
-            | None -> send t ~from ~to_:dst msg ) ))
+            | None -> send t ~from ~to_:dst ~lat msg ) ) ))
     outbox
 
-(* Local egress: fault-model delay, then either immediate delivery
-   (MRAI 0) or the per-pair MRAI batch. *)
-and send t ~from ~to_ msg =
+(* Local egress over a link of latency [lat]: fault-model delay, then
+   either immediate delivery (MRAI 0) or the per-pair MRAI batch. *)
+and send t ~from ~to_ ~lat msg =
   let jitter, reorder =
     match t.fault with
     | Some f ->
@@ -443,7 +442,7 @@ and send t ~from ~to_ msg =
           (Asn.to_int from) (Asn.to_int to_) )
     | None -> (0., 0.)
   in
-  let delay = latency t from to_ +. jitter +. reorder in
+  let delay = lat +. jitter +. reorder in
   if t.mrai <= 0. then
     Event_queue.schedule t.q ~delay (fun () ->
         deliver t ~from ~to_ (Speaker.frame msg))
