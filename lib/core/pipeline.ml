@@ -32,8 +32,16 @@ let mark t prefix =
 let pending t = Prefix.Tbl.length t.dirty
 
 let drain t ~f =
-  if Prefix.Tbl.length t.dirty = 0 then []
-  else begin
+  match Prefix.Tbl.length t.dirty with
+  | 0 -> []
+  | 1 ->
+    (* A lone mark (one origination, one single-prefix update) needs no
+       batch array and no sort. *)
+    Metrics.incr t.c_drains;
+    let p = Prefix.Tbl.fold (fun p () _ -> p) t.dirty Prefix.default in
+    Prefix.Tbl.reset t.dirty;
+    f p
+  | _ -> begin
     Metrics.incr t.c_drains;
     (* Ascending prefix order: deterministic, and identical to the
        pre-pipeline speaker's per-event processing order.  Chunks are
