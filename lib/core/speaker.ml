@@ -136,7 +136,7 @@ type t = {
      depends on its prefix only through the prefix's Adj-RIB-In row —
      kept current by {!add_neighbor}, {!add_module} and teardown.
      [last_row] is the row the drain's previous run selected from ([]:
-     nothing to reuse), made under [last_gen] and [last_active], and
+     nothing to reuse, also after a run with a local route), made under [last_gen] and [last_active], and
      [last_route] its result. *)
   stock : Decision_module.t;
   mutable reusable : bool;
@@ -769,7 +769,7 @@ let process ?(reuse = false) t ~now prefix =
     | None ->
       let next = select_route t ~now ~active (module_for t active) prefix local learned in
       if reuse then begin
-        t.last_row <- learned;
+        t.last_row <- (if Option.is_none local then learned else []);
         t.last_gen <- t.gen;
         t.last_active <- active;
         t.last_route <- next

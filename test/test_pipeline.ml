@@ -1650,26 +1650,41 @@ let counters s =
 (* Identical frames into a stock speaker and one whose identity imports
    force the full path: shared sets, rows that diverge mid-drain,
    duplicates, a looped set rejecting whole frames and replacing routes,
-   withdraws.  Nothing observable may differ. *)
+   withdraws, a local origination.  Nothing observable may differ. *)
 let test_reuse_differential () =
   Dbgp_core.Attr_table.reset ();
   let fast = reuse_speaker () and full = reuse_speaker ~import:identity () in
   let ps = List.init 8 nth_prefix in
   let sub i j = List.filteri (fun k _ -> k >= i && k <= j) ps in
+  let frame ?(defer = false) sender frame s =
+    let out = deliver ~defer s sender frame in
+    if defer then out @ Speaker.flush s else out
+  in
+  (* A shared-set frame to fresh prefixes and an origination of its
+     lowest, drained together: the lowest run selects the local route,
+     and the next, with the same row, must not take it. *)
+  let fresh = List.init 3 (fun i -> nth_prefix (8 + i)) in
+  let originated s =
+    let learned = deliver ~defer:true s 1 (routes 1 502 fresh) in
+    learned
+    @ Speaker.originate s
+        (Ia.originate ~prefix:(List.hd fresh) ~origin_asn:(asn 100)
+           ~next_hop:(Ipv4.of_octets 10 0 0 100) ())
+  in
   let steps =
-    [ ("shared set", true, 1, routes 1 500 ps);
-      ("second peer on a middle run", false, 2, routes 2 600 (sub 2 4));
-      ("duplicate frame", false, 1, routes 1 500 ps);
-      ("third peer", true, 3, routes 3 700 (sub 5 7));
-      ("looped frame", true, 3, routes ~looped:true 3 0 (sub 0 0 @ sub 6 7));
-      ("withdraws", true, 2, Codec.Withdraws (sub 3 4));
-      ("single prefix", true, 4, routes 4 800 (sub 1 1));
-      ("new set", false, 1, routes 1 501 ps) ]
+    [ ("shared set", frame ~defer:true 1 (routes 1 500 ps));
+      ("second peer on a middle run", frame 2 (routes 2 600 (sub 2 4)));
+      ("duplicate frame", frame 1 (routes 1 500 ps));
+      ("third peer", frame ~defer:true 3 (routes 3 700 (sub 5 7)));
+      ("looped frame", frame ~defer:true 3 (routes ~looped:true 3 0 (sub 0 0 @ sub 6 7)));
+      ("withdraws", frame ~defer:true 2 (Codec.Withdraws (sub 3 4)));
+      ("single prefix", frame ~defer:true 4 (routes 4 800 (sub 1 1)));
+      ("new set", frame 1 (routes 1 501 ps));
+      ("origination in a shared-set drain", originated) ]
   in
   List.iter
-    (fun (name, defer, sender, frame) ->
-      let a = deliver ~defer fast sender frame and b = deliver ~defer full sender frame in
-      let a, b = if defer then (a @ Speaker.flush fast, b @ Speaker.flush full) else (a, b) in
+    (fun (name, step) ->
+      let a = step fast and b = step full in
       check (name ^ ": messages") true (same_out a b);
       check (name ^ ": Loc-RIB") true (same_loc fast full);
       List.iter
@@ -1720,8 +1735,8 @@ let test_damping_bypasses_reuse () =
   check "damped: none reused" true (run (Some damp_params) = (4, 0))
 
 (* An MRAI flush whose announces carry structurally equal sets in
-   physically distinct fields ships one frame per set, through the
-   linear bucket scan and, past a handful of sets, the hashed one. *)
+   physically distinct fields ships one frame per set: no announce
+   shares its fields with the last bucket's head, so each is hashed. *)
 let test_flush_buckets_by_set () =
   let frames sets =
     let net = Network.create () in
