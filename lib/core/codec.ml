@@ -187,50 +187,7 @@ let encode_attrs w (ia : Ia.t) =
   W.list w encode_pd ia.path_descriptors;
   W.list w encode_id ia.island_descriptors
 
-(* Sizes once per attribute set: a direct-mapped memo of attribute-block
-   sizes, keyed by the set's fields physically ({!Ia.shares_fields}).
-   Every message a fan-out or a flush sizes re-points one set at its own
-   prefix, so all but the first are a slot read.  The slot only needs
-   spread: the first two path elements tell apart the sets one
-   speaker's fan-outs carry.  A collision overwrites; sizes only, never
-   encoded bytes. *)
-let size_slots = 64
-
-type size_memo = { sized : Ia.t array; sizes : int array }
-
-(* Fresh fields, so no IA shares them: an empty slot never matches. *)
-let unsized =
-  Ia.originate ~prefix:Prefix.default ~origin_asn:(Asn.of_int 0)
-    ~next_hop:(Ipv4.of_int 0) ()
-
-let size_key =
-  Domain.DLS.new_key (fun () ->
-      { sized = Array.make size_slots unsized; sizes = Array.make size_slots 0 })
-
-let size_slot (ia : Ia.t) =
-  let asn = function Path_elem.As a -> Asn.to_int a | _ -> 0 in
-  let k =
-    match ia.path_vector with
-    | x :: y :: _ -> asn x + (asn y * 0x9E3779B9)
-    | [ x ] -> asn x
-    | [] -> 0
-  in
-  (k * 0x2545F4914F6CDD1D) lsr 40 land (size_slots - 1)
-
-let size (ia : Ia.t) =
-  let m = Domain.DLS.get size_key in
-  let slot = size_slot ia in
-  let attrs =
-    if Ia.shares_fields (Array.unsafe_get m.sized slot) ia then
-      Array.unsafe_get m.sizes slot
-    else begin
-      let n = attrs_size ia in
-      Array.unsafe_set m.sized slot ia;
-      Array.unsafe_set m.sizes slot n;
-      n
-    end
-  in
-  W.prefix_size ia.prefix + attrs
+let size (ia : Ia.t) = W.prefix_size ia.prefix + attrs_size ia
 
 let encode (ia : Ia.t) =
   let w = W.create ~capacity:(size ia) () in

@@ -42,20 +42,6 @@ type half_cfg = {
   hc_same_island : bool;
 }
 
-(* The tables probed once per message — by ASN, address or packed
-   ASN pair — hash their int keys arithmetically instead of through
-   the polymorphic hash.  The product's high half depends on every key
-   bit and is folded onto the low half the bucket index reads. *)
-module Itbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash k =
-    let h = k * 0x1E37_79B9_7F4A_7C15 in
-    (h lxor (h lsr 32)) land max_int
-end)
-
 (* One directed pair's MRAI batch: the latest message per prefix, the
    prefixes newest first by first insertion, and whether a flush is
    scheduled.  A flush orders its frames by first insertion, so they do
@@ -69,8 +55,8 @@ type batch = {
 type t = {
   q : Event_queue.t;
   lookup : Lookup_service.t;
-  speakers : Speaker.t Itbl.t;               (* by ASN *)
-  by_addr : int Itbl.t;                      (* speaker addr -> ASN *)
+  speakers : Speaker.t Int_tbl.t;               (* by ASN *)
+  by_addr : int Int_tbl.t;                      (* speaker addr -> ASN *)
   (* Cross-partition egress: messages to an ASN in [remote_addrs] are
      handed (with their computed arrival time) to the shard engine's
      hook instead of the local event queue. *)
@@ -95,12 +81,12 @@ type t = {
      past it — or with no entry — only a full refresh is sound. *)
   restart_deadline : (int, float) Hashtbl.t;
   (* Per (src, dst) directed pair: the MRAI batch. *)
-  pending : batch Itbl.t;
+  pending : batch Int_tbl.t;
   (* Receive-side batching (MRAI mode): per-ASN flag marking an already
      scheduled pipeline drain, so a burst of arrivals buys one drain. *)
-  drain_scheduled : bool ref Itbl.t;
+  drain_scheduled : bool ref Int_tbl.t;
   (* ASN -> shared Peer.t handed to speakers on every delivery. *)
-  peer_memo : Peer.t Itbl.t;
+  peer_memo : Peer.t Int_tbl.t;
   (* Network-level observability: message accounting lives in a metrics
      registry (the hot-path counters are cached), wire-level events go to
      the trace ring. *)
@@ -125,8 +111,8 @@ let create () =
   let obs = Metrics.create () in
   { q = Event_queue.create ();
     lookup = Lookup_service.create ();
-    speakers = Itbl.create 64;
-    by_addr = Itbl.create 64;
+    speakers = Int_tbl.create 64;
+    by_addr = Int_tbl.create 64;
     remote = None;
     remote_addrs = Hashtbl.create 16;
     half_links = Hashtbl.create 16;
@@ -138,9 +124,9 @@ let create () =
     graceful_window = None;
     restart_gen = Hashtbl.create 16;
     restart_deadline = Hashtbl.create 16;
-    pending = Itbl.create 64;
-    drain_scheduled = Itbl.create 64;
-    peer_memo = Itbl.create 64;
+    pending = Int_tbl.create 64;
+    drain_scheduled = Int_tbl.create 64;
+    peer_memo = Int_tbl.create 64;
     obs;
     trace = Trace.create ();
     c_messages = Metrics.counter obs "net.messages";
@@ -166,16 +152,16 @@ let speaker_addr a =
 
 let add_speaker t s =
   let addr = Ipv4.to_int (Speaker.addr s) in
-  if Itbl.mem t.by_addr addr then
+  if Int_tbl.mem t.by_addr addr then
     invalid_arg "Network.add_speaker: duplicate speaker address"
   else begin
-    Itbl.replace t.speakers (Asn.to_int (Speaker.asn s)) s;
-    Itbl.replace t.by_addr addr (Asn.to_int (Speaker.asn s));
-    Itbl.remove t.peer_memo (Asn.to_int (Speaker.asn s))
+    Int_tbl.replace t.speakers (Asn.to_int (Speaker.asn s)) s;
+    Int_tbl.replace t.by_addr addr (Asn.to_int (Speaker.asn s));
+    Int_tbl.remove t.peer_memo (Asn.to_int (Speaker.asn s))
   end
 
 let speaker t a =
-  match Itbl.find_opt t.speakers (Asn.to_int a) with
+  match Int_tbl.find_opt t.speakers (Asn.to_int a) with
   | Some s -> s
   | None -> raise Not_found
 
@@ -185,16 +171,16 @@ let speaker t a =
    when a speaker is (re-)registered under the ASN. *)
 let peer_of t a =
   let key = Asn.to_int a in
-  match Itbl.find_opt t.peer_memo key with
+  match Int_tbl.find_opt t.peer_memo key with
   | Some p -> p
   | None ->
     let s = speaker t a in
     let p = Peer.make ~asn:(Speaker.asn s) ~addr:(Speaker.addr s) in
-    Itbl.replace t.peer_memo key p;
+    Int_tbl.replace t.peer_memo key p;
     p
 
 let asn_of_addr t addr =
-  Option.map Asn.of_int (Itbl.find_opt t.by_addr (Ipv4.to_int addr))
+  Option.map Asn.of_int (Int_tbl.find_opt t.by_addr (Ipv4.to_int addr))
 
 let set_remote_hook t f = t.remote <- f
 
@@ -204,9 +190,9 @@ let set_remote_hook t f = t.remote <- f
    shard engine instead of dropping it. *)
 let add_remote_peer t a =
   let key = Asn.to_int a in
-  if not (Itbl.mem t.peer_memo key) then begin
+  if not (Int_tbl.mem t.peer_memo key) then begin
     let addr = speaker_addr a in
-    Itbl.replace t.peer_memo key (Peer.make ~asn:a ~addr);
+    Int_tbl.replace t.peer_memo key (Peer.make ~asn:a ~addr);
     Hashtbl.replace t.remote_addrs (Ipv4.to_int addr) key
   end
 
@@ -234,10 +220,10 @@ let set_graceful_restart t w =
   t.graceful_window <- w
 
 let set_damping t params =
-  Itbl.iter (fun _ s -> Speaker.set_damping s params) t.speakers
+  Int_tbl.iter (fun _ s -> Speaker.set_damping s params) t.speakers
 
 let set_change_feed t feed =
-  Itbl.iter
+  Int_tbl.iter
     (fun a s ->
       match feed with
       | None -> Speaker.set_change_hook s None
@@ -283,10 +269,6 @@ module Attr_buckets = Hashtbl.Make (struct
   let hash = Dbgp_core.Ia.attrs_hash
 end)
 
-(* Distinct attribute sets a flush tells apart by comparing each
-   announce with every bucket's head; past this many it hashes. *)
-let linear_buckets = 8
-
 let new_batch () = { latest = Prefix.Tbl.create 8; order = []; scheduled = false }
 
 let batch_add b msg =
@@ -298,66 +280,47 @@ let batch_clear b =
   Prefix.Tbl.reset b.latest;
   b.order <- []
 
-(* One attribute set's announces in a flush, and the first-insertion
-   position of the oldest of them. *)
-type bucket = { head : Dbgp_core.Ia.t; mutable ias : Dbgp_core.Ia.t list; mutable first : int }
+(* One attribute set's announces in a flush, newest first. *)
+type bucket = { head : Dbgp_core.Ia.t; mutable ias : Dbgp_core.Ia.t list }
 
 (* Bucket one MRAI flush into frames: the withdraws first, then one
    frame per attribute set in order of first appearance, each frame's
-   prefixes in first-insertion order (each prefix appears once).  The
-   walk goes newest first, so consing leaves every list oldest first.
-   The announces of one flush mostly share their sets physically (one
-   Loc-RIB set fanned out with [Ia.with_prefix]), so a bucket is looked
-   up by pointer against each head first, then structurally, and
-   hashing starts only once the flush holds more than [linear_buckets]
-   sets.  [same_attrs] is an equivalence, so every lookup finds the one
-   bucket the hashed path finds. *)
+   prefixes in first-insertion order (each prefix appears once).
+   Consecutive announces mostly share their set physically (one
+   Loc-RIB set fanned out with [Ia.with_prefix]), so the last bucket
+   hit is tried by pointer before the set is hashed. *)
 let frames_of_flush b =
-  let withdraws = ref [] and buckets = ref [] and count = ref 0 and tbl = ref None in
-  let find (ia : Dbgp_core.Ia.t) =
-    match !tbl with
-    | Some tbl -> Attr_buckets.find_opt tbl ia
-    | None -> (
-      match List.find_opt (fun k -> Dbgp_core.Ia.shares_fields k.head ia) !buckets with
-      | Some _ as k -> k
-      | None -> List.find_opt (fun k -> Dbgp_core.Ia.same_attrs k.head ia) !buckets )
-  in
-  let pos = ref (Prefix.Tbl.length b.latest) in
+  let withdraws = ref [] and buckets = ref [] and last = ref None in
+  let tbl = Attr_buckets.create 16 in
   List.iter
     (fun p ->
-      decr pos;
       match Prefix.Tbl.find b.latest p with
       | Speaker.Withdraw p -> withdraws := p :: !withdraws
-      | Speaker.Announce ia -> (
-        match find ia with
-        | Some k ->
-          k.ias <- ia :: k.ias;
-          k.first <- !pos
-        | None ->
-          let k = { head = ia; ias = [ ia ]; first = !pos } in
-          buckets := k :: !buckets;
-          incr count;
-          match !tbl with
-          | Some tbl -> Attr_buckets.add tbl ia k
-          | None when !count > linear_buckets ->
-            let h = Attr_buckets.create 16 in
-            List.iter (fun k -> Attr_buckets.add h k.head k) !buckets;
-            tbl := Some h
-          | None -> () ))
-    b.order;
-  let routes =
-    List.map
-      (fun k -> Codec.Routes k.ias)
-      (List.sort (fun k k' -> Int.compare k.first k'.first) !buckets)
-  in
-  if !withdraws = [] then routes else Codec.Withdraws !withdraws :: routes
+      | Speaker.Announce ia ->
+        let k =
+          match !last with
+          | Some k when Dbgp_core.Ia.shares_fields k.head ia -> k
+          | _ -> (
+            match Attr_buckets.find_opt tbl ia with
+            | Some k -> k
+            | None ->
+              let k = { head = ia; ias = [] } in
+              Attr_buckets.add tbl ia k;
+              buckets := k :: !buckets;
+              k )
+        in
+        k.ias <- ia :: k.ias;
+        last := Some k)
+    (List.rev b.order);
+  let routes = List.rev_map (fun k -> Codec.Routes (List.rev k.ias)) !buckets in
+  if !withdraws = [] then routes else Codec.Withdraws (List.rev !withdraws) :: routes
 
 (* Where a message to [peer] goes: the destination ASN, with the shard
    engine's hook when another partition simulates it; [None] when it is
    simulated nowhere. *)
 let destination t (peer : Peer.t) =
   let addr = Ipv4.to_int peer.Peer.addr in
-  match Itbl.find_opt t.by_addr addr with
+  match Int_tbl.find_opt t.by_addr addr with
   | Some asn -> Some (asn, None)
   | None -> (
     match (t.remote, Hashtbl.find_opt t.remote_addrs addr) with
@@ -384,7 +347,7 @@ let interpose t ~from ~to_ msg =
    it the confirmed bits would claim the peer holds state it never
    received and an incremental sync would wrongly skip it. *)
 let note_lost t ~from ~to_ prefixes =
-  match Itbl.find_opt t.speakers (Asn.to_int from) with
+  match Int_tbl.find_opt t.speakers (Asn.to_int from) with
   | Some s ->
     let peer = peer_of t to_ in
     List.iter (Speaker.note_undelivered s peer) prefixes
@@ -451,11 +414,11 @@ and send t ~from ~to_ ~lat msg =
        the whole batch once per interval. *)
     let key = pack_pair (Asn.to_int from) (Asn.to_int to_) in
     let b =
-      match Itbl.find_opt t.pending key with
+      match Int_tbl.find_opt t.pending key with
       | Some b -> b
       | None ->
         let b = new_batch () in
-        Itbl.replace t.pending key b;
+        Int_tbl.replace t.pending key b;
         b
     in
     batch_add b msg;
@@ -569,11 +532,11 @@ and receive t ~now ~from ~to_ frame =
 and schedule_drain t asn s =
   if Speaker.pending s > 0 then begin
     let flag =
-      match Itbl.find_opt t.drain_scheduled (Asn.to_int asn) with
+      match Int_tbl.find_opt t.drain_scheduled (Asn.to_int asn) with
       | Some f -> f
       | None ->
         let f = ref false in
-        Itbl.replace t.drain_scheduled (Asn.to_int asn) f;
+        Int_tbl.replace t.drain_scheduled (Asn.to_int asn) f;
         f
     in
     if not !flag then begin
@@ -655,16 +618,16 @@ let link t ?(latency = 1.0) ?(a_export = Dbgp_core.Filters.accept)
 let clear_pending t a b =
   let clear src dst =
     let key = pack_pair (Asn.to_int src) (Asn.to_int dst) in
-    match Itbl.find_opt t.pending key with
+    match Int_tbl.find_opt t.pending key with
     | Some b ->
       (* Discarded batch contents were never delivered: tell the sender,
          so its Adj-RIB-Out confirmed bits stay truthful for the next
          incremental sync. *)
-      ( match Itbl.find_opt t.speakers (Asn.to_int src) with
+      ( match Int_tbl.find_opt t.speakers (Asn.to_int src) with
         | Some s -> List.iter (Speaker.note_undelivered s (peer_of t dst)) b.order
         | None -> () );
       batch_clear b;
-      Itbl.remove t.pending key
+      Int_tbl.remove t.pending key
     | None -> ()
   in
   clear a b;
@@ -693,7 +656,7 @@ let sync_dir t ~full src dst =
           if full && Option.is_none cursor then Speaker.unconfirm_peer s peer;
           let out, next = Speaker.sync_peer ~limit:sync_chunk ?cursor s peer in
           dispatch t ~from:src out;
-          match (next, Itbl.find_opt t.speakers (Asn.to_int dst)) with
+          match (next, Int_tbl.find_opt t.speakers (Asn.to_int dst)) with
           | (Some _ as next), _ -> step next
           | None, Some receiver when Speaker.has_stale receiver (peer_of t src)
             ->
@@ -797,7 +760,7 @@ let deliver_remote t ~from ~to_ msg =
    [Speaker.note_undelivered] is time-independent, so it is sound to
    apply at mailbox-drain time, one epoch after the drop. *)
 let apply_nack t ~local ~remote prefix =
-  match Itbl.find_opt t.speakers (Asn.to_int local) with
+  match Int_tbl.find_opt t.speakers (Asn.to_int local) with
   | Some s -> Speaker.note_undelivered s (peer_of t remote) prefix
   | None -> ()
 
@@ -968,17 +931,17 @@ let run ?max_events t =
   stats_now t ~events ~exhausted:(Event_queue.budget_exhausted t.q)
 
 let asns t =
-  Itbl.fold (fun a _ acc -> Asn.of_int a :: acc) t.speakers []
+  Int_tbl.fold (fun a _ acc -> Asn.of_int a :: acc) t.speakers []
   |> List.sort Asn.compare
 
 let stale_total t =
-  Itbl.fold (fun _ s acc -> acc + Speaker.stale_count s) t.speakers 0
+  Int_tbl.fold (fun _ s acc -> acc + Speaker.stale_count s) t.speakers 0
 
 (* ------------------------- observability ------------------------- *)
 
 (* Sum one named counter across every speaker's registry. *)
 let counter_total t name =
-  Itbl.fold
+  Int_tbl.fold
     (fun _ s acc ->
       match Metrics.find_counter (Speaker.metrics s) name with
       | Some c -> acc + Metrics.count c
@@ -989,7 +952,7 @@ let counter_total t name =
    change, for every speaker whose decision process changed state at least
    once.  The distribution of these is the network's convergence profile. *)
 let convergence_times t =
-  Itbl.fold
+  Int_tbl.fold
     (fun _ s acc ->
       let m = Speaker.metrics s in
       let changed =
@@ -1029,7 +992,7 @@ let snapshot ?(recent_events = 0) t =
       ("network", Snapshot.of_metrics t.obs);
       ( "speakers",
         Snapshot.Obj
-          (("count", Snapshot.Int (Itbl.length t.speakers))
+          (("count", Snapshot.Int (Int_tbl.length t.speakers))
            :: speaker_totals) );
       ( "convergence",
         Snapshot.Obj (Snapshot.percentile_fields (convergence_times t)) ) ]

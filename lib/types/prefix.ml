@@ -113,17 +113,9 @@ end
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
 
-(* A hashtable indexes by the low bits of the hash, and a plain
-   multiplicative hash keeps the key's low bits in its low bits: every
-   /24 (low fourteen key bits identical) would land in one bucket.  The
-   high half of the product depends on every key bit, so it is folded
-   down onto the low half. *)
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-
-  let hash p =
-    let h = p * 0x1E37_79B9_7F4A_7C15 in
-    (h lxor (h lsr 32)) land max_int
+  let hash = Int_tbl.hash
 end)
