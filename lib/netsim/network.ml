@@ -280,20 +280,25 @@ let batch_clear b =
   Prefix.Tbl.reset b.latest;
   b.order <- []
 
-(* One attribute set's announces in a flush, newest first. *)
-type bucket = { head : Dbgp_core.Ia.t; mutable ias : Dbgp_core.Ia.t list }
+(* One attribute set's announces in a flush, and the first-insertion
+   position of the oldest of them. *)
+type bucket = { head : Dbgp_core.Ia.t; mutable ias : Dbgp_core.Ia.t list; mutable first : int }
 
 (* Bucket one MRAI flush into frames: the withdraws first, then one
    frame per attribute set in order of first appearance, each frame's
-   prefixes in first-insertion order (each prefix appears once).
-   Consecutive announces mostly share their set physically (one
-   Loc-RIB set fanned out with [Ia.with_prefix]), so the last bucket
-   hit is tried by pointer before the set is hashed. *)
+   prefixes in first-insertion order (each prefix appears once).  The
+   walk goes newest first, so consing leaves every list oldest first
+   without a reversed copy of the batch; the buckets are sorted by
+   their oldest prefix.  Consecutive announces mostly share their set
+   physically (one Loc-RIB set fanned out with [Ia.with_prefix]), so
+   the last bucket hit is tried by pointer before the set is hashed. *)
 let frames_of_flush b =
   let withdraws = ref [] and buckets = ref [] and last = ref None in
   let tbl = Attr_buckets.create 16 in
+  let pos = ref (Prefix.Tbl.length b.latest) in
   List.iter
     (fun p ->
+      decr pos;
       match Prefix.Tbl.find b.latest p with
       | Speaker.Withdraw p -> withdraws := p :: !withdraws
       | Speaker.Announce ia ->
@@ -304,16 +309,21 @@ let frames_of_flush b =
             match Attr_buckets.find_opt tbl ia with
             | Some k -> k
             | None ->
-              let k = { head = ia; ias = [] } in
+              let k = { head = ia; ias = []; first = 0 } in
               Attr_buckets.add tbl ia k;
               buckets := k :: !buckets;
               k )
         in
         k.ias <- ia :: k.ias;
+        k.first <- !pos;
         last := Some k)
-    (List.rev b.order);
-  let routes = List.rev_map (fun k -> Codec.Routes (List.rev k.ias)) !buckets in
-  if !withdraws = [] then routes else Codec.Withdraws (List.rev !withdraws) :: routes
+    b.order;
+  let routes =
+    List.map
+      (fun k -> Codec.Routes k.ias)
+      (List.sort (fun k k' -> Int.compare k.first k'.first) !buckets)
+  in
+  if !withdraws = [] then routes else Codec.Withdraws !withdraws :: routes
 
 (* Where a message to [peer] goes: the destination ASN, with the shard
    engine's hook when another partition simulates it; [None] when it is
