@@ -136,8 +136,8 @@ type t = {
      depends on its prefix only through the prefix's Adj-RIB-In row —
      kept current by {!add_neighbor}, {!add_module} and teardown.
      [last_row] is the row the drain's previous run selected from ([]:
-     nothing to reuse, also after a run with a local route), made under [last_gen] and [last_active], and
-     [last_route] its result. *)
+     nothing to reuse, also after a run with a local route), made under
+     [last_gen] and [last_active], and [last_route] its result. *)
   stock : Decision_module.t;
   mutable reusable : bool;
   mutable last_row : (Peer.t * Attr_table.entry) list;
