@@ -50,16 +50,8 @@ let () =
   let engine = Engine.create () in
   List.iter
     (fun n ->
-      let s = Network.speaker net (asn n) in
-      let f = Forwarder.create ~me:(asn n) () in
-      List.iter
-        (fun (p, (chosen : Speaker.chosen)) ->
-          match chosen.Speaker.candidate.Dbgp_core.Decision_module.from_peer with
-          | Some nbr ->
-            Forwarder.set_ip_route f p (Forwarder.To_as nbr.Dbgp_core.Peer.asn)
-          | None -> Forwarder.set_ip_route f p Forwarder.Local)
-        (Speaker.best_routes s);
-      Engine.add engine f)
+      Engine.add engine
+        (Dbgp_eval.Harness.forwarder (Network.speaker net (asn n))))
     [ 1; 2; 3; 4 ];
   let pkt =
     Packet.make

@@ -208,7 +208,7 @@ let encode_withdraw prefix =
    Session_reset, like an unreadable announce prefix. *)
 let decode_withdraw_robust s : (Prefix.t * Errors.t list, Errors.t) result =
   let r = R.of_string s in
-  match Intern.prefix (R.prefix r) with
+  match R.prefix r with
   | prefix ->
     if R.at_end r then Ok (prefix, [])
     else
@@ -290,7 +290,7 @@ let enc_slot (ia : Ia.t) =
     | Path_elem.As a :: _ -> Asn.to_int a
     | _ -> 0
   in
-  ((Intern.prefix_pack ia.prefix + (first * 0x9E3779B9)) * 0x2545F4914F6CDD1D)
+  ((Prefix.to_int ia.prefix + (first * 0x9E3779B9)) * 0x2545F4914F6CDD1D)
   lsr 40
   land (enc_slots - 1)
 
@@ -371,7 +371,7 @@ let decode_robust_uncached s : (Ia.t * Errors.t list, Errors.t) result =
   let r = R.of_string s in
   try
     let prefix =
-      try Intern.prefix (R.prefix r)
+      try R.prefix r
       with R.Error m ->
         raise (Fatal (Errors.make Errors.Session_reset Errors.Framing m))
     in
@@ -433,7 +433,7 @@ end
 
 let decode s : Ia.t =
   let r = R.of_string s in
-  let prefix = Intern.prefix (R.prefix r) in
+  let prefix = R.prefix r in
   let path_vector = R.list ~min_width:2 r decode_elem in
   let membership = R.list ~min_width:3 r decode_membership in
   let path_descriptors = R.list ~min_width:pd_min_width r decode_pd in
@@ -487,7 +487,7 @@ let salvage_prefix_entries frames discards =
     (fun sub ->
       match
         let p = R.prefix sub in
-        if R.at_end sub then Intern.prefix p
+        if R.at_end sub then p
         else raise (R.Error "stray bytes inside NLRI entry")
       with
       | p -> Some p

@@ -28,7 +28,7 @@ module Tbl = Prefix.Tbl
 type 'c t = {
   nh_of : 'c -> Ipv4.t option;
   best : 'c Tbl.t;
-  mutable fib : Fib.t option; (* [None] after a write *)
+  mutable fib : Ipv4.t Fib.t option; (* [None] after a write *)
   mutable order : Prefix.t array; (* ascending *)
   mutable fresh : Prefix.t array;
   mutable nfresh : int; (* -1: rebuild [order] from the whole table *)
@@ -170,14 +170,3 @@ let fib t =
     ix
 
 let next_hop t dest = Fib.find (fib t) dest
-
-let lookup t dest =
-  let rec go len =
-    if len < 0 then None
-    else
-      let p = Prefix.make dest len in
-      match Tbl.find_opt t.best p with
-      | Some c -> Some (p, c)
-      | None -> go (len - 1)
-  in
-  go 32

@@ -68,8 +68,3 @@ val fold_range :
 val next_hop : 'c t -> Dbgp_types.Ipv4.t -> Dbgp_types.Ipv4.t option
 (** Longest-prefix-match FIB lookup: the next hop of the most-specific
     hop-bearing route containing the address. *)
-
-val lookup : 'c t -> Dbgp_types.Ipv4.t -> (Dbgp_types.Prefix.t * 'c) option
-(** Longest-prefix match over all chosen routes, hop-less ones
-    included: one exact probe of the route map per length, deepest
-    first.  Not a forwarding path — {!next_hop} is. *)

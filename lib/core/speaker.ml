@@ -1,5 +1,4 @@
 open Dbgp_types
-module Trie = Dbgp_trie.Prefix_trie
 module Metrics = Dbgp_obs.Metrics
 module Trace = Dbgp_obs.Trace
 
@@ -69,7 +68,9 @@ module Damping = Dbgp_bgp.Flap_damping
 type t = {
   cfg : config;
   modules : (int, Decision_module.t) Hashtbl.t; (* by Protocol_id.to_int *)
-  mutable active : Protocol_id.t Trie.t;
+  (* Activation ranges, longest first, one per exact prefix: a scenario
+     sets a few, a benchmark none. *)
+  mutable active : (Prefix.t * Protocol_id.t) list;
   (* The neighbors, ascending by peer; [reps] the first member of each
      peer group among them, ascending, or empty after the neighbor set
      changed. *)
@@ -153,7 +154,7 @@ let create cfg =
   let obs = Metrics.create () in
   { cfg;
     modules;
-    active = Trie.empty;
+    active = [];
     nbrs = [||];
     reps = [||];
     rib_in = Adj_rib_in.create ();
@@ -232,14 +233,25 @@ let set_active t prefix proto =
   if not (Hashtbl.mem t.modules (Protocol_id.to_int proto)) then
     invalid_arg "Speaker.set_active: no module registered for protocol"
   else begin
-    t.active <- Trie.add prefix proto t.active;
+    let len = Prefix.length prefix in
+    let rec place = function
+      | ((r, _) as range) :: rest when Prefix.length r >= len ->
+        if Prefix.equal r prefix then (prefix, proto) :: rest
+        else range :: place rest
+      | rest -> (prefix, proto) :: rest
+    in
+    t.active <- place t.active;
     t.gen <- t.gen + 1
   end
 
-let active_for t prefix =
-  match Trie.longest_covering prefix t.active with
-  | Some (_, proto) -> proto
-  | None -> Protocol_id.bgp
+(* Top-level recursion: no closure per decision run, and the usual
+   empty list answers at once. *)
+let rec first_covering prefix = function
+  | [] -> Protocol_id.bgp
+  | (r, proto) :: rest ->
+    if Prefix.subsumes r prefix then proto else first_covering prefix rest
+
+let active_for t prefix = first_covering prefix t.active
 
 let group_key_of (n : neighbor) =
   { Adj_rib_out.relationship = n.relationship;

@@ -149,7 +149,7 @@ let rec fold h depth = function
   | Str s -> mix (mix h 1) (string_hash s)
   | Bytes s -> mix (mix h 2) (string_hash s)
   | Addr a -> mix (mix h 3) (Ipv4.to_int a)
-  | Pfx p -> mix (mix h 4) (Intern.prefix_pack p)
+  | Pfx p -> mix (mix h 4) (Prefix.to_int p)
   | Asn a -> mix (mix h 5) (Asn.to_int a)
   | List l -> if depth = 0 then mix h 6 else fold_list (mix h 6) (depth - 1) max_breadth l
   | Pair (a, b) ->

@@ -1,11 +1,11 @@
 open Dbgp_types
-module Trie = Dbgp_trie.Prefix_trie
+module Fib = Dbgp_trie.Fib_index
 
 type port = To_as of Asn.t | Local
 
 type t = {
   me : Asn.t;
-  mutable fib : port Trie.t;
+  fib : port Fib.t;
   locals : (int, unit) Hashtbl.t;
   pathlets : (int, port * bool) Hashtbl.t;
   routers : (string, port) Hashtbl.t;
@@ -14,15 +14,15 @@ type t = {
 
 let create ~me () =
   { me;
-    fib = Trie.empty;
+    fib = Fib.create 0;
     locals = Hashtbl.create 4;
     pathlets = Hashtbl.create 8;
     routers = Hashtbl.create 8;
     owned_routers = Hashtbl.create 4 }
 
 let me t = t.me
-let set_ip_route t p port = t.fib <- Trie.add p port t.fib
-let ip_lookup t addr = Option.map snd (Trie.longest_match addr t.fib)
+let set_ip_route t p port = Fib.add t.fib p port
+let ip_lookup t addr = Fib.find t.fib addr
 let add_local_addr t a = Hashtbl.replace t.locals (Ipv4.to_int a) ()
 let is_local_addr t a = Hashtbl.mem t.locals (Ipv4.to_int a)
 

@@ -2,6 +2,7 @@ open Dbgp_types
 module Speaker = Dbgp_core.Speaker
 module Network = Dbgp_netsim.Network
 module Lookup = Dbgp_netsim.Lookup_service
+module Forwarder = Dbgp_dataplane.Forwarder
 
 let add_as net ?island ?(passthrough = true) asn_int =
   let asn = Asn.of_int asn_int in
@@ -21,6 +22,17 @@ let relationship = function
 let cust net a b =
   Network.link net ~a:(Asn.of_int a) ~b:(Asn.of_int b)
     ~b_is:Dbgp_bgp.Policy.To_provider ()
+
+let forwarder s =
+  let f = Forwarder.create ~me:(Speaker.asn s) () in
+  List.iter
+    (fun (p, (chosen : Speaker.chosen)) ->
+      Forwarder.set_ip_route f p
+        ( match chosen.candidate.from_peer with
+          | Some nbr -> Forwarder.To_as nbr.Dbgp_core.Peer.asn
+          | None -> Forwarder.Local ))
+    (Speaker.best_routes s);
+  f
 
 let io_of net =
   let lookup = Network.lookup net in

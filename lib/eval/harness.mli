@@ -17,5 +17,10 @@ val cust : Dbgp_netsim.Network.t -> int -> int -> unit
 (** [cust net a b]: [a] is the customer of [b], so advertisements flow
     [a] -> [b]. *)
 
+val forwarder : Dbgp_core.Speaker.t -> Dbgp_dataplane.Forwarder.t
+(** A forwarder that follows the speaker's Loc-RIB: each selected route
+    forwards to the AS it was learned from, or delivers locally when
+    the speaker originates it. *)
+
 val io_of : Dbgp_netsim.Network.t -> Dbgp_protocols.Portal_io.t
 (** Portal access backed by the network's lookup service. *)

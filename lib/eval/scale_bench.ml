@@ -1,5 +1,5 @@
 (* Internet-scale RIB benchmark: the numbers behind the streaming
-   table-transfer and compressed-trie work.
+   table-transfer and compact route-store work.
 
    Each row builds a seeded CAIDA-style power-law topology
    ({!Dbgp_topology.Caida}), converges a small background prefix set
@@ -64,8 +64,8 @@ type row = {
 
 (* /24s spread over 192.0.0.0/2 by a multiplicative hash: the odd
    multiplier is invertible mod 2^22, so up to ~4M indices map to
-   distinct networks, and the bit-scattered spread exercises the
-   path-compressed trie far harder than a sequential range would. *)
+   distinct networks, scattered over the range as a real table's are
+   rather than sequential. *)
 let feed_addr i = Ipv4.of_int (0xC0000000 lor (((i * 2654435761) land 0x3FFFFF) lsl 8))
 let feed_prefix i = Prefix.make (feed_addr i) 24
 

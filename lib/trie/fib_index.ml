@@ -7,10 +7,12 @@ open Dbgp_types
    are zero — to a handful of slots.  Collisions probe linearly, and
    the table is at most half full, so a probe always ends at an empty
    slot.  Nothing is ever deleted: the owner drops the whole index and
-   builds a new one, so no tombstones are needed. *)
-type t = {
+   builds a new one, so no tombstones are needed.  The payload array
+   is allocated by the first binding, whose payload fills the empty
+   slots: a polymorphic table has no other value to fill them with. *)
+type 'a t = {
   mutable keys : int array;
-  mutable hops : Ipv4.t array;
+  mutable hops : 'a array; (* [||] until the first binding *)
   mutable shift : int; (* [Sys.int_size - log2 capacity] *)
   mutable count : int;
   mutable lengths : int array; (* present prefix lengths, descending *)
@@ -22,7 +24,7 @@ let create n =
   let rec bits b = if 1 lsl b >= 2 * n then b else bits (b + 1) in
   let b = bits 4 in
   { keys = Array.make (1 lsl b) (-1);
-    hops = Array.make (1 lsl b) Ipv4.any;
+    hops = [||];
     shift = Sys.int_size - b;
     count = 0;
     lengths = [||] }
@@ -38,26 +40,27 @@ let rec probe keys mask key s =
   let k = Array.unsafe_get keys s in
   if k = key || k < 0 then s else probe keys mask key ((s + 1) land mask)
 
-let insert t key nh =
+let insert t key v =
   let s = probe t.keys (Array.length t.keys - 1) key (slot t.shift key) in
   if t.keys.(s) < 0 then begin
     t.keys.(s) <- key;
     t.count <- t.count + 1
   end;
-  t.hops.(s) <- nh
+  t.hops.(s) <- v
 
-let grow t =
+let grow t v =
   let keys = t.keys and hops = t.hops in
   let cap = 2 * Array.length keys in
   t.keys <- Array.make cap (-1);
-  t.hops <- Array.make cap Ipv4.any;
+  t.hops <- Array.make cap v;
   t.shift <- t.shift - 1;
   t.count <- 0;
   Array.iteri (fun i key -> if key >= 0 then insert t key hops.(i)) keys
 
-let add t p nh =
-  if 2 * (t.count + 1) > Array.length t.keys then grow t;
-  insert t (Prefix.to_int p) nh;
+let add t p v =
+  if t.count = 0 then t.hops <- Array.make (Array.length t.keys) v;
+  if 2 * (t.count + 1) > Array.length t.keys then grow t v;
+  insert t (Prefix.to_int p) v;
   let len = Prefix.length p in
   if not (Array.mem len t.lengths) then begin
     let ls = Array.append t.lengths [| len |] in

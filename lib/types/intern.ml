@@ -92,18 +92,6 @@ let strs_key =
 let string s = Str_tbl.intern (Domain.DLS.get strs_key) s
 let string_stats () = Str_tbl.stats (Domain.DLS.get strs_key)
 
-(* ------------------------------------------------------------------ *)
-(* Prefixes: the destination key of every route.  A canonical prefix
-   packs losslessly into one int — [network lsl 6 lor length] — and
-   {!Prefix.t} *is* that pack (an immediate, unboxed value), so every
-   prefix already is its own canonical representative: interning is the
-   identity and costs nothing.  The function is kept so call sites read
-   uniformly with the other hot-path intern points. *)
-
-let prefix_pack p = (Ipv4.to_int (Prefix.network p) lsl 6) lor Prefix.length p
-
-let prefix (p : Prefix.t) = p
-
 (* No path-vector or path-element tables remain; their statistics read
    zero for the benchmark (perfbench/bench.ml), which still reports
    them. *)

@@ -55,17 +55,6 @@ val string : string -> string
 (** Canonical representative for small repeated strings (descriptor
     field names, protocol names). *)
 
-val prefix : Prefix.t -> Prefix.t
-(** Canonical representative of a prefix.  {!Prefix.t} is itself the
-    dense-int pack ([network lsl 6 lor length]) stored unboxed, so
-    every prefix is already canonical and this is the identity — kept
-    so the decode paths read uniformly with the other intern points. *)
-
-val prefix_pack : Prefix.t -> int
-(** The dense-int pack itself ([network lsl 6 lor length]) — the
-    compact-route-store key: a RIB entry is the pair (prefix pack,
-    attribute-set entry). *)
-
 val path_elem_stats : unit -> stats
 (** Always zero: path elements are not interned.  Kept for the
     benchmark (perfbench/bench.ml), which reports it. *)

@@ -1,8 +1,8 @@
 (* Packed immediate representation.  A prefix is canonical on
    construction (host bits below the mask are zeroed), so it fits
    losslessly in one tagged int as [network lsl 6 lor length] — 38
-   bits.  Every prefix value is therefore unboxed: map keys, trie node
-   labels and IA destination fields carry no per-prefix allocation,
+   bits.  Every prefix value is therefore unboxed: map keys, index keys
+   and IA destination fields carry no per-prefix allocation,
    which is what lets a million-route RIB hold its destination keys for
    free.  The packing is order-preserving — integer comparison is
    exactly the old (network, length) lexicographic order — so every

@@ -40,7 +40,7 @@ val subsumes : t -> t -> bool
 
 val bit : t -> int -> bool
 (** [bit p i] is the [i]-th most significant bit of the network address,
-    [0 <= i < length p].  Used by the radix trie. *)
+    [0 <= i < length p]. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

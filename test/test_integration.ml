@@ -13,6 +13,7 @@ module Wiser = Dbgp_protocols.Wiser
 module Eqbgp = Dbgp_protocols.Eqbgp
 module Bgpsec = Dbgp_protocols.Bgpsec_like
 module Portal_io = Dbgp_protocols.Portal_io
+module Harness = Dbgp_eval.Harness
 open Dbgp_dataplane
 
 let check = Alcotest.(check bool)
@@ -139,26 +140,8 @@ let test_control_to_data_plane () =
   Network.originate net (asn 1) (origin_ia 1 "99.0.0.0/24");
   ignore (Network.run net);
   let engine = Engine.create () in
-  let addr_to_asn = Hashtbl.create 8 in
   List.iter
-    (fun n ->
-      Hashtbl.replace addr_to_asn
-        (Ipv4.to_int (Network.speaker_addr (asn n)))
-        n)
-    [ 1; 2; 3; 4 ];
-  List.iter
-    (fun n ->
-      let s = Network.speaker net (asn n) in
-      let f = Forwarder.create ~me:(asn n) () in
-      List.iter
-        (fun (prefix, (chosen : Speaker.chosen)) ->
-          match chosen.Speaker.candidate.Dm.from_peer with
-          | Some p ->
-            let nh = Hashtbl.find addr_to_asn (Ipv4.to_int p.Dbgp_core.Peer.addr) in
-            Forwarder.set_ip_route f prefix (Forwarder.To_as (asn nh))
-          | None -> Forwarder.set_ip_route f prefix Forwarder.Local)
-        (Speaker.best_routes s);
-      Engine.add engine f)
+    (fun n -> Engine.add engine (Harness.forwarder (Network.speaker net (asn n))))
     [ 1; 2; 3; 4 ];
   let pkt =
     Packet.make
@@ -173,6 +156,68 @@ let test_control_to_data_plane () =
     check "delivered at origin AS" true (Asn.equal at (asn 1));
     check "follows the AS path" true (List.map Asn.to_int path = [ 4; 3; 2; 1 ])
   | Engine.Dropped { reason; _ } -> Alcotest.fail ("dropped: " ^ reason)
+
+(* The data plane's longest match agrees with the control plane's.
+   Every AS exports every route, so every AS learns three overlapping
+   prefixes originated by three different ASes.  From every AS a probe
+   at each nesting level must reach the most specific prefix's origin
+   along the AS path of the route the source selected for that prefix;
+   an address outside every prefix has no route anywhere. *)
+let test_forwarding_follows_selection () =
+  let net = Network.create () in
+  let ases = [ 1; 2; 3; 4; 5; 6 ] in
+  List.iter (fun n -> Speaker.set_export_rule (add net n) P.export_all) ases;
+  List.iter
+    (fun (a, b) -> cust net a b)
+    [ (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 1); (2, 5) ];
+  let levels =
+    [ ("10.0.0.0/8", 1, "10.200.0.1"); ("10.1.0.0/16", 4, "10.1.200.1");
+      ("10.1.2.0/24", 6, "10.1.2.3") ]
+  in
+  List.iter (fun (q, o, _) -> Network.originate net (asn o) (origin_ia o q)) levels;
+  ignore (Network.run net);
+  let engine = Engine.create () in
+  List.iter
+    (fun n -> Engine.add engine (Harness.forwarder (Network.speaker net (asn n))))
+    ases;
+  let probe src dst =
+    let src_addr = Network.speaker_addr (asn src) in
+    Engine.route engine ~from:(asn src)
+      (Packet.make
+         ~headers:[ Header.Ipv4_hdr { src = src_addr; dst = Ipv4.of_string dst } ]
+         ~payload:"probe" ())
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun (q, origin, dst) ->
+          let chosen =
+            match Speaker.best (Network.speaker net (asn src)) (pfx q) with
+            | Some c -> c
+            | None -> Alcotest.failf "AS %d has no route to %s" src q
+          in
+          let want =
+            match chosen.Speaker.candidate.Dm.from_peer with
+            | None -> [ src ]
+            | Some _ -> src :: List.map Asn.to_int (Ia.asns_on_path chosen.candidate.ia)
+          in
+          match probe src dst with
+          | Engine.Delivered { at; path } ->
+            check_int
+              (Printf.sprintf "AS %d -> %s: origin" src dst)
+              origin (Asn.to_int at);
+            Alcotest.(check (list int))
+              (Printf.sprintf "AS %d -> %s: selected path" src dst)
+              want (List.map Asn.to_int path)
+          | Engine.Dropped { reason; _ } ->
+            Alcotest.failf "AS %d -> %s dropped: %s" src dst reason)
+        levels;
+      match probe src "192.0.2.1" with
+      | Engine.Dropped { at; reason } ->
+        check_int "dropped at the source" src (Asn.to_int at);
+        Alcotest.(check string) "outside every prefix" "no IPv4 route" reason
+      | Engine.Delivered _ -> Alcotest.fail "an unrouted address was delivered")
+    ases
 
 (* Failure recovery with a protocol descriptor: after the primary link
    dies, the alternate path's IA still carries the descriptor. *)
@@ -454,7 +499,9 @@ let () =
          Alcotest.test_case "pass-through ablation" `Quick test_passthrough_ablation;
          Alcotest.test_case "bgpsec end-to-end" `Quick test_bgpsec_end_to_end ]);
       ("planes",
-       [ Alcotest.test_case "control to data plane" `Quick test_control_to_data_plane ]);
+       [ Alcotest.test_case "control to data plane" `Quick test_control_to_data_plane;
+         Alcotest.test_case "forwarding follows selection" `Quick
+           test_forwarding_follows_selection ]);
       ("dynamics",
        [ Alcotest.test_case "failure keeps descriptors" `Quick test_failure_keeps_descriptors;
          Alcotest.test_case "convergence accounting" `Quick test_convergence_accounting;

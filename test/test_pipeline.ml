@@ -14,7 +14,6 @@ module Adj_rib_out = Dbgp_core.Adj_rib_out
 module Pipeline = Dbgp_core.Pipeline
 module Speaker = Dbgp_core.Speaker
 module Dm = Dbgp_core.Decision_module
-module Trie = Dbgp_trie.Prefix_trie
 module Peer = Dbgp_core.Peer
 module Policy = Dbgp_bgp.Policy
 module Damping = Dbgp_bgp.Flap_damping
@@ -155,18 +154,10 @@ let test_loc_rib_lpm_fib () =
   let loc = Loc_rib.create ~next_hop:snd () in
   Loc_rib.set loc (pfx "10.0.0.0/8") ("wide", Some (ip "10.0.0.1"));
   Loc_rib.set loc (pfx "10.1.0.0/16") ("narrow", Some (ip "10.0.0.2"));
-  check "lpm" true
-    (match Loc_rib.lookup loc (ip "10.1.2.3") with
-     | Some (p, ("narrow", _)) -> Prefix.equal p (pfx "10.1.0.0/16")
-     | _ -> false);
   check "fib follows lpm" true
     (Loc_rib.next_hop loc (ip "10.1.2.3") = Some (ip "10.0.0.2"));
   check_int "cardinal" 2 (Loc_rib.cardinal loc);
   Loc_rib.remove loc (pfx "10.1.0.0/16");
-  check "fallback" true
-    (match Loc_rib.lookup loc (ip "10.1.2.3") with
-     | Some (p, ("wide", _)) -> Prefix.equal p (pfx "10.0.0.0/8")
-     | _ -> false);
   check "fib fallback" true
     (Loc_rib.next_hop loc (ip "10.1.2.3") = Some (ip "10.0.0.1"));
   (* A locally originated route (no next hop) is selectable but not
@@ -183,15 +174,13 @@ let test_loc_rib_lpm_fib () =
   Loc_rib.set loc (pfx "10.1.2.0/24") ("local", None);
   check "hop-less /24 skipped" true
     (Loc_rib.next_hop loc (ip "10.1.2.3") = Some (ip "10.0.0.1"));
-  check "lookup still sees it" true
-    (match Loc_rib.lookup loc (ip "10.1.2.3") with
-     | Some (p, ("local", None)) -> Prefix.equal p (pfx "10.1.2.0/24")
-     | _ -> false)
+  check "find still sees it" true
+    (Loc_rib.find loc (pfx "10.1.2.0/24") = Some ("local", None))
 
 (* Random write sequences against a model map.  After every write the
-   FIB must answer like a linear scan for the deepest hop-bearing match
-   (so each query also covers the rebuild after a write), and [lookup]
-   like the trie's longest match over all routes. *)
+   FIB must answer like a linear scan for the deepest hop-bearing match,
+   skipping locally originated routes (so each query also covers the
+   rebuild after a write). *)
 let qcheck_loc_rib_fib =
   let open QCheck in
   let gen_prefix =
@@ -225,7 +214,7 @@ let qcheck_loc_rib_fib =
              | Some (Some h) -> " via " ^ Ipv4.to_string h)
          ops)
   in
-  Test.make ~name:"loc-rib fib = linear scan, lookup = trie" ~count:300
+  Test.make ~name:"loc-rib fib = linear scan, local routes skipped" ~count:300
     (make ~print gen) (fun (ops, offs) ->
       let loc = Loc_rib.create ~next_hop:Fun.id () in
       let probes model =
@@ -238,7 +227,6 @@ let qcheck_loc_rib_fib =
              (Prefix.Map.bindings model)
       in
       let agrees model =
-        let trie = Prefix.Map.fold Trie.add model Trie.empty in
         List.for_all
           (fun a ->
             let deepest =
@@ -250,8 +238,7 @@ let qcheck_loc_rib_fib =
                   | _ -> acc)
                 model None
             in
-            Loc_rib.next_hop loc a = Option.map snd deepest
-            && Loc_rib.lookup loc a = Trie.longest_match a trie)
+            Loc_rib.next_hop loc a = Option.map snd deepest)
           (probes model)
       in
       let step model (q, op) =
@@ -266,7 +253,6 @@ let qcheck_loc_rib_fib =
           if agrees model then Some model else None
       in
       Loc_rib.next_hop loc (ip "10.0.0.1") = None
-      && Loc_rib.lookup loc (ip "10.0.0.1") = None
       && List.fold_left step (Some Prefix.Map.empty) ops <> None)
 
 (* Nested active ranges: the deepest range covering the whole prefix
@@ -287,7 +273,67 @@ let test_active_for_nested () =
   check "/24 -> Q" true (Protocol_id.equal (active "10.0.0.0/24") q);
   check "/25 -> Q" true (Protocol_id.equal (active "10.0.0.0/25") q);
   check "outside -> BGP" true
+    (Protocol_id.equal (active "11.0.0.0/8") Protocol_id.bgp);
+  (* Setting an exact range again replaces its protocol and keeps the
+     ranges nested inside or around it. *)
+  Speaker.set_active s (pfx "10.0.0.0/8") q;
+  Speaker.set_active s (pfx "10.0.0.0/24") p;
+  check "replaced /8 -> Q" true (Protocol_id.equal (active "10.0.0.0/16") q);
+  check "replaced /24 -> P" true (Protocol_id.equal (active "10.0.0.0/25") p);
+  check "outside still BGP" true
     (Protocol_id.equal (active "11.0.0.0/8") Protocol_id.bgp)
+
+(* Random [set_active] sequences over nested ranges against a map
+   model: [active_for] is the protocol of the deepest range that
+   subsumes the prefix, the last write winning for an exact range. *)
+let qcheck_active_for =
+  let open QCheck in
+  let protos = [| Protocol_id.bgp; Protocol_id.wiser; Protocol_id.bgpsec |] in
+  let gen_prefix =
+    Gen.(
+      map2
+        (fun off len -> Prefix.make (Ipv4.of_int ((10 lsl 24) lor off)) len)
+        (int_bound 0xFFFF)
+        (oneof [ oneofl [ 0; 8; 16; 24; 32 ]; int_bound 32 ]))
+  in
+  let gen =
+    Gen.(
+      pair
+        (list_size (int_range 0 12) (pair gen_prefix (int_bound 2)))
+        (list_size (int_range 1 12) gen_prefix))
+  in
+  let print (sets, probes) =
+    String.concat "; "
+      (List.map (fun (q, i) -> Printf.sprintf "%s=%d" (Prefix.to_string q) i) sets)
+    ^ " | "
+    ^ String.concat " " (List.map Prefix.to_string probes)
+  in
+  Test.make ~name:"active_for = deepest covering range" ~count:300
+    (make ~print gen) (fun (sets, probes) ->
+      let s =
+        Speaker.create (Speaker.config ~asn:(asn 5) ~addr:(Ipv4.of_octets 10 0 0 5) ())
+      in
+      Speaker.add_module s { (Dm.bgp ()) with Dm.protocol = Protocol_id.wiser };
+      Speaker.add_module s { (Dm.bgp ()) with Dm.protocol = Protocol_id.bgpsec };
+      List.iter (fun (q, i) -> Speaker.set_active s q protos.(i)) sets;
+      let model =
+        List.fold_left
+          (fun m (q, i) -> Prefix.Map.add q protos.(i) m)
+          Prefix.Map.empty sets
+      in
+      let deepest x =
+        Prefix.Map.fold
+          (fun q proto acc ->
+            match acc with
+            | Some (d, _) when Prefix.length d >= Prefix.length q -> acc
+            | _ when Prefix.subsumes q x -> Some (q, proto)
+            | _ -> acc)
+          model None
+        |> Option.fold ~none:Protocol_id.bgp ~some:snd
+      in
+      List.for_all
+        (fun x -> Protocol_id.equal (Speaker.For_tests.active_for s x) (deepest x))
+        (probes @ List.map fst sets))
 
 (* ------------------ dirty-prefix scheduler ------------------ *)
 
@@ -1779,7 +1825,8 @@ let () =
           Alcotest.test_case "full rebuild = sorted keys" `Quick
             test_loc_rib_full_rebuild_order ] );
       ( "active-range",
-        [ Alcotest.test_case "nested ranges" `Quick test_active_for_nested ] );
+        [ Alcotest.test_case "nested ranges" `Quick test_active_for_nested;
+          QCheck_alcotest.to_alcotest qcheck_active_for ] );
       ( "scheduler",
         [ Alcotest.test_case "coalescing" `Quick test_pipeline_coalescing;
           Alcotest.test_case "re-mark during drain" `Quick
