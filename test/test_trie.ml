@@ -28,6 +28,15 @@ let test_fib_empty () =
   check "miss" true (Fib.find ix (ip "10.1.2.3") = None);
   check "zero address" true (Fib.find ix Ipv4.any = None)
 
+(* A second [add] of the same prefix replaces its binding in place. *)
+let test_replace () =
+  let ix = Fib.create 0 in
+  let q = Prefix.of_string "10.0.0.0/8" in
+  Fib.add ix q (ip "1.1.1.1");
+  Fib.add ix q (ip "2.2.2.2");
+  check "replaced" true (Fib.find ix (ip "10.1.2.3") = Some (ip "2.2.2.2"));
+  check_int "no dup" 1 (Fib.cardinal ix)
+
 (* /32 hosts whose probe chains start at the last slot wrap to slot 0:
    every one must still be found, and an absent key homed there must
    walk the wrapped chain to a miss. *)
@@ -131,7 +140,8 @@ let port h = if h mod 5 = 0 then Forwarder.Local else Forwarder.To_as (Asn.of_in
 
 let () =
   Alcotest.run "trie"
-    [ ( "fib index",
+    [ ("basics", [ Alcotest.test_case "replace" `Quick test_replace ]);
+      ( "fib index",
         [ Alcotest.test_case "empty" `Quick test_fib_empty;
           Alcotest.test_case "wrapping chain" `Quick test_fib_wrap ]
         @ List.map QCheck_alcotest.to_alcotest (fib_qcheck Ipv4.of_int) );
