@@ -1,9 +1,10 @@
 open Dbgp_types
 
-(* The outer per-prefix table is a {!Prefix.Tbl} hashtable so {!set} —
-   run once per delivered announcement — replaces its bucket in place
-   instead of rebuilding a functional-map spine, and a lookup hashes the
-   packed prefix arithmetically instead of through the generic hash.
+(* The outer per-prefix table is a {!Prefix.Tbl}, open-addressed over
+   flat arrays, so {!set} — run once per delivered announcement —
+   replaces its payload cell in place instead of rebuilding a
+   functional-map spine, and a lookup is a multiply and a short probe
+   over an int array instead of a generic hash and a bucket walk.
 
    A slot is specialized to its population: almost every prefix in a
    full table has exactly one contributing peer (a transit AS learns
@@ -16,9 +17,9 @@ type 'r slot =
   | Single of Peer.t * 'r
   | Multi of Peer.t array * 'r array
 
-(* A peer's stale marks are a prefix hashtable, present only while it
+(* A peer's stale marks are a prefix table, present only while it
    holds at least one mark: marking or clearing one prefix of a
-   full-table restart window touches one bucket and allocates no tree
+   full-table restart window touches one slot and allocates no tree
    path. *)
 type 'r t = {
   routes : 'r slot Prefix.Tbl.t;
@@ -129,10 +130,10 @@ let stale_count t =
 
 let has_stale t ~peer = Peer.Map.mem peer t.stale
 
-(* Marks are inserted in the routes table's bucket order; nothing reads
+(* Marks are inserted in the routes table's slot order; nothing reads
    them back in table order ({!take_stale} sorts).  A first pass counts
    the peer's routes, so a new marks table is created at its final size
-   instead of rehashing its way up from one bucket. *)
+   instead of doubling its way up from the smallest one. *)
 let mark_stale t ~peer =
   let held =
     Prefix.Tbl.fold (fun _ s n -> if slot_mem peer s then n + 1 else n) t.routes 0

@@ -37,8 +37,8 @@ type group = {
    no [lost]. *)
 type handle = {
   mutable group : group;
-  mutable table : (Prefix.t, Ia.t option) Hashtbl.t option;
-  mutable lost : (Prefix.t, unit) Hashtbl.t option;
+  mutable table : Ia.t option Prefix.Tbl.t option;
+  mutable lost : unit Prefix.Tbl.t option;
 }
 
 type t = {
@@ -70,7 +70,7 @@ let depart t g =
   if g.members <= 0 then t.groups <- List.filter (fun g' -> g' != g) t.groups
 
 let holds h =
-  match h.table with Some m -> Hashtbl.length m > 0 | None -> false
+  match h.table with Some m -> Prefix.Tbl.length m > 0 | None -> false
 
 let join t ~peer key =
   let target =
@@ -133,53 +133,53 @@ let writable h =
   match h.table with
   | Some m -> m
   | None ->
-    let m = Hashtbl.create 16 in
+    let m = Prefix.Tbl.create 16 in
     h.table <- Some m;
     m
 
 let is_lost h prefix =
-  match h.lost with Some l -> Hashtbl.mem l prefix | None -> false
+  match h.lost with Some l -> Prefix.Tbl.mem l prefix | None -> false
 
 let record h prefix out =
-  (match h.lost with Some l -> Hashtbl.remove l prefix | None -> ());
+  (match h.lost with Some l -> Prefix.Tbl.remove l prefix | None -> ());
   match out with
   | None -> (
     match h.table with
-    | Some m when Hashtbl.length m > 0 ->
-      Hashtbl.remove m prefix;
-      if Hashtbl.length m = 0 then h.group.holders <- h.group.holders - 1
+    | Some m when Prefix.Tbl.length m > 0 ->
+      Prefix.Tbl.remove m prefix;
+      if Prefix.Tbl.length m = 0 then h.group.holders <- h.group.holders - 1
     | _ -> () )
   | Some _ ->
     (* Store the caller's option value as-is: it is the same box the
        group's evaluation produced, so a recorded advertisement costs no
        per-route [Some] of its own. *)
     let m = writable h in
-    if Hashtbl.length m = 0 then h.group.holders <- h.group.holders + 1;
-    Hashtbl.replace m prefix out
+    if Prefix.Tbl.length m = 0 then h.group.holders <- h.group.holders + 1;
+    Prefix.Tbl.replace m prefix out
 
 let find h prefix =
   match h.table with
   | None -> None
   | Some m -> (
-    match Hashtbl.find_opt m prefix with
+    match Prefix.Tbl.find_opt m prefix with
     | None -> None
     | Some out -> Some (out, not (is_lost h prefix)) )
 
 let advertised h prefix =
-  match h.table with Some m -> Hashtbl.mem m prefix | None -> false
+  match h.table with Some m -> Prefix.Tbl.mem m prefix | None -> false
 
 let unbacked h ~backed =
   match h.table with
   | None -> []
   | Some m ->
-    Hashtbl.fold (fun p _ acc -> if backed p then acc else p :: acc) m []
+    Prefix.Tbl.fold (fun p _ acc -> if backed p then acc else p :: acc) m []
     |> List.sort Prefix.compare
 
 let lost_marks h =
   match h.lost with
   | Some l -> l
   | None ->
-    let l = Hashtbl.create 16 in
+    let l = Prefix.Tbl.create 16 in
     h.lost <- Some l;
     l
 
@@ -187,27 +187,27 @@ let note_failed t ~peer prefix =
   match Peer.Map.find_opt peer t.handles with
   | None -> ()
   | Some h ->
-    Hashtbl.replace (lost_marks h) prefix ();
+    Prefix.Tbl.replace (lost_marks h) prefix ();
     let m = writable h in
     (* A dropped withdraw: the entry was optimistically removed by
        {!record}, but the peer may still hold the route.  Leave a
        tombstone so the next sync re-sends the withdraw. *)
-    if not (Hashtbl.mem m prefix) then begin
-      if Hashtbl.length m = 0 then h.group.holders <- h.group.holders + 1;
-      Hashtbl.replace m prefix None
+    if not (Prefix.Tbl.mem m prefix) then begin
+      if Prefix.Tbl.length m = 0 then h.group.holders <- h.group.holders + 1;
+      Prefix.Tbl.replace m prefix None
     end
 
 let unconfirm t ~peer =
   match Peer.Map.find_opt peer t.handles with
   | Some ({ table = Some m; _ } as h) ->
-    Hashtbl.iter (fun p _ -> Hashtbl.replace (lost_marks h) p ()) m
+    Prefix.Tbl.iter (fun p _ -> Prefix.Tbl.replace (lost_marks h) p ()) m
   | _ -> ()
 
 let bindings t ~peer =
   match Option.bind (Peer.Map.find_opt peer t.handles) (fun h -> h.table) with
   | None -> []
   | Some m ->
-    Hashtbl.fold
+    Prefix.Tbl.fold
       (fun p out acc -> match out with Some ia -> (p, ia) :: acc | None -> acc)
       m []
     |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
@@ -216,7 +216,7 @@ let peers t =
   Peer.Map.fold
     (fun p h acc ->
       match h.table with
-      | Some m when Hashtbl.length m > 0 -> p :: acc
+      | Some m when Prefix.Tbl.length m > 0 -> p :: acc
       | _ -> acc)
     t.handles []
   |> List.rev

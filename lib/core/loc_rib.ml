@@ -2,8 +2,8 @@ open Dbgp_types
 module Fib = Dbgp_trie.Fib_index
 module Tbl = Prefix.Tbl
 
-(* One hashtable and nothing per route but the chosen value itself.  A
-   write replaces its bucket cell in place.  A balanced tree would
+(* One flat table and nothing per route but the chosen value itself.  A
+   write replaces its payload cell in place.  A balanced tree would
    allocate a new path of about sixteen nodes per insert into a
    full table, promoted by the next minor collection and dead at the
    next write.  The forwarding next hop is not stored — it is a
@@ -23,7 +23,9 @@ module Tbl = Prefix.Tbl
    The FIB is a flat hash index over the hop-bearing routes, used only
    by data-plane queries ({!next_hop}), which run after convergence,
    not inside the update hot path.  Every write drops it; the next
-   query rebuilds it from the table in one unordered pass — the index
+   query rebuilds it from the table in one pass in slot order.  The
+   index takes a key's home slot from the top bits of the same
+   Fibonacci product, so the writes run front to back; the index
    answers the same whatever order its keys went in. *)
 type 'c t = {
   nh_of : 'c -> Ipv4.t option;

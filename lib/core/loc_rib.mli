@@ -1,9 +1,10 @@
 (** Loc-RIB: stage 2 of the RIB pipeline.
 
     The per-prefix selected best routes plus a forwarding view.  The
-    routes live in one {!Dbgp_types.Prefix.Tbl} hashtable keyed by the
-    packed prefix, so a write replaces one bucket cell in place and
-    allocates nothing when it replaces a route.  The next hop is not
+    routes live in one {!Dbgp_types.Prefix.Tbl} keyed by the packed
+    prefix, an open-addressed table of flat arrays, so a write replaces
+    one payload cell in place and allocates nothing unless the table
+    grows.  The next hop is not
     stored per route — it is a projection of the chosen value (supplied
     at {!create}).
 

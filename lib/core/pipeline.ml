@@ -1,7 +1,7 @@
 open Dbgp_types
 module Metrics = Dbgp_obs.Metrics
 
-(* The dirty set is a hashtable: {!mark} runs once per delivered update
+(* The dirty set is a {!Prefix.Tbl}: {!mark} runs once per delivered update
    and must not pay a functional-set rebuild; {!drain} folds it into an
    array and sorts that with {!Prefix.sort} (linear in a large batch), so
    processing order stays ascending and deterministic. *)
@@ -13,7 +13,7 @@ type t = {
 }
 
 let create obs =
-  { dirty = Prefix.Tbl.create 64;
+  { dirty = Prefix.Tbl.create 0;
     c_marks = Metrics.counter obs "pipeline.dirty_marks";
     c_saved = Metrics.counter obs "pipeline.runs_saved";
     c_drains = Metrics.counter obs "pipeline.drains" }
@@ -49,8 +49,9 @@ let drain t ~f =
        re-copied the accumulator per prefix (quadratic in drain
        output).  Prefixes marked dirty *by* [f] land in the next
        drain: the batch is snapshotted and cleared before [f] runs.
-       [reset] shrinks the table back to its initial size, so the next
-       drain's fold costs O(marked) however large this batch was. *)
+       [reset] shrinks the table back to its initial size, the
+       smallest, so the next drain's fold costs O(marked) however
+       large this batch was. *)
     let batch = Array.make (Prefix.Tbl.length t.dirty) Prefix.default and i = ref 0 in
     Prefix.Tbl.iter
       (fun p () ->

@@ -67,7 +67,7 @@ module Damping = Dbgp_bgp.Flap_damping
 
 type t = {
   cfg : config;
-  modules : (int, Decision_module.t) Hashtbl.t; (* by Protocol_id.to_int *)
+  modules : Decision_module.t Int_tbl.t; (* by Protocol_id.to_int *)
   (* Activation ranges, longest first, one per exact prefix: a scenario
      sets a few, a benchmark none. *)
   mutable active : (Prefix.t * Protocol_id.t) list;
@@ -148,9 +148,9 @@ type t = {
 }
 
 let create cfg =
-  let modules = Hashtbl.create 8 in
+  let modules = Int_tbl.create 1 in
   let m = Decision_module.bgp () in
-  Hashtbl.replace modules (Protocol_id.to_int m.Decision_module.protocol) m;
+  Int_tbl.replace modules (Protocol_id.to_int m.Decision_module.protocol) m;
   let obs = Metrics.create () in
   { cfg;
     modules;
@@ -206,14 +206,14 @@ let my_asn t = Asn.to_int t.cfg.asn
 (* Refresh [reusable] after the module set or the neighbor set changed. *)
 let stock_stages t =
   t.reusable <-
-    Hashtbl.length t.modules = 1
-    && (match Hashtbl.find_opt t.modules (Protocol_id.to_int Protocol_id.bgp) with
+    Int_tbl.length t.modules = 1
+    && (match Int_tbl.find_opt t.modules (Protocol_id.to_int Protocol_id.bgp) with
         | Some m -> m == t.stock
         | None -> false)
     && Array.for_all (fun e -> e.nbr.import == Filters.accept) t.nbrs
 
 let add_module t (m : Decision_module.t) =
-  Hashtbl.replace t.modules (Protocol_id.to_int m.protocol) m;
+  Int_tbl.replace t.modules (Protocol_id.to_int m.protocol) m;
   t.gen <- t.gen + 1;
   stock_stages t
 
@@ -222,7 +222,7 @@ let supported t =
   | Some (g, s) when g = t.gen -> s
   | _ ->
     let s =
-      Hashtbl.fold
+      Int_tbl.fold
         (fun _ (m : Decision_module.t) acc -> Protocol_id.Set.add m.protocol acc)
         t.modules Protocol_id.Set.empty
     in
@@ -230,7 +230,7 @@ let supported t =
     s
 
 let set_active t prefix proto =
-  if not (Hashtbl.mem t.modules (Protocol_id.to_int proto)) then
+  if not (Int_tbl.mem t.modules (Protocol_id.to_int proto)) then
     invalid_arg "Speaker.set_active: no module registered for protocol"
   else begin
     let len = Prefix.length prefix in
@@ -327,9 +327,9 @@ let has_neighbor t peer = locate t peer >= 0
 let export_group_of t peer = Adj_rib_out.group_of t.rib_out ~peer
 
 let module_for t proto =
-  match Hashtbl.find_opt t.modules (Protocol_id.to_int proto) with
+  match Int_tbl.find_opt t.modules (Protocol_id.to_int proto) with
   | Some m -> m
-  | None -> Hashtbl.find t.modules (Protocol_id.to_int Protocol_id.bgp)
+  | None -> Int_tbl.find t.modules (Protocol_id.to_int Protocol_id.bgp)
 
 (* Relationship-keyed export gate: valley-free by default, swappable so
    the adversary layer can model a leaking AS. *)
@@ -679,7 +679,7 @@ let select_route t ~now ~active m prefix local learned =
           | Some (g, a, cs) when g = t.gen && Protocol_id.equal a active -> cs
           | _ ->
             let mods =
-              Hashtbl.fold (fun _ dm acc -> dm :: acc) t.modules []
+              Int_tbl.fold (fun _ dm acc -> dm :: acc) t.modules []
               |> List.sort (fun (a : Decision_module.t) b ->
                      Protocol_id.compare a.protocol b.protocol)
             in

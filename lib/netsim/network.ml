@@ -269,7 +269,7 @@ module Attr_buckets = Hashtbl.Make (struct
   let hash = Dbgp_core.Ia.attrs_hash
 end)
 
-let new_batch () = { latest = Prefix.Tbl.create 8; order = []; scheduled = false }
+let new_batch () = { latest = Prefix.Tbl.create 0; order = []; scheduled = false }
 
 let batch_add b msg =
   let p = prefix_of_msg msg and n = Prefix.Tbl.length b.latest in

@@ -47,10 +47,6 @@ let mem addr p = Ipv4.to_int addr land mask (p land 0x3F) = p lsr 6
 let subsumes p q =
   p land 0x3F <= q land 0x3F && (q lsr 6) land mask (p land 0x3F) = p lsr 6
 
-let bit p i =
-  if i < 0 || i >= p land 0x3F then invalid_arg "Prefix.bit: index out of range"
-  else (p lsr 6) land (1 lsl (31 - i)) <> 0
-
 let compare : t -> t -> int = Int.compare
 let equal : t -> t -> bool = Int.equal
 let hash (p : t) = Hashtbl.hash p
@@ -113,9 +109,4 @@ end
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
 
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = Int_tbl.hash
-end)
+module Tbl = Int_tbl

@@ -38,10 +38,6 @@ val subsumes : t -> t -> bool
 (** [subsumes p q] is true iff every address of [q] is inside [p]
     (i.e. [p] is a less- or equally-specific covering prefix). *)
 
-val bit : t -> int -> bool
-(** [bit p i] is the [i]-th most significant bit of the network address,
-    [0 <= i < length p]. *)
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
@@ -60,9 +56,8 @@ val split : t -> (t * t) option
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
-module Tbl : Hashtbl.S with type key = t
-(** Hashtables keyed by prefix.  The hash mixes every bit of the packed
-    key into the bucket index, so prefixes of one length that differ
-    only in high network bits still spread; it does not depend on
-    [OCAMLRUNPARAM=R].  Iteration order is a function of the table's
-    history, not of prefix order. *)
+module Tbl : Int_tbl.S with type key = t and type 'a t = 'a Int_tbl.t
+(** Tables keyed by prefix: {!Int_tbl} over the packed key, whose
+    Fibonacci slot spreads prefixes of one length that differ only in
+    high network bits.  Iteration goes in slot order, a function of the
+    table's history, not of prefix order. *)

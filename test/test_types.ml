@@ -143,14 +143,6 @@ let test_asn_strict () =
   check "just past largest" true (Asn.of_string_opt "4294967296" = None);
   check_int "asdot leading zeros" 65537 (Asn.to_int (Asn.of_string "00001.00001"))
 
-let test_prefix_bit () =
-  let p = Prefix.of_string "128.0.0.0/2" in
-  check "bit 0" true (Prefix.bit p 0);
-  check "bit 1" false (Prefix.bit p 1);
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Prefix.bit: index out of range") (fun () ->
-      ignore (Prefix.bit p 2))
-
 (* ------------------------- Island_id ------------------------- *)
 
 let test_island_ids () =
@@ -308,6 +300,216 @@ let test_prng_split_n () =
     (Invalid_argument "Prng.split_n: negative count") (fun () ->
       ignore (Prng.split_n a (-1)))
 
+(* ------------------------- Int_tbl ------------------------- *)
+
+module Probe = Int_tbl.For_tests
+
+(* The first /32s of 10.0.0.0/8 whose probe chain starts at [slot] of
+   a table of [Prefix.Tbl.create 0]'s capacity. *)
+let homed_at slot n =
+  let fresh = Prefix.Tbl.create 0 in
+  let rec go a acc k =
+    if k = 0 then List.rev acc
+    else
+      let q = Prefix.make (Ipv4.of_int a) 32 in
+      if Probe.home fresh (Prefix.to_int q) = slot then go (a + 1) (q :: acc) (k - 1)
+      else go (a + 1) acc k
+  in
+  go 0x0A000000 [] n
+
+let test_tbl_sizing () =
+  List.iter
+    (fun n ->
+      let t = Int_tbl.create n in
+      let cap = Probe.capacity t in
+      for k = 0 to n - 1 do
+        Int_tbl.replace t k k
+      done;
+      check (Printf.sprintf "create %d holds %d" n n) true
+        (Probe.capacity t = cap && Int_tbl.length t = n);
+      Int_tbl.replace t n n;
+      check (Printf.sprintf "grows past 7/8 at %d" n) true
+        (8 * (n + 1) <= 7 * Probe.capacity t))
+    [ 0; 1; 7; 8; 100; 896; 50_032 ];
+  let t = Int_tbl.create 0 in
+  for k = 0 to 999 do
+    Int_tbl.replace t (k * 7919) ()
+  done;
+  Int_tbl.reset t;
+  check_int "reset shrinks" (Probe.capacity (Int_tbl.create 0)) (Probe.capacity t);
+  check_int "reset empties" 0 (Int_tbl.length t);
+  check "reset forgets" false (Int_tbl.mem t 7919);
+  Int_tbl.replace t 7919 ();
+  check "reusable" true (Int_tbl.mem t 7919 && Int_tbl.length t = 1);
+  Alcotest.check_raises "negative key"
+    (Invalid_argument "Int_tbl.replace: negative key") (fun () ->
+      Int_tbl.replace t (-1) ());
+  check "negative key unbound" true
+    (Int_tbl.find_opt t (-1) = None && not (Int_tbl.mem t (-1)))
+
+(* Keys homed at the last slot wrap to slot 0; removing the head of the
+   chain shifts the rest back across the wrap. *)
+let test_tbl_wrap () =
+  let t = Prefix.Tbl.create 0 in
+  let cap = Probe.capacity t in
+  match homed_at (cap - 1) 5 with
+  | absent :: (head :: _ as chain) ->
+    List.iteri (fun i q -> Prefix.Tbl.replace t q i) chain;
+    check_int "no growth" cap (Probe.capacity t);
+    List.iteri
+      (fun i q -> check "wrapped key found" true (Prefix.Tbl.find_opt t q = Some i))
+      chain;
+    check "absent key misses" false (Prefix.Tbl.mem t absent);
+    check "chain probes" true (Probe.mean_probe t = 2.5);
+    Prefix.Tbl.remove t head;
+    check "head gone" false (Prefix.Tbl.mem t head);
+    List.iteri
+      (fun i q -> if i > 0 then check "shifted key found" true (Prefix.Tbl.find_opt t q = Some i))
+      chain;
+    check "shifted back" true (Probe.mean_probe t = 2.);
+    check_int "count" 3 (Prefix.Tbl.length t)
+  | _ -> assert false
+
+(* The bindings that are not the table's fill must not outlive their
+   removal, replacement or a reset.  The payloads are made and bound
+   out of line so no stack slot of the test keeps one alive. *)
+let bind_fresh t w i k =
+  let v = Bytes.make 8 (Char.chr (65 + i)) in
+  Weak.set w i (Some v);
+  Int_tbl.replace t k v
+
+let test_tbl_retention () =
+  let t = Int_tbl.create 0 and w = Weak.create 5 in
+  let bind = Sys.opaque_identity bind_fresh in
+  (* Payload 0, the first binding, fills the empty slots.  The chain
+     takes slots 4 to 6 and slot 7 stays empty. *)
+  bind t w 0 (Prefix.to_int (List.hd (homed_at 1 1)));
+  let chain = List.map Prefix.to_int (homed_at 4 3) in
+  List.iteri (fun i k -> bind t w (i + 1) k) chain;
+  bind t w 4 (List.nth chain 2);
+  (* The chain's tail leaves a hole nothing shifts into; removing its
+     head shifts the next key back over the hole. *)
+  Int_tbl.remove t (List.nth chain 2);
+  Int_tbl.remove t (List.nth chain 0);
+  Gc.full_major ();
+  let gone i = not (Weak.check w i) in
+  check "replaced payload freed" true (gone 3);
+  check "removed payloads freed" true (gone 4 && gone 1);
+  check "live payload kept" true (Weak.check w 2);
+  Int_tbl.reset t;
+  Gc.full_major ();
+  check "reset frees" true (gone 2)
+
+(* Key families the simulator uses, each filled to the 7/8 load a
+   table reaches just before it grows. *)
+let families =
+  let pack_pair a b = (a lsl 31) lor b in
+  [ ("sequential 99.x.y.0/24", fun i ->
+        Prefix.to_int (Prefix.make (Ipv4.of_octets 99 (i lsr 8) (i land 0xFF) 0) 24));
+    ("stress-32k base /24s", fun i ->
+        Prefix.to_int
+          (Prefix.make (Ipv4.of_int (((i * 2654435761) land 0xFFFFFF) lsl 8)) 24));
+    ("collector feed /24s", fun i ->
+        Prefix.to_int
+          (Prefix.make
+             (Ipv4.of_int (0xC0000000 lor (((i * 2654435761) land 0x3FFFFF) lsl 8)))
+             24));
+    ("ASNs", fun i -> i + 1);
+    ("packed ASN pairs", fun i -> pack_pair (1 + (i / 240)) (1 + (i mod 240))) ]
+
+(* Uniformly random keys would read 4.5 at this load, and the chained
+   table's multiply-and-fold hash read 9.7 on the stress-32k family. *)
+let test_tbl_spread () =
+  List.iter
+    (fun (bits, bound) ->
+      let cap = 1 lsl bits in
+      let n = cap - (cap / 8) in
+      List.iter
+        (fun (name, key) ->
+          let t = Int_tbl.create n in
+          for i = 0 to n - 1 do
+            Int_tbl.replace t (key i) ()
+          done;
+          let mean = Probe.mean_probe t in
+          check
+            (Printf.sprintf "%s, %d in %d slots: mean probe %.2f" name n cap mean)
+            true
+            (Probe.capacity t = cap && Int_tbl.length t = n && mean <= bound))
+        families)
+    [ (10, 2.5); (16, 3.0) ]
+
+type op =
+  | Replace of int * int
+  | Remove of int
+  | Find of int
+  | Reset
+
+(* [Prefix.Tbl] against [Prefix.Map].  The key pool mixes /32s that
+   share a home slot, /32s homed at the last slot (their chains wrap)
+   and scattered prefixes; a run of replaces pushes the table across
+   its 7/8 growth point and [Reset] shrinks it back for reuse. *)
+let tbl_model =
+  let open QCheck in
+  let pool =
+    Array.of_list
+      (homed_at 7 5 @ homed_at 2 4
+      @ List.init 40 (fun i -> Prefix.make (Ipv4.of_int (i * 0x01000100)) (8 + (i mod 25))))
+  in
+  let gen_op =
+    Gen.(
+      frequency
+        [ (6, map2 (fun k v -> Replace (k, v)) (int_bound (Array.length pool - 1)) small_nat);
+          (3, map (fun k -> Remove k) (int_bound (Array.length pool - 1)));
+          (3, map (fun k -> Find k) (int_bound (Array.length pool - 1)));
+          (1, return Reset) ])
+  in
+  let print_op = function
+    | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+    | Remove k -> Printf.sprintf "remove %d" k
+    | Find k -> Printf.sprintf "find %d" k
+    | Reset -> "reset"
+  in
+  Test.make ~name:"Prefix.Tbl = Map model" ~count:500
+    (make ~print:(Print.list print_op) Gen.(list_size (int_range 0 120) gen_op))
+    (fun ops ->
+      let t = Prefix.Tbl.create 0 in
+      let agree m =
+        Prefix.Tbl.length t = Prefix.Map.cardinal m
+        && List.sort compare (Prefix.Tbl.fold (fun p v acc -> (p, v) :: acc) t [])
+           = Prefix.Map.bindings m
+        && Array.for_all
+             (fun p ->
+               Prefix.Tbl.find_opt t p = Prefix.Map.find_opt p m
+               && Prefix.Tbl.mem t p = Prefix.Map.mem p m)
+             pool
+      in
+      let step m = function
+        | Replace (k, v) ->
+          Prefix.Tbl.replace t pool.(k) v;
+          Prefix.Map.add pool.(k) v m
+        | Remove k ->
+          Prefix.Tbl.remove t pool.(k);
+          Prefix.Map.remove pool.(k) m
+        | Find k ->
+          ( match Prefix.Map.find_opt pool.(k) m with
+            | Some v -> if Prefix.Tbl.find t pool.(k) <> v then failwith "find"
+            | None -> (
+              match Prefix.Tbl.find t pool.(k) with
+              | _ -> failwith "find of an unbound key"
+              | exception Not_found -> () ) );
+          m
+        | Reset ->
+          Prefix.Tbl.reset t;
+          Prefix.Map.empty
+      in
+      let rec run m = function
+        | [] -> true
+        | op :: rest ->
+          let m = step m op in
+          agree m && run m rest
+      in
+      run Prefix.Map.empty ops)
+
 (* ------------------------- properties ------------------------- *)
 
 let qcheck =
@@ -379,7 +581,6 @@ let () =
          Alcotest.test_case "mem" `Quick test_prefix_mem;
          Alcotest.test_case "subsumes" `Quick test_prefix_subsumes;
          Alcotest.test_case "split" `Quick test_prefix_split;
-         Alcotest.test_case "bit" `Quick test_prefix_bit;
          Alcotest.test_case "to_string" `Quick test_prefix_to_string;
          Alcotest.test_case "strict decimal" `Quick test_prefix_strict;
          Alcotest.test_case "sort = comparison sort" `Quick test_prefix_sort ]);
@@ -398,4 +599,10 @@ let () =
          Alcotest.test_case "shuffle/sample" `Quick test_prng_shuffle_sample;
          Alcotest.test_case "split" `Quick test_prng_split;
          Alcotest.test_case "split_n" `Quick test_prng_split_n ]);
+      ("int-table",
+       [ Alcotest.test_case "sizing, reset and negative keys" `Quick test_tbl_sizing;
+         Alcotest.test_case "wrapping chain" `Quick test_tbl_wrap;
+         Alcotest.test_case "removed payloads freed" `Quick test_tbl_retention;
+         Alcotest.test_case "Fibonacci slot spreads key families" `Quick test_tbl_spread;
+         QCheck_alcotest.to_alcotest tbl_model ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck) ]
