@@ -113,7 +113,9 @@ let encode_pd_body w (d : Ia.path_descriptor) =
 
 (* Descriptor values repeat across advertisements (the same next-hop,
    cost, or island metadata fans out everywhere); interning them makes
-   later structural comparisons pointer comparisons. *)
+   later structural comparisons pointer comparisons.  A long value is
+   decoded against the table: compared in place against the wire and
+   copied out only when the table does not hold it. *)
 module Value_tbl = Intern.Make (struct
   type t = Value.t
 
@@ -126,14 +128,17 @@ end)
    structurally equal descriptors, so per-domain tables cost only hit
    rate, never correctness. *)
 let values_key = Domain.DLS.new_key (fun () -> Value_tbl.create 256)
-let intern_value v = Value_tbl.intern (Domain.DLS.get values_key) v
 let value_intern_stats () = Value_tbl.stats (Domain.DLS.get values_key)
+
+module Value_decode = Value.Decode_into (Value_tbl)
+
+let decode_value r = Value_decode.decode (Domain.DLS.get values_key) r
 
 let decode_pd_body r : Ia.path_descriptor =
   let owners = R.list r decode_proto in
   if owners = [] then raise (R.Error "path descriptor: empty owner set");
   let field = Intern.string (R.delimited r) in
-  let value = intern_value (Value.decode r) in
+  let value = decode_value r in
   { owners; field; value }
 
 let pd_size d = framed_size pd_body_size d
@@ -155,7 +160,7 @@ let decode_id_body r : Ia.island_descriptor =
   let island = decode_island r in
   let proto = decode_proto r in
   let ifield = Intern.string (R.delimited r) in
-  let ivalue = intern_value (Value.decode r) in
+  let ivalue = decode_value r in
   { island; proto; ifield; ivalue }
 
 let id_size d = framed_size id_body_size d
@@ -197,8 +202,10 @@ let encode (ia : Ia.t) =
 
 (* Withdraw wire format: just the withdrawn prefix — a withdraw carries
    no attributes. *)
+let withdraw_size prefix = W.prefix_size prefix
+
 let encode_withdraw prefix =
-  let w = W.create ~capacity:(W.prefix_size prefix) () in
+  let w = W.create ~capacity:(withdraw_size prefix) () in
   W.prefix w prefix;
   W.contents w
 
@@ -424,6 +431,7 @@ let decode_robust s : (Ia.t * Errors.t list, Errors.t) result =
 
 module For_tests = struct
   let decode_memo_capacity = dec_slots
+  let value_table_clear () = Value_tbl.clear (Domain.DLS.get values_key)
 
   let decode_memo_residency () =
     Array.fold_left

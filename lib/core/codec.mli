@@ -38,6 +38,9 @@ val size : Ia.t -> int
 val encode_withdraw : Dbgp_types.Prefix.t -> string
 (** Wire format of a Withdraw message: just the withdrawn prefix. *)
 
+val withdraw_size : Dbgp_types.Prefix.t -> int
+(** [String.length (encode_withdraw p)], computed without encoding. *)
+
 (** {1 Batched frames}
 
     Many NLRI prefixes sharing one attribute block, as real BGP packs an
@@ -155,7 +158,7 @@ val value_intern_stats : unit -> Dbgp_types.Intern.stats
     domain's table). *)
 
 (** Probes of the decode memo, for the tests that bound it under fuzz
-    input. *)
+    input, and of the value table. *)
 module For_tests : sig
   val decode_memo_capacity : int
   (** Hard slot bound of the decode memo — residency can never exceed
@@ -163,6 +166,10 @@ module For_tests : sig
 
   val decode_memo_residency : unit -> int
   (** Occupied decode-memo slots. *)
+
+  val value_table_clear : unit -> unit
+  (** Empty the calling domain's table of decoded descriptor values, so
+      the next decode holds no value it could match in place. *)
 end
 
 val encode_compressed : Ia.t -> string

@@ -83,8 +83,10 @@ let rec encode w = function
     encode w a;
     encode w b
 
-let rec decode r =
-  match R.u8 r with
+let rec decode r = decode_tagged (R.u8 r) r
+
+and decode_tagged tag r =
+  match tag with
   | 0 -> Int (R.varint r)
   | 1 -> Str (R.delimited r)
   | 2 -> Bytes (R.delimited r)
@@ -132,17 +134,20 @@ let[@inline] mix h x = (h lxor x) * 0x100000001b3
 let hash_seed = 0x2bf29ce484222325
 let finish h = Hashtbl.hash h
 
+(* The sample of the [n > short_string] bytes of [s] from [off]: a
+   function of those bytes alone, so a slice of a wire and its copy
+   hash equal. *)
+let sampled_hash s off n =
+  let step = n / string_samples in
+  let h = ref (mix hash_seed n) in
+  for i = 0 to string_samples - 1 do
+    h := mix !h (Char.code (String.unsafe_get s (off + (i * step))))
+  done;
+  mix !h (Char.code (String.unsafe_get s (off + n - 1)))
+
 let string_hash s =
   let n = String.length s in
-  if n <= short_string then Hashtbl.hash s
-  else begin
-    let step = n / string_samples in
-    let h = ref (mix hash_seed n) in
-    for i = 0 to string_samples - 1 do
-      h := mix !h (Char.code (String.unsafe_get s (i * step)))
-    done;
-    mix !h (Char.code (String.unsafe_get s (n - 1)))
-  end
+  if n <= short_string then Hashtbl.hash s else sampled_hash s 0 n
 
 let rec fold h depth = function
   | Int n -> mix (mix h 0) n
@@ -163,3 +168,50 @@ and fold_list h depth budget = function
 
 let hash_fold h v = fold h max_depth v
 let hash v = finish (hash_fold hash_seed v)
+
+(* ------------------------------------------------------------------ *)
+(* Decoding against a table of held values.
+
+   A long [Str]/[Bytes] leaf (a 32 KB descriptor) usually repeats one
+   the decoder's value table already holds.  Instead of copying it out
+   of the wire and then comparing the copy with the held value, the
+   decoder hashes and compares the wire's bytes in place and copies
+   them only when the table has no equal value.  The wire tags of [Str]
+   and [Bytes] (1 and 2) are also the constants [fold] mixes for them,
+   so [leaf_hash] is [hash] of the leaf the slice would decode to. *)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* [n] bytes of [src] from [off] equal [s], 8 bytes per step. *)
+let slice_equal s src off n =
+  String.length s = n
+  &&
+  let rec words i =
+    if i + 8 > n then bytes i
+    else (get64u s i : int64) = get64u src (off + i) && words (i + 8)
+  and bytes i =
+    i = n
+    || String.unsafe_get s i = String.unsafe_get src (off + i) && bytes (i + 1)
+  in
+  words 0
+
+let leaf tag s = if tag = 1 then Str s else Bytes s
+let leaf_hash tag src off n = finish (mix (mix hash_seed tag) (sampled_hash src off n))
+
+let leaf_matches tag src off n = function
+  | Str s -> tag = 1 && slice_equal s src off n
+  | Bytes s -> tag = 2 && slice_equal s src off n
+  | _ -> false
+
+module Decode_into (T : Dbgp_types.Intern.S with type value = t) = struct
+  let decode tbl r =
+    match R.u8 r with
+    | (1 | 2) as tag ->
+      let src = R.source r in
+      let off, n = R.delimited_span r in
+      if n <= short_string then T.intern tbl (leaf tag (String.sub src off n))
+      else
+        T.find_or_intern tbl (leaf_hash tag src off n) (leaf_matches tag src off n)
+          (fun () -> leaf tag (String.sub src off n))
+    | tag -> T.intern tbl (decode_tagged tag r)
+end

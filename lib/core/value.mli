@@ -61,3 +61,17 @@ val finish : int -> int
 
 val string_hash : string -> int
 (** The bounded string hash {!hash} uses for [Str] and [Bytes]. *)
+
+(** {1 Decoding against held values} *)
+
+module Decode_into (T : Dbgp_types.Intern.S with type value = t) : sig
+  val decode : T.t -> Dbgp_wire.Reader.t -> t
+  (** Decodes like {!decode}, with the same errors, and returns the
+      decoded value's representative in the table.  A top-level [Str] or
+      [Bytes] longer than 32 bytes is not copied to ask: it probes the
+      table with {!T.find_or_intern}, under {!hash} of the value and a
+      predicate that compares held values in place against the reader's
+      {!Dbgp_wire.Reader.source}, and is copied out only on a miss.  Any
+      other value decodes as {!decode} does and goes to {!T.intern}.
+      The table must hash with {!hash} and compare with {!equal}. *)
+end

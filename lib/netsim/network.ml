@@ -244,7 +244,7 @@ let prefix_of_msg = function
 let msg_bytes m =
   match m with
   | Speaker.Announce ia -> Codec.size ia
-  | Speaker.Withdraw p -> String.length (Codec.encode_withdraw p)
+  | Speaker.Withdraw p -> Codec.withdraw_size p
 
 let is_withdraw = function
   | Speaker.Announce _ -> false

@@ -11,9 +11,17 @@
     interning stays because descriptor values repeat across otherwise
     distinct attribute sets, which the attribute table cannot share.
 
+    A table is open-addressed like {!Int_tbl}: stored hashes and values
+    in two flat arrays, linear probing, growth at 7/8 load.  Its layout
+    is a function of the hashes and the insertion history alone, so
+    nothing depends on [OCAMLRUNPARAM=R].  Besides {!S.intern}, a table
+    answers {!S.find_or_intern}: a probe by hash and predicate, which
+    lets the codec compare a long descriptor value against the wire in
+    place and copy it out only when the table does not hold it.
+
     The shared string table below is what the codec uses; the {!Make}
-    functor builds additional per-type tables (the codec's value
-    table).
+    functor builds additional per-type tables (the codec's value table,
+    the attribute table's descriptor lists).
 
     Domain-safety: the shared table is domain-local — each OCaml 5
     domain lazily creates its own instance on first use, so sharded
@@ -37,15 +45,29 @@ module type S = sig
   type t
 
   val create : int -> t
-  (** [create n] makes a table with initial capacity [n]; when 65536
-      entries are reached the table is reset wholesale. *)
+  (** [create n] makes a table that holds [n] values without growing;
+      when 65536 entries are reached the table is reset wholesale and
+      [stats.clears] counts the reset. *)
 
   val intern : t -> value -> value
   (** Canonical representative: two structurally equal arguments return
       the same physical value while the table retains the first. *)
 
+  val find_or_intern : t -> int -> (value -> bool) -> (unit -> value) -> value
+  (** [find_or_intern t h matches build] is the held value stored under
+      hash [h] that [matches] accepts; failing one, [build ()], interned
+      under [h].  The probe allocates nothing.  It counts a hit or a
+      miss exactly as {!intern} does, and it agrees with {!intern} when
+      [h] is the table's hash of every value [matches] accepts and of
+      [build ()], and [matches] accepts exactly the values equal to
+      [build ()]. *)
+
   val length : t -> int
+
   val clear : t -> unit
+  (** Drop every entry and shrink back to the size {!create} chose.
+      Counts nothing in [stats.clears], which counts capacity resets. *)
+
   val stats : t -> stats
 end
 

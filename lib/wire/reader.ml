@@ -2,7 +2,8 @@ exception Error of string
 
 (* A reader is a window [base, stop) over [src]; [pos] is absolute.  A
    frame's sub-reader shares [src] with its parent, so framed input is
-   never copied: only the leaf strings ([bytes], [delimited]) are.
+   never copied: only the leaf strings ([bytes], [delimited]) are, and
+   [delimited_span] hands out a leaf's place in [src] instead.
    Positions reported to callers and in errors are relative to [base],
    exactly as if the frame had been copied out into its own string. *)
 type t = { src : string; base : int; mutable pos : int; stop : int }
@@ -68,6 +69,12 @@ let skip t n =
 let bytes t n =
   let start = skip t n in
   String.sub t.src start n
+
+let source t = t.src
+
+let delimited_span t =
+  let n = varint t in
+  (skip t n, n)
 
 let delimited t =
   let n = varint t in

@@ -25,6 +25,15 @@ val varint : t -> int
 val bytes : t -> int -> string
 val delimited : t -> string
 
+val source : t -> string
+(** The whole string the reader reads from, shared by every {!frame}
+    over it.  Offsets from {!delimited_span} index it. *)
+
+val delimited_span : t -> int * int
+(** Reads what {!delimited} reads, with the same checks and errors, but
+    copies nothing: returns [(off, n)], the field's [n] bytes starting at
+    [off] in {!source}. *)
+
 val frame : t -> t
 (** Reads a varint length [n] and returns a reader over the next [n]
     bytes, advancing past them; nothing is copied.  The sub-reader is

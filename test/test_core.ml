@@ -286,6 +286,98 @@ let test_codec_frame_overrun () =
   | Ok (_, ds) -> Alcotest.failf "expected one discard, got %d" (List.length ds)
   | Error e -> Alcotest.fail ("route lost: " ^ e.Errors.reason)
 
+(* ------------- Codec: decoding against the value table ------------- *)
+
+let with_payload ?(prefix = "99.0.0.0/24") v =
+  base_ia ~prefix () |> Ia.set_path_descriptor ~owners:[ proto_a ] ~field:"payload" v
+
+let payload_of ia =
+  match Ia.find_path_descriptor ~proto:proto_a ~field:"payload" ia with
+  | Some v -> v
+  | None -> Alcotest.fail "payload descriptor lost"
+
+(* A fresh copy of [payload_32k] on every call, so nothing is shared by
+   construction. *)
+let payload_copy () = Bytes.to_string (Bytes.of_string payload_32k)
+
+(* A long value the table already holds is compared against the wire
+   in place: the second of two equal 32 KB payloads decodes to the held
+   value and allocates less than a quarter of one payload copy (4,096
+   words) on the major heap. *)
+let test_codec_value_held () =
+  Codec.For_tests.value_table_clear ();
+  let w1 = Codec.encode (with_payload (Value.Bytes (payload_copy ()))) in
+  let w2 =
+    Codec.encode (with_payload ~prefix:"99.1.0.0/24" (Value.Bytes (payload_copy ())))
+  in
+  let v1 = payload_of (Codec.decode w1) in
+  (* [Gc.counters] counts a direct major allocation at once, where
+     [Gc.quick_stat] waits for the next minor collection.  Emptying the
+     minor heap first keeps a collection, and the words it promotes,
+     out of the decode. *)
+  let major () =
+    let _, _, words = Gc.counters () in
+    words
+  in
+  Gc.minor ();
+  let before = major () in
+  let v2 = payload_of (Codec.decode w2) in
+  let words = major () -. before in
+  check "the held value" true (v1 == v2);
+  check (Printf.sprintf "no payload copy (%.0f major words)" words) true (words < 1024.)
+
+(* The hash samples 17 of the 32 KB, so a payload differing from the
+   held one in an unsampled byte hashes equal; the in-place compare
+   still tells them apart.  [Str] and [Bytes] with equal bytes stay
+   distinct values whichever the table holds. *)
+let test_codec_value_near_miss () =
+  Codec.For_tests.value_table_clear ();
+  let held = payload_of (Codec.decode (Codec.encode (with_payload (Value.Bytes (payload_copy ()))))) in
+  let damaged = Bytes.of_string payload_32k in
+  Bytes.set damaged 1 (Char.chr (Char.code payload_32k.[1] lxor 0x40));
+  let damaged = Value.Bytes (Bytes.to_string damaged) in
+  check "the sample misses byte 1" true (Value.hash damaged = Value.hash held);
+  let v = payload_of (Codec.decode (Codec.encode (with_payload damaged))) in
+  check "its own bytes" true (Value.equal v damaged && v != held);
+  let as_str = payload_of (Codec.decode (Codec.encode (with_payload (Value.Str (payload_copy ()))))) in
+  check "Str stays Str" true (Value.equal as_str (Value.Str payload_32k));
+  let as_bytes = payload_of (Codec.decode (Codec.encode (with_payload (Value.Bytes (payload_copy ()))))) in
+  check "Bytes stays Bytes" true (as_bytes == held)
+
+(* A long leaf whose length claims more than its frame holds fails with
+   the verdict [Reader.delimited] gave before the in-place decode ("bytes:
+   need N, have M"), even while the table holds a value with the same
+   first bytes. *)
+let test_codec_value_truncated () =
+  Codec.For_tests.value_table_clear ();
+  ignore (Codec.decode (Codec.encode (with_payload (Value.Bytes (payload_copy ())))));
+  let body =
+    let w = W.create () in
+    W.list w (fun w p -> W.delimited w (Protocol_id.name p)) [ proto_a ];
+    W.delimited w "payload";
+    W.u8 w 2;
+    W.varint w (String.length payload_32k);
+    W.bytes w (String.sub payload_32k 0 100);
+    W.contents w
+  in
+  let w = W.create () in
+  W.prefix w (pfx "99.0.0.0/24");
+  W.list w (fun w a -> W.u8 w 0; W.asn w a) [ asn 1 ];
+  W.varint w 0;
+  W.varint w 1;
+  W.delimited w body;
+  W.varint w 0;
+  let wire = W.contents w in
+  let reason = "bytes: need 32768, have 100" in
+  (match Codec.decode_robust wire with
+  | Ok (ia, [ d ]) ->
+    check "discarded alone" true
+      (d = Errors.make Errors.Discard_attribute Errors.Path_descriptor reason
+      && ia.Ia.path_descriptors = [])
+  | _ -> Alcotest.fail "expected one discarded descriptor");
+  Alcotest.check_raises "strict decode" (Dbgp_wire.Reader.Error reason) (fun () ->
+      ignore (Codec.decode wire))
+
 (* ------------------- Codec: batched frames ------------------- *)
 
 let batch_ias () =
@@ -955,6 +1047,15 @@ let gen_ia =
        (list_size (int_range 0 2) (pair gen_island gen_asns)))
     (pair (list_size (int_range 0 3) gen_pd) (list_size (int_range 0 2) gen_id))
 
+module Held = Intern.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+module Held_decode = Value.Decode_into (Held)
+
 let qcheck =
   let open QCheck in
   let gen_value =
@@ -1023,6 +1124,81 @@ let qcheck =
           d.Codec.withdrawn = [] && List.equal Ia.equal d.Codec.routes routes
         else
           d.Codec.routes = [] && List.equal Prefix.equal d.Codec.withdrawn prefixes);
+    (* [Decode_into] probes its table for a long leaf under the leaf's
+       own hash, comparing in place: a table holding the value answers
+       with it, whatever bytes precede the leaf on the wire, while one
+       changed byte or the other tag decodes to a value of its own. *)
+    Test.make ~name:"Decode_into answers a held long value in place" ~count:300
+      (make
+         Gen.(
+           quad (string_size ~gen:char (int_range 33 2000)) bool (int_bound 40)
+             (pair nat (int_range 1 255))))
+      (fun (s, str, pad, (pos, flip)) ->
+        let leaf str s = if str then Value.Str s else Value.Bytes s in
+        let decode tbl v =
+          let w = Dbgp_wire.Writer.create () in
+          Dbgp_wire.Writer.bytes w (String.make pad '\x00');
+          Value.encode w v;
+          let r = Dbgp_wire.Reader.of_string (Dbgp_wire.Writer.contents w) in
+          ignore (Dbgp_wire.Reader.bytes r pad);
+          let got = Held_decode.decode tbl r in
+          if Dbgp_wire.Reader.at_end r then got else failwith "not at end"
+        in
+        let tbl = Held.create 0 in
+        let held = Held.intern tbl (leaf str (Bytes.to_string (Bytes.of_string s))) in
+        let damaged =
+          let b = Bytes.of_string s in
+          let i = pos mod String.length s in
+          Bytes.set b i (Char.chr (Char.code s.[i] lxor flip));
+          leaf str (Bytes.to_string b)
+        in
+        let other = leaf (not str) s in
+        decode tbl (leaf str s) == held
+        && (let got = decode tbl damaged in
+            got != held && Value.equal got damaged)
+        && (let got = decode tbl other in
+            got != held && Value.equal got other)
+        && Held.stats tbl = { Intern.hits = 1; misses = 3; size = 3; clears = 0 });
+    (* A decode against a warm table reaches the verdicts and values of
+       a decode against an empty one, whatever bytes of a long-payload
+       wire are damaged.  Payloads above 4 KB keep the wires out of the
+       decode memo. *)
+    Test.make ~name:"warm value table decodes as an empty one" ~count:150
+      (make
+         Gen.(
+           triple
+             (pair (string_size ~gen:char (int_range 4100 9000)) bool)
+             (list_size (int_range 1 4) (pair nat (int_range 1 255)))
+             bool))
+      (fun ((s, str), damage, strict) ->
+        let wire =
+          Codec.encode (with_payload (if str then Value.Str s else Value.Bytes s))
+        in
+        let damaged = Bytes.of_string wire in
+        List.iter
+          (fun (pos, flip) ->
+            let i = pos mod Bytes.length damaged in
+            Bytes.set damaged i (Char.chr (Char.code (Bytes.get damaged i) lxor flip)))
+          damage;
+        let damaged = Bytes.to_string damaged in
+        let decode () =
+          if strict then
+            match Codec.decode damaged with
+            | ia -> Ok (ia, [])
+            | exception Dbgp_wire.Reader.Error m ->
+              Error (Errors.make Errors.Session_reset Errors.Framing m)
+          else Codec.decode_robust damaged
+        in
+        ignore (Codec.decode wire);
+        let warm = decode () in
+        Codec.For_tests.value_table_clear ();
+        let cold = decode () in
+        warm = cold);
+    Test.make ~name:"withdraw size pass is the encoded length" ~count:300
+      (pair (int_bound 0xFFFF_FFFF) (int_bound 32))
+      (fun (addr, len) ->
+        let p = Prefix.make (Ipv4.of_int addr) len in
+        Codec.withdraw_size p = String.length (Codec.encode_withdraw p));
     Test.make ~name:"attrs_hash agrees with same_attrs" ~count:200
       (make (Gen.pair gen_ia (Gen.int_bound 0xFFFF)))
       (fun (ia, n) ->
@@ -1107,6 +1283,10 @@ let () =
          Alcotest.test_case "unknown protocols" `Quick test_codec_unknown_protocol_passes;
          Alcotest.test_case "pinned bytes" `Quick test_codec_pinned_bytes;
          Alcotest.test_case "frame overrun" `Quick test_codec_frame_overrun;
+         Alcotest.test_case "held value decodes in place" `Quick test_codec_value_held;
+         Alcotest.test_case "near-miss value keeps its bytes" `Quick
+           test_codec_value_near_miss;
+         Alcotest.test_case "truncated long value" `Quick test_codec_value_truncated;
          Alcotest.test_case "batch roundtrip" `Quick test_codec_batch_roundtrip;
          Alcotest.test_case "batch salvage" `Quick test_codec_batch_salvage;
          Alcotest.test_case "one-prefix frames keep their bytes" `Quick

@@ -510,6 +510,117 @@ let tbl_model =
       in
       run Prefix.Map.empty ops)
 
+(* ------------------------- Intern ------------------------- *)
+
+module Str_hash = struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end
+
+(* Every value collides: each probe walks the whole cluster and only
+   the predicate tells values apart. *)
+module Const_hash = struct
+  include Str_hash
+
+  let hash _ = 7
+end
+
+module Str_intern = Intern.Make (Str_hash)
+module Const_intern = Intern.Make (Const_hash)
+
+type intern_op = Intern of int | Probe of int | Clear
+
+(* [Intern.Make] against a [Hashtbl] that keeps the first copy of each
+   string.  Every operation hands the table a fresh copy, so a hit must
+   return the first copy physically.  150 keys from a table created
+   for at most 20 take it through several doublings; [Clear] shrinks it
+   back.  [Probe] is [find_or_intern] with the table's hash and
+   equality, which must answer as [intern] does and build only on a
+   miss. *)
+let intern_model name (module I : Intern.S with type value = string) hash =
+  let open QCheck in
+  let gen_op =
+    Gen.(
+      frequency
+        [ (6, map (fun k -> Intern k) (int_bound 149));
+          (4, map (fun k -> Probe k) (int_bound 149));
+          (1, return Clear) ])
+  in
+  let print_op = function
+    | Intern k -> Printf.sprintf "intern %d" k
+    | Probe k -> Printf.sprintf "probe %d" k
+    | Clear -> "clear"
+  in
+  Test.make ~name ~count:300
+    (make
+       ~print:Print.(pair int (list print_op))
+       Gen.(pair (int_bound 20) (list_size (int_range 0 400) gen_op)))
+    (fun (size, ops) ->
+      let t = I.create size in
+      let reference = Hashtbl.create 16 and hits = ref 0 and misses = ref 0 in
+      let answer x r ~built =
+        match Hashtbl.find_opt reference x with
+        | Some first ->
+          incr hits;
+          r == first && not built
+        | None ->
+          Hashtbl.add reference x x;
+          incr misses;
+          r == x
+      in
+      let step = function
+        | Intern k ->
+          let x = "key-" ^ string_of_int k in
+          answer x (I.intern t x) ~built:false
+        | Probe k ->
+          let x = "key-" ^ string_of_int k and built = ref false in
+          let r =
+            I.find_or_intern t (hash x) (String.equal x) (fun () ->
+                built := true;
+                x)
+          in
+          answer x r ~built:!built
+        | Clear ->
+          I.clear t;
+          Hashtbl.reset reference;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && I.length t = Hashtbl.length reference
+          && I.stats t
+             = { Intern.hits = !hits; misses = !misses;
+                 size = Hashtbl.length reference; clears = 0 })
+        ops)
+
+(* At 65,536 entries the next miss resets the table wholesale and
+   counts a clear.  Values handed out before stay valid; only their
+   sharing is lost, so an equal value afterwards is a miss that returns
+   the new copy. *)
+let test_intern_reset () =
+  let t = Str_intern.create 0 in
+  let v0 = Str_intern.intern t ("v" ^ string_of_int 0) in
+  for i = 1 to 65_535 do
+    ignore (Str_intern.intern t ("v" ^ string_of_int i))
+  done;
+  check "full, not reset"
+    true
+    (Str_intern.stats t = { Intern.hits = 0; misses = 65_536; size = 65_536; clears = 0 });
+  check "held before the reset" true (Str_intern.intern t ("v" ^ "0") == v0);
+  ignore (Str_intern.intern t "v65536");
+  check "reset counted"
+    true
+    (Str_intern.stats t = { Intern.hits = 1; misses = 65_537; size = 1; clears = 1 });
+  check_str "earlier value intact" "v0" v0;
+  let again = "v" ^ "0" in
+  check "sharing lost" true (Str_intern.intern t again == again);
+  check "reset kept by clear" true
+    (Str_intern.clear t;
+     (Str_intern.stats t).Intern.clears = 1 && Str_intern.length t = 0)
+
 (* ------------------------- properties ------------------------- *)
 
 let qcheck =
@@ -605,4 +716,12 @@ let () =
          Alcotest.test_case "removed payloads freed" `Quick test_tbl_retention;
          Alcotest.test_case "Fibonacci slot spreads key families" `Quick test_tbl_spread;
          QCheck_alcotest.to_alcotest tbl_model ]);
+      ("intern",
+       [ Alcotest.test_case "reset at capacity" `Quick test_intern_reset;
+         QCheck_alcotest.to_alcotest
+           (intern_model "Intern.Make = Hashtbl model"
+              (module Str_intern) Str_hash.hash);
+         QCheck_alcotest.to_alcotest
+           (intern_model "Intern.Make = Hashtbl model (constant hash)"
+              (module Const_intern) Const_hash.hash) ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck) ]

@@ -199,6 +199,29 @@ let test_frame_bounds () =
     (try ignore (R.frame (R.of_string "\x05abc")); false with R.Error _ -> true);
   check "empty frame" true (R.at_end (R.frame (R.of_string "\x00")))
 
+(* [delimited_span] reads what [delimited] reads, in place: inside a
+   frame its offset indexes the whole source string, and a field that
+   overruns the frame fails with [delimited]'s error. *)
+let test_delimited_span () =
+  let w = W.create () in
+  W.u8 w 0xAA;
+  W.delimited w (String.concat "" [ "\x02"; "hi"; "\x01"; "z" ]);
+  let src = W.contents w in
+  let r = R.of_string src in
+  ignore (R.u8 r);
+  let sub = R.frame r in
+  check "source is shared" true (R.source sub == src);
+  let off, n = R.delimited_span sub in
+  Alcotest.(check string) "field bytes" "hi" (String.sub (R.source sub) off n);
+  check_int "offset into the source" 3 off;
+  check_int "advanced past the field" 3 (R.pos sub);
+  Alcotest.(check string) "next field" "z" (R.delimited sub);
+  let error f s = try ignore (f (R.frame (R.of_string s))); "" with R.Error m -> m in
+  Alcotest.(check string) "delimited overrun" "bytes: need 5, have 1"
+    (error R.delimited "\x02\x05abcdefgh");
+  Alcotest.(check string) "same overrun error" "bytes: need 5, have 1"
+    (error R.delimited_span "\x02\x05abcdefgh")
+
 (* Size functions agree with the writers they size. *)
 let test_sizes () =
   let written f =
@@ -322,6 +345,7 @@ let () =
       ("lists", [ Alcotest.test_case "roundtrip" `Quick test_lists ]);
       ("frames",
        [ Alcotest.test_case "sub-reader bounds" `Quick test_frame_bounds;
+         Alcotest.test_case "delimited span in place" `Quick test_delimited_span;
          Alcotest.test_case "sizes match writers" `Quick test_sizes;
          Alcotest.test_case "contents handover" `Quick test_writer_handover ]);
       ("compress",
